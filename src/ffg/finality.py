@@ -1,16 +1,24 @@
 """Supermajority links, justification, finalization, and the liveness oracle.
 
-Two engines live here, matching the two routes a checkpoint's status can take:
+One core counts votes into justification, and two engines sit on top of it:
 
-* `ChainState` / `ChainStateCache`: chain-local state derived purely from the
-  transactions included along one path of the block tree.  This is the engine
-  that decides dynasties, applies the inactivity leak, enforces the
-  vote-inclusion deadline for finalization, and pays out withdrawals.  Each
-  block's state is a pure function of its parent's state plus its payload, so
-  states are memoized per block id and shared across forks.
+* `LinkTally`: the core.  It weighs each validator once per link, records a
+  link as established when `link_established` says so, and keeps the
+  justified closure: the root, plus every target of an established link from
+  a justified source.  `pool_links` feeds a whole vote pool through it once;
+  `compute_justified`, `tally` and the accountable-safety audit read it.
 
-* `FinalityState`: per-view justification computed from gossiped votes (the
-  vote pool), with no inclusion requirement.  Clients use it for fork choice.
+* `ChainState` / `ChainStateCache`: the chain engine.  It counts the votes
+  included along one path of the block tree, stamping each link with the
+  height of the block that established it, and adds what only a chain knows:
+  dynasties, the inactivity leak, the vote-inclusion deadline for
+  finalization, slashing penalties, and withdrawals.  Each block's state is a
+  pure function of its parent's state plus its payload, so states are
+  memoized per block id and shared across forks.
+
+* `FinalityState`: the view engine.  It counts one client's gossiped votes,
+  with no inclusion requirement, and tracks the highest justified checkpoint
+  for fork choice.
 
 A link s -> t, with t's block in dynasty d, is established when the tallied
 deposits reach 2/3 of the forward set of d and (when stitching is enabled)
@@ -94,6 +102,78 @@ class LinkStatus:
     established: bool
 
 
+class LinkTally:
+    """Per-link tallies, established links, and the justified closure.
+
+    tallies maps (source, target) -> (forward, rear, voters); established maps
+    a link to the caller's stamp; by_source and by_target index established
+    links as (other end, stamp) tuples.  Values are immutable, so `copy` only
+    copies the containers.
+    """
+
+    __slots__ = ("stitching", "tallies", "established", "by_source",
+                 "by_target", "justified")
+
+    def __init__(self, root: bytes, stitching: bool):
+        self.stitching = stitching
+        self.tallies: dict[tuple[bytes, bytes], tuple[int, int, frozenset]] = {}
+        self.established: dict[tuple[bytes, bytes], int] = {}
+        self.by_source: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
+        self.by_target: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
+        self.justified: set[bytes] = {root}
+
+    def copy(self) -> LinkTally:
+        other = LinkTally.__new__(LinkTally)
+        other.stitching = self.stitching
+        other.tallies = self.tallies.copy()
+        other.established = self.established.copy()
+        other.by_source = self.by_source.copy()
+        other.by_target = self.by_target.copy()
+        other.justified = self.justified.copy()
+        return other
+
+    def count(self, vote: VoteData, snap: DynastySnapshot,
+              stamp: int = 0) -> list[bytes]:
+        """Add one vote's weight to its link; returns the checkpoints it newly
+        justifies.  The caller vouches that the vote counts against `snap`."""
+        idx = vote.validator_index
+        source, target = link = (vote.source, vote.target)
+        fwd, rear, voters = self.tallies.get(link, (0, 0, frozenset()))
+        if idx in voters:
+            return []
+        fwd += snap.forward.get(idx, 0)
+        rear += snap.rear.get(idx, 0)
+        self.tallies[link] = (fwd, rear, voters | {idx})
+        if link in self.established or not link_established(
+                fwd, rear, snap, self.stitching):
+            return []
+        self.established[link] = stamp
+        self.by_source[source] = self.by_source.get(source, ()) + ((target, stamp),)
+        self.by_target[target] = self.by_target.get(target, ()) + ((source, stamp),)
+        if source not in self.justified:
+            return []
+        newly = []
+        queue = [target]
+        while queue:
+            cp = queue.pop()
+            if cp in self.justified:
+                continue
+            self.justified.add(cp)
+            newly.append(cp)
+            queue.extend(tgt for tgt, _stamp in self.by_source.get(cp, ()))
+        return newly
+
+
+def pool_links(tree: BlockTree, pool: VotePool, snapshot_for,
+               stitching: bool = True) -> LinkTally:
+    """The core fed every countable vote of the pool once."""
+    links = LinkTally(tree.root, stitching)
+    for vote in pool.votes:
+        if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
+            links.count(vote, snapshot_for(vote.target))
+    return links
+
+
 def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
           target: bytes, stitching: bool = True) -> LinkStatus:
     """Deposit-weighted tally of countable votes source -> target.
@@ -104,18 +184,13 @@ def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
     if not tree.is_ancestor(source, target) or source == target:
         raise NotAncestor(f"{source.hex()} !-> {target.hex()}")
     snap = snapshot_for(target)
-    fwd = rear = 0
-    seen: set[int] = set()
+    links = LinkTally(tree.root, stitching)
     for vote in pool.link_votes(source, target):
-        if vote.validator_index in seen:
-            continue
-        if classify_vote(tree, snapshot_for, pool.keyring, vote) is not VoteClass.COUNTABLE:
-            continue
-        seen.add(vote.validator_index)
-        fwd += snap.forward.get(vote.validator_index, 0)
-        rear += snap.rear.get(vote.validator_index, 0)
+        if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
+            links.count(vote, snap)
+    fwd, rear, _voters = links.tallies.get((source, target), (0, 0, ()))
     return LinkStatus(source, target, fwd, rear, snap.forward_total,
-                      snap.rear_total, link_established(fwd, rear, snap, stitching))
+                      snap.rear_total, (source, target) in links.established)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +201,17 @@ class ChainState:
     """State after processing one block; immutable once built."""
 
     __slots__ = ("block_id", "height", "epoch", "dynasty", "finalized_count",
-                 "registry", "snapshots", "tallies", "established", "by_source",
-                 "by_target", "justified", "finalized_at", "included_votes",
-                 "included_evidence", "voted_window", "payouts", "stall_epochs",
-                 "slashed_at")
+                 "registry", "snapshots", "links", "finalized_at",
+                 "included_votes", "included_evidence", "voted_window",
+                 "payouts", "stall_epochs", "slashed_at")
 
-    def checkpoint_heights(self) -> dict[bytes, int]:
-        return {cp: snap.cp_height for cp, snap in self.snapshots.items()}
+    @property
+    def justified(self) -> set[bytes]:
+        return self.links.justified
 
 
-def genesis_state(root_id: bytes, registry: ValidatorRegistry) -> ChainState:
+def genesis_state(root_id: bytes, registry: ValidatorRegistry,
+                  stitching: bool) -> ChainState:
     st = ChainState()
     st.block_id = root_id
     st.height = 0
@@ -144,11 +220,7 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry) -> ChainState:
     st.finalized_count = 0
     st.registry = registry
     st.snapshots = {root_id: snapshot_registry(root_id, 0, 0, registry)}
-    st.tallies = {}
-    st.established = {}
-    st.by_source = {}
-    st.by_target = {}
-    st.justified = frozenset((root_id,))
+    st.links = LinkTally(root_id, stitching)
     st.finalized_at = {root_id: 0}
     st.included_votes = frozenset()
     st.included_evidence = frozenset()
@@ -177,7 +249,7 @@ class _StepContext:
 
     def owned(self, name: str):
         if name not in self._own:
-            setattr(self.st, name, dict(getattr(self.st, name)))
+            setattr(self.st, name, getattr(self.st, name).copy())
             self._own.add(name)
         return getattr(self.st, name)
 
@@ -187,62 +259,9 @@ class _StepContext:
             self._own_registry = True
         return self.st.registry
 
-    # -- link bookkeeping -----------------------------------------------------
-
-    def _justify(self, target: bytes, queue: list[bytes]):
+    def include_vote(self, vote: VoteData, keyring: Keyring):
         st = self.st
-        if target in st.justified:
-            return
-        st.justified = st.justified | {target}
-        queue.append(target)
-
-    def _maybe_finalize(self, source: bytes):
-        """Finalize `source` when a timely direct-child link plus a timely
-        justifying link exist.  Increments the dynasty counter for later blocks."""
-        st = self.st
-        if source in st.finalized_at or source not in st.justified:
-            return
-        h_s = st.snapshots[source].cp_height
-        for target, est_h in st.by_source.get(source, ()):
-            if st.snapshots[target].cp_height != h_s + 1:
-                continue
-            deadline = self.cfg.deadline(st.snapshots[target].cp_height)
-            if est_h > deadline:
-                continue
-            # the link justifying the source must land by the same deadline
-            # (the root needs none)
-            if h_s > 0 and not any(src in st.justified and jh <= deadline
-                                   for src, jh in st.by_target.get(source, ())):
-                continue
-            fin = self.owned("finalized_at")
-            fin[source] = st.height
-            if h_s > 0:
-                st.finalized_count += 1
-                st.stall_epochs = 0
-            return
-
-    def _establish(self, source: bytes, target: bytes):
-        st = self.st
-        link = (source, target)
-        est = self.owned("established")
-        est[link] = st.height
-        by_source = self.owned("by_source")
-        by_source[source] = by_source.get(source, ()) + ((target, st.height),)
-        by_target = self.owned("by_target")
-        by_target[target] = by_target.get(target, ()) + ((source, st.height),)
-        if source in st.justified:
-            queue: list[bytes] = []
-            self._justify(target, queue)
-            while queue:
-                cp = queue.pop()
-                self._maybe_finalize(cp)
-                for tgt, _h in st.by_source.get(cp, ()):
-                    self._justify(tgt, queue)
-            self._maybe_finalize(source)
-
-    def include_vote(self, vote: VoteData):
-        st = self.st
-        if vote.key in st.included_votes:
+        if vote.key in st.included_votes or not keyring.verify(vote):
             return
         st.included_votes = st.included_votes | {vote.key}
         src_snap = st.snapshots.get(vote.source)
@@ -254,20 +273,32 @@ class _StepContext:
                 or vote.source_height >= vote.target_height):
             return
         idx = vote.validator_index
-        fw = snap.forward.get(idx, 0)
-        rw = snap.rear.get(idx, 0)
-        if fw == 0 and rw == 0:
+        if idx not in snap.forward and idx not in snap.rear:
             return
         st.voted_window = st.voted_window | {idx}
-        link = (vote.source, vote.target)
-        tallies = self.owned("tallies")
-        fwd, rear, voters = tallies.get(link, (0, 0, frozenset()))
-        if idx in voters:
-            return
-        tallies[link] = (fwd + fw, rear + rw, voters | {idx})
-        if link not in st.established and link_established(
-                fwd + fw, rear + rw, snap, self.cfg.stitching):
-            self._establish(vote.source, vote.target)
+        self.owned("links").count(vote, snap, st.height)
+
+    def finalize(self):
+        """Finalize each justified checkpoint with a link to a direct
+        checkpoint child and a link from a justified source, both established
+        by the child's deadline.  Runs after the block's closure, so the order
+        in which links and justifications arrived does not matter.  The root
+        is finalized at genesis and needs no justifying link."""
+        st = self.st
+        links = st.links
+        for source in sorted(links.justified - st.finalized_at.keys()):
+            h_s = st.snapshots[source].cp_height
+            for target, est_h in links.by_source.get(source, ()):
+                h_t = st.snapshots[target].cp_height
+                deadline = self.cfg.deadline(h_t)
+                if h_t != h_s + 1 or est_h > deadline:
+                    continue
+                if any(src in links.justified and jh <= deadline
+                       for src, jh in links.by_target[source]):
+                    self.owned("finalized_at")[source] = st.height
+                    st.finalized_count += 1
+                    st.stall_epochs = 0
+                    break
 
     def include_evidence(self, tx: SlashEvidence, proposer: int | None,
                          keyring: Keyring):
@@ -311,9 +342,10 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
                                                 cfg.withdrawal_delay,
                                                 previous=parent.dynasty)
 
+    established = len(st.links.established)
     for tx in block.payload:
         if isinstance(tx, VoteInclusion):
-            ctx.include_vote(tx.vote)
+            ctx.include_vote(tx.vote, keyring)
         elif isinstance(tx, SlashEvidence):
             ctx.include_evidence(tx, block.proposer, keyring)
         elif isinstance(tx, Deposit):
@@ -322,6 +354,8 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
         elif isinstance(tx, Withdraw):
             ctx.registry().process_withdraw(
                 keyring.register(tx.validator_index), st.dynasty)
+    if len(st.links.established) != established:
+        ctx.finalize()
 
     if block.height % cfg.spacing == 0:
         # a checkpoint block closes the previous voting window: leak, then
@@ -354,7 +388,8 @@ class ChainStateCache:
         self.cfg = cfg
         self.keyring = keyring
         self.states: dict[bytes, ChainState] = {
-            tree.root: genesis_state(tree.root, genesis_registry.clone())}
+            tree.root: genesis_state(tree.root, genesis_registry.clone(),
+                                     cfg.stitching)}
 
     def get(self, block_id: bytes) -> ChainState:
         states = self.states
@@ -391,31 +426,22 @@ class FinalityState:
     """
 
     def __init__(self, root_id: bytes, cfg: ProtocolConfig, keyring: Keyring):
-        self.cfg = cfg
         self.keyring = keyring
-        self.root = root_id
         self.heights: dict[bytes, int] = {root_id: 0}
         self.order: dict[bytes, int] = {root_id: 0}
-        self.tallies: dict[tuple[bytes, bytes], tuple[int, int, frozenset]] = {}
-        self.established: dict[tuple[bytes, bytes], int] = {}
-        self.by_source: dict[bytes, list[bytes]] = {}
-        self.justified: set[bytes] = {root_id}
-        self.justified_order: dict[bytes, int] = {root_id: 0}
+        self.links = LinkTally(root_id, cfg.stitching)
         self._buffer: dict[bytes, list] = {}
         self._best = (0, 0, root_id)
-        self._events = 0
         self.max_height = 0
 
     # -- queries ---------------------------------------------------------------
 
+    @property
+    def justified(self) -> set[bytes]:
+        return self.links.justified
+
     def highest_justified(self) -> bytes:
         return self._best[2]
-
-    def is_justified(self, cp: bytes) -> bool:
-        return cp in self.justified
-
-    def justified_by_height(self) -> list[tuple[int, bytes]]:
-        return sorted((self.heights[cp], cp) for cp in self.justified)
 
     # -- updates ----------------------------------------------------------------
 
@@ -443,34 +469,10 @@ class FinalityState:
             return
         if classify_vote(tree, snapshot_for, self.keyring, vote) is not VoteClass.COUNTABLE:
             return
-        idx = vote.validator_index
-        link = (vote.source, vote.target)
-        fwd, rear, voters = self.tallies.get(link, (0, 0, frozenset()))
-        if idx in voters:
-            return
-        fwd += snap.forward.get(idx, 0)
-        rear += snap.rear.get(idx, 0)
-        self.tallies[link] = (fwd, rear, voters | {idx})
-        if link not in self.established and link_established(
-                fwd, rear, snap, self.cfg.stitching):
-            self._events += 1
-            self.established[link] = self._events
-            self.by_source.setdefault(vote.source, []).append(vote.target)
-            if vote.source in self.justified:
-                self._propagate(vote.target)
-
-    def _propagate(self, start: bytes) -> None:
-        queue = [start]
-        while queue:
-            cp = queue.pop()
-            if cp in self.justified:
-                continue
-            self.justified.add(cp)
-            self.justified_order[cp] = self.order.get(cp, self._events)
-            cand = (self.heights[cp], self.justified_order[cp], cp)
+        for cp in self.links.count(vote, snap):
+            cand = (self.heights[cp], self.order[cp], cp)
             if self._better(cand, self._best):
                 self._best = cand
-            queue.extend(self.by_source.get(cp, ()))
 
     @staticmethod
     def _better(a: tuple, b: tuple) -> bool:
@@ -484,39 +486,9 @@ class FinalityState:
 
 def compute_justified(tree: BlockTree, pool: VotePool, snapshot_for,
                       stitching: bool = True) -> set[bytes]:
-    """Fixed point of the justification recursion, recomputed from scratch.
-
-    Processes checkpoints in increasing height; a checkpoint is justified when
-    it is the root or the target of an established link from a justified
-    source.  Links may skip heights.
-    """
-    checkpoints = sorted(
-        (b.height // tree.spacing, b.id) for b in tree.iter_blocks()
-        if b.height % tree.spacing == 0)
-    justified: set[bytes] = {tree.root}
-    changed = True
-    while changed:
-        changed = False
-        for _h, cp in checkpoints:
-            if cp in justified:
-                continue
-            snap = snapshot_for(cp)
-            if snap is None:
-                continue
-            for source in sorted(justified):
-                if not tree.is_ancestor(source, cp) or source == cp:
-                    continue
-                status = tally(tree, pool, snapshot_for, source, cp, stitching)
-                if status.established:
-                    justified.add(cp)
-                    changed = True
-                    break
-    return justified
-
-
-def chain_finalized(cache: ChainStateCache, tip: bytes) -> dict[bytes, int]:
-    """Finalized checkpoints (id -> height finalized) on the chain through tip."""
-    return dict(cache.get(tip).finalized_at)
+    """Justified checkpoints of the pool: the root plus every target of an
+    established link from a justified source.  Links may skip heights."""
+    return pool_links(tree, pool, snapshot_for, stitching).justified
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,7 @@ class ClientView:
         for cp in self.fstate.justified:
             if cp not in self.tree or not self.tree.is_ancestor(cp, leaf):
                 continue
-            cand = (self.fstate.heights[cp],
-                    self.fstate.justified_order.get(cp, 0), cp)
+            cand = (self.fstate.heights[cp], self.fstate.order[cp], cp)
             if FinalityState._better(cand, best):
                 best = cand
         return best

@@ -1,5 +1,5 @@
-"""Commandment violations: detection, evidence, penalties, and the
-constructive accountable-safety audit.
+"""Commandment violations: detection and the constructive accountable-safety
+audit.  The chain engine applies the penalty when a block includes evidence.
 
 The two slashing conditions on a pair of distinct votes by one validator:
 
@@ -15,12 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .chain import BlockTree, VoteData
-from .errors import (AlreadySlashed, DifferentValidators, NotConflicting,
-                     NotFinalized)
-from .validators import ValidatorId, ValidatorRegistry
+from .errors import DifferentValidators, NotConflicting, NotFinalized
 from .votes import VotePool
 
 
@@ -87,26 +84,6 @@ def find_new_violations(history: list[VoteData], incoming: VoteData) -> list[Vio
     return out
 
 
-def apply_slash(registry: ValidatorRegistry, violation: Violation,
-                finder: ValidatorId | None, fee: Fraction) -> int:
-    """Take the whole deposit; credit the finder floor(deposit * fee).
-
-    Self-reporting is allowed and still pays the fee.  Raises AlreadySlashed on
-    a second application (no double fee).  Returns the amount burned.
-    """
-    rec = registry.by_index(violation.validator_index)
-    if rec is None or rec.slashed:
-        raise AlreadySlashed(violation.validator_index)
-    taken = registry.slash(rec.vid)
-    reward = (taken * fee.numerator) // fee.denominator
-    if finder is not None:
-        frec = registry.get(finder)
-        if not frec.slashed and not frec.withdrawn:
-            frec.deposit += reward
-            return taken - reward
-    return taken
-
-
 # ---------------------------------------------------------------------------
 # Accountable safety, constructively: given two conflicting finalized
 # checkpoints, extract a violator set worth at least a third of the deposits.
@@ -124,46 +101,27 @@ class AuditResult:
         return self.reference_total > 0 and 3 * self.violator_weight >= self.reference_total
 
 
-def _established_links_into(tree, pool, snapshot_for, stitching, cp,
-                            justified) -> list[tuple[bytes, bytes]]:
-    from .finality import tally  # local import to avoid a cycle
-    links = []
-    for source in sorted(justified):
-        if source == cp or not tree.is_ancestor(source, cp):
-            continue
-        if tally(tree, pool, snapshot_for, source, cp, stitching).established:
-            links.append((source, cp))
-    return links
-
-
-def _justification_chain(tree, pool, snapshot_for, stitching, cp, justified):
+def _justification_chain(tree, links, cp):
     """Links root -> ... -> cp, each established from a justified source.
     Deterministic: prefer the highest source, then the lowest id."""
     chain = []
     cursor = cp
     while cursor != tree.root:
-        options = _established_links_into(tree, pool, snapshot_for, stitching,
-                                          cursor, justified)
-        if not options:
-            return None
-        options.sort(key=lambda link: (-tree.require_checkpoint(link[0]), link[0]))
-        best = options[0]
-        chain.append(best)
-        cursor = best[0]
+        source = min((src for src, _stamp in links.by_target[cursor]
+                      if src in links.justified),
+                     key=lambda src: (-tree.require_checkpoint(src), src))
+        chain.append((source, cursor))
+        cursor = source
     chain.reverse()
     return chain
 
 
-def _finalizing_link(tree, pool, snapshot_for, stitching, cp):
+def _finalizing_link(tree, links, cp):
     """Established link from cp to a direct checkpoint child, if any."""
-    from .finality import tally
     h = tree.require_checkpoint(cp)
-    kids = sorted(b.id for b in tree.iter_blocks()
-                  if b.height == (h + 1) * tree.spacing and tree.is_ancestor(cp, b.id))
-    for kid in kids:
-        if tally(tree, pool, snapshot_for, cp, kid, stitching).established:
-            return (cp, kid)
-    return None
+    kids = sorted(tgt for tgt, _stamp in links.by_source.get(cp, ())
+                  if tree.require_checkpoint(tgt) == h + 1)
+    return (cp, kids[0]) if kids else None
 
 
 def _link_voters(tree, pool, snapshot_for, link) -> dict[int, VoteData]:
@@ -191,20 +149,19 @@ def safety_audit(tree: BlockTree, pool: VotePool, a_m: bytes, b_n: bytes,
     the same target height by the other side's justification chain (double
     vote) or straddled by one of its links (surround vote).
     """
-    from .finality import compute_justified
+    from .finality import pool_links  # local import to avoid a cycle
 
     if not tree.conflicting(a_m, b_n):
         raise NotConflicting("checkpoints are on one chain")
-    justified = compute_justified(tree, pool, snapshot_for, stitching)
+    links = pool_links(tree, pool, snapshot_for, stitching)
 
     def finalization_of(cp):
-        if cp not in justified:
+        if cp not in links.justified:
             return None, None
-        chain = _justification_chain(tree, pool, snapshot_for, stitching, cp, justified)
-        fin = _finalizing_link(tree, pool, snapshot_for, stitching, cp)
-        if chain is None or fin is None:
+        fin = _finalizing_link(tree, links, cp)
+        if fin is None:
             return None, None
-        return chain, fin
+        return _justification_chain(tree, links, cp), fin
 
     chain_a, fin_a = finalization_of(a_m)
     chain_b, fin_b = finalization_of(b_n)

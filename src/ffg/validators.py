@@ -155,6 +155,3 @@ class ValidatorRegistry:
 
     def total_weight(self, members) -> int:
         return sum(self.get(vid).weight for vid in members)
-
-    def total_deposit(self) -> int:
-        return sum(rec.weight for rec in self.records.values())

@@ -50,9 +50,6 @@ class Keyring:
     def vid(self, index: int) -> ValidatorId:
         return self._ids[index]
 
-    def known(self, index: int) -> bool:
-        return index in self._secrets
-
     def sign(self, index: int, message: bytes) -> bytes:
         return hmac.new(self._secrets[index], message, hashlib.sha256).digest()
 

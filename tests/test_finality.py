@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -385,6 +386,66 @@ def test_inclusion_engine_matches_naive_finality_on_subsets():
         got, votes, inclusion = run_inclusion_subset(w, picked, E)
         expect = naive_finalized(w.tree, votes, weights, inclusion, E)
         assert got == expect, f"mask {mask}"
+
+
+def finality_vs_oracle(schedule, spacing=2, checkpoints=5):
+    """Every validator's votes for each (h_s, h_t) link included at the block
+    height the schedule gives, on one chain of empty blocks through the last
+    checkpoint; returns the engine's and the oracle's finalized sets and the
+    checkpoints by height."""
+    w = make_world([100, 100, 100], spacing=spacing)
+    tip = w.tree.get(w.tree.root)
+    cps = {0: tip.id}
+    for h in range(1, checkpoints * spacing + 1):
+        tip = w.include(tip, [], timestamp=h)
+        if h % spacing == 0:
+            cps[h // spacing] = tip.id
+    votes, inclusion = [], {}
+    for h in range(tip.height + 1, max(schedule) + 1):
+        payload = [sign_vote(w.keyring, val, cps[hs], cps[ht], hs, ht)
+                   for hs, ht in schedule.get(h, []) for val in range(3)]
+        votes.extend(payload)
+        inclusion.update((v.key, h) for v in payload)
+        tip = w.include(tip, payload, timestamp=h)
+    got = set(w.cache.get(tip.id).finalized_at)
+    weights = {0: 100, 1: 100, 2: 100}
+    return got, naive_finalized(w.tree, votes, weights, inclusion, spacing), cps
+
+
+def test_finalization_rechecks_source_justified_later_in_closure():
+    # (0,1) at 14 justifies cp1, which reaches cp4 through both the late link
+    # (1,4) and the timely chain 2 -> 3 -> 4; cp4's timely justifying link
+    # (3,4) only counts once cp3 is justified
+    got, expect, cps = finality_vs_oracle(
+        {11: [(1, 2), (2, 3), (3, 4), (4, 5)], 13: [(1, 4)], 14: [(0, 1)]})
+    assert cps[4] in expect
+    assert got == expect
+
+
+def test_finalization_rechecks_source_justified_in_later_block():
+    # cp4 is justified at 13 only through the late link (1,4); (0,3) at 14
+    # justifies cp3 and with it cp4's timely justifying link (3,4)
+    got, expect, cps = finality_vs_oracle(
+        {11: [(3, 4), (4, 5)], 13: [(0, 1), (1, 4)], 14: [(0, 3)]})
+    assert cps[4] in expect
+    assert got == expect
+
+
+def test_included_votes_with_bad_signatures_do_not_count():
+    w = make_world()
+    E = w.proto.spacing
+    tip = w.tree.get(w.tree.root)
+    for h in range(1, E + 1):
+        tip = w.include(tip, [], timestamp=h)
+    c1 = tip.id
+    genuine = [sign_vote(w.keyring, i, w.tree.root, c1, 0, 1) for i in range(3)]
+    forged = [replace(v, signature=bytes(32)) for v in genuine]
+    tip = w.include(tip, forged)
+    state = w.cache.get(tip.id)
+    assert c1 not in state.justified and not state.voted_window
+    # a forged copy does not block the genuine vote's inclusion
+    tip = w.include(tip, genuine)
+    assert c1 in w.cache.get(tip.id).justified
 
 
 # -- liveness oracle ---------------------------------------------------------------

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,33 @@ def test_all_clients_converge():
 def test_determinism_same_seed():
     cfg = base_config(epochs=5, delta=3, fork_rate=Fraction(1, 5))
     assert run(cfg).digest() == run(cfg).digest()
+
+
+def test_digests_do_not_depend_on_hash_seed():
+    # str and bytes hashes are salted per process, so iterating a set of
+    # checkpoint ids must never decide what a report contains
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from test_acceptance import fuzz_config\n"
+        "from ffg.sim import config_from_dict, run\n"
+        "corpus = Path(sys.argv[1])\n"
+        "for name in sorted(json.loads((corpus / 'digests.json').read_text())):\n"
+        "    cfg = config_from_dict(json.loads((corpus / name).read_text()))\n"
+        "    print(name, run(cfg).digest())\n"
+        "for seed in range(10):\n"
+        "    print(seed, run(fuzz_config(seed)).digest())\n")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               str(root / "tests")]))
+        proc = subprocess.run([sys.executable, "-c", code, str(root / "scenarios")],
+                              env=env, stdout=subprocess.PIPE, text=True,
+                              check=True, timeout=300)
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 20 and outputs[0] == outputs[1]
 
 
 def test_different_seed_changes_trace():

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from ffg.chain import SlashEvidence, Withdraw, make_block
 from ffg.config import ProtocolConfig
-from ffg.errors import AlreadySlashed, DifferentValidators, NotConflicting
+from ffg.errors import DifferentValidators, NotConflicting
 from ffg.leak import LeakConfig
-from ffg.slashing import (ViolationKind, apply_slash, check_pair, safety_audit,
-                          scan, violates)
-from ffg.validators import ValidatorId, ValidatorRegistry
+from ffg.slashing import (ViolationKind, check_pair, safety_audit, scan,
+                          violates)
 from ffg.votes import VotePool, sign_vote
 
 from conftest import World
@@ -130,44 +130,70 @@ def test_scan_sees_cross_branch_and_noncountable_votes():
     assert len(hits) == 1 and hits[0].kind is ViolationKind.DOUBLE_VOTE
 
 
-# -- penalties ---------------------------------------------------------------------
+# -- penalties, applied when a block includes evidence ------------------------------
 
-def test_apply_slash_fee_and_idempotence(keyring):
-    reg = ValidatorRegistry()
-    culprit = ValidatorId(0, bytes(32))
-    finder = ValidatorId(1, b"\x01" * 32)
-    reg.add_genesis_validator(culprit, 1000)
-    reg.add_genesis_validator(finder, 100)
-    violation = check_pair(fake_vote(keyring, 0, 2, 4), fake_vote(keyring, 0, 3, 4))
-    burned = apply_slash(reg, violation, finder, Fraction(1, 100))
+def evidence_block(w, parent, first, second, proposer):
+    block = make_block(parent, parent.timestamp + 1, proposer,
+                       (SlashEvidence(first, second),), w.tree.hash_name)
+    w.tree.insert_block(block)
+    return block, w.cache.get(block.id).registry
+
+
+def double_vote(w, index, tag=0):
+    return (fake_vote(w.keyring, index, 2, 4, tag),
+            fake_vote(w.keyring, index, 3, 4, tag))
+
+
+def test_evidence_fee_and_idempotence():
+    w = make_world([1000, 100, 100])
+    culprit, finder = w.keyring.vid(0), w.keyring.vid(1)
+    first, second = double_vote(w, 0)
+    block, reg = evidence_block(w, w.tree.get(w.tree.root), first, second,
+                                proposer=1)
     assert reg.get(culprit).deposit == 0 and reg.get(culprit).slashed
     assert reg.get(finder).deposit == 110
+    burned = 1200 - sum(rec.deposit for rec in reg.records.values())
     assert burned == 990
-    with pytest.raises(AlreadySlashed):
-        apply_slash(reg, violation, finder, Fraction(1, 100))
+    # the same evidence again, and a second violation by the same validator,
+    # pay no second fee
+    block, reg = evidence_block(w, block, first, second, proposer=1)
+    block, reg = evidence_block(w, block, *double_vote(w, 0, tag=1), proposer=1)
     assert reg.get(finder).deposit == 110
+    assert w.cache.get(block.id).slashed_at == ()
 
 
-def test_self_report_pays_fee(keyring):
-    reg = ValidatorRegistry()
-    culprit = ValidatorId(0, bytes(32))
-    reg.add_genesis_validator(culprit, 1000)
-    violation = check_pair(fake_vote(keyring, 0, 2, 4), fake_vote(keyring, 0, 3, 4))
-    apply_slash(reg, violation, culprit, Fraction(1, 100))
+def test_self_report_pays_fee():
+    w = make_world([1000, 100, 100])
+    _block, reg = evidence_block(w, w.tree.get(w.tree.root), *double_vote(w, 0),
+                                 proposer=0)
     # the deposit is gone before the fee lands; slashed records earn nothing
-    assert reg.get(culprit).deposit == 0
+    assert reg.get(w.keyring.vid(0)).deposit == 0
 
 
-def test_slash_during_withdrawal_delay(keyring):
-    reg = ValidatorRegistry()
-    v = ValidatorId(0, bytes(32))
-    reg.add_genesis_validator(v, 500)
-    reg.process_withdraw(v, 0)
-    reg.mark_end_dynasty_started(2, epoch=4, withdrawal_delay=10)
-    violation = check_pair(fake_vote(keyring, 0, 2, 4), fake_vote(keyring, 0, 3, 4))
-    apply_slash(reg, violation, None, Fraction(1, 100))
-    assert reg.get(v).deposit == 0
-    assert not reg.withdrawable(v, 999)
+def test_slash_during_withdrawal_delay():
+    w = make_world([100, 100, 100, 100])
+    leaver = w.keyring.vid(3)
+    E = w.proto.spacing
+    cps = [w.tree.root]
+    tip = make_block(w.tree.get(w.tree.root), 1, None,
+                     (Withdraw(3, leaver.pubkey),), w.tree.hash_name)
+    w.tree.insert_block(tip)
+    # validators 0-2 finalize checkpoints 1 and 2; the second finalization
+    # starts the leaver's end dynasty and with it the withdrawal delay
+    for h in range(2, 4 * E + 1):
+        votes = []
+        if h % E == 1 and len(cps) > 1:
+            votes = w.votes([0, 1, 2], cps[-2], cps[-1])
+        tip = w.include(tip, votes, timestamp=h)
+        if h % E == 0:
+            cps.append(tip.id)
+    state = w.cache.get(tip.id)
+    assert state.finalized_count == 2
+    assert state.registry.get(leaver).unlock_epoch is not None
+    _block, reg = evidence_block(w, tip, *double_vote(w, 3), proposer=None)
+    assert reg.get(leaver).deposit == 0
+    assert sum(rec.deposit for rec in reg.records.values()) == 300
+    assert not reg.withdrawable(leaver, 999)
 
 
 # -- the constructive accountable-safety audit ---------------------------------------
