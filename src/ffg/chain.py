@@ -14,7 +14,7 @@ from typing import Iterator, Union
 
 from . import codec
 from .errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
-                     NotACheckpoint, UnknownBlock, UnknownParent)
+                     NotACheckpoint, NotAncestor, UnknownBlock, UnknownParent)
 
 GENESIS_ID = b"\x00" * 32
 
@@ -123,9 +123,11 @@ def make_block(parent_block: Block, timestamp: int, proposer: int | None,
 
 
 class BlockTree:
-    """Connected, acyclic block store with parent/children indexes.
+    """Connected, acyclic block store with parent links and a leaf index.
 
     Single writer; all queries are pure.  E is the checkpoint spacing.
+    Timestamps strictly increase along every chain (`insert_block` rejects
+    anything else), so a chain's tip carries its latest stamp.
     """
 
     def __init__(self, spacing: int, hash_name: str = "sha256"):
@@ -134,7 +136,8 @@ class BlockTree:
         root = Block(GENESIS_ID, None, 0, 0, None, ())
         self.root = GENESIS_ID
         self.blocks: dict[bytes, Block] = {GENESIS_ID: root}
-        self.children: dict[bytes, list[bytes]] = {GENESIS_ID: []}
+        # childless blocks in insertion order (the dict is used as an ordered set)
+        self._leaves: dict[bytes, None] = {GENESIS_ID: None}
 
     def __contains__(self, bid: bytes) -> bool:
         return bid in self.blocks
@@ -164,8 +167,8 @@ class BlockTree:
         if expect != block.id:
             raise DigestMismatch(block.id.hex())
         self.blocks[block.id] = block
-        self.children[block.id] = []
-        self.children[block.parent].append(block.id)
+        self._leaves.pop(block.parent, None)
+        self._leaves[block.id] = None
 
     # -- checkpoint queries ---------------------------------------------------
 
@@ -241,7 +244,8 @@ class BlockTree:
         return out
 
     def leaves(self) -> list[bytes]:
-        return [bid for bid, kids in self.children.items() if not kids]
+        """Childless blocks in insertion order."""
+        return list(self._leaves)
 
     def iter_blocks(self) -> Iterator[Block]:
         return iter(self.blocks.values())

@@ -17,8 +17,8 @@ One core counts votes into justification, and two engines sit on top of it:
   memoized per block id and shared across forks.
 
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
-  with no inclusion requirement, and tracks the highest justified checkpoint
-  for fork choice.
+  with no inclusion requirement, and records each known checkpoint's height
+  and receipt order; fork choice reads its justified set per chain.
 
 A link s -> t, with t's block in dynasty d, is established when the tallied
 deposits reach 2/3 of the forward set of d and (when stitching is enabled)
@@ -420,9 +420,9 @@ class FinalityState:
     """Justified set of one view, updated incrementally as votes arrive.
 
     Checkpoints must be registered (mark_checkpoint) before votes targeting
-    them can be tallied; earlier votes are buffered.  The highest justified
-    checkpoint is tracked with the deterministic tie-break: greatest height,
-    then earliest receipt, then lowest id.
+    them can be tallied; earlier votes are buffered.  `heights` and `order`
+    give each registered checkpoint's height and receipt sequence number,
+    which fork choice uses to rank the justified checkpoints of its chains.
     """
 
     def __init__(self, root_id: bytes, cfg: ProtocolConfig, keyring: Keyring):
@@ -431,7 +431,6 @@ class FinalityState:
         self.order: dict[bytes, int] = {root_id: 0}
         self.links = LinkTally(root_id, cfg.stitching)
         self._buffer: dict[bytes, list] = {}
-        self._best = (0, 0, root_id)
         self.max_height = 0
 
     # -- queries ---------------------------------------------------------------
@@ -439,9 +438,6 @@ class FinalityState:
     @property
     def justified(self) -> set[bytes]:
         return self.links.justified
-
-    def highest_justified(self) -> bytes:
-        return self._best[2]
 
     # -- updates ----------------------------------------------------------------
 
@@ -469,19 +465,7 @@ class FinalityState:
             return
         if classify_vote(tree, snapshot_for, self.keyring, vote) is not VoteClass.COUNTABLE:
             return
-        for cp in self.links.count(vote, snap):
-            cand = (self.heights[cp], self.order[cp], cp)
-            if self._better(cand, self._best):
-                self._best = cand
-
-    @staticmethod
-    def _better(a: tuple, b: tuple) -> bool:
-        # greater height wins; then earlier receipt; then lower id
-        if a[0] != b[0]:
-            return a[0] > b[0]
-        if a[1] != b[1]:
-            return a[1] < b[1]
-        return a[2] < b[2]
+        self.links.count(vote, snap)
 
 
 def compute_justified(tree: BlockTree, pool: VotePool, snapshot_for,

@@ -12,6 +12,26 @@ greatest height.  Three client-local filters compose around it, in order:
 3. the justified-height rule with deterministic tie-breaks (earliest-received
    justified checkpoint, then lowest id; within the chosen subtree the tip
    with the most blocks, then lowest id).
+
+`head()` runs these filters on every call, so it must not walk every leaf's
+chain each time.  A chain is rejected by filter 1 when any block on it is,
+and three facts let each view memoize that verdict per chain:
+
+* timestamps strictly increase along a chain (`BlockTree.insert_block`), so
+  the future-timestamp rule is decided by the chain's tip alone;
+* heard violations are append-only, each with a fixed heard-at time;
+* the evidence a chain has included up to a block is frozen with the block
+  (`ChainStateCache`), as is the block's timestamp, and delta is fixed.
+
+So a block once rejected by the evidence rule stays rejected, and a chain that
+passed it against the first n heard violations only needs checking against
+the ones heard since.  `chain_admissible` keeps, per block, either "rejected"
+or the count of heard violations its chain passed, and walks up from a leaf
+only to the nearest ancestor that is up to date; each (block, violation) pair
+is checked once per view.  The justified checkpoint of a chain is found by
+walking its checkpoints downward to the first justified one
+(`justified_tip`), which is the highest since a chain has one checkpoint per
+height.
 """
 
 from __future__ import annotations
@@ -30,6 +50,20 @@ class Admissibility(Enum):
     ACCEPT = "accept"
     ACCEPT_NOT_FINALIZABLE = "accept-not-finalizable"
     REJECT = "reject"
+
+
+# chain_admissible's memo value for a chain the evidence rule rejects
+_REJECTED = -1
+
+
+def _better(a: tuple, b: tuple) -> bool:
+    """Rank (height, receipt order, id) of justified checkpoints: greater
+    height wins; then earlier receipt; then lower id."""
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    if a[1] != b[1]:
+        return a[1] < b[1]
+    return a[2] < b[2]
 
 
 class ClientView:
@@ -58,6 +92,11 @@ class ClientView:
         self.observed_finalized: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
         self.ignored_finalized: list[tuple[int, bytes]] = []
         self.violations_heard: dict[tuple, tuple[int, Violation]] = {}
+        # (key, heard_at) of violations_heard in the order heard
+        self._heard: list[tuple[tuple, int]] = []
+        # block id -> _REJECTED, or n: its chain passes the evidence rule
+        # against _heard[:n]; absent means n == 0
+        self._chain_checked: dict[bytes, int] = {}
         self._pending_blocks: dict[bytes, list[Block]] = {}
         self.payout_seen: list[tuple[int, bytes, int]] = []
 
@@ -137,6 +176,7 @@ class ClientView:
         for violation in find_new_violations(history, vote):
             if violation.key not in self.violations_heard:
                 self.violations_heard[violation.key] = (now, violation)
+                self._heard.append((violation.key, now))
                 new_violations.append(violation)
         self.fstate.on_vote(vote, self.tree, self.snapshot_for)
         return new_violations
@@ -147,24 +187,58 @@ class ClientView:
         """Timestamp and evidence filters; a classification, not an error."""
         if block.timestamp > self.clock:
             return Admissibility.REJECT
-        if self.violations_heard:
-            chain_evidence = self.cache.get(block.id).included_evidence
-            for key, (heard_at, _v) in self.violations_heard.items():
-                if block.timestamp > heard_at + 2 * self.cfg.delta \
-                        and key not in chain_evidence:
-                    return Admissibility.REJECT
+        if self._evidence_rejects(block, self._heard):
+            return Admissibility.REJECT
         if block.timestamp < self.clock - self.cfg.delta:
             return Admissibility.ACCEPT_NOT_FINALIZABLE
         return Admissibility.ACCEPT
 
     def chain_admissible(self, leaf: bytes) -> bool:
-        cursor = self.tree.get(leaf)
-        while True:
-            if cursor.height > 0 and self.admissible(cursor) is Admissibility.REJECT:
+        """True iff `admissible` rejects no block between the root and `leaf`.
+
+        Memoized per chain; see the module docstring for why that is sound."""
+        tree = self.tree
+        block = tree.get(leaf)
+        if block.timestamp > self.clock:
+            return False
+        heard = self._heard
+        n = len(heard)
+        checked = self._chain_checked
+        stale: list[tuple[Block, int]] = []
+        cursor = block
+        while cursor.height > 0:
+            done = checked.get(cursor.id, 0)
+            if done == n:
+                break
+            if done == _REJECTED:
+                for b, _done in stale:
+                    checked[b.id] = _REJECTED
                 return False
-            if cursor.parent is None:
-                return True
-            cursor = self.tree.get(cursor.parent)
+            stale.append((cursor, done))
+            cursor = tree.blocks[cursor.parent]
+        # top-down, so each block's ancestors are up to date before it
+        for i in range(len(stale) - 1, -1, -1):
+            cursor, done = stale[i]
+            if self._evidence_rejects(cursor, heard[done:n]):
+                for b, _done in stale[:i + 1]:
+                    checked[b.id] = _REJECTED
+                return False
+            checked[cursor.id] = n
+        return True
+
+    def _evidence_rejects(self, block: Block, heard) -> bool:
+        """The evidence rule: `block` is stamped later than 2*delta after a
+        violation in `heard` (key, heard_at pairs) was heard, and its chain
+        has not included that violation's evidence."""
+        evidence = None
+        latest = block.timestamp - 2 * self.cfg.delta
+        for key, heard_at in heard:
+            if heard_at < latest:
+                if evidence is None:
+                    evidence = self.cache.get(block.id).included_evidence
+                if key not in evidence:
+                    return True
+        return False
 
     # -- finalized preference ------------------------------------------------------
 
@@ -188,6 +262,7 @@ class ClientView:
 
     def head(self) -> bytes:
         anchor = self.finalized_anchor
+        heights, order = self.fstate.heights, self.fstate.order
         best_cp: tuple[int, int, bytes] | None = None
         best_leaves: list[bytes] = []
         for leaf in self.tree.leaves():
@@ -195,8 +270,9 @@ class ClientView:
                 continue
             if not self.chain_admissible(leaf):
                 continue
-            cp = self._chain_justified(leaf)
-            if best_cp is None or FinalityState._better(cp, best_cp):
+            tip = self.justified_tip(leaf)
+            cp = (heights[tip], order[tip], tip)
+            if best_cp is None or _better(cp, best_cp):
                 best_cp = cp
                 best_leaves = [leaf]
             elif cp == best_cp:
@@ -206,15 +282,24 @@ class ClientView:
         best_leaves.sort(key=lambda b: (-self.tree.get(b).height, b))
         return best_leaves[0]
 
-    def _chain_justified(self, leaf: bytes) -> tuple[int, int, bytes]:
-        best = (0, 0, self.tree.root)
-        for cp in self.fstate.justified:
-            if cp not in self.tree or not self.tree.is_ancestor(cp, leaf):
-                continue
-            cand = (self.fstate.heights[cp], self.fstate.order[cp], cp)
-            if FinalityState._better(cand, best):
-                best = cand
-        return best
+    def justified_tip(self, bid: bytes, below: int | None = None) -> bytes:
+        """Highest justified checkpoint on the chain from the root to `bid`
+        (`bid` included), restricted to checkpoint heights under `below` when
+        given; the root when there is none.  A chain has one checkpoint per
+        height, so the first justified one met walking down is the highest."""
+        tree = self.tree
+        justified = self.fstate.justified
+        cursor = tree.get(bid)
+        height = cursor.height - cursor.height % tree.spacing
+        if below is not None:
+            height = min(height, (below - 1) * tree.spacing)
+        while height > 0:
+            while cursor.height > height:
+                cursor = tree.blocks[cursor.parent]
+            if cursor.id in justified:
+                return cursor.id
+            height -= tree.spacing
+        return tree.root
 
     def longest_chain_head(self) -> bytes:
         """Plain longest-chain selection over admissible leaves, for contrast."""

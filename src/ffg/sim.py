@@ -207,19 +207,9 @@ class Agent:
         return vote
 
     def _source_for(self, target: bytes, h_t: int) -> tuple[bytes, int]:
-        """Highest justified checkpoint below the target on its chain; ties
-        break on the lower id so runs replay identically across processes."""
-        view = self.view
-        best, best_h = view.tree.root, 0
-        for cp in view.fstate.justified:
-            if cp not in view.tree:
-                continue
-            h = view.fstate.heights[cp]
-            if h >= h_t or h < best_h or (h == best_h and cp >= best):
-                continue
-            if view.tree.is_ancestor(cp, target):
-                best, best_h = cp, h
-        return best, best_h
+        """Highest justified checkpoint below the target on its chain."""
+        source = self.view.justified_tip(target, below=h_t)
+        return source, self.view.fstate.heights[source]
 
     def maybe_vote(self) -> list[VoteData]:
         """Vote for the head chain's checkpoint of the newest epoch, skipping

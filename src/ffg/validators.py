@@ -7,8 +7,10 @@ sets are
     forward(d) = { v : start <= d <  end }
     rear(d)    = { v : start <  d <= end }
 
-so forward(d) == rear(d+1).  All 2/3 and 1/3 comparisons elsewhere use
-cross-multiplication on integer deposits; no floats ever enter the math.
+so forward(d) == rear(d+1).  `ValidatorRecord.in_forward` and `in_rear` test
+one record; `finality.snapshot_registry` builds the weighted sets.  All 2/3
+and 1/3 comparisons elsewhere use cross-multiplication on integer deposits;
+no floats ever enter the math.
 """
 
 from __future__ import annotations
@@ -144,14 +146,3 @@ class ValidatorRegistry:
         if rec.slashed:
             return False
         return rec.unlock_epoch is not None and current_epoch >= rec.unlock_epoch
-
-    # -- membership sets --------------------------------------------------------
-
-    def forward_set(self, dynasty: int) -> set[ValidatorId]:
-        return {vid for vid, rec in self.records.items() if rec.in_forward(dynasty)}
-
-    def rear_set(self, dynasty: int) -> set[ValidatorId]:
-        return {vid for vid, rec in self.records.items() if rec.in_rear(dynasty)}
-
-    def total_weight(self, members) -> int:
-        return sum(self.get(vid).weight for vid in members)

@@ -7,7 +7,7 @@ from ffg import codec
 from ffg.chain import (GENESIS_ID, BlockTree, Deposit, SlashEvidence, VoteData,
                        VoteInclusion, Withdraw, block_id, make_block)
 from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
-                        NotACheckpoint, UnknownBlock, UnknownParent)
+                        NotACheckpoint, NotAncestor, UnknownBlock, UnknownParent)
 
 E = 2
 
@@ -107,6 +107,28 @@ def test_is_ancestor_agrees_with_parent_walk_oracle():
     for a in ids:
         for b in ids:
             assert tree.is_ancestor(a, b) == oracle(a, b)
+
+
+def test_ancestor_at_above_block_raises_not_ancestor():
+    tree, blocks = tree_with_chain(2)
+    assert tree.ancestor_at(blocks[2].id, 1) == blocks[1].id
+    assert tree.ancestor_at(blocks[1].id, 1) == blocks[1].id
+    with pytest.raises(NotAncestor):
+        tree.ancestor_at(blocks[1].id, 5)
+
+
+def test_leaves_match_parent_scan_in_order():
+    rng = random.Random(11)
+    tree = BlockTree(E)
+    ids = [GENESIS_ID]
+    for i in range(60):
+        parent = tree.get(rng.choice(ids[-8:]))
+        b = make_block(parent, parent.timestamp + 1, i)
+        tree.insert_block(b)
+        ids.append(b.id)
+        parents = {blk.parent for blk in tree.iter_blocks()}
+        scan = [bid for bid in tree.blocks if bid not in parents]
+        assert tree.leaves() == scan
 
 
 def test_conflicting_and_trichotomy():

@@ -8,6 +8,7 @@ from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
 from ffg.finality import (FinalityState, compute_justified, link_established,
                           liveness_plan, plan_safe_for, snapshot_registry, tally)
+from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
 from ffg.validators import ValidatorId, ValidatorRecord, ValidatorRegistry
 from ffg.votes import sign_vote
@@ -138,15 +139,21 @@ def test_highest_justified_tie_break_first_seen_then_id():
     w = make_world()
     left = w.grow(2)
     right = w.grow(2, start=w.tree.root, proposer=1)
-    fs = FinalityState(w.tree.root, w.proto, w.keyring)
-    fs.mark_checkpoint(right[1].id, 1, 1, w.tree, w.cache.snapshot_for)
-    fs.mark_checkpoint(left[1].id, 1, 2, w.tree, w.cache.snapshot_for)
-    for v in w.votes([0, 1, 2], w.tree.root, left[1].id):
-        fs.on_vote(v, w.tree, w.cache.snapshot_for)
-    for v in w.votes([0, 1, 2], w.tree.root, right[1].id):
-        fs.on_vote(v, w.tree, w.cache.snapshot_for)
-    # both justified at height 1: the earlier-received checkpoint wins
-    assert fs.highest_justified() == right[1].id
+    # receive first the chain whose checkpoint has the greater id, and make
+    # the other chain longer, so that neither the id tie-break nor the chain
+    # length can pick the winner
+    first, second = sorted([left, right], key=lambda c: c[1].id, reverse=True)
+    second = second + w.grow(1, start=second[-1].id)
+    view = ClientView("c0", w.proto, w.keyring, w.cache)
+    for block in first + second:
+        view.receive_block(block, block.timestamp)
+    for v in w.votes([0, 1, 2], w.tree.root, second[1].id):
+        view.receive_vote(v, 8)
+    for v in w.votes([0, 1, 2], w.tree.root, first[1].id):
+        view.receive_vote(v, 8)
+    assert view.fstate.justified == {w.tree.root, first[1].id, second[1].id}
+    # both justified at height 1: the earlier-received checkpoint's chain wins
+    assert view.head() == first[-1].id
 
 
 # -- chain-local finalization -----------------------------------------------------

@@ -1,13 +1,18 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 from ffg.chain import SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.fork_choice import Admissibility, ClientView
 from ffg.leak import LeakConfig
+from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, ScenarioConfig, Simulation,
+                     ValidatorSpec)
 from ffg.slashing import check_pair, violates
 from ffg.votes import sign_vote
 
 from conftest import World
+from test_acceptance import fuzz_config
 
 NO_LEAK = LeakConfig(rate=Fraction(1, 10**9))
 
@@ -252,3 +257,142 @@ def test_stuck_scenario_justified_rule_finalizes():
     carrier = w.include(carrier, v5, timestamp=carrier.timestamp + 1)
     state = w.cache.get(carrier.id)
     assert c4a in state.finalized_at
+
+
+# -- memoized chain admissibility and the justified tip, against the old walks --------
+
+def walk_chain_admissible(view, leaf):
+    """Reference: classify every block from `leaf` back to the root."""
+    cursor = view.tree.get(leaf)
+    while True:
+        if cursor.height > 0 and view.admissible(cursor) is Admissibility.REJECT:
+            return False
+        if cursor.parent is None:
+            return True
+        cursor = view.tree.get(cursor.parent)
+
+
+def scan_justified_tip(view, bid, below=None):
+    """Reference: test every justified checkpoint for ancestry of `bid`; the
+    greatest height wins, then the earliest receipt, then the lowest id."""
+    fs = view.fstate
+    cands = [cp for cp in fs.justified
+             if cp in view.tree and view.tree.is_ancestor(cp, bid)
+             and (below is None or fs.heights[cp] < below)]
+    cands.append(view.tree.root)
+    return min(cands, key=lambda cp: (-fs.heights[cp], fs.order[cp], cp))
+
+
+def scan_head(view):
+    """Reference: the head rule over the two walks above."""
+    fs = view.fstate
+    ranked = []
+    for leaf in view.tree.leaves():
+        if view.tree.is_ancestor(view.finalized_anchor, leaf) \
+                and walk_chain_admissible(view, leaf):
+            tip = scan_justified_tip(view, leaf)
+            ranked.append(((-fs.heights[tip], fs.order[tip], tip),
+                           -view.tree.get(leaf).height, leaf))
+    return min(ranked)[2] if ranked else view.finalized_anchor
+
+
+class CheckedSimulation(Simulation):
+    """Compares the receiving view with the reference walks after every delivery."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.outcomes = Counter()
+
+    def deliver(self, kind, payload, name, now):
+        super().deliver(kind, payload, name, now)
+        view = self.views[name]
+        for leaf in view.tree.leaves():
+            ok = view.chain_admissible(leaf)
+            assert ok == walk_chain_admissible(view, leaf)
+            self.outcomes["admissible" if ok else "rejected"] += 1
+            tip = view.justified_tip(leaf)
+            assert tip == scan_justified_tip(view, leaf)
+            self.outcomes["justified" if tip != view.tree.root else "root"] += 1
+            target = view.tree.latest_checkpoint(leaf)
+            h_t = view.tree.require_checkpoint(target)
+            assert view.justified_tip(target, below=h_t) \
+                == scan_justified_tip(view, target, below=h_t)
+        assert view.head() == scan_head(view)
+
+
+def checked_run(cfg):
+    sim = CheckedSimulation(cfg)
+    sim.run_loop()
+    return sim.outcomes
+
+
+def long_horizon_shaped(seed):
+    """20 equal validators, three double voters, a fork in one block of five."""
+    rng = random.Random(seed)
+    behaviors = {i: Behavior(DOUBLE_VOTER, rng.randint(1, 3))
+                 for i in rng.sample(range(20), 3)}
+    proto = ProtocolConfig(spacing=5, delta=2, withdrawal_delay=50,
+                           leak=LeakConfig(rate=Fraction(1, 10)))
+    validators = tuple(ValidatorSpec(i, 100, behaviors.get(i, Behavior(HONEST)))
+                       for i in range(20))
+    return ScenarioConfig(name=f"long{seed}", seed=seed, protocol=proto,
+                          validators=validators, duration_epochs=12,
+                          observers=2, proposer_fork_rate=Fraction(1, 5))
+
+
+def test_memoized_fork_choice_matches_walks_on_fuzz_worlds():
+    outcomes = Counter()
+    for seed in range(12):
+        outcomes += checked_run(fuzz_config(seed))
+    # both verdicts and non-root justified tips occur, so no check is vacuous
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_memoized_fork_choice_matches_walks_on_long_horizon_world():
+    outcomes = checked_run(long_horizon_shaped(7))
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def two_violations(w, blocks):
+    """Two double votes, by validators 0 and 1, for the same checkpoint."""
+    c1 = blocks[1].id
+    return [(sign_vote(w.keyring, i, w.tree.root, c1, 0, 1),
+             sign_vote(w.keyring, i, blocks[3].id, c1, 1, 1)) for i in (0, 1)]
+
+
+def test_evidence_heard_after_clean_memo_rejects_chain():
+    w = make_world(delta=4)
+    blocks = w.grow(12)                      # stamped 1..12
+    view = client(w)
+    feed_chain(view, w, blocks)
+    (a0, b0), (a1, b1) = two_violations(w, blocks)
+    view.receive_vote(a0, 9)
+    assert view.receive_vote(b0, 10)         # rejects blocks stamped after 18
+    leaf = blocks[-1].id
+    assert view.chain_admissible(leaf)
+    assert view._chain_checked[leaf] == 1    # memoized clean against one violation
+    view.receive_vote(a1, 2)
+    assert view.receive_vote(b1, 3)          # rejects blocks stamped after 11
+    assert not view.chain_admissible(leaf)
+    assert not walk_chain_admissible(view, leaf)
+    # the prefix up to the last block stamped 11 is still clean
+    assert view.chain_admissible(blocks[10].id)
+    assert walk_chain_admissible(view, blocks[10].id)
+
+
+def test_future_stamped_leaf_admissible_once_clock_passes():
+    w = make_world(delta=4)
+    blocks = w.grow(6)                       # stamped 1..6
+    view = client(w)
+    (a0, b0), _ = two_violations(w, blocks)
+    view.receive_vote(a0, 0)
+    feed_chain(view, w, blocks, t0=3)        # the clock stays at 3
+    view.receive_vote(b0, 3)                 # violation heard at 3: window ends at 11
+    leaf = blocks[-1].id
+    assert not view.chain_admissible(leaf)
+    assert not walk_chain_admissible(view, leaf)
+    assert view.head() == w.tree.root        # no admissible leaf: the finalized anchor
+    view.advance_clock(6)
+    assert view.chain_admissible(leaf)
+    assert walk_chain_admissible(view, leaf)
+    assert view.head() == leaf
