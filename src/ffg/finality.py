@@ -14,7 +14,9 @@ One core counts votes into justification, and two engines sit on top of it:
   dynasties, the inactivity leak, the vote-inclusion deadline for
   finalization, slashing penalties, and withdrawals.  Each block's state is a
   pure function of its parent's state plus its payload, so states are
-  memoized per block id and shared across forks.
+  memoized per block id and shared across forks.  The same per-run cache
+  holds the verdicts on votes that every client view shares: whether a vote
+  counts, and its slashing partners.
 
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
   with no inclusion requirement, and records each known checkpoint's height
@@ -36,7 +38,7 @@ from .chain import (BlockTree, Deposit, SlashEvidence, VoteData, VoteInclusion,
 from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
-from .slashing import check_pair, violates
+from .slashing import check_pair, find_new_violations, violates
 from .validators import ValidatorRegistry
 from .votes import Keyring, VoteClass, VotePool, classify_vote
 
@@ -379,8 +381,25 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
     return st
 
 
+# ChainStateCache.countable's memo lookup default for a vote not yet classified
+_UNSEEN = object()
+
+
 class ChainStateCache:
-    """Memoized chain states over one block tree, keyed by block id."""
+    """Per-run verdicts shared by every client view of one run.
+
+    Each is a function of message contents alone, so computing it once per
+    run gives every view the answer its own work would:
+
+    * the chain state after each block, keyed by block id: a pure function
+      of the block and its ancestors;
+    * whether a vote counts, with its target's snapshot (`countable`);
+    * each vote's slashing partners among the run's votes
+      (`conflict_partners`): the two conditions read only the votes' fields.
+
+    `tree` is the run's shared tree; every block a view holds is inserted
+    there first.
+    """
 
     def __init__(self, tree: BlockTree, cfg: ProtocolConfig, keyring: Keyring,
                  genesis_registry: ValidatorRegistry):
@@ -390,6 +409,12 @@ class ChainStateCache:
         self.states: dict[bytes, ChainState] = {
             tree.root: genesis_state(tree.root, genesis_registry.clone(),
                                      cfg.stitching)}
+        # vote -> its target's snapshot when COUNTABLE, else None
+        self._countable: dict[VoteData, DynastySnapshot | None] = {}
+        # validator index -> its distinct votes, in the order first seen
+        self._history: dict[int, list[VoteData]] = {}
+        # vote key -> keys of the run's votes it forms a violation with
+        self._partners: dict[tuple, set[tuple]] = {}
 
     def get(self, block_id: bytes) -> ChainState:
         states = self.states
@@ -411,6 +436,44 @@ class ChainStateCache:
             return None
         return self.get(checkpoint).snapshots[checkpoint]
 
+    def countable(self, vote: VoteData) -> DynastySnapshot | None:
+        """The target's snapshot when `classify_vote` finds the vote
+        COUNTABLE on the shared tree, else None.
+
+        Memoized once the tree holds the target: from then on every input is
+        fixed, since a source that is an ancestor of the target is in the
+        tree already and one that is not never becomes one.  A view whose
+        tree holds both endpoints gets the same class from its own tree,
+        because ids are digests and the two trees hold the same blocks."""
+        snap = self._countable.get(vote, _UNSEEN)
+        if snap is not _UNSEEN:
+            return snap
+        if vote.target not in self.tree:
+            return None
+        snap = None
+        if classify_vote(self.tree, self.snapshot_for, self.keyring,
+                         vote) is VoteClass.COUNTABLE:
+            snap = self.snapshot_for(vote.target)
+        self._countable[vote] = snap
+        return snap
+
+    def conflict_partners(self, vote: VoteData) -> set[tuple]:
+        """Keys of the run's votes that form a slashing violation with `vote`.
+
+        The first time a key is seen its vote is checked once against the
+        validator's earlier votes, and each conflict is recorded on both
+        keys; later arrivals add to the returned set.  Both conditions read
+        only fields the key holds, so votes sharing a key share partners."""
+        partners = self._partners.get(vote.key)
+        if partners is None:
+            partners = self._partners[vote.key] = set()
+            history = self._history.setdefault(vote.validator_index, [])
+            for violation in find_new_violations(history, vote):
+                partners.add(violation.vote_a.key)
+                self._partners[violation.vote_a.key].add(vote.key)
+            history.append(vote)
+        return partners
+
 
 # ---------------------------------------------------------------------------
 # Pool-based justification (per client view): no inclusion requirement.
@@ -423,13 +486,15 @@ class FinalityState:
     them can be tallied; earlier votes are buffered.  `heights` and `order`
     give each registered checkpoint's height and receipt sequence number,
     which fork choice uses to rank the justified checkpoints of its chains.
+    Whether a vote counts is read from the run's `ChainStateCache`.
     """
 
-    def __init__(self, root_id: bytes, cfg: ProtocolConfig, keyring: Keyring):
-        self.keyring = keyring
+    def __init__(self, cache: ChainStateCache):
+        root_id = cache.tree.root
+        self.cache = cache
         self.heights: dict[bytes, int] = {root_id: 0}
         self.order: dict[bytes, int] = {root_id: 0}
-        self.links = LinkTally(root_id, cfg.stitching)
+        self.links = LinkTally(root_id, cache.cfg.stitching)
         self._buffer: dict[bytes, list] = {}
         self.max_height = 0
 
@@ -441,17 +506,16 @@ class FinalityState:
 
     # -- updates ----------------------------------------------------------------
 
-    def mark_checkpoint(self, cp: bytes, cp_height: int, order: int,
-                        tree: BlockTree, snapshot_for) -> None:
+    def mark_checkpoint(self, cp: bytes, cp_height: int, order: int) -> None:
         if cp in self.heights:
             return
         self.heights[cp] = cp_height
         self.order[cp] = order
         self.max_height = max(self.max_height, cp_height)
         for vote in self._buffer.pop(cp, []):
-            self.on_vote(vote, tree, snapshot_for)
+            self.on_vote(vote)
 
-    def on_vote(self, vote: VoteData, tree: BlockTree, snapshot_for) -> None:
+    def on_vote(self, vote: VoteData) -> None:
         """Tally a signature-valid vote; buffers until both endpoints are known."""
         if vote.target not in self.heights:
             self._buffer.setdefault(vote.target, []).append(vote)
@@ -459,13 +523,9 @@ class FinalityState:
         if vote.source not in self.heights:
             self._buffer.setdefault(vote.source, []).append(vote)
             return
-        snap = snapshot_for(vote.target)
-        if snap is None:
-            self._buffer.setdefault(vote.target, []).append(vote)
-            return
-        if classify_vote(tree, snapshot_for, self.keyring, vote) is not VoteClass.COUNTABLE:
-            return
-        self.links.count(vote, snap)
+        snap = self.cache.countable(vote)
+        if snap is not None:
+            self.links.count(vote, snap)
 
 
 def compute_justified(tree: BlockTree, pool: VotePool, snapshot_for,

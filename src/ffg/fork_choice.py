@@ -42,7 +42,7 @@ from .chain import Block, BlockTree, VoteData
 from .config import ProtocolConfig
 from .errors import BadSignature
 from .finality import ChainStateCache, FinalityState
-from .slashing import Violation, find_new_violations
+from .slashing import Violation, check_pair
 from .votes import Keyring, VotePool
 
 
@@ -69,8 +69,24 @@ def _better(a: tuple, b: tuple) -> bool:
 class ClientView:
     """One client's received messages, clocks, and chain preferences.
 
-    Views never share mutable state; the chain-state cache may be shared
-    because its values are intrinsic to block contents.
+    Views of one run share its `ChainStateCache`, and through it every
+    verdict that depends on message contents alone, computed once per run:
+
+    * block digests: the view's tree trusts the run's shared tree, so a
+      `Block` object already verified there is not hashed again (blocks are
+      frozen); any other object is hashed;
+    * chain states: a pure function of a block and its ancestors;
+    * vote countability (`ChainStateCache.countable`): a view asks only once
+      its tree holds both endpoints, and then its own tree would give the
+      same class, since block ids are digests;
+    * slashing partners (`ChainStateCache.conflict_partners`): the two
+      conditions read only the votes' fields.  The view reports the partners
+      already in its own pool, in pool order and oriented (pooled vote,
+      incoming), so its evidence and heard-at times are those of a scan of
+      its own pool.
+
+    Pool membership, link tallies, heard-at times and fork-choice memos stay
+    per view.
     """
 
     def __init__(self, name: str, cfg: ProtocolConfig, keyring: Keyring,
@@ -80,9 +96,9 @@ class ClientView:
         self.keyring = keyring
         self.cache = cache
         self.clock = 0
-        self.tree = BlockTree(cfg.spacing, cfg.hash_name)
+        self.tree = BlockTree(cfg.spacing, cfg.hash_name, trusted=cache.tree)
         self.pool = VotePool(keyring)
-        self.fstate = FinalityState(self.tree.root, cfg, keyring)
+        self.fstate = FinalityState(cache)
         self.receipt_order: dict[bytes, int] = {self.tree.root: 0}
         self.receipt_time: dict[bytes, int] = {self.tree.root: 0}
         self._seq = 0
@@ -101,11 +117,6 @@ class ClientView:
         self.payout_seen: list[tuple[int, bytes, int]] = []
 
     # -- receipt ---------------------------------------------------------------
-
-    def snapshot_for(self, checkpoint: bytes):
-        if checkpoint not in self.tree:
-            return None
-        return self.cache.snapshot_for(checkpoint)
 
     def advance_clock(self, now: int) -> None:
         self.clock = max(self.clock, now)
@@ -139,7 +150,7 @@ class ClientView:
         self.finalizable[block.id] = block.timestamp >= now - self.cfg.delta
         if block.height % self.cfg.spacing == 0:
             self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing,
-                                        self._seq, self.tree, self.snapshot_for)
+                                        self._seq)
         return self._detect_finality(block, now)
 
     def _detect_finality(self, block: Block, now: int) -> list[bytes]:
@@ -163,9 +174,6 @@ class ClientView:
     def receive_vote(self, vote: VoteData, now: int) -> list[Violation]:
         """Pool the vote; returns violations it newly exposes (heard now)."""
         self.advance_clock(now)
-        if not self.keyring.verify(vote):
-            return []
-        history = list(self.pool.validator_votes(vote.validator_index))
         try:
             fresh = self.pool.add(vote)
         except BadSignature:
@@ -173,12 +181,18 @@ class ClientView:
         if not fresh:
             return []
         new_violations = []
-        for violation in find_new_violations(history, vote):
-            if violation.key not in self.violations_heard:
-                self.violations_heard[violation.key] = (now, violation)
-                self._heard.append((violation.key, now))
-                new_violations.append(violation)
-        self.fstate.on_vote(vote, self.tree, self.snapshot_for)
+        partners = self.cache.conflict_partners(vote)
+        if partners:
+            # in pool order, each pair oriented (earlier vote, incoming)
+            for old in self.pool.validator_votes(vote.validator_index):
+                if old.key not in partners:
+                    continue
+                violation = check_pair(old, vote)
+                if violation.key not in self.violations_heard:
+                    self.violations_heard[violation.key] = (now, violation)
+                    self._heard.append((violation.key, now))
+                    new_violations.append(violation)
+        self.fstate.on_vote(vote)
         return new_violations
 
     # -- admissibility -----------------------------------------------------------

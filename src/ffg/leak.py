@@ -15,7 +15,6 @@ from .errors import Unreachable
 from .validators import ValidatorRegistry
 
 BURN = "burn"
-RETURN_AFTER_DELAY = "return-after-delay"
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,9 @@ class LeakConfig:
     def __post_init__(self):
         if not (0 < self.rate < 1):
             raise ValueError("leak rate must be in (0, 1)")
+        # leaked deposits are always burned; no other disposition is modelled
+        if self.disposition != BURN:
+            raise ValueError(f"unknown leak disposition {self.disposition!r}")
 
     def epoch_rate(self, stall_epochs: int) -> Fraction:
         if not self.escalation:

@@ -8,7 +8,12 @@ The two slashing conditions on a pair of distinct votes by one validator:
         h(s1) < h(s2) < h(t2) < h(t1)
 
 Both are judged purely on the votes' own fields, so detection works across
-branches and regardless of which chain (if any) included the votes.
+branches and regardless of which chain (if any) included the votes.  It also
+means a run needs to check each vote only once: `ChainStateCache` runs
+`find_new_violations` when a vote is first seen, against its validator's
+earlier votes in the run, and records each conflict on both votes.  A client
+view then builds violations only for the recorded partners in its own pool
+(`ClientView.receive_vote`).
 """
 
 from __future__ import annotations

@@ -137,9 +137,10 @@ class VotePool:
         """Index a verified vote; returns False for duplicates."""
         if not self.keyring.verify(vote):
             raise BadSignature(vote.validator_index)
-        if vote.key in self._keys:
+        key = vote.key
+        if key in self._keys:
             return False
-        self._keys.add(vote.key)
+        self._keys.add(key)
         self.votes.append(vote)
         self.by_validator.setdefault(vote.validator_index, []).append(vote)
         self.by_link.setdefault((vote.source, vote.target), []).append(vote)

@@ -121,15 +121,15 @@ def test_incremental_matches_batch_justification():
     votes = []
     for s, t in zip(cps, cps[1:]):
         votes.extend(w.votes([0, 1, 2], s, t))
-    fs = FinalityState(w.tree.root, w.proto, w.keyring)
+    fs = FinalityState(w.cache)
     for i, cp in enumerate(cps[1:], start=1):
-        fs.mark_checkpoint(cp, i, i, w.tree, w.cache.snapshot_for)
+        fs.mark_checkpoint(cp, i, i)
     seen = set()
     # deliver in a scrambled but fixed order; justification only ever grows
     order = votes[::2] + votes[1::2]
     grown = set()
     for v in order:
-        fs.on_vote(v, w.tree, w.cache.snapshot_for)
+        fs.on_vote(v)
         assert grown <= fs.justified
         grown = set(fs.justified)
     assert fs.justified == compute_justified(w.tree, w.pool, w.cache.snapshot_for)

@@ -1,15 +1,20 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
-from ffg.chain import SlashEvidence, make_block
+import pytest
+
+import ffg.chain
+from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
+from ffg.errors import DigestMismatch
 from ffg.fork_choice import Admissibility, ClientView
 from ffg.leak import LeakConfig
-from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, ScenarioConfig, Simulation,
-                     ValidatorSpec)
-from ffg.slashing import check_pair, violates
-from ffg.votes import sign_vote
+from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER,
+                     ScenarioConfig, Simulation, ValidatorSpec)
+from ffg.slashing import check_pair, find_new_violations, violates
+from ffg.votes import VoteClass, classify_vote, sign_vote
 
 from conftest import World
 from test_acceptance import fuzz_config
@@ -396,3 +401,167 @@ def test_future_stamped_leaf_admissible_once_clock_passes():
     assert view.chain_admissible(leaf)
     assert walk_chain_admissible(view, leaf)
     assert view.head() == leaf
+
+
+# -- per-run verdicts, against the per-view work they replace -------------------------
+
+def scan_new_violations(view, vote):
+    """Reference: the vote checked pairwise against its validator's votes in
+    the view's pool, keeping the violations the view has not heard yet."""
+    if vote in view.pool or not view.keyring.verify(vote):
+        return []
+    history = view.pool.validator_votes(vote.validator_index)
+    return [v for v in find_new_violations(history, vote)
+            if v.key not in view.violations_heard]
+
+
+def recount_tallies(view, countable):
+    """Reference: the (forward, rear, voters) tally of every link, summed
+    afresh over the pooled votes that `classify_vote` finds countable on the
+    view's own tree.  `countable` maps the votes found countable at earlier
+    calls to their target's snapshot; a view's tree only grows, so they stay
+    countable and are not classified again."""
+    def snapshot_for(cp):
+        return view.cache.snapshot_for(cp) if cp in view.tree else None
+
+    members: dict[tuple, dict] = {}
+    for vote in view.pool.votes:
+        snap = countable.get(vote)
+        if snap is None:
+            if classify_vote(view.tree, snapshot_for, view.keyring,
+                             vote) is not VoteClass.COUNTABLE:
+                continue
+            snap = countable[vote] = snapshot_for(vote.target)
+        link = members.setdefault((vote.source, vote.target), {})
+        link.setdefault(vote.validator_index, snap)
+    return {link: (sum(snap.forward.get(i, 0) for i, snap in voters.items()),
+                   sum(snap.rear.get(i, 0) for i, snap in voters.items()),
+                   frozenset(voters))
+            for link, voters in members.items()}
+
+
+class VerdictCheckedSimulation(Simulation):
+    """Compares the receiving view with the per-view references after every
+    delivery: the violations it newly heard, in order and orientation, and
+    its link tallies."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.outcomes = Counter()
+        self.countable = {name: {} for name in self.views}
+
+    def deliver(self, kind, payload, name, now):
+        view = self.views[name]
+        expected = scan_new_violations(view, payload) if kind == "vote" else []
+        heard = len(view._heard)
+        super().deliver(kind, payload, name, now)
+        got = [view.violations_heard[key][1] for key, _at in view._heard[heard:]]
+        assert got == expected      # Violation equality compares vote_a, vote_b
+        assert view.fstate.links.tallies == recount_tallies(view, self.countable[name])
+        self.outcomes["violations"] += len(got)
+        self.outcomes["tallied links"] += len(view.fstate.links.tallies)
+
+
+def verdict_checked_run(cfg):
+    sim = VerdictCheckedSimulation(cfg)
+    sim.run_loop()
+    return sim.outcomes
+
+
+def wide_set_shaped(seed):
+    """48 equal validators, three of them double or surround voters (both
+    kinds) from epoch 3, one chain, six epochs."""
+    rng = random.Random(seed)
+    bad = rng.sample(range(48), 48 * 8 // 100)
+    behaviors = {i: Behavior(kind, 3)
+                 for i, kind in zip(bad, [DOUBLE_VOTER, SURROUND_VOTER] * 2)}
+    proto = ProtocolConfig(spacing=5, delta=2, withdrawal_delay=50,
+                           leak=LeakConfig(rate=Fraction(1, 10)))
+    validators = tuple(ValidatorSpec(i, 100, behaviors.get(i, Behavior(HONEST)))
+                       for i in range(48))
+    return ScenarioConfig(name=f"wide{seed}", seed=seed, protocol=proto,
+                          validators=validators, duration_epochs=6,
+                          observers=2)
+
+
+def test_shared_verdicts_match_per_view_checks_on_fuzz_worlds():
+    outcomes = Counter()
+    for seed in range(12):
+        outcomes += verdict_checked_run(fuzz_config(seed))
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_shared_verdicts_match_per_view_checks_on_wide_set_world():
+    outcomes = verdict_checked_run(wide_set_shaped(5))
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def count_block_digests(monkeypatch):
+    calls = Counter()
+    original = ffg.chain.block_id
+
+    def counted(*args, **kwargs):
+        calls["digests"] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(ffg.chain, "block_id", counted)
+    return calls
+
+
+def test_tampered_block_with_known_id_is_rejected(monkeypatch):
+    w = make_world()
+    blocks = w.grow(3)
+    view = client(w)
+    feed_chain(view, w, blocks[:2])
+    real = blocks[2]
+    tampered = Block(real.id, real.parent, real.height, real.timestamp,
+                     real.proposer, (Deposit(7, b"\x07" * 32, 100),))
+    calls = count_block_digests(monkeypatch)
+    with pytest.raises(DigestMismatch):
+        view.receive_block(tampered, real.timestamp)
+    assert real.id not in view.tree and calls["digests"] == 1
+    # an equal copy is another object, so it is hashed too, and accepted
+    view.receive_block(replace(real), real.timestamp)
+    assert real.id in view.tree and calls["digests"] == 2
+
+
+def test_shared_tree_blocks_skip_the_digest_others_are_hashed(monkeypatch):
+    w = make_world()
+    blocks = w.grow(2)
+    stray = make_block(blocks[-1], blocks[-1].timestamp + 1, 1, (),
+                       w.tree.hash_name)         # never inserted in w.tree
+    view = client(w)
+    calls = count_block_digests(monkeypatch)
+    feed_chain(view, w, blocks)
+    assert calls["digests"] == 0
+    view.tree.insert_block(stray)
+    assert stray.id in view.tree and calls["digests"] == 1
+
+
+def test_forged_copy_of_a_vote_is_neither_counted_nor_reported():
+    w = make_world()
+    blocks = w.grow(4)
+    c1 = blocks[1].id
+    first = client(w, "first")
+    second = client(w, "second")
+    for view in (first, second):
+        feed_chain(view, w, blocks)
+    honest = sign_vote(w.keyring, 1, w.tree.root, c1, 0, 1)
+    a = sign_vote(w.keyring, 0, w.tree.root, c1, 0, 1)
+    b = sign_vote(w.keyring, 0, blocks[3].id, c1, 1, 1)     # double vote with a
+    forged_honest = replace(honest, signature=bytes(32))
+    forged_b = replace(b, signature=bytes(32))
+    # the first view makes the run classify the genuine votes
+    first.receive_vote(honest, 5)
+    first.receive_vote(a, 5)
+    assert first.receive_vote(b, 5)
+    assert w.cache.countable(forged_honest) is None
+    # the second view is handed the forgeries: nothing counts or is heard
+    second.receive_vote(a, 6)
+    assert second.receive_vote(forged_honest, 6) == []
+    assert second.receive_vote(forged_b, 6) == []
+    assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0}
+    assert not second.violations_heard
+    # the genuine votes still count and are still reported afterwards
+    second.receive_vote(honest, 7)
+    assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 1}
+    assert [(v.vote_a, v.vote_b) for v in second.receive_vote(b, 7)] == [(a, b)]

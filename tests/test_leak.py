@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ffg.errors import Unreachable
-from ffg.leak import LeakConfig, apply_epoch_leak, epochs_to_supermajority
+from ffg.errors import ConfigInvalid, Unreachable
+from ffg.leak import BURN, LeakConfig, apply_epoch_leak, epochs_to_supermajority
+from ffg.sim import config_from_dict
 from ffg.validators import ValidatorId, ValidatorRegistry
 
 
@@ -16,6 +17,20 @@ def registry(deposits):
 
 
 CFG = LeakConfig(rate=Fraction(1, 10))
+
+
+def test_unknown_disposition_rejected():
+    # leaked deposits are only ever burned, so any other disposition must be
+    # refused rather than silently ignored
+    for disposition in ("return-after-delay", "bogus"):
+        with pytest.raises(ValueError):
+            LeakConfig(disposition=disposition)
+        data = {"validators": [{"index": 0, "deposit": 100}],
+                "protocol": {"leak_disposition": disposition}}
+        with pytest.raises(ConfigInvalid):
+            config_from_dict(data)
+    data["protocol"]["leak_disposition"] = BURN
+    assert config_from_dict(data).protocol.leak.disposition == BURN
 
 
 def test_nonvoter_loses_tenth():
