@@ -9,7 +9,7 @@ immutable after insertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from . import codec
@@ -26,6 +26,11 @@ class VoteData:
     The signature is a keyed digest over the canonical encoding of
     (source, target, source_height, target_height) under the validator's
     secret; see `votes.Keyring`.
+
+    `key` is the vote's identity minus the pubkey and signature, used for
+    deduplication.  It is computed once at construction (`dataclasses.replace`
+    builds a new vote and so a new key) and takes no part in equality,
+    hashing, `repr` or the encoding.
     """
     validator_index: int
     validator_pubkey: bytes
@@ -34,12 +39,12 @@ class VoteData:
     source_height: int
     target_height: int
     signature: bytes
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        """Identity of the vote minus the signature; used for deduplication."""
-        return (self.validator_index, self.source, self.target,
-                self.source_height, self.target_height)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (
+            self.validator_index, self.source, self.target,
+            self.source_height, self.target_height))
 
     def encode(self) -> bytes:
         return codec.encode_vote(self.validator_index, self.validator_pubkey,

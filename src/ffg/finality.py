@@ -109,20 +109,29 @@ class LinkTally:
 
     tallies maps (source, target) -> (forward, rear, voters); established maps
     a link to the caller's stamp; by_source and by_target index established
-    links as (other end, stamp) tuples.  Values are immutable, so `copy` only
-    copies the containers.
+    links as (other end, stamp) tuples.
+
+    Voter sets are mutable and owned copy-on-write: `copy` shares them and
+    starts owning none, and `count` copies a link's set the first time it
+    adds to it, so a copy never writes into a set its original can see.  A
+    tally that is never copied (a view's) grows its sets in place; the chain
+    engine copies its parent's tally per block and so pays for each link it
+    touches once per block.  The other values are immutable, so `copy` only
+    copies their containers.
     """
 
     __slots__ = ("stitching", "tallies", "established", "by_source",
-                 "by_target", "justified")
+                 "by_target", "justified", "_owned")
 
     def __init__(self, root: bytes, stitching: bool):
         self.stitching = stitching
-        self.tallies: dict[tuple[bytes, bytes], tuple[int, int, frozenset]] = {}
+        self.tallies: dict[tuple[bytes, bytes], tuple[int, int, set[int]]] = {}
         self.established: dict[tuple[bytes, bytes], int] = {}
         self.by_source: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
         self.by_target: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
         self.justified: set[bytes] = {root}
+        # links whose voter set this tally alone holds and may add to
+        self._owned: set[tuple[bytes, bytes]] = set()
 
     def copy(self) -> LinkTally:
         other = LinkTally.__new__(LinkTally)
@@ -132,6 +141,7 @@ class LinkTally:
         other.by_source = self.by_source.copy()
         other.by_target = self.by_target.copy()
         other.justified = self.justified.copy()
+        other._owned = set()
         return other
 
     def count(self, vote: VoteData, snap: DynastySnapshot,
@@ -140,12 +150,22 @@ class LinkTally:
         justifies.  The caller vouches that the vote counts against `snap`."""
         idx = vote.validator_index
         source, target = link = (vote.source, vote.target)
-        fwd, rear, voters = self.tallies.get(link, (0, 0, frozenset()))
-        if idx in voters:
-            return []
+        entry = self.tallies.get(link)
+        if entry is None:
+            fwd = rear = 0
+            voters = set()
+            self._owned.add(link)
+        else:
+            fwd, rear, voters = entry
+            if idx in voters:
+                return []
+            if link not in self._owned:
+                voters = set(voters)
+                self._owned.add(link)
+        voters.add(idx)
         fwd += snap.forward.get(idx, 0)
         rear += snap.rear.get(idx, 0)
-        self.tallies[link] = (fwd, rear, voters | {idx})
+        self.tallies[link] = (fwd, rear, voters)
         if link in self.established or not link_established(
                 fwd, rear, snap, self.stitching):
             return []
@@ -248,6 +268,10 @@ class _StepContext:
             setattr(st, name, getattr(parent, name))
         self._own_registry = False
         self._own = set()
+        # this block's newly included vote keys and window voters, unioned
+        # into the frozensets once per block by `close_payload`
+        self.new_votes: set[tuple] = set()
+        self.new_voters: set[int] = set()
 
     def owned(self, name: str):
         if name not in self._own:
@@ -263,9 +287,11 @@ class _StepContext:
 
     def include_vote(self, vote: VoteData, keyring: Keyring):
         st = self.st
-        if vote.key in st.included_votes or not keyring.verify(vote):
+        key = vote.key
+        if key in st.included_votes or key in self.new_votes \
+                or not keyring.verify(vote):
             return
-        st.included_votes = st.included_votes | {vote.key}
+        self.new_votes.add(key)
         src_snap = st.snapshots.get(vote.source)
         snap = st.snapshots.get(vote.target)
         if snap is None or src_snap is None:
@@ -277,8 +303,15 @@ class _StepContext:
         idx = vote.validator_index
         if idx not in snap.forward and idx not in snap.rear:
             return
-        st.voted_window = st.voted_window | {idx}
+        self.new_voters.add(idx)
         self.owned("links").count(vote, snap, st.height)
+
+    def close_payload(self):
+        st = self.st
+        if self.new_votes:
+            st.included_votes = st.included_votes | self.new_votes
+        if self.new_voters:
+            st.voted_window = st.voted_window | self.new_voters
 
     def finalize(self):
         """Finalize each justified checkpoint with a link to a direct
@@ -356,6 +389,7 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
         elif isinstance(tx, Withdraw):
             ctx.registry().process_withdraw(
                 keyring.register(tx.validator_index), st.dynasty)
+    ctx.close_payload()
     if len(st.links.established) != established:
         ctx.finalize()
 

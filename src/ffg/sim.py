@@ -9,6 +9,21 @@ is byte-stable across reruns.
 The proposal engine stands in for an external block producer: one block per
 tick extending the engine's fork-choice head, occasionally (per the configured
 fork rate) a sibling of the head instead, which models latency forks.
+
+Events are heap entries (time, sequence number, kind, payload, view names),
+popped in (time, sequence) order, and each pops as one delivery per name in
+the order the names are listed.  A broadcast draws one jitter per non-sender
+view, in view order, and pushes one entry per distinct delivery time, holding
+the views that drew it in view order.  That delivers in the same order as one
+entry per view would, where the order is (time, then the broadcast's
+sequence, then view order):
+
+* a broadcast pushes all its entries at once, so their sequence numbers are
+  contiguous and every one of them sorts between the entries of the
+  broadcasts before and after it;
+* a delivery at time t pushes only entries at time >= t with greater sequence
+  numbers, so nothing pushed while an entry's names are being delivered could
+  have come before the names that remain.
 """
 
 from __future__ import annotations
@@ -309,7 +324,7 @@ class Simulation:
         self.proposer = ClientView("proposer", self.proto, self.keyring, self.cache)
         self.views[self.proposer.name] = self.proposer
 
-        self.events: list[tuple[int, int, str, object, str]] = []
+        self.events: list[tuple[int, int, str, object, list[str]]] = []
         self._seq = 0
         self.pending_evidence: dict[tuple, SlashEvidence] = {}
         self._included_evidence_keys: set[tuple] = set()
@@ -320,29 +335,31 @@ class Simulation:
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _push(self, time: int, kind: str, payload, target: str) -> None:
-        self._seq += 1
-        heapq.heappush(self.events, (time, self._seq, kind, payload, target))
-
     def _trace_line(self, text: str) -> None:
-        self._trace.update(text.encode())
-        self._trace.update(b"\n")
+        self._trace.update((text + "\n").encode())
+
+    def _broadcast(self, kind: str, payload, sender: str, now: int) -> None:
+        """Schedule `payload` for every view, one heap entry per delivery
+        time; see the module docstring for why the order is kept."""
+        delta = self.proto.delta
+        randint = self.rng_net.randint
+        by_time: dict[int, list[str]] = {}
+        for name in self.views:
+            jitter = 0 if name == sender else randint(0, delta)
+            by_time.setdefault(now + jitter, []).append(name)
+        self._max_jitter = max(self._max_jitter, max(by_time) - now)
+        for time, names in by_time.items():
+            self._seq += 1
+            heapq.heappush(self.events, (time, self._seq, kind, payload, names))
 
     def broadcast_block(self, block: Block, now: int) -> None:
         self._trace_line(f"{now}|block|{block.id.hex()}")
-        for name in self.views:
-            jitter = 0 if name == self.proposer.name else \
-                self.rng_net.randint(0, self.proto.delta)
-            self._max_jitter = max(self._max_jitter, jitter)
-            self._push(now + jitter, "block", block, name)
+        self._broadcast("block", block, self.proposer.name, now)
 
     def broadcast_vote(self, vote: VoteData, sender: str, now: int) -> None:
         self.pool.add(vote)
         self._trace_line(f"{now}|vote|{vote.key}")
-        for name in self.views:
-            jitter = 0 if name == sender else self.rng_net.randint(0, self.proto.delta)
-            self._max_jitter = max(self._max_jitter, jitter)
-            self._push(now + jitter, "vote", vote, name)
+        self._broadcast("vote", vote, sender, now)
 
     def submit_evidence(self, violation, now: int) -> None:
         if violation.key in self.pending_evidence or \
@@ -425,17 +442,20 @@ class Simulation:
     def run_loop(self) -> None:
         total_ticks = self.cfg.duration_epochs * self.proto.spacing
         drain = self.proto.delta + 1
+        events = self.events
         for now in range(1, total_ticks + drain + 1):
-            while self.events and self.events[0][0] <= now - 1:
-                t, _seq, kind, payload, name = heapq.heappop(self.events)
-                self.deliver(kind, payload, name, t)
+            while events and events[0][0] <= now - 1:
+                t, _seq, kind, payload, names = heapq.heappop(events)
+                for name in names:
+                    self.deliver(kind, payload, name, t)
             for view in self.views.values():
                 view.advance_clock(now)
             if now <= total_ticks:
                 self.propose(now)
-        while self.events:
-            t, _seq, kind, payload, name = heapq.heappop(self.events)
-            self.deliver(kind, payload, name, t)
+        while events:
+            t, _seq, kind, payload, names = heapq.heappop(events)
+            for name in names:
+                self.deliver(kind, payload, name, t)
 
 
 # -----------------------------------------------------------------------------

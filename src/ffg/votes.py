@@ -36,7 +36,8 @@ class Keyring:
         self.seed = seed
         self._secrets: dict[int, bytes] = {}
         self._ids: dict[int, ValidatorId] = {}
-        self._verified: dict[tuple, bool] = {}
+        # verdicts by the whole vote: the pubkey and signature are checked too
+        self._verified: dict[VoteData, bool] = {}
 
     def register(self, index: int) -> ValidatorId:
         if index not in self._secrets:
@@ -55,8 +56,7 @@ class Keyring:
 
     def verify(self, vote: VoteData) -> bool:
         # the same vote is verified once per view; memoize per run
-        memo_key = (vote.key, vote.signature)
-        cached = self._verified.get(memo_key)
+        cached = self._verified.get(vote)
         if cached is not None:
             return cached
         vid = self._ids.get(vote.validator_index)
@@ -67,7 +67,7 @@ class Keyring:
         expect = hmac.new(self._secrets[vote.validator_index], core,
                           hashlib.sha256).digest()
         ok = hmac.compare_digest(expect, vote.signature)
-        self._verified[memo_key] = ok
+        self._verified[vote] = ok
         return ok
 
 

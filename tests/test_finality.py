@@ -455,6 +455,77 @@ def test_included_votes_with_bad_signatures_do_not_count():
     assert c1 in w.cache.get(tip.id).justified
 
 
+def first_checkpoint(w):
+    """Empty blocks up to the first checkpoint; returns it."""
+    tip = w.tree.get(w.tree.root)
+    for h in range(1, w.proto.spacing + 1):
+        tip = w.include(tip, [], timestamp=h)
+    return tip
+
+
+def test_included_wrong_pubkey_copy_does_not_count_after_genuine_verified():
+    w = make_world()
+    tip = first_checkpoint(w)
+    c1 = tip.id
+    genuine = [sign_vote(w.keyring, i, w.tree.root, c1, 0, 1) for i in range(3)]
+    for v in genuine:
+        assert w.keyring.verify(v)
+    # each copy carries the genuine vote's key and signature under another
+    # validator's pubkey
+    wrong = [replace(v, validator_pubkey=w.keyring.vid((v.validator_index + 1) % 3).pubkey)
+             for v in genuine]
+    tip = w.include(tip, wrong)
+    state = w.cache.get(tip.id)
+    assert not state.included_votes and not state.voted_window
+    assert c1 not in state.justified and not state.links.tallies
+    tip = w.include(tip, genuine)
+    assert c1 in w.cache.get(tip.id).justified
+
+
+def test_one_block_counts_a_vote_once_and_skips_forged_copies():
+    w = make_world()
+    tip = first_checkpoint(w)
+    c1 = tip.id
+    genuine = [sign_vote(w.keyring, i, w.tree.root, c1, 0, 1) for i in range(3)]
+    forged = replace(genuine[0], signature=bytes(32))
+    tip = w.include(tip, [forged, genuine[0], genuine[0], genuine[1]])
+    verified = []
+    verify = w.keyring.verify
+    w.keyring.verify = lambda vote: verified.append(vote) or verify(vote)
+    state = w.cache.get(tip.id)
+    # the repeated vote is skipped before its signature is checked again
+    assert verified == [forged, genuine[0], genuine[1]]
+    assert state.included_votes == {genuine[0].key, genuine[1].key}
+    assert state.voted_window == {0, 1}
+    assert state.links.tallies[(w.tree.root, c1)] == (200, 0, {0, 1})
+    assert isinstance(state.included_votes, frozenset)
+    assert isinstance(state.voted_window, frozenset)
+
+
+def test_child_blocks_leave_the_parent_tallies_unchanged():
+    w = make_world([100, 100, 100, 100])
+    tip = first_checkpoint(w)
+    c1 = tip.id
+    votes = [sign_vote(w.keyring, i, w.tree.root, c1, 0, 1) for i in range(4)]
+    parent = w.include(tip, votes[:1])
+    link = (w.tree.root, c1)
+    parent_state = w.cache.get(parent.id)
+    before = parent_state.links.tallies[link]
+    assert before == (100, 0, {0})
+    left = w.include(parent, votes[1:2])
+    right = w.include(parent, votes[2:4], timestamp=parent.timestamp + 2)
+    assert w.cache.get(left.id).links.tallies[link] == (200, 0, {0, 1})
+    assert w.cache.get(right.id).links.tallies[link] == (300, 0, {0, 2, 3})
+    # a grandchild copies its parent's tally again and still shares nothing
+    grand = w.include(left, votes[3:4])
+    assert w.cache.get(grand.id).links.tallies[link] == (300, 0, {0, 1, 3})
+    assert w.cache.get(left.id).links.tallies[link] == (200, 0, {0, 1})
+    assert parent_state.links.tallies[link] is before
+    assert before == (100, 0, {0})
+    assert c1 not in parent_state.justified
+    assert c1 in w.cache.get(right.id).justified
+
+
 # -- liveness oracle ---------------------------------------------------------------
 
 def test_liveness_plan_fresh_system():

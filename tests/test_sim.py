@@ -1,6 +1,8 @@
+import heapq
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +13,11 @@ from ffg.config import ProtocolConfig
 from ffg.errors import ConfigInvalid
 from ffg.leak import LeakConfig, epochs_to_supermajority
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, OFFLINE, SURROUND_VOTER,
-                     ScenarioConfig, ValidatorSpec, config_from_dict,
-                     config_to_dict, run)
+                     ScenarioConfig, Simulation, ValidatorSpec,
+                     config_from_dict, config_to_dict, run)
+
+from test_acceptance import fuzz_config
+from test_fork_choice import long_horizon_shaped
 
 
 def base_config(n=4, epochs=6, seed=1, delta=2, fork_rate=Fraction(0),
@@ -170,3 +175,69 @@ def test_report_votes_and_blocks_reconstructable():
     ids = {b["id"] for b in report.blocks}
     for b in report.blocks:
         assert b["parent"] is None or b["parent"] in ids
+
+
+class OrderCheckedSimulation(Simulation):
+    """Also keeps the one-entry-per-view heap, as a reference, and checks
+    every delivery of the grouped loop against it.
+
+    The reference draws the same jitters (it restores the network stream
+    before the grouped broadcast draws them again) and pushes one entry per
+    view.  Each delivery must be the reference heap's least entry, and no
+    reference entry may still be due when a tick's proposal starts, which is
+    when the per-view loop would have run out of entries to deliver."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.reference: list = []
+        self._ref_seq = 0
+        self.outcomes = Counter()
+
+    def _broadcast(self, kind, payload, sender, now):
+        start = self.rng_net.getstate()
+        for name in self.views:
+            jitter = 0 if name == sender else self.rng_net.randint(0, self.proto.delta)
+            self._ref_seq += 1
+            heapq.heappush(self.reference,
+                           (now + jitter, self._ref_seq, kind, payload, name))
+        end = self.rng_net.getstate()
+        self.rng_net.setstate(start)
+        pushed = len(self.events)
+        super()._broadcast(kind, payload, sender, now)
+        assert self.rng_net.getstate() == end
+        self.outcomes["entries"] += len(self.events) - pushed
+
+    def propose(self, now):
+        assert not self.reference or self.reference[0][0] >= now, \
+            (now, self.reference[0][:3], self.reference[0][4])
+        super().propose(now)
+
+    def deliver(self, kind, payload, name, now):
+        t, _seq, ref_kind, ref_payload, ref_name = heapq.heappop(self.reference)
+        n = self.outcomes["deliveries"]
+        assert (now, name, kind) == (t, ref_name, ref_kind) \
+            and payload is ref_payload, \
+            f"delivery {n}: got {(now, name, kind)}, reference {(t, ref_name, ref_kind)}"
+        self.outcomes["deliveries"] += 1
+        super().deliver(kind, payload, name, now)
+
+
+def order_checked_run(cfg):
+    sim = OrderCheckedSimulation(cfg)
+    sim.run_loop()
+    assert not sim.reference and not sim.events
+    # grouping happened: fewer heap entries than deliveries
+    assert 0 < sim.outcomes["entries"] < sim.outcomes["deliveries"], sim.outcomes
+    return sim.outcomes
+
+
+def test_grouped_events_deliver_in_per_view_order_on_fuzz_worlds():
+    seeds = [seed for seed in range(40) if fuzz_config(seed).protocol.delta >= 1][:12]
+    assert len(seeds) == 12
+    assert {fuzz_config(seed).protocol.delta for seed in seeds} == {1, 2}
+    for seed in seeds:
+        order_checked_run(fuzz_config(seed))
+
+
+def test_grouped_events_deliver_in_per_view_order_on_long_horizon_world():
+    order_checked_run(long_horizon_shaped(3))

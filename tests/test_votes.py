@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from ffg.chain import VoteData
 from ffg.errors import BadSignature
-from ffg.votes import VoteClass, VotePool, classify_vote, sign_vote
+from ffg.votes import Keyring, VoteClass, VotePool, classify_vote, sign_vote
 
 from conftest import World
 from ffg.config import ProtocolConfig
@@ -99,3 +101,33 @@ def test_pool_retains_slashing_material():
     pool.add(a)
     pool.add(b)
     assert len(pool.validator_votes(0)) == 2
+
+
+def test_verify_memo_checks_pubkey():
+    # a copy of a valid vote under another validator's pubkey fails the slow
+    # path; the memo must not accept it after the genuine vote was verified
+    keyring = Keyring(seed=42)
+    s, t = b"\x01" * 32, b"\x02" * 32
+    genuine = sign_vote(keyring, 0, s, t, 0, 1)
+    wrong = replace(genuine, validator_pubkey=keyring.register(1).pubkey)
+    assert not keyring.verify(wrong)
+    assert keyring.verify(genuine)
+    assert not keyring.verify(wrong)
+    with pytest.raises(BadSignature):
+        VotePool(keyring).add(wrong)
+
+
+def test_vote_key_is_computed_once_and_left_out_of_identity(keyring):
+    v = sign_vote(keyring, 0, b"\x01" * 32, b"\x02" * 32, 0, 1)
+    assert v.key == (0, b"\x01" * 32, b"\x02" * 32, 0, 1)
+    assert v.key is v.key
+    moved = replace(v, source_height=3)
+    assert moved.key == (0, b"\x01" * 32, b"\x02" * 32, 3, 1)
+    assert v.key == (0, b"\x01" * 32, b"\x02" * 32, 0, 1)
+    # the key is not a field of the vote's identity: a vote carrying a stale
+    # key still equals, hashes as and prints as a freshly built one
+    stale = replace(v)
+    object.__setattr__(stale, "key", ("stale",))
+    assert stale == v and hash(stale) == hash(v)
+    assert repr(stale) == repr(v) and " key=" not in repr(v)
+    assert stale.encode() == v.encode()
