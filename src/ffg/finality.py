@@ -38,7 +38,8 @@ from .chain import (BlockTree, Deposit, SlashEvidence, VoteData, VoteInclusion,
 from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
-from .slashing import check_pair, find_new_violations, violates
+from .slashing import (Violation, check_pair, find_new_violations, violates,
+                       violation_key)
 from .validators import ValidatorRegistry
 from .votes import Keyring, VoteClass, VotePool, classify_vote
 
@@ -253,11 +254,6 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
     return st
 
 
-def violation_key(first: VoteData, second: VoteData) -> tuple:
-    a, b = sorted((first.key, second.key))
-    return (first.validator_index, a, b)
-
-
 class _StepContext:
     """Mutable working copy used while folding one block into a state."""
 
@@ -268,9 +264,10 @@ class _StepContext:
             setattr(st, name, getattr(parent, name))
         self._own_registry = False
         self._own = set()
-        # this block's newly included vote keys and window voters, unioned
-        # into the frozensets once per block by `close_payload`
+        # this block's newly included vote and evidence keys and window
+        # voters, unioned into the frozensets once per block by `close_payload`
         self.new_votes: set[tuple] = set()
+        self.new_evidence: set[tuple] = set()
         self.new_voters: set[int] = set()
 
     def owned(self, name: str):
@@ -310,6 +307,8 @@ class _StepContext:
         st = self.st
         if self.new_votes:
             st.included_votes = st.included_votes | self.new_votes
+        if self.new_evidence:
+            st.included_evidence = st.included_evidence | self.new_evidence
         if self.new_voters:
             st.voted_window = st.voted_window | self.new_voters
 
@@ -339,9 +338,9 @@ class _StepContext:
                          keyring: Keyring):
         st = self.st
         key = violation_key(tx.first, tx.second)
-        if key in st.included_evidence:
+        if key in st.included_evidence or key in self.new_evidence:
             return
-        st.included_evidence = st.included_evidence | {key}
+        self.new_evidence.add(key)
         if not (keyring.verify(tx.first) and keyring.verify(tx.second)):
             return
         if check_pair(tx.first, tx.second) is None:
@@ -428,8 +427,9 @@ class ChainStateCache:
     * the chain state after each block, keyed by block id: a pure function
       of the block and its ancestors;
     * whether a vote counts, with its target's snapshot (`countable`);
-    * each vote's slashing partners among the run's votes
-      (`conflict_partners`): the two conditions read only the votes' fields.
+    * each vote's slashing partners among the run's votes, with the
+      violation each forms, in both orientations (`conflict_partners`): the
+      two conditions read only the votes' fields.
 
     `tree` is the run's shared tree; every block a view holds is inserted
     there first.
@@ -447,8 +447,8 @@ class ChainStateCache:
         self._countable: dict[VoteData, DynastySnapshot | None] = {}
         # validator index -> its distinct votes, in the order first seen
         self._history: dict[int, list[VoteData]] = {}
-        # vote key -> keys of the run's votes it forms a violation with
-        self._partners: dict[tuple, set[tuple]] = {}
+        # vote key -> {partner's key: Violation(partner, vote)}
+        self._partners: dict[tuple, dict[tuple, Violation]] = {}
 
     def get(self, block_id: bytes) -> ChainState:
         states = self.states
@@ -491,20 +491,25 @@ class ChainStateCache:
         self._countable[vote] = snap
         return snap
 
-    def conflict_partners(self, vote: VoteData) -> set[tuple]:
-        """Keys of the run's votes that form a slashing violation with `vote`.
+    def conflict_partners(self, vote: VoteData) -> dict[tuple, Violation]:
+        """The run's votes that form a slashing violation with `vote`: each
+        one's key, mapped to `check_pair(partner, vote)`.
 
         The first time a key is seen its vote is checked once against the
         validator's earlier votes, and each conflict is recorded on both
-        keys; later arrivals add to the returned set.  Both conditions read
-        only fields the key holds, so votes sharing a key share partners."""
+        keys, oriented both ways; later arrivals add to the returned dict.
+        Both conditions read only fields the key holds, so votes sharing a
+        key share partners, and a signature-valid vote with a given key is
+        unique, so the recorded violation equals the one built from any
+        valid copy."""
         partners = self._partners.get(vote.key)
         if partners is None:
-            partners = self._partners[vote.key] = set()
+            partners = self._partners[vote.key] = {}
             history = self._history.setdefault(vote.validator_index, [])
             for violation in find_new_violations(history, vote):
-                partners.add(violation.vote_a.key)
-                self._partners[violation.vote_a.key].add(vote.key)
+                old = violation.vote_a
+                partners[old.key] = violation
+                self._partners[old.key][vote.key] = check_pair(vote, old)
             history.append(vote)
         return partners
 

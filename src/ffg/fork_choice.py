@@ -27,22 +27,40 @@ So a block once rejected by the evidence rule stays rejected, and a chain that
 passed it against the first n heard violations only needs checking against
 the ones heard since.  `chain_admissible` keeps, per block, either "rejected"
 or the count of heard violations its chain passed, and walks up from a leaf
-only to the nearest ancestor that is up to date; each (block, violation) pair
-is checked once per view.  The justified checkpoint of a chain is found by
-walking its checkpoints downward to the first justified one
-(`justified_tip`), which is the highest since a chain has one checkpoint per
-height.
+only to the nearest ancestor that is up to date.  Two more facts bound the
+pairs it checks by the new blocks and the newly heard violations, not by
+everything heard so far:
+
+* the parent-passed window: when a block's parent's chain passes against
+  every heard violation, the parent's chain has included the evidence of
+  each one heard before `parent.timestamp - 2*delta`, and a block's included
+  evidence contains its parent's.  So the block can only be rejected by a
+  violation heard in `[parent.timestamp - 2*delta, block.timestamp -
+  2*delta)`, which a bisect into the heard-at-sorted index finds;
+* the heard-at floor: when every violation heard since a block's chain
+  passed was heard at or after `block.timestamp - 2*delta`, none of them can
+  reject the block, nor its ancestors, whose stamps are older.  The walk
+  stops at the first such block.  In a simulated run a view hears a
+  violation after it holds the blocks stamped before it, so one newly heard
+  violation does not send the next `head()` down every chain to the root.
+
+`admissible(block)` reads the same memo, and scans the violations heard
+before the block's own deadline only when its chain is rejected.  The
+justified checkpoint of a chain is found by walking its checkpoints downward
+to the first justified one (`justified_tip`), which is the highest since a
+chain has one checkpoint per height.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 
 from .chain import Block, BlockTree, VoteData
 from .config import ProtocolConfig
 from .errors import BadSignature
 from .finality import ChainStateCache, FinalityState
-from .slashing import Violation, check_pair
+from .slashing import Violation
 from .votes import Keyring, VotePool
 
 
@@ -79,11 +97,12 @@ class ClientView:
     * vote countability (`ChainStateCache.countable`): a view asks only once
       its tree holds both endpoints, and then its own tree would give the
       same class, since block ids are digests;
-    * slashing partners (`ChainStateCache.conflict_partners`): the two
-      conditions read only the votes' fields.  The view reports the partners
-      already in its own pool, in pool order and oriented (pooled vote,
-      incoming), so its evidence and heard-at times are those of a scan of
-      its own pool.
+    * slashing partners and their violations
+      (`ChainStateCache.conflict_partners`): the two conditions read only
+      the votes' fields.  The view reports the partners already in its own
+      pool, in pool order, each with the run's violation oriented (pooled
+      vote, incoming), so its evidence and heard-at times are those of a
+      scan of its own pool.
 
     Pool membership, link tallies, heard-at times and fork-choice memos stay
     per view.
@@ -110,6 +129,12 @@ class ClientView:
         self.violations_heard: dict[tuple, tuple[int, Violation]] = {}
         # (key, heard_at) of violations_heard in the order heard
         self._heard: list[tuple[tuple, int]] = []
+        # _floor[i]: the least heard-at time in _heard[i:]
+        self._floor: list[int] = []
+        # heard-at times of violations_heard in ascending order, and the key
+        # heard at each; ties keep the order heard
+        self._heard_times: list[int] = []
+        self._heard_keys: list[tuple] = []
         # block id -> _REJECTED, or n: its chain passes the evidence rule
         # against _heard[:n]; absent means n == 0
         self._chain_checked: dict[bytes, int] = {}
@@ -185,15 +210,29 @@ class ClientView:
         if partners:
             # in pool order, each pair oriented (earlier vote, incoming)
             for old in self.pool.validator_votes(vote.validator_index):
-                if old.key not in partners:
-                    continue
-                violation = check_pair(old, vote)
-                if violation.key not in self.violations_heard:
-                    self.violations_heard[violation.key] = (now, violation)
-                    self._heard.append((violation.key, now))
+                violation = partners.get(old.key)
+                if violation is not None and violation.key not in self.violations_heard:
+                    self._hear(violation, now)
                     new_violations.append(violation)
         self.fstate.on_vote(vote)
         return new_violations
+
+    def _hear(self, violation: Violation, now: int) -> None:
+        """Record a violation heard at `now`.  A run's deliveries come in
+        time order, so each index only grows at its end; a scripted view may
+        hear out of order."""
+        key = violation.key
+        self.violations_heard[key] = (now, violation)
+        self._heard.append((key, now))
+        floor = self._floor
+        floor.append(now)
+        i = len(floor) - 2
+        while i >= 0 and floor[i] > now:
+            floor[i] = now
+            i -= 1
+        at = bisect_right(self._heard_times, now)
+        self._heard_times.insert(at, now)
+        self._heard_keys.insert(at, key)
 
     # -- admissibility -----------------------------------------------------------
 
@@ -201,58 +240,83 @@ class ClientView:
         """Timestamp and evidence filters; a classification, not an error."""
         if block.timestamp > self.clock:
             return Admissibility.REJECT
-        if self._evidence_rejects(block, self._heard):
+        # a chain that passes the evidence rule passes it at every block; a
+        # rejected chain may have been rejected below `block`
+        passes = block.id in self.tree and self._chain_passes(block)
+        if not passes and self._evidence_rejects(block):
             return Admissibility.REJECT
         if block.timestamp < self.clock - self.cfg.delta:
             return Admissibility.ACCEPT_NOT_FINALIZABLE
         return Admissibility.ACCEPT
 
     def chain_admissible(self, leaf: bytes) -> bool:
-        """True iff `admissible` rejects no block between the root and `leaf`.
-
-        Memoized per chain; see the module docstring for why that is sound."""
-        tree = self.tree
-        block = tree.get(leaf)
+        """True iff `admissible` rejects no block between the root and `leaf`."""
+        block = self.tree.get(leaf)
         if block.timestamp > self.clock:
             return False
-        heard = self._heard
-        n = len(heard)
+        return self._chain_passes(block)
+
+    def _chain_passes(self, block: Block) -> bool:
+        """True iff the evidence rule rejects no block between the root and
+        `block`.  Memoized per chain; see the module docstring for why each
+        step is sound."""
+        tree = self.tree
+        n = len(self._heard)
         checked = self._chain_checked
-        stale: list[tuple[Block, int]] = []
+        stale: list[Block] = []
         cursor = block
         while cursor.height > 0:
             done = checked.get(cursor.id, 0)
             if done == n:
                 break
             if done == _REJECTED:
-                for b, _done in stale:
+                for b in stale:
                     checked[b.id] = _REJECTED
                 return False
-            stale.append((cursor, done))
+            if self._settled(cursor, done):
+                checked[cursor.id] = n
+                break
+            stale.append(cursor)
             cursor = tree.blocks[cursor.parent]
-        # top-down, so each block's ancestors are up to date before it
+        # top-down, so each block's parent passes against all n before it
         for i in range(len(stale) - 1, -1, -1):
-            cursor, done = stale[i]
-            if self._evidence_rejects(cursor, heard[done:n]):
-                for b, _done in stale[:i + 1]:
+            if self._window_rejects(stale[i], cursor):
+                for b in stale[:i + 1]:
                     checked[b.id] = _REJECTED
                 return False
+            cursor = stale[i]
             checked[cursor.id] = n
         return True
 
-    def _evidence_rejects(self, block: Block, heard) -> bool:
-        """The evidence rule: `block` is stamped later than 2*delta after a
-        violation in `heard` (key, heard_at pairs) was heard, and its chain
-        has not included that violation's evidence."""
-        evidence = None
-        latest = block.timestamp - 2 * self.cfg.delta
-        for key, heard_at in heard:
-            if heard_at < latest:
-                if evidence is None:
-                    evidence = self.cache.get(block.id).included_evidence
-                if key not in evidence:
-                    return True
-        return False
+    def _settled(self, block: Block, done: int) -> bool:
+        """True when every violation heard since `_heard[:done]` was heard
+        at or after `block`'s evidence deadline, so none of them can reject
+        `block` or any of its ancestors."""
+        return self._floor[done] >= block.timestamp - 2 * self.cfg.delta
+
+    def _window_rejects(self, block: Block, parent: Block) -> bool:
+        """The evidence rule for `block`, given that its parent's chain
+        passes against every heard violation: only violations heard from the
+        parent's evidence deadline up to the block's can reject it."""
+        two_delta = 2 * self.cfg.delta
+        times = self._heard_times
+        # the root is not judged by the rule, so it vouches for no evidence
+        lo = bisect_left(times, parent.timestamp - two_delta) if parent.height else 0
+        hi = bisect_left(times, block.timestamp - two_delta, lo)
+        return self._missing_evidence(block, lo, hi)
+
+    def _evidence_rejects(self, block: Block) -> bool:
+        """The evidence rule for `block` alone: it is stamped later than
+        2*delta after some violation was heard, and its chain has not
+        included that violation's evidence."""
+        hi = bisect_left(self._heard_times, block.timestamp - 2 * self.cfg.delta)
+        return self._missing_evidence(block, 0, hi)
+
+    def _missing_evidence(self, block: Block, lo: int, hi: int) -> bool:
+        """True iff some violation in `_heard_keys[lo:hi]` is missing from
+        the evidence `block`'s chain has included."""
+        return lo < hi and not self.cache.get(block.id).included_evidence \
+            .issuperset(self._heard_keys[lo:hi])
 
     # -- finalized preference ------------------------------------------------------
 

@@ -32,6 +32,7 @@ import hashlib
 import heapq
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -327,7 +328,8 @@ class Simulation:
         self.events: list[tuple[int, int, str, object, list[str]]] = []
         self._seq = 0
         self.pending_evidence: dict[tuple, SlashEvidence] = {}
-        self._included_evidence_keys: set[tuple] = set()
+        # keys of pending_evidence in ascending order
+        self._pending_keys: list[tuple] = []
         self._trace = hashlib.sha256()
         self._max_jitter = 0
         self._monotonic_ok = True
@@ -362,12 +364,15 @@ class Simulation:
         self._broadcast("vote", vote, sender, now)
 
     def submit_evidence(self, violation, now: int) -> None:
-        if violation.key in self.pending_evidence or \
-                violation.key in self._included_evidence_keys:
+        # a chain includes only pending evidence (`propose`), so a key
+        # already included is pending too
+        key = violation.key
+        if key in self.pending_evidence:
             return
-        self._trace_line(f"{now}|evidence|{violation.key}")
-        self.pending_evidence[violation.key] = SlashEvidence(
-            violation.vote_a, violation.vote_b)
+        self._trace_line(f"{now}|evidence|{key}")
+        self.pending_evidence[key] = SlashEvidence(violation.vote_a,
+                                                   violation.vote_b)
+        insort(self._pending_keys, key)
 
     # -- proposer ----------------------------------------------------------------
 
@@ -399,7 +404,7 @@ class Simulation:
         epoch = self.proto.epoch_of_height(parent.height + 1)
         txs = self._scheduled_txs(epoch, parent_state)
         if not self.cfg.censor_evidence:
-            for key in sorted(self.pending_evidence):
+            for key in self._pending_keys:
                 if key not in parent_state.included_evidence:
                     txs.append(self.pending_evidence[key])
         included = parent_state.included_votes
@@ -408,18 +413,19 @@ class Simulation:
                 txs.append(VoteInclusion(vote))
         block = make_block(parent, now, None, tuple(txs), self.proto.hash_name)
         self.tree.insert_block(block)
-        for key in parent_state.included_evidence:
-            self._included_evidence_keys.add(key)
         self.broadcast_block(block, now)
 
     # -- delivery ----------------------------------------------------------------
 
-    def _check_monotonic(self, view: ClientView) -> None:
-        j, f = len(view.fstate.justified), len(view.observed_finalized)
-        old = self._mono_counts.get(view.name, (0, 0))
-        if j < old[0] or f < old[1]:
-            self._monotonic_ok = False
-        self._mono_counts[view.name] = (j, f)
+    def _check_monotonic(self) -> None:
+        """Record whether any view's justified or finalized count fell since
+        the last check; run after each tick's deliveries."""
+        for view in self.views.values():
+            j, f = len(view.fstate.justified), len(view.observed_finalized)
+            old = self._mono_counts.get(view.name, (0, 0))
+            if j < old[0] or f < old[1]:
+                self._monotonic_ok = False
+            self._mono_counts[view.name] = (j, f)
 
     def deliver(self, kind: str, payload, name: str, now: int) -> None:
         view = self.views[name]
@@ -437,7 +443,6 @@ class Simulation:
             if agent is not None and agent.spec.behavior.kind != OFFLINE:
                 for violation in new_violations:
                     self.submit_evidence(violation, now)
-        self._check_monotonic(view)
 
     def run_loop(self) -> None:
         total_ticks = self.cfg.duration_epochs * self.proto.spacing
@@ -448,6 +453,7 @@ class Simulation:
                 t, _seq, kind, payload, names = heapq.heappop(events)
                 for name in names:
                     self.deliver(kind, payload, name, t)
+            self._check_monotonic()
             for view in self.views.values():
                 view.advance_clock(now)
             if now <= total_ticks:
@@ -456,6 +462,7 @@ class Simulation:
             t, _seq, kind, payload, names = heapq.heappop(events)
             for name in names:
                 self.deliver(kind, payload, name, t)
+        self._check_monotonic()
 
 
 # -----------------------------------------------------------------------------

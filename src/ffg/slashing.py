@@ -11,14 +11,14 @@ Both are judged purely on the votes' own fields, so detection works across
 branches and regardless of which chain (if any) included the votes.  It also
 means a run needs to check each vote only once: `ChainStateCache` runs
 `find_new_violations` when a vote is first seen, against its validator's
-earlier votes in the run, and records each conflict on both votes.  A client
-view then builds violations only for the recorded partners in its own pool
-(`ClientView.receive_vote`).
+earlier votes in the run, and records each conflict on both votes, with the
+violation in both orientations.  A client view then reports the recorded
+violations of the partners in its own pool (`ClientView.receive_vote`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .chain import BlockTree, VoteData
@@ -31,17 +31,28 @@ class ViolationKind(Enum):
     SURROUND_VOTE = "II"
 
 
+def violation_key(first: VoteData, second: VoteData) -> tuple:
+    """The identity of a pair of votes by one validator, in either order."""
+    a, b = first.key, second.key
+    return (first.validator_index, a, b) if a <= b else (first.validator_index, b, a)
+
+
 @dataclass(frozen=True)
 class Violation:
+    """Two votes by one validator that break a slashing condition.
+
+    `key` (`violation_key`) identifies the pair in either orientation.  It
+    is computed once at construction and takes no part in equality, hashing
+    or `repr`.
+    """
     kind: ViolationKind
     vote_a: VoteData
     vote_b: VoteData
     validator_index: int
+    key: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple:
-        a, b = sorted((self.vote_a.key, self.vote_b.key))
-        return (self.validator_index, a, b)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", violation_key(self.vote_a, self.vote_b))
 
 
 def violates(hs1: int, ht1: int, hs2: int, ht2: int) -> bool:

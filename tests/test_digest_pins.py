@@ -2,16 +2,19 @@
 
 The golden corpus (`scenarios/`) has neither a wide validator set nor a long
 horizon, so these pins cover the configs that the fuzz tier and the benchmark
-generate: fuzz seeds 0-39 (criterion 1's distribution) and two configs each
-of the benchmark's `long_horizon` and `wide_set` workloads.  A change that
-keeps behaviour keeps every digest.  A change that alters the report schema
-on purpose re-pins, as the corpus does, with
+generate: fuzz seeds 0-39 (criterion 1's distribution), two configs each
+of the benchmark's `long_horizon` and `wide_set` workloads, and the
+`long_horizon` shape run at 24 and 40 epochs, where the evidence the double
+voters leave grows quadratically.  A change that keeps behaviour keeps every
+digest.  A change that alters the report schema on purpose re-pins, as the
+corpus does, with
 
     PYTHONPATH=src python tests/test_digest_pins.py --write
 """
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ffg.sim import run
@@ -27,6 +30,9 @@ def generated_configs():
     from workloads import long_horizon_config, wide_set_config
     configs = [fuzz_config(seed) for seed in range(40)]
     configs += [long_horizon_config(seed) for seed in (0, 1)]
+    configs += [replace(long_horizon_config(seed), duration_epochs=epochs,
+                        name=f"long_horizon{seed}_{epochs}epochs")
+                for seed, epochs in ((2, 24), (3, 40))]
     configs += [wide_set_config(seed) for seed in (0, 1)]
     return configs
 
@@ -37,7 +43,7 @@ def current_digests() -> dict[str, str]:
 
 def test_generated_config_digests_match_pins():
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
-    assert len(pinned) == 44
+    assert len(pinned) == 46
     assert current_digests() == pinned
 
 

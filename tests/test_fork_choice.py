@@ -9,7 +9,7 @@ import ffg.chain
 from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import DigestMismatch
-from ffg.fork_choice import Admissibility, ClientView
+from ffg.fork_choice import _REJECTED, Admissibility, ClientView
 from ffg.leak import LeakConfig
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER,
                      ScenarioConfig, Simulation, ValidatorSpec)
@@ -266,15 +266,39 @@ def test_stuck_scenario_justified_rule_finalizes():
 
 # -- memoized chain admissibility and the justified tip, against the old walks --------
 
-def walk_chain_admissible(view, leaf):
-    """Reference: classify every block from `leaf` back to the root."""
+def rule_rejects(view, block):
+    """Reference: the future-stamp and evidence rules evaluated directly on
+    the view's heard violations, with no memo."""
+    if block.timestamp > view.clock:
+        return True
+    latest = block.timestamp - 2 * view.cfg.delta
+    evidence = view.cache.get(block.id).included_evidence
+    return any(heard_at < latest and key not in evidence
+               for key, (heard_at, _v) in view.violations_heard.items())
+
+
+def rule_admissible(view, block):
+    """Reference: `admissible` from `rule_rejects`."""
+    if rule_rejects(view, block):
+        return Admissibility.REJECT
+    if block.timestamp < view.clock - view.cfg.delta:
+        return Admissibility.ACCEPT_NOT_FINALIZABLE
+    return Admissibility.ACCEPT
+
+
+def walk_chain_admissible(view, leaf, verdicts=None):
+    """Reference: classify every block from `leaf` back to the root.
+    `verdicts` (block id -> rejected) shares the classification between
+    walks made while the view does not change."""
+    verdicts = {} if verdicts is None else verdicts
     cursor = view.tree.get(leaf)
-    while True:
-        if cursor.height > 0 and view.admissible(cursor) is Admissibility.REJECT:
+    while cursor.height > 0:
+        if cursor.id not in verdicts:
+            verdicts[cursor.id] = rule_rejects(view, cursor)
+        if verdicts[cursor.id]:
             return False
-        if cursor.parent is None:
-            return True
         cursor = view.tree.get(cursor.parent)
+    return True
 
 
 def scan_justified_tip(view, bid, below=None):
@@ -288,33 +312,71 @@ def scan_justified_tip(view, bid, below=None):
     return min(cands, key=lambda cp: (-fs.heights[cp], fs.order[cp], cp))
 
 
-def scan_head(view):
+def scan_head(view, verdicts=None):
     """Reference: the head rule over the two walks above."""
     fs = view.fstate
     ranked = []
     for leaf in view.tree.leaves():
         if view.tree.is_ancestor(view.finalized_anchor, leaf) \
-                and walk_chain_admissible(view, leaf):
+                and walk_chain_admissible(view, leaf, verdicts):
             tip = scan_justified_tip(view, leaf)
             ranked.append(((-fs.heights[tip], fs.order[tip], tip),
                            -view.tree.get(leaf).height, leaf))
     return min(ranked)[2] if ranked else view.finalized_anchor
 
 
-class CheckedSimulation(Simulation):
-    """Compares the receiving view with the reference walks after every delivery."""
+def count_shortcuts(view, shortcuts):
+    """Count, in `shortcuts`, each time one of the view's evidence-rule
+    shortcuts decides: the settled-chain stop of the memo walk, a heard-at
+    window that leaves out violations heard before the parent's deadline,
+    and `admissible`'s scan for a block on a rejected chain."""
+    settled, window_rejects, evidence_rejects = \
+        view._settled, view._window_rejects, view._evidence_rejects
 
-    def __init__(self, cfg):
+    def counted_settled(block, done):
+        stop = settled(block, done)
+        shortcuts["settled stop"] += stop
+        return stop
+
+    def counted_window_rejects(block, parent):
+        deadline = parent.timestamp - 2 * view.cfg.delta
+        if parent.height and any(at < deadline for _key, at in view._heard):
+            shortcuts["window"] += 1
+        return window_rejects(block, parent)
+
+    def counted_evidence_rejects(block):
+        shortcuts["rejected-chain scan"] += 1
+        return evidence_rejects(block)
+
+    view._settled = counted_settled
+    view._window_rejects = counted_window_rejects
+    view._evidence_rejects = counted_evidence_rejects
+
+
+class CheckedSimulation(Simulation):
+    """Compares the receiving view with the reference walks after every
+    delivery of one of `kinds`."""
+
+    def __init__(self, cfg, kinds=("block", "vote")):
         super().__init__(cfg)
+        self.kinds = kinds
         self.outcomes = Counter()
+        self.shortcuts = Counter()
+        for view in self.views.values():
+            count_shortcuts(view, self.shortcuts)
 
     def deliver(self, kind, payload, name, now):
         super().deliver(kind, payload, name, now)
+        if kind not in self.kinds:
+            return
         view = self.views[name]
+        verdicts = {}
         for leaf in view.tree.leaves():
             ok = view.chain_admissible(leaf)
-            assert ok == walk_chain_admissible(view, leaf)
+            assert ok == walk_chain_admissible(view, leaf, verdicts)
             self.outcomes["admissible" if ok else "rejected"] += 1
+            block = view.tree.get(leaf)
+            assert view.admissible(block) is rule_admissible(view, block)
             tip = view.justified_tip(leaf)
             assert tip == scan_justified_tip(view, leaf)
             self.outcomes["justified" if tip != view.tree.root else "root"] += 1
@@ -322,7 +384,7 @@ class CheckedSimulation(Simulation):
             h_t = view.tree.require_checkpoint(target)
             assert view.justified_tip(target, below=h_t) \
                 == scan_justified_tip(view, target, below=h_t)
-        assert view.head() == scan_head(view)
+        assert view.head() == scan_head(view, verdicts)
 
 
 def checked_run(cfg):
@@ -331,7 +393,7 @@ def checked_run(cfg):
     return sim.outcomes
 
 
-def long_horizon_shaped(seed):
+def long_horizon_shaped(seed, epochs=12):
     """20 equal validators, three double voters, a fork in one block of five."""
     rng = random.Random(seed)
     behaviors = {i: Behavior(DOUBLE_VOTER, rng.randint(1, 3))
@@ -341,7 +403,7 @@ def long_horizon_shaped(seed):
     validators = tuple(ValidatorSpec(i, 100, behaviors.get(i, Behavior(HONEST)))
                        for i in range(20))
     return ScenarioConfig(name=f"long{seed}", seed=seed, protocol=proto,
-                          validators=validators, duration_epochs=12,
+                          validators=validators, duration_epochs=epochs,
                           observers=2, proposer_fork_rate=Fraction(1, 5))
 
 
@@ -356,6 +418,42 @@ def test_memoized_fork_choice_matches_walks_on_fuzz_worlds():
 def test_memoized_fork_choice_matches_walks_on_long_horizon_world():
     outcomes = checked_run(long_horizon_shaped(7))
     assert min(outcomes.values()) > 0, outcomes
+
+
+class EvidenceHoldingSimulation(CheckedSimulation):
+    """Evidence the agents submit in ticks [start, end) reaches the proposer
+    only at tick `end`, so the blocks proposed in between lack it and their
+    chains are rejected.  In a plain run the proposer includes evidence in
+    the next block, and no chain is rejected by the evidence rule."""
+
+    def __init__(self, cfg, start, end, **kwargs):
+        super().__init__(cfg, **kwargs)
+        self.hold = (start, end)
+        self.held = []
+
+    def submit_evidence(self, violation, now):
+        start, end = self.hold
+        if start <= now < end:
+            self.held.append(violation)
+        else:
+            super().submit_evidence(violation, now)
+
+    def propose(self, now):
+        if now == self.hold[1]:
+            for violation in self.held:
+                super().submit_evidence(violation, now)
+        super().propose(now)
+
+
+def test_evidence_shortcuts_match_the_rule_on_a_deep_long_horizon_world():
+    # deep enough for the heard violations to pile up; checked at block
+    # deliveries, where new blocks meet the memo
+    sim = EvidenceHoldingSimulation(long_horizon_shaped(7, epochs=20), 40, 50,
+                                    kinds=("block",))
+    sim.run_loop()
+    assert min(sim.outcomes.values()) > 0, sim.outcomes
+    assert set(sim.shortcuts) == {"settled stop", "window", "rejected-chain scan"}
+    assert min(sim.shortcuts.values()) > 0, sim.shortcuts
 
 
 def two_violations(w, blocks):
@@ -383,6 +481,37 @@ def test_evidence_heard_after_clean_memo_rejects_chain():
     # the prefix up to the last block stamped 11 is still clean
     assert view.chain_admissible(blocks[10].id)
     assert walk_chain_admissible(view, blocks[10].id)
+
+
+def test_violation_heard_early_after_the_blocks_rejects_them():
+    w = make_world(delta=4)
+    blocks = w.grow(12)                      # stamped 1..12
+    view = client(w)
+    feed_chain(view, w, blocks)
+    (a0, b0), (a1, b1) = two_violations(w, blocks)
+    shortcuts = Counter()
+    count_shortcuts(view, shortcuts)
+    view.receive_vote(a0, 9)
+    assert view.receive_vote(b0, 10)         # heard after every block's deadline
+    leaf = blocks[-1].id
+    assert view.chain_admissible(leaf)
+    # heard at 10, past the leaf's deadline 12 - 8: the walk stops at the leaf
+    assert view._chain_checked == {leaf: 1}
+    assert shortcuts == {"settled stop": 1}
+    # the scripted case: the tree already holds blocks stamped more than
+    # 2*delta after this violation's heard-at time
+    view.receive_vote(a1, 1)
+    assert view.receive_vote(b1, 2)          # rejects blocks stamped after 10
+    assert not view.chain_admissible(leaf)
+    # the walk goes past the two rejected blocks and stops at the one stamped 10
+    assert view._chain_checked[leaf] == _REJECTED
+    assert view._chain_checked[blocks[10].id] == _REJECTED
+    assert view._chain_checked[blocks[9].id] == 2
+    assert shortcuts["settled stop"] == 2
+    for block in blocks:
+        assert view.admissible(block) is rule_admissible(view, block)
+    assert view.admissible(blocks[10]) is Admissibility.REJECT
+    assert view.chain_admissible(blocks[9].id)
 
 
 def test_future_stamped_leaf_admissible_once_clock_passes():

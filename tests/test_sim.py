@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ffg.sim
 from ffg.config import ProtocolConfig
 from ffg.errors import ConfigInvalid
 from ffg.leak import LeakConfig, epochs_to_supermajority
@@ -135,6 +136,25 @@ def test_delivery_bound_and_monotonicity_flags():
     report = run(base_config(epochs=4, delta=3))
     assert report.invariants["delivery_within_delta"]
     assert report.invariants["justified_finalized_monotonic"]
+
+
+class UnjustifyingSimulation(Simulation):
+    """Removes every justified checkpoint but the root from one view's
+    justified set halfway through the run."""
+
+    def propose(self, now):
+        if now == self.cfg.duration_epochs * self.proto.spacing // 2:
+            justified = self.views["client0"].fstate.justified
+            assert len(justified) > 1
+            justified.intersection_update({self.tree.root})
+        super().propose(now)
+
+
+def test_monotonicity_flag_fails_when_a_justified_checkpoint_is_removed(monkeypatch):
+    cfg = base_config(epochs=6)
+    assert run(cfg).invariants["justified_finalized_monotonic"]
+    monkeypatch.setattr(ffg.sim, "Simulation", UnjustifyingSimulation)
+    assert not run(cfg).invariants["justified_finalized_monotonic"]
 
 
 def test_fork_rate_produces_siblings_without_breaking_safety():
