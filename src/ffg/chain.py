@@ -186,9 +186,6 @@ class BlockTree:
 
     # -- checkpoint queries ---------------------------------------------------
 
-    def is_checkpoint(self, bid: bytes) -> bool:
-        return self.get(bid).height % self.spacing == 0
-
     def checkpoint_height(self, bid: bytes) -> int | None:
         """k for a block at height k*E, else None ("not a checkpoint")."""
         height = self.get(bid).height

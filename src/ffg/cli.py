@@ -19,13 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-from .chain import BlockTree, Deposit, SlashEvidence, VoteInclusion, Withdraw
+from .chain import Block, Deposit, SlashEvidence, VoteInclusion, Withdraw
 from .errors import ConfigInvalid, FfgError, NotConflicting, NotFinalized
-from .finality import ChainStateCache
-from .sim import (RunReport, config_from_dict, invariants_pass, run,
+from .sim import (Network, RunReport, config_from_dict, invariants_pass, run,
                   vote_from_dict)
-from .validators import ValidatorRegistry
-from .votes import Keyring, VotePool
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,18 +124,12 @@ def cmd_corpus(args) -> int:
 def _rebuild_world(report_data: dict):
     """Reconstruct tree and pool from a written report."""
     cfg = config_from_dict(report_data["config"])
-    keyring = Keyring(cfg.seed)
-    registry = ValidatorRegistry()
-    for spec in cfg.validators:
-        registry.add_genesis_validator(keyring.register(spec.index), spec.deposit)
+    net = Network(cfg, ())
+    keyring = net.keyring
     for block in report_data["blocks"]:
         for tx in block["txs"]:
             if tx["kind"] in ("deposit", "withdraw"):
                 keyring.register(tx["index"])
-    for vote in report_data["votes"]:
-        keyring.register(vote["validator"])
-    tree = BlockTree(cfg.protocol.spacing, cfg.protocol.hash_name)
-    from .chain import Block as BlockT
     for item in sorted(report_data["blocks"], key=lambda b: b["height"]):
         if item["height"] == 0:
             continue
@@ -154,14 +145,12 @@ def _rebuild_world(report_data: dict):
                                    tx["amount"]))
             else:
                 txs.append(Withdraw(tx["index"], keyring.vid(tx["index"]).pubkey))
-        tree.insert_block(BlockT(bytes.fromhex(item["id"]),
-                                 bytes.fromhex(item["parent"]), item["height"],
-                                 item["timestamp"], item["proposer"], tuple(txs)))
-    cache = ChainStateCache(tree, cfg.protocol, keyring, registry)
-    pool = VotePool(keyring)
+        net.tree.insert_block(Block(bytes.fromhex(item["id"]),
+                                    bytes.fromhex(item["parent"]), item["height"],
+                                    item["timestamp"], item["proposer"], tuple(txs)))
     for vote in report_data["votes"]:
-        pool.add(vote_from_dict(vote, keyring))
-    return cfg, tree, cache, pool
+        net.pool.add(vote_from_dict(vote, keyring))
+    return cfg, net.tree, net.cache, net.pool
 
 
 def cmd_audit(args) -> int:

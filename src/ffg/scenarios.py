@@ -2,9 +2,14 @@
 
 These three runs need block-level orchestration (which branch includes which
 votes at which heights), so they build chains directly instead of going
-through the generic agent loop.  They still produce ordinary reports: client
-views receive every staged message in time order and the invariant sweep runs
-unchanged.
+through the generic agent loop.  They still run on the simulator's network
+(`ffg.sim.Network`) and produce ordinary reports: client views receive every
+staged message in (time, send order, listed-name order), the monotonicity
+check runs after each delivery time, the invariant sweep runs unchanged, and
+the trace digest hashes the simulator's lines, ``t|block|id``, ``t|vote|key``,
+``t|evidence|key`` and ``t|deliver|name|kind`` (scripts submit no evidence,
+so they write no evidence lines).  Delivery delay is not measured: a script
+chooses its delivery times, so `delivery_within_delta` reads ok.
 
 * dynamic_attack: two validator generations hand over; one branch includes
   the handover finalization votes in time, the sibling branch includes them
@@ -27,52 +32,34 @@ unchanged.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
-from .chain import (Block, BlockTree, Deposit, SlashEvidence, VoteData,
-                    VoteInclusion, Withdraw, make_block)
+from .chain import (Block, Deposit, SlashEvidence, VoteData, VoteInclusion,
+                    Withdraw, make_block)
 from .config import ProtocolConfig
 from .errors import ConfigInvalid
-from .finality import ChainStateCache
-from .fork_choice import ClientView
 from .leak import LeakConfig, epochs_to_supermajority
-from .sim import (Behavior, DOUBLE_VOTER, HONEST, RunReport, RunWorld, ScenarioConfig,
+from .sim import (Behavior, DOUBLE_VOTER, HONEST, Network, RunReport, ScenarioConfig,
                   ValidatorSpec, build_report, sweep_invariants)
-from .validators import ValidatorRegistry
-from .votes import Keyring, VotePool, sign_vote
+from .votes import sign_vote
 
 
-class Script:
-    """Helper for staged runs: build blocks/votes, deliver at explicit times."""
+class Script(Network):
+    """Staged runs on the simulator's network: build blocks and votes, send
+    them to named views at explicit times, then deliver them all.
+
+    The trace has the simulator's lines: a block enters at its timestamp, a
+    vote at its target's timestamp (the earliest it could be cast), and
+    each delivery is traced as it happens."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        self.proto = cfg.protocol
-        self.keyring = Keyring(cfg.seed)
-        registry = ValidatorRegistry()
-        for spec in cfg.validators:
-            registry.add_genesis_validator(self.keyring.register(spec.index),
-                                           spec.deposit)
-        for _ep, index, _amt in cfg.deposits:
-            self.keyring.register(index)
-        for v in cfg.params.get("extra_keys", []):
-            self.keyring.register(v)
-        self.tree = BlockTree(self.proto.spacing, self.proto.hash_name)
-        self.cache = ChainStateCache(self.tree, self.proto, self.keyring, registry)
-        self.pool = VotePool(self.keyring)
-        self.views = {f"client{i}": ClientView(f"client{i}", self.proto,
-                                               self.keyring, self.cache)
-                      for i in range(max(1, cfg.observers))}
-        self.deliveries: list[tuple[int, int, str, object, str]] = []
-        self._seq = 0
-        self._trace = hashlib.sha256()
+        super().__init__(cfg, [f"client{i}" for i in range(max(1, cfg.observers))])
 
     def extend(self, parent_id: bytes, timestamp: int, txs=(), proposer=None) -> Block:
         block = make_block(self.tree.get(parent_id), timestamp, proposer,
                            tuple(txs), self.proto.hash_name)
         self.tree.insert_block(block)
-        self._trace.update(b"B" + block.id)
+        self._trace_line(f"{timestamp}|block|{block.id.hex()}")
         return block
 
     def vote(self, index: int, source: bytes, target: bytes) -> VoteData:
@@ -80,38 +67,26 @@ class Script:
         ht = self.tree.require_checkpoint(target)
         v = sign_vote(self.keyring, index, source, target, hs, ht)
         self.pool.add(v)
-        self._trace.update(b"V" + repr(v.key).encode())
+        self._trace_line(f"{self.tree.get(target).timestamp}|vote|{v.key}")
         return v
 
     def votes(self, indexes, source: bytes, target: bytes) -> list[VoteData]:
         return [self.vote(i, source, target) for i in indexes]
 
     def send_block(self, block: Block, time: int, names=None) -> None:
-        for name in (names or self.views):
-            self._seq += 1
-            self.deliveries.append((time, self._seq, "block", block, name))
+        self.send("block", block, time, list(names or self.views))
 
     def send_vote(self, vote: VoteData, time: int, names=None) -> None:
-        for name in (names or self.views):
-            self._seq += 1
-            self.deliveries.append((time, self._seq, "vote", vote, name))
+        self.send("vote", vote, time, list(names or self.views))
 
     def finish(self, final_clock: int) -> None:
-        for time, _seq, kind, payload, name in sorted(self.deliveries,
-                                                      key=lambda d: (d[0], d[1])):
-            view = self.views[name]
-            if kind == "block":
-                view.receive_block(payload, time)
-            else:
-                view.receive_vote(payload, time)
-            self._trace.update(f"D{time}{name}{kind}".encode())
+        """Deliver every send, one delivery time at a time, checking
+        monotonicity after each; then move every view's clock on."""
+        while self.events:
+            self.deliver_due(self.events[0][0])
+            self._check_monotonic()
         for view in self.views.values():
             view.advance_clock(final_clock)
-
-    def world(self, extra: dict | None = None) -> RunWorld:
-        return RunWorld(self.cfg, self.tree, self.cache, self.pool, self.keyring,
-                        self.views, trace_digest=self._trace.hexdigest(),
-                        extra=extra)
 
 
 # -----------------------------------------------------------------------------
@@ -213,7 +188,7 @@ def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
         "checkpoints": {"c3": c3.hex(), "c4p": c4p.hex(), "c4q": c4q.hex(),
                         "c5p": p[25].id.hex(), "c5q": q[25].id.hex()},
     }
-    world = s.world(extra)
+    world = s.build_world(extra)
     invariants = sweep_invariants(world)
     return build_report(world, invariants)
 
@@ -319,7 +294,7 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
 
     # -- outcome analysis ----------------------------------------------------------
     extra = analyze_longrange(s, cfg, unlock_epoch, attackers)
-    world = s.world(extra)
+    world = s.build_world(extra)
     invariants = sweep_invariants(world)
     invariants["long_range_defended"] = extra["defended"]
     report = build_report(world, invariants)
@@ -456,6 +431,6 @@ def scenario_split_finality(cfg: ScenarioConfig) -> RunReport:
                         for i in sorted(side_a)},
         "heads": {name: s.views[name].head().hex() for name in sorted(s.views)},
     }
-    world = s.world(extra)
+    world = s.build_world(extra)
     invariants = sweep_invariants(world)
     return build_report(world, invariants)

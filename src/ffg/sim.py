@@ -10,6 +10,19 @@ The proposal engine stands in for an external block producer: one block per
 tick extending the engine's fork-choice head, occasionally (per the configured
 fork rate) a sibling of the head instead, which models latency forks.
 
+`Network` is the one delivery engine.  It builds a run's world (keyring,
+genesis registry, shared block tree, chain-state cache, omniscient vote pool
+and client views), keeps the event heap and the trace, and checks that no
+view's justified or finalized count falls.  `Simulation` drives it with
+agents and a jittered broadcast; `ffg.scenarios.Script` drives it with staged
+sends.  The trace digest hashes one text line per event, in the order they
+happen, where t is the event's time:
+
+* ``t|block|id`` for a block entering the network (id in hex);
+* ``t|vote|key`` for a vote entering the network and the run's pool;
+* ``t|evidence|key`` for slashing evidence an agent submits;
+* ``t|deliver|name|kind`` for a block or vote delivered to view `name`.
+
 Events are heap entries (time, sequence number, kind, payload, view names),
 popped in (time, sequence) order, and each pops as one delivery per name in
 the order the names are listed.  A broadcast draws one jitter per non-sender
@@ -31,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
@@ -279,11 +293,10 @@ class Agent:
             return [self._sign(view.tree.root, target, 0, h_t)]
         if self._surround_stage == 1:
             self._surround_stage = 2
-            try:
-                inner_s = view.tree.ancestor_at(target, view.tree.spacing)
-                inner_t = view.tree.ancestor_at(target, 2 * view.tree.spacing)
-            except Exception:
-                return []
+            # validate() keeps from_epoch >= 3, so the target sits at height
+            # >= 3 * spacing and both ancestors exist
+            inner_s = view.tree.ancestor_at(target, view.tree.spacing)
+            inner_t = view.tree.ancestor_at(target, 2 * view.tree.spacing)
             return [self._sign(inner_s, inner_t, 1, 2)]
         source, h_s = self._source_for(target, h_t)
         if self._would_violate(h_s, h_t):
@@ -292,12 +305,14 @@ class Agent:
 
 
 # -----------------------------------------------------------------------------
-# The run loop
+# The network and the run loop
 # -----------------------------------------------------------------------------
 
-class Simulation:
-    def __init__(self, cfg: ScenarioConfig):
-        cfg.validate()
+class Network:
+    """A run's world and its one delivery engine: the event heap, the trace
+    and the monotonicity check (see the module docstring)."""
+
+    def __init__(self, cfg: ScenarioConfig, view_names):
         self.cfg = cfg
         self.proto = cfg.protocol
         self.keyring = Keyring(cfg.seed)
@@ -310,35 +325,77 @@ class Simulation:
         self.tree = BlockTree(self.proto.spacing, self.proto.hash_name)
         self.cache = ChainStateCache(self.tree, self.proto, self.keyring, registry)
         self.pool = VotePool(self.keyring)        # omniscient pool for audits
-        self.rng_net = random.Random(cfg.seed ^ 0x6E65745F)
-        self.rng_prop = random.Random(cfg.seed ^ 0x70726F70)
-
-        self.views: dict[str, ClientView] = {}
-        self.agents: dict[str, Agent] = {}
-        for spec in cfg.validators:
-            view = ClientView(f"v{spec.index}", self.proto, self.keyring, self.cache)
-            self.views[view.name] = view
-            self.agents[view.name] = Agent(spec, view, self.keyring)
-        for i in range(cfg.observers):
-            view = ClientView(f"client{i}", self.proto, self.keyring, self.cache)
-            self.views[view.name] = view
-        self.proposer = ClientView("proposer", self.proto, self.keyring, self.cache)
-        self.views[self.proposer.name] = self.proposer
-
+        self.views: dict[str, ClientView] = {
+            name: ClientView(name, self.proto, self.keyring, self.cache)
+            for name in view_names}
         self.events: list[tuple[int, int, str, object, list[str]]] = []
         self._seq = 0
-        self.pending_evidence: dict[tuple, SlashEvidence] = {}
-        # keys of pending_evidence in ascending order
-        self._pending_keys: list[tuple] = []
         self._trace = hashlib.sha256()
+        # the largest jitter a broadcast drew; scripted sends draw none, so
+        # their delivery delay is not measured
         self._max_jitter = 0
         self._monotonic_ok = True
         self._mono_counts: dict[str, tuple[int, int]] = {}
 
-    # -- plumbing ----------------------------------------------------------------
-
     def _trace_line(self, text: str) -> None:
         self._trace.update((text + "\n").encode())
+
+    def send(self, kind: str, payload, time: int, names: list[str]) -> None:
+        """One heap entry: deliver `payload` at `time` to `names`, in order."""
+        self._seq += 1
+        heapq.heappush(self.events, (time, self._seq, kind, payload, names))
+
+    def deliver(self, kind: str, payload, name: str, now: int) -> None:
+        view = self.views[name]
+        self._trace_line(f"{now}|deliver|{name}|{kind}")
+        if kind == "block":
+            view.receive_block(payload, now)
+        else:
+            view.receive_vote(payload, now)
+
+    def deliver_due(self, until) -> None:
+        """Deliver every event due at or before `until`, in heap order."""
+        events = self.events
+        deliver = self.deliver
+        while events and events[0][0] <= until:
+            t, _seq, kind, payload, names = heapq.heappop(events)
+            for name in names:
+                deliver(kind, payload, name, t)
+
+    def _check_monotonic(self) -> None:
+        """Record whether any view's justified or finalized count fell since
+        the last check; run after each delivery time's deliveries."""
+        for view in self.views.values():
+            j, f = len(view.fstate.justified), len(view.observed_finalized)
+            old = self._mono_counts.get(view.name, (0, 0))
+            if j < old[0] or f < old[1]:
+                self._monotonic_ok = False
+            self._mono_counts[view.name] = (j, f)
+
+    def build_world(self, extra: dict | None = None) -> "RunWorld":
+        return RunWorld(self.cfg, self.tree, self.cache, self.pool, self.keyring,
+                        self.views, self._trace.hexdigest(), extra,
+                        delivery_ok=self._max_jitter <= self.proto.delta,
+                        monotonic_ok=self._monotonic_ok)
+
+
+class Simulation(Network):
+    def __init__(self, cfg: ScenarioConfig):
+        cfg.validate()
+        agent_names = [f"v{spec.index}" for spec in cfg.validators]
+        observers = [f"client{i}" for i in range(cfg.observers)]
+        super().__init__(cfg, agent_names + observers + ["proposer"])
+        self.rng_net = random.Random(cfg.seed ^ 0x6E65745F)
+        self.rng_prop = random.Random(cfg.seed ^ 0x70726F70)
+        self.agents: dict[str, Agent] = {
+            name: Agent(spec, self.views[name], self.keyring)
+            for name, spec in zip(agent_names, cfg.validators)}
+        self.proposer = self.views["proposer"]
+        self.pending_evidence: dict[tuple, SlashEvidence] = {}
+        # keys of pending_evidence in ascending order
+        self._pending_keys: list[tuple] = []
+
+    # -- plumbing ----------------------------------------------------------------
 
     def _broadcast(self, kind: str, payload, sender: str, now: int) -> None:
         """Schedule `payload` for every view, one heap entry per delivery
@@ -351,8 +408,7 @@ class Simulation:
             by_time.setdefault(now + jitter, []).append(name)
         self._max_jitter = max(self._max_jitter, max(by_time) - now)
         for time, names in by_time.items():
-            self._seq += 1
-            heapq.heappush(self.events, (time, self._seq, kind, payload, names))
+            self.send(kind, payload, time, names)
 
     def broadcast_block(self, block: Block, now: int) -> None:
         self._trace_line(f"{now}|block|{block.id.hex()}")
@@ -417,16 +473,6 @@ class Simulation:
 
     # -- delivery ----------------------------------------------------------------
 
-    def _check_monotonic(self) -> None:
-        """Record whether any view's justified or finalized count fell since
-        the last check; run after each tick's deliveries."""
-        for view in self.views.values():
-            j, f = len(view.fstate.justified), len(view.observed_finalized)
-            old = self._mono_counts.get(view.name, (0, 0))
-            if j < old[0] or f < old[1]:
-                self._monotonic_ok = False
-            self._mono_counts[view.name] = (j, f)
-
     def deliver(self, kind: str, payload, name: str, now: int) -> None:
         view = self.views[name]
         self._trace_line(f"{now}|deliver|{name}|{kind}")
@@ -447,21 +493,14 @@ class Simulation:
     def run_loop(self) -> None:
         total_ticks = self.cfg.duration_epochs * self.proto.spacing
         drain = self.proto.delta + 1
-        events = self.events
         for now in range(1, total_ticks + drain + 1):
-            while events and events[0][0] <= now - 1:
-                t, _seq, kind, payload, names = heapq.heappop(events)
-                for name in names:
-                    self.deliver(kind, payload, name, t)
+            self.deliver_due(now - 1)
             self._check_monotonic()
             for view in self.views.values():
                 view.advance_clock(now)
             if now <= total_ticks:
                 self.propose(now)
-        while events:
-            t, _seq, kind, payload, names = heapq.heappop(events)
-            for name in names:
-                self.deliver(kind, payload, name, t)
+        self.deliver_due(math.inf)
         self._check_monotonic()
 
 
@@ -515,21 +554,22 @@ class RunWorld:
 
     def __init__(self, cfg: ScenarioConfig, tree: BlockTree, cache: ChainStateCache,
                  pool: VotePool, keyring: Keyring, views: dict[str, ClientView],
-                 agents: dict[str, Agent] | None = None, trace_digest: str = "",
-                 extra: dict | None = None):
+                 trace_digest: str = "", extra: dict | None = None,
+                 delivery_ok: bool = True, monotonic_ok: bool = True):
         self.cfg = cfg
         self.tree = tree
         self.cache = cache
         self.pool = pool
         self.keyring = keyring
         self.views = views
-        self.agents = agents or {}
         self.trace_digest = trace_digest
         self.extra = extra or {}
+        # verdicts of the network's own checks; see `Network.build_world`
+        self.delivery_ok = delivery_ok
+        self.monotonic_ok = monotonic_ok
 
 
-def sweep_invariants(world: RunWorld, delivery_bound_ok: bool = True,
-                     monotonic_ok: bool = True) -> dict:
+def sweep_invariants(world: RunWorld) -> dict:
     cfg = world.cfg
     tree, pool, cache = world.tree, world.pool, world.cache
     stitching = cfg.protocol.stitching
@@ -595,8 +635,8 @@ def sweep_invariants(world: RunWorld, delivery_bound_ok: bool = True,
         "link_properties": properties,
         "link_properties_ok": properties_ok,
         "honest_never_slashed": honest_unslashed,
-        "delivery_within_delta": delivery_bound_ok,
-        "justified_finalized_monotonic": monotonic_ok,
+        "delivery_within_delta": world.delivery_ok,
+        "justified_finalized_monotonic": world.monotonic_ok,
         "accountability": accountability,
     }
 
@@ -761,10 +801,5 @@ def run(cfg: ScenarioConfig) -> RunReport:
 
     sim = Simulation(cfg)
     sim.run_loop()
-    world = RunWorld(cfg, sim.tree, sim.cache, sim.pool, sim.keyring, sim.views,
-                     sim.agents, sim._trace.hexdigest())
-    invariants = sweep_invariants(
-        world,
-        delivery_bound_ok=sim._max_jitter <= cfg.protocol.delta,
-        monotonic_ok=sim._monotonic_ok)
-    return build_report(world, invariants)
+    world = sim.build_world()
+    return build_report(world, sweep_invariants(world))

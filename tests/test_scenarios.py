@@ -1,4 +1,8 @@
-from ffg.scenarios import (dynamic_attack_config, long_range_config,
+import hashlib
+from dataclasses import replace
+
+import ffg.scenarios
+from ffg.scenarios import (Script, dynamic_attack_config, long_range_config,
                            split_finality_config)
 from ffg.sim import run
 
@@ -110,3 +114,63 @@ def test_scenarios_are_deterministic():
                         (split_finality_config, None)):
         cfg = cfg_fn(arg) if arg is not None else cfg_fn()
         assert run(cfg).digest() == run(cfg).digest()
+
+
+class RecordingScript(Script):
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.delivered = []
+
+    def deliver(self, kind, payload, name, now):
+        self.delivered.append((now, name, payload))
+        super().deliver(kind, payload, name, now)
+
+
+def test_script_delivers_in_time_then_send_then_listed_name_order():
+    s = RecordingScript(replace(split_finality_config(), observers=3))
+    blocks = [s.tree.get(s.tree.root)]
+    for h in range(1, 6):
+        blocks.append(s.extend(blocks[-1].id, h))
+    b1, b2, b5 = blocks[1], blocks[2], blocks[5]
+    vote = s.vote(0, s.tree.root, b5.id)
+    s.send_block(b2, 5, names=["client2", "client0"])
+    s.send_block(b1, 3)
+    s.send_vote(vote, 5, names=["client1"])
+    s.send_block(b2, 3, names=["client1", "client2"])
+    s.send_block(b1, 4, names=["client0"])
+    s.finish(final_clock=6)
+    assert s.delivered == [
+        (3, "client0", b1), (3, "client1", b1), (3, "client2", b1),
+        (3, "client1", b2), (3, "client2", b2),
+        (4, "client0", b1),
+        (5, "client2", b2), (5, "client0", b2), (5, "client1", vote)]
+    # the simulator's trace lines: blocks and votes as built, then deliveries
+    lines = [f"{b.height}|block|{b.id.hex()}" for b in blocks[1:]]
+    lines.append(f"5|vote|{vote.key}")
+    lines += [f"{t}|deliver|{name}|{'vote' if p is vote else 'block'}"
+              for t, name, p in s.delivered]
+    expected = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    assert s.build_world().trace_digest == expected.hexdigest()
+
+
+class UnjustifyingScript(Script):
+    """Empties client0's justified set, but for the root, once it has
+    justified two checkpoints beyond the root."""
+
+    emptied = False
+
+    def deliver(self, kind, payload, name, now):
+        justified = self.views["client0"].fstate.justified
+        if not self.emptied and len(justified) > 2:
+            justified.intersection_update({self.tree.root})
+            self.emptied = True
+        super().deliver(kind, payload, name, now)
+
+
+def test_script_reports_a_shrinking_justified_set(monkeypatch):
+    cfg = dynamic_attack_config(stitching=True)
+    assert run(cfg).invariants["justified_finalized_monotonic"]
+    monkeypatch.setattr(ffg.scenarios, "Script", UnjustifyingScript)
+    report = run(cfg)
+    assert not report.invariants["justified_finalized_monotonic"]
+    assert not report.passed

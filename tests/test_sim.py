@@ -187,6 +187,11 @@ def test_config_roundtrip_and_validation():
     dup["validators"] = [{"index": 0, "deposit": 5}, {"index": 0, "deposit": 5}]
     with pytest.raises(ConfigInvalid):
         config_from_dict(dup)
+    early = dict(data)
+    early["validators"] = [{"index": 0, "deposit": 5,
+                            "behavior": {"kind": "surround_voter", "from_epoch": 2}}]
+    with pytest.raises(ConfigInvalid):
+        config_from_dict(early)
 
 
 def test_report_votes_and_blocks_reconstructable():
