@@ -414,10 +414,6 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
     return st
 
 
-# ChainStateCache.countable's memo lookup default for a vote not yet classified
-_UNSEEN = object()
-
-
 class ChainStateCache:
     """Per-run verdicts shared by every client view of one run.
 
@@ -443,8 +439,8 @@ class ChainStateCache:
         self.states: dict[bytes, ChainState] = {
             tree.root: genesis_state(tree.root, genesis_registry.clone(),
                                      cfg.stitching)}
-        # vote -> its target's snapshot when COUNTABLE, else None
-        self._countable: dict[VoteData, DynastySnapshot | None] = {}
+        # id(vote) -> (vote, its target's snapshot when COUNTABLE, else None)
+        self._countable: dict[int, tuple[VoteData, DynastySnapshot | None]] = {}
         # validator index -> its distinct votes, in the order first seen
         self._history: dict[int, list[VoteData]] = {}
         # vote key -> {partner's key: Violation(partner, vote)}
@@ -478,17 +474,20 @@ class ChainStateCache:
         fixed, since a source that is an ancestor of the target is in the
         tree already and one that is not never becomes one.  A view whose
         tree holds both endpoints gets the same class from its own tree,
-        because ids are digests and the two trees hold the same blocks."""
-        snap = self._countable.get(vote, _UNSEEN)
-        if snap is not _UNSEEN:
-            return snap
+        because ids are digests and the two trees hold the same blocks.
+
+        Memoized by object identity, as `Keyring.verify` is: a value-equal
+        copy is classified again, to the same verdict."""
+        entry = self._countable.get(id(vote))
+        if entry is not None and entry[0] is vote:
+            return entry[1]
         if vote.target not in self.tree:
             return None
         snap = None
         if classify_vote(self.tree, self.snapshot_for, self.keyring,
                          vote) is VoteClass.COUNTABLE:
             snap = self.snapshot_for(vote.target)
-        self._countable[vote] = snap
+        self._countable[id(vote)] = (vote, snap)
         return snap
 
     def conflict_partners(self, vote: VoteData) -> dict[tuple, Violation]:

@@ -118,8 +118,6 @@ class ClientView:
         self.tree = BlockTree(cfg.spacing, cfg.hash_name, trusted=cache.tree)
         self.pool = VotePool(keyring)
         self.fstate = FinalityState(cache)
-        self.receipt_order: dict[bytes, int] = {self.tree.root: 0}
-        self.receipt_time: dict[bytes, int] = {self.tree.root: 0}
         self._seq = 0
         self.first_seen_finalized: dict[int, bytes] = {0: self.tree.root}
         self.finalizable: dict[bytes, bool] = {self.tree.root: True}
@@ -168,8 +166,6 @@ class ClientView:
     def _insert(self, block: Block, now: int) -> list[bytes]:
         self.tree.insert_block(block)
         self._seq += 1
-        self.receipt_order[block.id] = self._seq
-        self.receipt_time[block.id] = now
         # the too-old rule is judged when the block is first presented: a block
         # tracked live stays finalizable; one that shows up already stale never is
         self.finalizable[block.id] = block.timestamp >= now - self.cfg.delta

@@ -23,6 +23,10 @@ happen, where t is the event's time:
 * ``t|evidence|key`` for slashing evidence an agent submits;
 * ``t|deliver|name|kind`` for a block or vote delivered to view `name`.
 
+Lines are buffered in emission order and hashed with one digest update per
+`deliver_due` call, so once per delivery time (and by `build_world` for any
+left over); the digest is that of the lines hashed one by one.
+
 Events are heap entries (time, sequence number, kind, payload, view names),
 popped in (time, sequence) order, and each pops as one delivery per name in
 the order the names are listed.  A broadcast draws one jitter per non-sender
@@ -74,6 +78,8 @@ SPLIT_FINALITY = "split_finality"
 DYNAMIC_ATTACK = "dynamic_attack"
 
 SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
+# the scripted kinds (`ffg.scenarios`) send to client0 and client1 by name
+SCRIPTED_OBSERVERS = 2
 
 SCHEMA_VERSION = 1
 
@@ -111,6 +117,10 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown scenario kind {self.scenario!r}")
         if self.duration_epochs < 1:
             raise ConfigInvalid("duration must be >= 1 epoch")
+        if self.scenario != GENERIC and self.observers != SCRIPTED_OBSERVERS:
+            raise ConfigInvalid(
+                f"scenario {self.scenario!r} needs observers: "
+                f"{SCRIPTED_OBSERVERS}, got {self.observers}")
         if not self.validators:
             raise ConfigInvalid("at least one validator required")
         seen = set()
@@ -331,6 +341,8 @@ class Network:
         self.events: list[tuple[int, int, str, object, list[str]]] = []
         self._seq = 0
         self._trace = hashlib.sha256()
+        # trace lines not yet hashed, in emission order
+        self._lines: list[str] = []
         # the largest jitter a broadcast drew; scripted sends draw none, so
         # their delivery delay is not measured
         self._max_jitter = 0
@@ -338,7 +350,16 @@ class Network:
         self._mono_counts: dict[str, tuple[int, int]] = {}
 
     def _trace_line(self, text: str) -> None:
-        self._trace.update((text + "\n").encode())
+        self._lines.append(text)
+
+    def _hash_lines(self) -> None:
+        """Feed the buffered trace lines to the digest, each ending in a
+        newline, with one update."""
+        lines = self._lines
+        if lines:
+            lines.append("")
+            self._trace.update("\n".join(lines).encode())
+            lines.clear()
 
     def send(self, kind: str, payload, time: int, names: list[str]) -> None:
         """One heap entry: deliver `payload` at `time` to `names`, in order."""
@@ -361,6 +382,7 @@ class Network:
             t, _seq, kind, payload, names = heapq.heappop(events)
             for name in names:
                 deliver(kind, payload, name, t)
+        self._hash_lines()
 
     def _check_monotonic(self) -> None:
         """Record whether any view's justified or finalized count fell since
@@ -373,6 +395,7 @@ class Network:
             self._mono_counts[view.name] = (j, f)
 
     def build_world(self, extra: dict | None = None) -> "RunWorld":
+        self._hash_lines()
         return RunWorld(self.cfg, self.tree, self.cache, self.pool, self.keyring,
                         self.views, self._trace.hexdigest(), extra,
                         delivery_ok=self._max_jitter <= self.proto.delta,
@@ -391,6 +414,10 @@ class Simulation(Network):
             name: Agent(spec, self.views[name], self.keyring)
             for name, spec in zip(agent_names, cfg.validators)}
         self.proposer = self.views["proposer"]
+        # agents whose heard violations become evidence
+        self._reporters = frozenset(
+            name for name, agent in self.agents.items()
+            if agent.spec.behavior.kind != OFFLINE)
         self.pending_evidence: dict[tuple, SlashEvidence] = {}
         # keys of pending_evidence in ascending order
         self._pending_keys: list[tuple] = []
@@ -399,12 +426,23 @@ class Simulation(Network):
 
     def _broadcast(self, kind: str, payload, sender: str, now: int) -> None:
         """Schedule `payload` for every view, one heap entry per delivery
-        time; see the module docstring for why the order is kept."""
+        time; see the module docstring for why the order is kept.
+
+        Each jitter is `randint(0, delta)` drawn inline: CPython draws it as
+        `getrandbits(k)` with k the bit length of delta + 1, drawing again
+        while the value exceeds delta, and so does this loop, consuming the
+        same stream."""
         delta = self.proto.delta
-        randint = self.rng_net.randint
+        bits = (delta + 1).bit_length()
+        getrandbits = self.rng_net.getrandbits
         by_time: dict[int, list[str]] = {}
         for name in self.views:
-            jitter = 0 if name == sender else randint(0, delta)
+            if name == sender:
+                jitter = 0
+            else:
+                jitter = getrandbits(bits)
+                while jitter > delta:
+                    jitter = getrandbits(bits)
             by_time.setdefault(now + jitter, []).append(name)
         self._max_jitter = max(self._max_jitter, max(by_time) - now)
         for time, names in by_time.items():
@@ -485,8 +523,7 @@ class Simulation(Network):
                     self.broadcast_vote(vote, name, now)
         elif kind == "vote":
             new_violations = view.receive_vote(payload, now)
-            agent = self.agents.get(name)
-            if agent is not None and agent.spec.behavior.kind != OFFLINE:
+            if new_violations and name in self._reporters:
                 for violation in new_violations:
                     self.submit_evidence(violation, now)
 

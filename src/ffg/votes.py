@@ -30,14 +30,21 @@ from .validators import ValidatorId
 
 
 class Keyring:
-    """Per-run key material: secrets, public keys, signing, verification."""
+    """Per-run key material: secrets, public keys, signing, verification.
+
+    `verify` memoizes its verdicts by object identity: a run sends one vote
+    object to every view, so each view after the first reads the verdict
+    without hashing the vote.  Each entry holds its vote, so the vote's id
+    cannot be reused by another object while the entry lives; a value-equal
+    copy is a different object and is judged again, to the same verdict.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._secrets: dict[int, bytes] = {}
         self._ids: dict[int, ValidatorId] = {}
-        # verdicts by the whole vote: the pubkey and signature are checked too
-        self._verified: dict[VoteData, bool] = {}
+        # id(vote) -> (vote, verdict)
+        self._verified: dict[int, tuple[VoteData, bool]] = {}
 
     def register(self, index: int) -> ValidatorId:
         if index not in self._secrets:
@@ -55,10 +62,9 @@ class Keyring:
         return hmac.new(self._secrets[index], message, hashlib.sha256).digest()
 
     def verify(self, vote: VoteData) -> bool:
-        # the same vote is verified once per view; memoize per run
-        cached = self._verified.get(vote)
-        if cached is not None:
-            return cached
+        entry = self._verified.get(id(vote))
+        if entry is not None and entry[0] is vote:
+            return entry[1]
         vid = self._ids.get(vote.validator_index)
         if vid is None or vid.pubkey != vote.validator_pubkey:
             return False
@@ -67,7 +73,7 @@ class Keyring:
         expect = hmac.new(self._secrets[vote.validator_index], core,
                           hashlib.sha256).digest()
         ok = hmac.compare_digest(expect, vote.signature)
-        self._verified[vote] = ok
+        self._verified[id(vote)] = (vote, ok)
         return ok
 
 
@@ -118,13 +124,18 @@ class VotePool:
 
     Duplicates (same five-tuple) are ignored.  Votes that fail chain-dependent
     checks stay in the pool: the slashing scanner must see them.
+
+    `by_validator` grows with each add, since views read it per vote.
+    `by_link` is built on first read and dropped by the next add: only the
+    run's omniscient pool is read by link, in the sweep and the audit, after
+    every vote is in, so a view's pool never builds it.
     """
 
     def __init__(self, keyring: Keyring):
         self.keyring = keyring
         self.votes: list[VoteData] = []
         self.by_validator: dict[int, list[VoteData]] = {}
-        self.by_link: dict[tuple[bytes, bytes], list[VoteData]] = {}
+        self._by_link: dict[tuple[bytes, bytes], list[VoteData]] | None = None
         self._keys: set[tuple] = set()
 
     def __len__(self) -> int:
@@ -143,8 +154,18 @@ class VotePool:
         self._keys.add(key)
         self.votes.append(vote)
         self.by_validator.setdefault(vote.validator_index, []).append(vote)
-        self.by_link.setdefault((vote.source, vote.target), []).append(vote)
+        self._by_link = None
         return True
+
+    @property
+    def by_link(self) -> dict[tuple[bytes, bytes], list[VoteData]]:
+        """(source, target) -> the pool's votes for that link, in pool order."""
+        if self._by_link is None:
+            index: dict[tuple[bytes, bytes], list[VoteData]] = {}
+            for vote in self.votes:
+                index.setdefault((vote.source, vote.target), []).append(vote)
+            self._by_link = index
+        return self._by_link
 
     def link_votes(self, source: bytes, target: bytes) -> list[VoteData]:
         return self.by_link.get((source, target), [])

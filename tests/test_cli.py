@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from ffg.cli import main
 from ffg.sim import RunWorld, build_report, config_to_dict, run
-from ffg.scenarios import dynamic_attack_config
+from ffg.scenarios import (dynamic_attack_config, long_range_config,
+                           split_finality_config)
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -65,6 +69,16 @@ def test_run_seed_override_changes_digest(tmp_path, capsys):
     main(["run", "--scenario", str(path), "--seed", "99"])
     second = capsys.readouterr().out
     assert first != second
+
+
+@pytest.mark.parametrize("observers", [1, 3])
+def test_run_scripted_scenario_with_other_observer_count_exits_one(
+        tmp_path, capsys, observers):
+    for cfg in (dynamic_attack_config(stitching=True), long_range_config(5),
+                split_finality_config()):
+        path = write_scenario(tmp_path, replace(cfg, observers=observers))
+        assert main(["run", "--scenario", str(path)]) == 1
+        assert "observers" in capsys.readouterr().err
 
 
 def test_check_valid_and_invalid(tmp_path, capsys):

@@ -589,3 +589,36 @@ def test_plan_safe_for_histories():
                              slashed=frozenset())
     if plan_low.source_height < 3 and plan_low.middle_height > 4:
         assert not plan_safe_for(plan_low, wild)
+
+
+def test_countable_memo_gives_copies_the_same_verdict():
+    w = make_world()
+    c1 = first_checkpoint(w).id
+    genuine = sign_vote(w.keyring, 0, w.tree.root, c1, 0, 1)
+    forged = replace(genuine, signature=bytes(32))
+    wrong = replace(genuine, validator_pubkey=w.keyring.vid(1).pubkey)
+    snap = w.cache.countable(genuine)
+    assert snap is not None and snap is w.cache.snapshot_for(c1)
+    assert w.cache.countable(replace(genuine)) is snap
+    for _ in range(2):
+        assert w.cache.countable(forged) is None
+        assert w.cache.countable(replace(forged)) is None
+        assert w.cache.countable(wrong) is None
+    assert w.cache.countable(genuine) is snap
+
+
+def test_countable_memo_never_returns_a_stale_verdict_for_short_lived_votes():
+    # valid and forged votes, each dropped after its check; validators 3 and
+    # 4 sign validly but hold no deposit, so their votes never count
+    w = make_world()
+    c1 = first_checkpoint(w).id
+    for i in range(3000):
+        vote = sign_vote(w.keyring, i % 5, w.tree.root, c1, 0, 1)
+        forged = i % 2 == 1
+        if forged:
+            vote = replace(vote, signature=bytes(32))
+        counts = not forged and i % 5 < 3
+        assert (w.cache.countable(vote) is not None) is counts
+        # the keyring's memo holds every vote it judged; drop it, so only
+        # the countable memo can keep a vote (and its id) alive
+        w.keyring._verified.clear()

@@ -1,10 +1,13 @@
 import hashlib
 from dataclasses import replace
 
+import pytest
+
 import ffg.scenarios
+from ffg.errors import ConfigInvalid
 from ffg.scenarios import (Script, dynamic_attack_config, long_range_config,
                            split_finality_config)
-from ffg.sim import run
+from ffg.sim import config_from_dict, config_to_dict, run
 
 
 def test_dynamic_attack_unstitched_dual_finalizes_unpunished():
@@ -174,3 +177,17 @@ def test_script_reports_a_shrinking_justified_set(monkeypatch):
     report = run(cfg)
     assert not report.invariants["justified_finalized_monotonic"]
     assert not report.passed
+
+
+SCRIPTED_CONFIGS = (dynamic_attack_config(stitching=True), long_range_config(5),
+                    split_finality_config())
+
+
+@pytest.mark.parametrize("observers", [1, 3])
+def test_scripted_scenarios_reject_observer_counts_they_cannot_serve(observers):
+    # the scripts send to client0 and client1 by name
+    for cfg in SCRIPTED_CONFIGS:
+        data = config_to_dict(replace(cfg, observers=observers))
+        with pytest.raises(ConfigInvalid, match="observers"):
+            config_from_dict(data)
+        assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -1,5 +1,7 @@
+import hashlib
 import heapq
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -266,3 +268,59 @@ def test_grouped_events_deliver_in_per_view_order_on_fuzz_worlds():
 
 def test_grouped_events_deliver_in_per_view_order_on_long_horizon_world():
     order_checked_run(long_horizon_shaped(3))
+
+
+def broadcast_jitters(sim, sender, now):
+    """The jitter `_broadcast` gave each non-sender view, in view order."""
+    sim.events.clear()
+    sim._broadcast("vote", None, sender, now)
+    at = {name: t - now for t, _seq, _kind, _payload, names in sim.events
+          for name in names}
+    assert at.pop(sender) == 0 and len(at) == len(sim.views) - 1
+    return [at[name] for name in sim.views if name != sender]
+
+
+@pytest.mark.parametrize("delta", range(9))
+def test_broadcast_jitter_is_the_randint_stream(delta):
+    # the inline getrandbits draw must consume exactly what randint(0, delta)
+    # would: the same values and the same generator state afterwards
+    for seed in (0, 1, 0x6E65745F, 2**40 + 3):
+        sim = Simulation(base_config(n=4, delta=delta))
+        sim.rng_net = random.Random(seed)
+        reference = random.Random(seed)
+        names = list(sim.views)
+        drawn, expected = [], []
+        while len(drawn) < 1000:
+            sender = names[len(drawn) % len(names)]
+            drawn += broadcast_jitters(sim, sender, 10)
+            expected += [reference.randint(0, delta) for _ in names[1:]]
+        assert drawn == expected
+        assert set(drawn) == set(range(delta + 1))
+        assert sim.rng_net.getstate() == reference.getstate()
+
+
+class TraceRecordingSimulation(Simulation):
+    """Keeps the text of every trace line, in the order they are emitted."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.lines = []
+
+    def _trace_line(self, text):
+        self.lines.append(text)
+        super()._trace_line(text)
+
+
+def test_trace_digest_hashes_every_line_in_emission_order():
+    cfg = fuzz_config(18)         # delta 2, two double voters from epoch 1
+    assert cfg.protocol.delta == 2
+    assert sum(v.behavior.kind == DOUBLE_VOTER for v in cfg.validators) == 2
+    sim = TraceRecordingSimulation(cfg)
+    sim.run_loop()
+    kinds = [line.split("|")[1] for line in sim.lines]
+    # evidence lines sit between deliveries, not at the edges of a time
+    assert any(kinds[i - 1] == kinds[i + 1] == "deliver" and kinds[i] == "evidence"
+               for i in range(1, len(kinds) - 1))
+    expected = hashlib.sha256("".join(line + "\n" for line in sim.lines).encode())
+    assert sim.build_world().trace_digest == expected.hexdigest()
+    assert run(cfg).trace_digest == expected.hexdigest()

@@ -131,3 +131,40 @@ def test_vote_key_is_computed_once_and_left_out_of_identity(keyring):
     assert stale == v and hash(stale) == hash(v)
     assert repr(stale) == repr(v) and " key=" not in repr(v)
     assert stale.encode() == v.encode()
+
+
+def test_verify_memo_gives_copies_the_same_verdict(keyring):
+    s, t = b"\x01" * 32, b"\x02" * 32
+    genuine = sign_vote(keyring, 0, s, t, 0, 1)
+    forged = replace(genuine, signature=bytes(32))
+    wrong = replace(genuine, validator_pubkey=keyring.register(1).pubkey)
+    assert keyring.verify(genuine)
+    # value-equal copies are other objects, judged again to the same verdict
+    assert keyring.verify(replace(genuine))
+    for _ in range(2):
+        assert not keyring.verify(forged)
+        assert not keyring.verify(replace(forged))
+        assert not keyring.verify(wrong)
+    assert keyring.verify(genuine)
+
+
+def test_verify_memo_hits_only_for_the_same_object(keyring):
+    genuine = sign_vote(keyring, 0, b"\x01" * 32, b"\x02" * 32, 0, 1)
+    forged = replace(genuine, signature=bytes(32))
+    # an entry under the forgery's id that belongs to another object
+    keyring._verified[id(forged)] = (genuine, True)
+    assert not keyring.verify(forged)
+
+
+def test_verify_memo_never_returns_a_stale_verdict_for_short_lived_votes(keyring):
+    # each vote is dropped after its check, so a memo keyed by a bare id
+    # would meet recycled ids; every verdict must still be the vote's own
+    s, t = b"\x01" * 32, b"\x02" * 32
+    pubkeys = [keyring.register(i).pubkey for i in range(4)]
+    for i in range(3000):
+        vote = sign_vote(keyring, i % 4, s, t, i % 7, 7 + i % 5)
+        if i % 3 == 1:
+            vote = replace(vote, signature=bytes(32))
+        elif i % 3 == 2:
+            vote = replace(vote, validator_pubkey=pubkeys[(i + 1) % 4])
+        assert keyring.verify(vote) is (i % 3 == 0)
