@@ -80,6 +80,8 @@ DYNAMIC_ATTACK = "dynamic_attack"
 SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
 # the scripted kinds (`ffg.scenarios`) send to client0 and client1 by name
 SCRIPTED_OBSERVERS = 2
+# config fields the scripted kinds never read, so they must keep their defaults
+SCRIPTED_UNREAD = ("proposer_fork_rate", "deposits", "withdraws", "censor_evidence")
 
 SCHEMA_VERSION = 1
 
@@ -117,10 +119,17 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown scenario kind {self.scenario!r}")
         if self.duration_epochs < 1:
             raise ConfigInvalid("duration must be >= 1 epoch")
-        if self.scenario != GENERIC and self.observers != SCRIPTED_OBSERVERS:
-            raise ConfigInvalid(
-                f"scenario {self.scenario!r} needs observers: "
-                f"{SCRIPTED_OBSERVERS}, got {self.observers}")
+        if self.scenario != GENERIC:
+            if self.observers != SCRIPTED_OBSERVERS:
+                raise ConfigInvalid(
+                    f"scenario {self.scenario!r} needs observers: "
+                    f"{SCRIPTED_OBSERVERS}, got {self.observers}")
+            unread = [name for name in SCRIPTED_UNREAD
+                      if getattr(self, name) != getattr(ScenarioConfig, name)]
+            if unread:
+                raise ConfigInvalid(
+                    f"scenario {self.scenario!r} does not read "
+                    f"{', '.join(unread)}: only the default is allowed")
         if not self.validators:
             raise ConfigInvalid("at least one validator required")
         seen = set()
@@ -606,25 +615,62 @@ class RunWorld:
         self.monotonic_ok = monotonic_ok
 
 
+def first_conflict(tree: BlockTree, checkpoints) -> tuple[bytes, bytes] | None:
+    """The first pair (a, b) of conflicting checkpoints, in the order of
+    `(i, j)`, i < j, over the id-sorted set; None when all lie on one chain.
+
+    Taken in height order, each checkpoint walks parent links down to the
+    nearest block already indexed (the root always is) and records the set's
+    members among its ancestors, itself included, as that block's plus
+    itself.  Every member below it was indexed first, and none lies strictly
+    between it and the block the walk stopped at, so two members conflict
+    exactly when neither is in the other's record.  Raises NotACheckpoint for
+    any member that is not a checkpoint.
+    """
+    cps = sorted(checkpoints)
+    heights = {cp: tree.require_checkpoint(cp) for cp in cps}
+    blocks = tree.blocks
+    ancestors: dict[bytes, frozenset] = {tree.root: frozenset()}
+    for cp in sorted(cps, key=heights.__getitem__):
+        cursor = cp
+        while cursor not in ancestors:
+            cursor = blocks[cursor].parent
+        ancestors[cp] = ancestors[cursor] | {cp}
+    for i, a in enumerate(cps):
+        below_a = ancestors[a]
+        for b in cps[i + 1:]:
+            if b not in below_a and a not in ancestors[b]:
+                return a, b
+    return None
+
+
 def sweep_invariants(world: RunWorld) -> dict:
+    """End-of-run checks over the run's shared tree, pool and views.
+
+    With F checkpoints finalized in any view, L voted links in the pool and
+    v_i votes by validator i:
+
+    * no conflicting finalization: `first_conflict` makes one parent walk
+      per finalized checkpoint, down to its nearest finalized ancestor (on
+      one chain, each block at most once in all), then at most F^2/2 pair
+      tests of two set lookups each;
+    * slashable weight: `scan` checks every pair of one validator's votes,
+      sum of v_i^2 / 2 pair checks;
+    * link properties: one `tally` per voted link and an L^2 nesting check;
+    * one justified checkpoint per height: one `compute_justified` pass;
+    * honest never slashed: every validator record at every leaf;
+    * accountability: one `safety_audit` of the first conflicting pair, only
+      when there is one and the validator set is static.
+    """
     cfg = world.cfg
     tree, pool, cache = world.tree, world.pool, world.cache
     stitching = cfg.protocol.stitching
 
     # conflicting finalization across client views
-    finalized_union: dict[bytes, str] = {}
-    for name in sorted(world.views):
-        for cp in world.views[name].observed_finalized:
-            finalized_union.setdefault(cp, name)
-    conflict_pair = None
-    cps = sorted(finalized_union)
-    for i in range(len(cps)):
-        for j in range(i + 1, len(cps)):
-            if tree.conflicting(cps[i], cps[j]):
-                conflict_pair = (cps[i], cps[j])
-                break
-        if conflict_pair:
-            break
+    finalized_union: set[bytes] = set()
+    for view in world.views.values():
+        finalized_union.update(view.observed_finalized)
+    conflict_pair = first_conflict(tree, finalized_union)
     safety_ok = conflict_pair is None
 
     violations = scan(pool)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,18 @@ def test_run_scripted_scenario_with_other_observer_count_exits_one(
         path = write_scenario(tmp_path, replace(cfg, observers=observers))
         assert main(["run", "--scenario", str(path)]) == 1
         assert "observers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
+    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),))])
+def test_run_scripted_scenario_with_a_field_it_never_reads_exits_one(
+        tmp_path, capsys, field, value):
+    for cfg in (dynamic_attack_config(stitching=True), long_range_config(5),
+                split_finality_config()):
+        path = write_scenario(tmp_path, replace(cfg, **{field: value}))
+        assert main(["run", "--scenario", str(path)]) == 1
+        assert field in capsys.readouterr().err
 
 
 def test_check_valid_and_invalid(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -191,3 +192,13 @@ def test_scripted_scenarios_reject_observer_counts_they_cannot_serve(observers):
         with pytest.raises(ConfigInvalid, match="observers"):
             config_from_dict(data)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("field, value", [
+    ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
+    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),))])
+def test_scripted_scenarios_reject_config_fields_they_never_read(field, value):
+    for cfg in SCRIPTED_CONFIGS:
+        data = config_to_dict(replace(cfg, **{field: value}))
+        with pytest.raises(ConfigInvalid, match=field):
+            config_from_dict(data)

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import json
 import os
 import random
 import subprocess
@@ -11,16 +12,21 @@ from pathlib import Path
 
 import pytest
 
+import ffg.scenarios
 import ffg.sim
+from ffg.chain import BlockTree
 from ffg.config import ProtocolConfig
-from ffg.errors import ConfigInvalid
+from ffg.errors import ConfigInvalid, NotACheckpoint
 from ffg.leak import LeakConfig, epochs_to_supermajority
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, OFFLINE, SURROUND_VOTER,
                      ScenarioConfig, Simulation, ValidatorSpec,
-                     config_from_dict, config_to_dict, run)
+                     config_from_dict, config_to_dict, first_conflict, run)
 
+from conftest import build_chain
 from test_acceptance import fuzz_config
 from test_fork_choice import long_horizon_shaped
+
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_config(n=4, epochs=6, seed=1, delta=2, fork_rate=Fraction(0),
@@ -324,3 +330,131 @@ def test_trace_digest_hashes_every_line_in_emission_order():
     expected = hashlib.sha256("".join(line + "\n" for line in sim.lines).encode())
     assert sim.build_world().trace_digest == expected.hexdigest()
     assert run(cfg).trace_digest == expected.hexdigest()
+
+
+def pairwise_first_conflict(tree, checkpoints):
+    """The search `first_conflict` replaced: `conflicting` on every pair."""
+    cps = sorted(checkpoints)
+    for i in range(len(cps)):
+        for j in range(i + 1, len(cps)):
+            if tree.conflicting(cps[i], cps[j]):
+                return cps[i], cps[j]
+    return None
+
+
+def corpus_configs():
+    names = sorted(json.loads((CORPUS / "digests.json").read_text()))
+    return [config_from_dict(json.loads((CORPUS / name).read_text()))
+            for name in names]
+
+
+def swept_worlds(monkeypatch, cfgs):
+    """(tree, finalized union) of each run, as its invariant sweep saw them."""
+    seen = []
+    sweep = ffg.sim.sweep_invariants
+
+    def capture(world):
+        union = set()
+        for view in world.views.values():
+            union.update(view.observed_finalized)
+        seen.append((world.tree, union))
+        return sweep(world)
+
+    monkeypatch.setattr(ffg.sim, "sweep_invariants", capture)
+    monkeypatch.setattr(ffg.scenarios, "sweep_invariants", capture)
+    for cfg in cfgs:
+        run(cfg)
+    return seen
+
+
+def test_first_conflict_matches_pairwise_search_on_corpus_and_fuzz_worlds(monkeypatch):
+    cfgs = corpus_configs() + [fuzz_config(seed) for seed in range(40)]
+    worlds = swept_worlds(monkeypatch, cfgs)
+    assert len(worlds) == len(cfgs)
+    found = [first_conflict(tree, union) for tree, union in worlds]
+    assert found == [pairwise_first_conflict(tree, union) for tree, union in worlds]
+    # dyn_attack_nostitch and split_finality finalize conflicting checkpoints
+    assert sum(pair is not None for pair in found) >= 2
+
+
+def branching_tree():
+    """Spacing 2: a 40-block trunk and five branches off it."""
+    tree = BlockTree(spacing=2)
+    trunk = build_chain(tree, 40)
+    branches = [build_chain(tree, length, start=trunk[fork].id, t0=100 * (k + 1))
+                for k, (fork, length) in enumerate(
+                    [(3, 12), (9, 20), (9, 7), (20, 15), (31, 6)])]
+    checkpoints = [tree.root] + [b.id for b in tree.blocks.values()
+                                 if b.height and b.height % 2 == 0]
+    return tree, trunk, branches, checkpoints
+
+
+def test_first_conflict_matches_pairwise_search_on_a_branching_tree():
+    tree, _trunk, branches, checkpoints = branching_tree()
+    assert len(checkpoints) == 51
+    cps = sorted(checkpoints)
+    first = first_conflict(tree, checkpoints)
+    assert first == pairwise_first_conflict(tree, checkpoints)
+    assert first is not None and first != (cps[0], cps[1])
+    assert sum(tree.conflicting(a, b) for i, a in enumerate(cps)
+               for b in cps[i + 1:]) > 100
+    rng = random.Random(5)
+    conflicts = 0
+    for _ in range(300):
+        subset = rng.sample(checkpoints, rng.randint(0, 20))
+        pair = first_conflict(tree, subset)
+        assert pair == pairwise_first_conflict(tree, subset)
+        conflicts += pair is not None
+    assert 50 < conflicts < 300
+    # one branch plus the trunk below its fork: a chain, so no conflict
+    chain = [cp for cp in checkpoints if tree.is_ancestor(cp, branches[1][-1].id)]
+    assert len(chain) == 16
+    assert first_conflict(tree, chain) is None
+
+
+def test_first_conflict_finds_none_on_one_long_chain():
+    tree = BlockTree(spacing=5)
+    blocks = build_chain(tree, 500)
+    checkpoints = [tree.root] + [b.id for b in blocks if b.height % 5 == 0]
+    assert len(checkpoints) == 101
+    assert first_conflict(tree, checkpoints) is None
+    assert pairwise_first_conflict(tree, checkpoints) is None
+    assert first_conflict(tree, checkpoints[40:]) is None
+
+
+def test_first_conflict_rejects_a_non_checkpoint():
+    tree = BlockTree(spacing=5)
+    blocks = build_chain(tree, 30)
+    union = [tree.root, blocks[4].id, blocks[9].id, blocks[12].id]   # height 13
+    for search in (first_conflict, pairwise_first_conflict):
+        with pytest.raises(NotACheckpoint):
+            search(tree, union)
+    with pytest.raises(NotACheckpoint):
+        first_conflict(tree, [blocks[12].id])
+
+
+def test_sweep_tests_finalized_conflicts_without_pairwise_ancestry_walks(monkeypatch):
+    # the pairwise search made 6,867 ancestry calls in this sweep
+    cfg = config_from_dict(json.loads((CORPUS / "long_range_omega5.json").read_text()))
+    calls = []
+    inside = []
+    is_ancestor = BlockTree.is_ancestor
+    sweep = ffg.scenarios.sweep_invariants
+
+    def counting_is_ancestor(self, a, b):
+        if inside:
+            calls.append(1)
+        return is_ancestor(self, a, b)
+
+    def marked_sweep(world):
+        inside.append(world)
+        try:
+            return sweep(world)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BlockTree, "is_ancestor", counting_is_ancestor)
+    monkeypatch.setattr(ffg.scenarios, "sweep_invariants", marked_sweep)
+    report = run(cfg)
+    assert report.invariants["safety_no_conflicting_finalized"]
+    assert 0 < len(calls) < 1000
