@@ -15,12 +15,15 @@ One core counts votes into justification, and two engines sit on top of it:
   finalization, slashing penalties, and withdrawals.  Each block's state is a
   pure function of its parent's state plus its payload, so states are
   memoized per block id and shared across forks.  The same per-run cache
-  holds the verdicts on votes that every client view shares: whether a vote
-  counts, and its slashing partners.
+  keeps one record per vote object (`VoteRecord`) with the verdicts every
+  client view shares: its signature, its slashing partners, and whether it
+  counts.
 
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
   with no inclusion requirement, and records each known checkpoint's height
-  and receipt order; fork choice reads its justified set per chain.
+  and receipt order; fork choice reads its justified set per chain.  It
+  takes votes as their run records, so counting one needs no lookup beyond
+  the view's own tally.
 
 A link s -> t, with t's block in dynasty d, is established when the tallied
 deposits reach 2/3 of the forward set of d and (when stitching is enabled)
@@ -414,6 +417,37 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
     return st
 
 
+# VoteRecord.snap until the vote is classified
+_UNCLASSIFIED = object()
+
+
+class VoteRecord:
+    """One vote object's verdicts for a whole run (`ChainStateCache.record`).
+
+    * `valid`: the signature verdict, read once when the record is made;
+    * `partners`: the vote's slashing partners and their violations
+      (`ChainStateCache.conflict_partners`), filled on the vote's first
+      fresh arrival in any view; None before;
+    * `snap`: the target's snapshot when the vote counts, else None; filled
+      (`ChainStateCache.classify`) the first time a view that has marked
+      both endpoints counts the vote, and `_UNCLASSIFIED` before.  It is
+      never filled before the shared tree holds the target: from then on
+      every input is fixed, since a source that is an ancestor of the target
+      is in the tree already and one that is not never becomes one.  A view
+      that has marked both endpoints holds both blocks, so its own tree
+      gives the same class, because ids are digests and the two trees hold
+      the same blocks.
+    """
+
+    __slots__ = ("vote", "valid", "partners", "snap")
+
+    def __init__(self, vote: VoteData, valid: bool):
+        self.vote = vote
+        self.valid = valid
+        self.partners: dict[tuple, Violation] | None = None
+        self.snap = _UNCLASSIFIED
+
+
 class ChainStateCache:
     """Per-run verdicts shared by every client view of one run.
 
@@ -422,10 +456,15 @@ class ChainStateCache:
 
     * the chain state after each block, keyed by block id: a pure function
       of the block and its ancestors;
-    * whether a vote counts, with its target's snapshot (`countable`);
-    * each vote's slashing partners among the run's votes, with the
-      violation each forms, in both orientations (`conflict_partners`): the
-      two conditions read only the votes' fields.
+    * one `VoteRecord` per vote object (`record`): its signature verdict,
+      its slashing partners and whether it counts.  A view finds the record
+      with one lookup per delivery and then does only view-local work: pool
+      membership, the violations it hears and its own tally.
+
+    Records are keyed by object identity, as `Keyring.verify` is: a run
+    sends one vote object to every view.  Each record holds its vote, so the
+    vote's id cannot be reused by another object while the record lives; a
+    value-equal copy gets its own record, with the same verdicts.
 
     `tree` is the run's shared tree; every block a view holds is inserted
     there first.
@@ -439,10 +478,13 @@ class ChainStateCache:
         self.states: dict[bytes, ChainState] = {
             tree.root: genesis_state(tree.root, genesis_registry.clone(),
                                      cfg.stitching)}
-        # id(vote) -> (vote, its target's snapshot when COUNTABLE, else None)
-        self._countable: dict[int, tuple[VoteData, DynastySnapshot | None]] = {}
+        # id(vote) -> the vote's record
+        self._records: dict[int, VoteRecord] = {}
         # validator index -> its distinct votes, in the order first seen
         self._history: dict[int, list[VoteData]] = {}
+        # validator index -> (greatest source, greatest target height) of
+        # the votes in its history
+        self._reach: dict[int, tuple[int, int]] = {}
         # vote key -> {partner's key: Violation(partner, vote)}
         self._partners: dict[tuple, dict[tuple, Violation]] = {}
 
@@ -466,28 +508,30 @@ class ChainStateCache:
             return None
         return self.get(checkpoint).snapshots[checkpoint]
 
+    def record(self, vote: VoteData) -> VoteRecord:
+        """The run's record of this vote object, made (and its signature
+        verified) the first time the object is seen."""
+        record = self._records.get(id(vote))
+        if record is None or record.vote is not vote:
+            record = self._records[id(vote)] = VoteRecord(
+                vote, self.keyring.verify(vote))
+        return record
+
     def countable(self, vote: VoteData) -> DynastySnapshot | None:
         """The target's snapshot when `classify_vote` finds the vote
-        COUNTABLE on the shared tree, else None.
-
-        Memoized once the tree holds the target: from then on every input is
-        fixed, since a source that is an ancestor of the target is in the
-        tree already and one that is not never becomes one.  A view whose
-        tree holds both endpoints gets the same class from its own tree,
-        because ids are digests and the two trees hold the same blocks.
-
-        Memoized by object identity, as `Keyring.verify` is: a value-equal
-        copy is classified again, to the same verdict."""
-        entry = self._countable.get(id(vote))
-        if entry is not None and entry[0] is vote:
-            return entry[1]
-        if vote.target not in self.tree:
-            return None
-        snap = None
+        COUNTABLE on the shared tree, else None."""
         if classify_vote(self.tree, self.snapshot_for, self.keyring,
                          vote) is VoteClass.COUNTABLE:
-            snap = self.snapshot_for(vote.target)
-        self._countable[id(vote)] = (vote, snap)
+            return self.snapshot_for(vote.target)
+        return None
+
+    def classify(self, record: VoteRecord) -> DynastySnapshot | None:
+        """`countable` for the record's vote, kept on the record once the
+        shared tree holds the target (see `VoteRecord`)."""
+        vote = record.vote
+        if vote.target not in self.tree:
+            return None
+        record.snap = snap = self.countable(vote)
         return snap
 
     def conflict_partners(self, vote: VoteData) -> dict[tuple, Violation]:
@@ -500,16 +544,27 @@ class ChainStateCache:
         Both conditions read only fields the key holds, so votes sharing a
         key share partners, and a signature-valid vote with a given key is
         unique, so the recorded violation equals the one built from any
-        valid copy."""
+        valid copy.
+
+        The check is skipped when the vote's source height is at least, and
+        its target height above, every earlier vote's of its validator: then
+        no earlier vote has its target height, none surrounds it (its target
+        would be higher) and it surrounds none (its source would be lower),
+        so the check would find nothing."""
         partners = self._partners.get(vote.key)
         if partners is None:
             partners = self._partners[vote.key] = {}
-            history = self._history.setdefault(vote.validator_index, [])
-            for violation in find_new_violations(history, vote):
-                old = violation.vote_a
-                partners[old.key] = violation
-                self._partners[old.key][vote.key] = check_pair(vote, old)
+            index = vote.validator_index
+            history = self._history.setdefault(index, [])
+            top_source, top_target = self._reach.get(index, (-1, -1))
+            if vote.source_height < top_source or vote.target_height <= top_target:
+                for violation in find_new_violations(history, vote):
+                    old = violation.vote_a
+                    partners[old.key] = violation
+                    self._partners[old.key][vote.key] = check_pair(vote, old)
             history.append(vote)
+            self._reach[index] = (max(top_source, vote.source_height),
+                                  max(top_target, vote.target_height))
         return partners
 
 
@@ -521,10 +576,12 @@ class FinalityState:
     """Justified set of one view, updated incrementally as votes arrive.
 
     Checkpoints must be registered (mark_checkpoint) before votes targeting
-    them can be tallied; earlier votes are buffered.  `heights` and `order`
-    give each registered checkpoint's height and receipt sequence number,
-    which fork choice uses to rank the justified checkpoints of its chains.
-    Whether a vote counts is read from the run's `ChainStateCache`.
+    them can be tallied; earlier votes are buffered, as their records.
+    `heights` and `order` give each registered checkpoint's height and
+    receipt sequence number, which fork choice uses to rank the justified
+    checkpoints of its chains.  Whether a vote counts is read from its run
+    record (`VoteRecord.snap`); the first view to count a vote classifies it
+    for the run.
     """
 
     def __init__(self, cache: ChainStateCache):
@@ -533,7 +590,7 @@ class FinalityState:
         self.heights: dict[bytes, int] = {root_id: 0}
         self.order: dict[bytes, int] = {root_id: 0}
         self.links = LinkTally(root_id, cache.cfg.stitching)
-        self._buffer: dict[bytes, list] = {}
+        self._buffer: dict[bytes, list[VoteRecord]] = {}
         self.max_height = 0
 
     # -- queries ---------------------------------------------------------------
@@ -550,18 +607,22 @@ class FinalityState:
         self.heights[cp] = cp_height
         self.order[cp] = order
         self.max_height = max(self.max_height, cp_height)
-        for vote in self._buffer.pop(cp, []):
-            self.on_vote(vote)
+        for record in self._buffer.pop(cp, []):
+            self.on_vote(record)
 
-    def on_vote(self, vote: VoteData) -> None:
-        """Tally a signature-valid vote; buffers until both endpoints are known."""
+    def on_vote(self, record: VoteRecord) -> None:
+        """Tally the run record of a signature-valid vote; buffers it until
+        both endpoints are known."""
+        vote = record.vote
         if vote.target not in self.heights:
-            self._buffer.setdefault(vote.target, []).append(vote)
+            self._buffer.setdefault(vote.target, []).append(record)
             return
         if vote.source not in self.heights:
-            self._buffer.setdefault(vote.source, []).append(vote)
+            self._buffer.setdefault(vote.source, []).append(record)
             return
-        snap = self.cache.countable(vote)
+        snap = record.snap
+        if snap is _UNCLASSIFIED:
+            snap = self.cache.classify(record)
         if snap is not None:
             self.links.count(vote, snap)
 

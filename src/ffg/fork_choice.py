@@ -58,7 +58,6 @@ from enum import Enum
 
 from .chain import Block, BlockTree, VoteData
 from .config import ProtocolConfig
-from .errors import BadSignature
 from .finality import ChainStateCache, FinalityState
 from .slashing import Violation
 from .votes import Keyring, VotePool
@@ -94,15 +93,19 @@ class ClientView:
       `Block` object already verified there is not hashed again (blocks are
       frozen); any other object is hashed;
     * chain states: a pure function of a block and its ancestors;
-    * vote countability (`ChainStateCache.countable`): a view asks only once
-      its tree holds both endpoints, and then its own tree would give the
-      same class, since block ids are digests;
-    * slashing partners and their violations
-      (`ChainStateCache.conflict_partners`): the two conditions read only
-      the votes' fields.  The view reports the partners already in its own
-      pool, in pool order, each with the run's violation oriented (pooled
-      vote, incoming), so its evidence and heard-at times are those of a
-      scan of its own pool.
+    * one record per vote object (`ChainStateCache.record`, a `VoteRecord`),
+      which `receive_vote` finds with one lookup per delivery:
+      - the signature verdict, so a view indexes the vote into its pool
+        (`VotePool.add_verified`) without verifying it again;
+      - the slashing partners and their violations, filled on the vote's
+        first fresh arrival in any view; the two conditions read only the
+        votes' fields.  The view reports the partners already in its own
+        pool, in pool order, each with the run's violation oriented (pooled
+        vote, incoming), so its evidence and heard-at times are those of a
+        scan of its own pool;
+      - the countability snapshot, filled by the first view that counts the
+        vote once it holds both endpoints; its own tree would give the same
+        class, since block ids are digests.
 
     Pool membership, link tallies, heard-at times and fork-choice memos stay
     per view.
@@ -193,16 +196,18 @@ class ClientView:
         return newly
 
     def receive_vote(self, vote: VoteData, now: int) -> list[Violation]:
-        """Pool the vote; returns violations it newly exposes (heard now)."""
-        self.advance_clock(now)
-        try:
-            fresh = self.pool.add(vote)
-        except BadSignature:
+        """Pool the vote; returns violations it newly exposes (heard now).
+
+        Reads the vote's run record once; the rest is view-local."""
+        if now > self.clock:
+            self.clock = now
+        record = self.cache.record(vote)
+        if not record.valid or not self.pool.add_verified(vote):
             return []
-        if not fresh:
-            return []
+        partners = record.partners
+        if partners is None:
+            partners = record.partners = self.cache.conflict_partners(vote)
         new_violations = []
-        partners = self.cache.conflict_partners(vote)
         if partners:
             # in pool order, each pair oriented (earlier vote, incoming)
             for old in self.pool.validator_votes(vote.validator_index):
@@ -210,7 +215,7 @@ class ClientView:
                 if violation is not None and violation.key not in self.violations_heard:
                     self._hear(violation, now)
                     new_violations.append(violation)
-        self.fstate.on_vote(vote)
+        self.fstate.on_vote(record)
         return new_violations
 
     def _hear(self, violation: Violation, now: int) -> None:

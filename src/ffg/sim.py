@@ -50,7 +50,6 @@ import heapq
 import json
 import math
 import random
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -428,8 +427,11 @@ class Simulation(Network):
             name for name, agent in self.agents.items()
             if agent.spec.behavior.kind != OFFLINE)
         self.pending_evidence: dict[tuple, SlashEvidence] = {}
-        # keys of pending_evidence in ascending order
-        self._pending_keys: list[tuple] = []
+        # keys of pending_evidence in the order submitted
+        self._evidence_order: list[tuple] = []
+        # block id -> (proposer pool size, pending evidence count) when it
+        # was proposed; see `propose`
+        self._offered: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -475,7 +477,7 @@ class Simulation(Network):
         self._trace_line(f"{now}|evidence|{key}")
         self.pending_evidence[key] = SlashEvidence(violation.vote_a,
                                                    violation.vote_b)
-        insort(self._pending_keys, key)
+        self._evidence_order.append(key)
 
     # -- proposer ----------------------------------------------------------------
 
@@ -496,6 +498,18 @@ class Simulation(Network):
         return txs
 
     def propose(self, now: int) -> None:
+        """Extend the proposer's head (or, at the fork rate, its parent) with
+        one block carrying what its chain has not yet included: the pending
+        evidence, in key order, and the proposer's pooled votes, in pool
+        order.
+
+        Both are what arrived after the parent was proposed.  Every block of
+        a generic run is proposed here, and each carries all it was offered:
+        a chain includes the key of every verified vote, the pool's votes
+        are verified and distinct, and pending evidence is never removed and
+        is included whatever its verdict.  So a chain has included exactly
+        the pool prefix and the evidence its tip was offered, and the rest
+        is new."""
         head = self.proposer.head()
         parent_id = head
         if self.cfg.proposer_fork_rate and head != self.tree.root:
@@ -506,16 +520,16 @@ class Simulation(Network):
         parent_state = self.cache.get(parent_id)
         epoch = self.proto.epoch_of_height(parent.height + 1)
         txs = self._scheduled_txs(epoch, parent_state)
+        n_votes, n_evidence = self._offered[parent_id]
         if not self.cfg.censor_evidence:
-            for key in self._pending_keys:
-                if key not in parent_state.included_evidence:
-                    txs.append(self.pending_evidence[key])
-        included = parent_state.included_votes
-        for vote in self.proposer.pool.votes:
-            if vote.key not in included:
-                txs.append(VoteInclusion(vote))
+            pending = self.pending_evidence
+            txs.extend(pending[key]
+                       for key in sorted(self._evidence_order[n_evidence:]))
+        votes = self.proposer.pool.votes
+        txs.extend(VoteInclusion(vote) for vote in votes[n_votes:])
         block = make_block(parent, now, None, tuple(txs), self.proto.hash_name)
         self.tree.insert_block(block)
+        self._offered[block.id] = (len(votes), len(self._evidence_order))
         self.broadcast_block(block, now)
 
     # -- delivery ----------------------------------------------------------------

@@ -11,8 +11,9 @@ Both are judged purely on the votes' own fields, so detection works across
 branches and regardless of which chain (if any) included the votes.  It also
 means a run needs to check each vote only once: `ChainStateCache` runs
 `find_new_violations` when a vote is first seen, against its validator's
-earlier votes in the run, and records each conflict on both votes, with the
-violation in both orientations.  A client view then reports the recorded
+earlier votes in the run (unless the vote lies above all of them, when
+neither condition can hold), and records each conflict on both votes, with
+the violation in both orientations.  A client view then reports the recorded
 violations of the partners in its own pool (`ClientView.receive_vote`).
 """
 

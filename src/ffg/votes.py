@@ -32,11 +32,13 @@ from .validators import ValidatorId
 class Keyring:
     """Per-run key material: secrets, public keys, signing, verification.
 
-    `verify` memoizes its verdicts by object identity: a run sends one vote
-    object to every view, so each view after the first reads the verdict
-    without hashing the vote.  Each entry holds its vote, so the vote's id
-    cannot be reused by another object while the entry lives; a value-equal
-    copy is a different object and is judged again, to the same verdict.
+    `verify` memoizes its verdicts by object identity, for the callers that
+    meet one vote object several times: the run's pool, the run's record of
+    the vote (`ChainStateCache.record`, which a client view reads instead of
+    verifying) and each chain that includes it.  Each entry holds its vote,
+    so the vote's id cannot be reused by another object while the entry
+    lives; a value-equal copy is a different object and is judged again, to
+    the same verdict.
     """
 
     def __init__(self, seed: int):
@@ -125,6 +127,11 @@ class VotePool:
     Duplicates (same five-tuple) are ignored.  Votes that fail chain-dependent
     checks stay in the pool: the slashing scanner must see them.
 
+    `add` verifies a vote and then indexes it with `add_verified`.  A client
+    view calls `add_verified` directly: it has read the signature verdict
+    from the run's record of the vote (`ChainStateCache.record`), so a vote
+    is verified once per run, not once per view.
+
     `by_validator` grows with each add, since views read it per vote.
     `by_link` is built on first read and dropped by the next add: only the
     run's omniscient pool is read by link, in the sweep and the audit, after
@@ -145,9 +152,14 @@ class VotePool:
         return vote.key in self._keys
 
     def add(self, vote: VoteData) -> bool:
-        """Index a verified vote; returns False for duplicates."""
+        """Verify and index a vote; returns False for duplicates."""
         if not self.keyring.verify(vote):
             raise BadSignature(vote.validator_index)
+        return self.add_verified(vote)
+
+    def add_verified(self, vote: VoteData) -> bool:
+        """Index a vote whose signature the caller has verified; returns
+        False for duplicates."""
         key = vote.key
         if key in self._keys:
             return False

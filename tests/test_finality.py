@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ffg.finality
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
@@ -10,6 +11,7 @@ from ffg.finality import (FinalityState, compute_justified, link_established,
                           liveness_plan, plan_safe_for, snapshot_registry, tally)
 from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
+from ffg.slashing import check_pair
 from ffg.validators import ValidatorId, ValidatorRecord, ValidatorRegistry
 from ffg.votes import sign_vote
 
@@ -129,7 +131,7 @@ def test_incremental_matches_batch_justification():
     order = votes[::2] + votes[1::2]
     grown = set()
     for v in order:
-        fs.on_vote(v)
+        fs.on_vote(w.cache.record(v))
         assert grown <= fs.justified
         grown = set(fs.justified)
     assert fs.justified == compute_justified(w.tree, w.pool, w.cache.snapshot_for)
@@ -591,7 +593,7 @@ def test_plan_safe_for_histories():
         assert not plan_safe_for(plan_low, wild)
 
 
-def test_countable_memo_gives_copies_the_same_verdict():
+def test_countable_gives_copies_the_same_verdict():
     w = make_world()
     c1 = first_checkpoint(w).id
     genuine = sign_vote(w.keyring, 0, w.tree.root, c1, 0, 1)
@@ -607,7 +609,7 @@ def test_countable_memo_gives_copies_the_same_verdict():
     assert w.cache.countable(genuine) is snap
 
 
-def test_countable_memo_never_returns_a_stale_verdict_for_short_lived_votes():
+def test_vote_record_never_returns_a_stale_verdict_for_short_lived_votes():
     # valid and forged votes, each dropped after its check; validators 3 and
     # 4 sign validly but hold no deposit, so their votes never count
     w = make_world()
@@ -618,7 +620,38 @@ def test_countable_memo_never_returns_a_stale_verdict_for_short_lived_votes():
         if forged:
             vote = replace(vote, signature=bytes(32))
         counts = not forged and i % 5 < 3
-        assert (w.cache.countable(vote) is not None) is counts
+        record = w.cache.record(vote)
+        assert record.vote is vote and record.valid is not forged
+        assert (w.cache.classify(record) is not None) is counts
+        assert w.cache.record(vote) is record
+        assert (record.snap is not None) is counts
         # the keyring's memo holds every vote it judged; drop it, so only
-        # the countable memo can keep a vote (and its id) alive
+        # the record can keep a vote (and its id) alive
         w.keyring._verified.clear()
+
+
+def test_conflict_partners_skip_only_votes_above_their_validators_history(monkeypatch):
+    w = make_world()
+    blocks = w.grow(10)
+    cps = {b.height // 2: b.id for b in blocks if b.height % 2 == 0}
+    cps[0] = w.tree.root
+    scanned = []
+    find = ffg.finality.find_new_violations
+    monkeypatch.setattr(ffg.finality, "find_new_violations",
+                        lambda history, vote: scanned.append(vote) or find(history, vote))
+
+    def vote(hs, ht):
+        return sign_vote(w.keyring, 0, cps[hs], cps[ht], hs, ht)
+
+    v01, v12, v14 = vote(0, 1), vote(1, 2), vote(1, 4)   # each above the last
+    v23 = vote(2, 3)        # target not above: surrounded by v14
+    v34 = vote(3, 4)        # target not above: same target height as v14
+    v05 = vote(0, 5)        # source below: surrounds v12, v14, v23 and v34
+    votes = [v01, v12, v14, v23, v34, v05]
+    partners = [w.cache.conflict_partners(v) for v in votes]
+    assert scanned == [v23, v34, v05]
+    for v, found in zip(votes, partners):
+        expected = {old.key: check_pair(old, v) for old in votes
+                    if old is not v and check_pair(old, v) is not None}
+        assert found == expected
+    assert set(partners[-1]) == {v12.key, v14.key, v23.key, v34.key}

@@ -9,12 +9,13 @@ import ffg.chain
 from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import DigestMismatch
+from ffg.finality import _UNCLASSIFIED, ChainStateCache
 from ffg.fork_choice import _REJECTED, Admissibility, ClientView
 from ffg.leak import LeakConfig
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER,
                      ScenarioConfig, Simulation, ValidatorSpec)
 from ffg.slashing import check_pair, find_new_violations, violates
-from ffg.votes import VoteClass, classify_vote, sign_vote
+from ffg.votes import Keyring, VoteClass, classify_vote, sign_vote
 
 from conftest import World
 from test_acceptance import fuzz_config
@@ -666,7 +667,7 @@ def test_shared_tree_blocks_skip_the_digest_others_are_hashed(monkeypatch):
     assert stray.id in view.tree and calls["digests"] == 1
 
 
-def test_forged_copy_of_a_vote_is_neither_counted_nor_reported():
+def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
     w = make_world()
     blocks = w.grow(4)
     c1 = blocks[1].id
@@ -686,11 +687,114 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported():
     assert w.cache.countable(forged_honest) is None
     # the second view is handed the forgeries: nothing counts or is heard
     second.receive_vote(a, 6)
+    judged = Counter()
+    for name in ("countable", "classify", "conflict_partners"):
+        original = getattr(ChainStateCache, name)
+
+        def counted(cache, arg, name=name, original=original):
+            judged[name] += 1
+            return original(cache, arg)
+        monkeypatch.setattr(ChainStateCache, name, counted)
     assert second.receive_vote(forged_honest, 6) == []
     assert second.receive_vote(forged_b, 6) == []
+    assert not judged
+    for forged in (forged_honest, forged_b):
+        record = w.cache.record(forged)
+        assert not record.valid and record.partners is None
+        assert record.snap is _UNCLASSIFIED
+        assert all(v is not forged for v in second.pool.votes)
+    assert second.pool.votes == [a]
     assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0}
     assert not second.violations_heard
     # the genuine votes still count and are still reported afterwards
     second.receive_vote(honest, 7)
     assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 1}
     assert [(v.vote_a, v.vote_b) for v in second.receive_vote(b, 7)] == [(a, b)]
+
+
+# -- one run record per vote object ---------------------------------------------------
+
+def count_calls_per_vote(monkeypatch, cls, name, calls, votes):
+    """Wrap `cls.name(self, vote)` to count its calls per vote object;
+    `votes` keeps each counted vote alive, so ids stay distinct."""
+    original = getattr(cls, name)
+
+    def counted(self, vote):
+        votes[id(vote)] = vote
+        calls[id(vote)] += 1
+        return original(self, vote)
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_each_vote_object_is_judged_a_constant_number_of_times(monkeypatch):
+    calls = {name: Counter() for name in ("countable", "conflict_partners", "verify")}
+    votes = {}
+    count_calls_per_vote(monkeypatch, ChainStateCache, "countable",
+                         calls["countable"], votes)
+    count_calls_per_vote(monkeypatch, ChainStateCache, "conflict_partners",
+                         calls["conflict_partners"], votes)
+    count_calls_per_vote(monkeypatch, Keyring, "verify", calls["verify"], votes)
+    sim = Simulation(wide_set_shaped(5))
+    sim.run_loop()
+    assert len(sim.views) == 51
+    distinct = len(sim.pool.votes)
+    assert len(votes) == distinct > 200     # the run makes one object per vote
+    assert len(calls["countable"]) == len(calls["conflict_partners"]) == distinct
+    assert max(calls["countable"].values()) == 1
+    assert max(calls["conflict_partners"].values()) == 1
+    # the run's pool, the vote's record, the chain that includes it, the
+    # end-of-run sweep and each evidence inclusion: nothing per view (the
+    # 51 views made 54 calls per vote when each verified for itself)
+    assert sum(calls["verify"].values()) <= 6 * distinct
+    assert max(calls["verify"].values()) < 10
+
+
+def test_a_value_equal_copy_gets_its_own_record_and_counts_once():
+    w = make_world()
+    blocks = w.grow(2)
+    c1 = blocks[1].id
+    view = client(w)
+    feed_chain(view, w, blocks)
+    vote = sign_vote(w.keyring, 0, w.tree.root, c1, 0, 1)
+    copy = replace(vote)
+    view.receive_vote(vote, 3)
+    record = w.cache.record(vote)
+    assert w.cache.record(vote) is record
+    assert w.cache.record(copy) is not record
+    assert w.cache.record(copy).vote is copy and w.cache.record(copy).valid
+    view.receive_vote(copy, 3)
+    assert view.pool.votes == [vote]
+    assert view.fstate.links.tallies == {(w.tree.root, c1): (100, 0, {0})}
+    # a view handed only the copy counts it through the copy's own record
+    other = client(w, "other")
+    feed_chain(other, w, blocks)
+    other.receive_vote(copy, 4)
+    assert other.fstate.links.tallies == view.fstate.links.tallies
+    assert w.cache.record(copy).snap is record.snap is not None
+
+
+def test_a_vote_ahead_of_its_target_is_buffered_with_its_record(monkeypatch):
+    w = make_world()
+    blocks = w.grow(4)
+    c1 = blocks[1].id
+    early, late = client(w, "early"), client(w, "late")
+    feed_chain(early, w, blocks)
+    feed_chain(late, w, blocks[:1])           # late has not seen c1 yet
+    votes = [sign_vote(w.keyring, i, w.tree.root, c1, 0, 1) for i in range(3)]
+    for v in votes:
+        late.receive_vote(v, 3)
+    records = [w.cache.record(v) for v in votes]
+    assert late.fstate._buffer[c1] == records
+    assert all(r.snap is _UNCLASSIFIED for r in records)
+    assert not late.fstate.links.tallies
+    # another view counts the votes first and so fills their records
+    for v in votes:
+        early.receive_vote(v, 3)
+    assert c1 in early.fstate.justified
+    assert all(r.snap is not _UNCLASSIFIED and r.snap is not None for r in records)
+    classified = Counter()
+    count_calls_per_vote(monkeypatch, ChainStateCache, "countable", classified, {})
+    feed_chain(late, w, blocks[1:])
+    assert not late.fstate._buffer and not classified
+    assert late.fstate.links.tallies == early.fstate.links.tallies
+    assert c1 in late.fstate.justified

@@ -14,7 +14,7 @@ import pytest
 
 import ffg.scenarios
 import ffg.sim
-from ffg.chain import BlockTree
+from ffg.chain import BlockTree, SlashEvidence, VoteInclusion
 from ffg.config import ProtocolConfig
 from ffg.errors import ConfigInvalid, NotACheckpoint
 from ffg.leak import LeakConfig, epochs_to_supermajority
@@ -458,3 +458,52 @@ def test_sweep_tests_finalized_conflicts_without_pairwise_ancestry_walks(monkeyp
     report = run(cfg)
     assert report.invariants["safety_no_conflicting_finalized"]
     assert 0 < len(calls) < 1000
+
+
+class PayloadCheckedSimulation(Simulation):
+    """Checks every proposed block's payload against a full scan: every
+    pending evidence key, in key order, and every pooled vote, in pool
+    order, that the parent's chain has not included."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.checked = Counter()
+        self._children = Counter()
+
+    def broadcast_block(self, block, now):
+        parent_state = self.cache.get(block.parent)
+        expected = self._scheduled_txs(self.proto.epoch_of_height(block.height),
+                                       parent_state)
+        if not self.cfg.censor_evidence:
+            expected += [self.pending_evidence[key]
+                         for key in sorted(self.pending_evidence)
+                         if key not in parent_state.included_evidence]
+        expected += [VoteInclusion(vote) for vote in self.proposer.pool.votes
+                     if vote.key not in parent_state.included_votes]
+        assert block.payload == tuple(expected)
+        self.checked["blocks"] += 1
+        self.checked["forks"] += self._children[block.parent] > 0
+        self._children[block.parent] += 1
+        self.checked["votes"] += sum(isinstance(tx, VoteInclusion)
+                                     for tx in block.payload)
+        self.checked["evidence"] += sum(isinstance(tx, SlashEvidence)
+                                        for tx in block.payload)
+        self.checked["pending"] += len(self.pending_evidence)
+        super().broadcast_block(block, now)
+
+
+def payload_checked_run(cfg):
+    sim = PayloadCheckedSimulation(cfg)
+    sim.run_loop()
+    return sim.checked
+
+
+def test_payloads_carry_what_the_parent_chain_has_not_included():
+    forked = [cfg for cfg in map(fuzz_config, range(40))
+              if cfg.proposer_fork_rate][:12]
+    checked = Counter()
+    for cfg in forked:
+        checked += payload_checked_run(cfg)
+    assert min(checked[k] for k in ("forks", "votes", "evidence")) > 0, checked
+    censored = payload_checked_run(replace(forked[0], censor_evidence=True))
+    assert censored["evidence"] == 0 < censored["pending"], censored
