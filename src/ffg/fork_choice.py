@@ -14,37 +14,33 @@ greatest height.  Three client-local filters compose around it, in order:
    with the most blocks, then lowest id).
 
 `head()` runs these filters on every call, so it must not walk every leaf's
-chain each time.  A chain is rejected by filter 1 when any block on it is,
-and three facts let each view memoize that verdict per chain:
+chain each time.  Timestamps strictly increase along a chain
+(`BlockTree.insert_block`), so the future-timestamp rule is decided by the
+chain's tip alone, and a chain is rejected by the evidence rule when any
+block on it is.  That verdict is final per block once the view's clock has
+reached the block's stamp:
 
-* timestamps strictly increase along a chain (`BlockTree.insert_block`), so
-  the future-timestamp rule is decided by the chain's tip alone;
-* heard violations are append-only, each with a fixed heard-at time;
+* a view hears violations in clock order: `receive_vote` raises
+  `NonMonotonicTimestamp` on a vote that exposes a new violation at a time
+  before the view's clock.  Both engines deliver from one heap in time
+  order and move clocks on only to the next delivery time, so a run never
+  does.  A violation heard later is then heard at or after the clock, so it
+  cannot reject a block stamped at or before the clock;
 * the evidence a chain has included up to a block is frozen with the block
   (`ChainStateCache`), as is the block's timestamp, and delta is fixed.
 
-So a block once rejected by the evidence rule stays rejected, and a chain that
-passed it against the first n heard violations only needs checking against
-the ones heard since.  `chain_admissible` keeps, per block, either "rejected"
-or the count of heard violations its chain passed, and walks up from a leaf
-only to the nearest ancestor that is up to date.  Two more facts bound the
-pairs it checks by the new blocks and the newly heard violations, not by
-everything heard so far:
+Only blocks stamped at or before the clock are judged (a later tip is
+rejected by its stamp), so `chain_admissible` judges each block once, top
+down from its nearest judged ancestor, and keeps the verdict.  A window
+bounds each judgment by the violations heard near the block's stamp: the
+block's parent's chain passes, so it has included the evidence of every
+violation heard before `parent.timestamp - 2*delta`, and a block's included
+evidence contains its parent's.  So only violations heard in
+`[parent.timestamp - 2*delta, block.timestamp - 2*delta)` can reject the
+block, and a bisect into the heard log, which is in heard-at order, finds
+them.
 
-* the parent-passed window: when a block's parent's chain passes against
-  every heard violation, the parent's chain has included the evidence of
-  each one heard before `parent.timestamp - 2*delta`, and a block's included
-  evidence contains its parent's.  So the block can only be rejected by a
-  violation heard in `[parent.timestamp - 2*delta, block.timestamp -
-  2*delta)`, which a bisect into the heard-at-sorted index finds;
-* the heard-at floor: when every violation heard since a block's chain
-  passed was heard at or after `block.timestamp - 2*delta`, none of them can
-  reject the block, nor its ancestors, whose stamps are older.  The walk
-  stops at the first such block.  In a simulated run a view hears a
-  violation after it holds the blocks stamped before it, so one newly heard
-  violation does not send the next `head()` down every chain to the root.
-
-`admissible(block)` reads the same memo, and scans the violations heard
+`admissible(block)` reads the same verdicts, and scans the violations heard
 before the block's own deadline only when its chain is rejected.  The
 justified checkpoint of a chain is found by walking its checkpoints downward
 to the first justified one (`justified_tip`), which is the highest since a
@@ -53,11 +49,13 @@ chain has one checkpoint per height.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from enum import Enum
+from operator import itemgetter
 
 from .chain import Block, BlockTree, VoteData
 from .config import ProtocolConfig
+from .errors import NonMonotonicTimestamp
 from .finality import ChainStateCache, FinalityState
 from .slashing import Violation
 from .votes import Keyring, VotePool
@@ -69,8 +67,7 @@ class Admissibility(Enum):
     REJECT = "reject"
 
 
-# chain_admissible's memo value for a chain the evidence rule rejects
-_REJECTED = -1
+_HEARD_AT = itemgetter(1)
 
 
 def _better(a: tuple, b: tuple) -> bool:
@@ -107,8 +104,9 @@ class ClientView:
         vote once it holds both endpoints; its own tree would give the same
         class, since block ids are digests.
 
-    Pool membership, link tallies, heard-at times and fork-choice memos stay
-    per view.
+    Pool membership, link tallies, heard-at times and evidence verdicts stay
+    per view.  A view hears violations in clock order, so each block's
+    evidence verdict is judged once (see the module docstring).
     """
 
     def __init__(self, name: str, cfg: ProtocolConfig, keyring: Keyring,
@@ -128,17 +126,12 @@ class ClientView:
         self.observed_finalized: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
         self.ignored_finalized: list[tuple[int, bytes]] = []
         self.violations_heard: dict[tuple, tuple[int, Violation]] = {}
-        # (key, heard_at) of violations_heard in the order heard
+        # (key, heard_at) of violations_heard in the order heard, which is
+        # heard-at order
         self._heard: list[tuple[tuple, int]] = []
-        # _floor[i]: the least heard-at time in _heard[i:]
-        self._floor: list[int] = []
-        # heard-at times of violations_heard in ascending order, and the key
-        # heard at each; ties keep the order heard
-        self._heard_times: list[int] = []
-        self._heard_keys: list[tuple] = []
-        # block id -> _REJECTED, or n: its chain passes the evidence rule
-        # against _heard[:n]; absent means n == 0
-        self._chain_checked: dict[bytes, int] = {}
+        # block id -> whether the evidence rule rejects a block between the
+        # root and it; final once judged (see the module docstring)
+        self._rejected: dict[bytes, bool] = {}
         self._pending_blocks: dict[bytes, list[Block]] = {}
         self.payout_seen: list[tuple[int, bytes, int]] = []
 
@@ -198,7 +191,10 @@ class ClientView:
     def receive_vote(self, vote: VoteData, now: int) -> list[Violation]:
         """Pool the vote; returns violations it newly exposes (heard now).
 
-        Reads the vote's run record once; the rest is view-local."""
+        Reads the vote's run record once; the rest is view-local.  Raises
+        `NonMonotonicTimestamp` when the vote exposes a new violation at a
+        `now` before the view's clock, since verdicts already judged assume
+        none is heard in the past; the vote then stays pooled, uncounted."""
         if now > self.clock:
             self.clock = now
         record = self.cache.record(vote)
@@ -212,28 +208,17 @@ class ClientView:
             # in pool order, each pair oriented (earlier vote, incoming)
             for old in self.pool.validator_votes(vote.validator_index):
                 violation = partners.get(old.key)
-                if violation is not None and violation.key not in self.violations_heard:
-                    self._hear(violation, now)
-                    new_violations.append(violation)
+                if violation is None or violation.key in self.violations_heard:
+                    continue
+                if now < self.clock:
+                    raise NonMonotonicTimestamp(
+                        f"{self.name} hears a violation at {now}, "
+                        f"before its clock {self.clock}")
+                self.violations_heard[violation.key] = (now, violation)
+                self._heard.append((violation.key, now))
+                new_violations.append(violation)
         self.fstate.on_vote(record)
         return new_violations
-
-    def _hear(self, violation: Violation, now: int) -> None:
-        """Record a violation heard at `now`.  A run's deliveries come in
-        time order, so each index only grows at its end; a scripted view may
-        hear out of order."""
-        key = violation.key
-        self.violations_heard[key] = (now, violation)
-        self._heard.append((key, now))
-        floor = self._floor
-        floor.append(now)
-        i = len(floor) - 2
-        while i >= 0 and floor[i] > now:
-            floor[i] = now
-            i -= 1
-        at = bisect_right(self._heard_times, now)
-        self._heard_times.insert(at, now)
-        self._heard_keys.insert(at, key)
 
     # -- admissibility -----------------------------------------------------------
 
@@ -259,65 +244,60 @@ class ClientView:
 
     def _chain_passes(self, block: Block) -> bool:
         """True iff the evidence rule rejects no block between the root and
-        `block`.  Memoized per chain; see the module docstring for why each
-        step is sound."""
-        tree = self.tree
-        n = len(self._heard)
-        checked = self._chain_checked
-        stale: list[Block] = []
+        `block`, which is stamped at or before the clock.  Judges each block
+        once; see the module docstring for why the verdict is final."""
+        if not self._heard:
+            return True
+        rejected = self._rejected
+        unjudged: list[Block] = []
         cursor = block
         while cursor.height > 0:
-            done = checked.get(cursor.id, 0)
-            if done == n:
+            verdict = rejected.get(cursor.id)
+            if verdict is not None:
+                if verdict:
+                    for b in unjudged:
+                        rejected[b.id] = True
+                    return False
                 break
-            if done == _REJECTED:
-                for b in stale:
-                    checked[b.id] = _REJECTED
+            unjudged.append(cursor)
+            cursor = self.tree.blocks[cursor.parent]
+        # top-down, so each block's parent's chain passes before it is judged
+        for i in range(len(unjudged) - 1, -1, -1):
+            if self._window_rejects(unjudged[i], cursor):
+                for b in unjudged[:i + 1]:
+                    rejected[b.id] = True
                 return False
-            if self._settled(cursor, done):
-                checked[cursor.id] = n
-                break
-            stale.append(cursor)
-            cursor = tree.blocks[cursor.parent]
-        # top-down, so each block's parent passes against all n before it
-        for i in range(len(stale) - 1, -1, -1):
-            if self._window_rejects(stale[i], cursor):
-                for b in stale[:i + 1]:
-                    checked[b.id] = _REJECTED
-                return False
-            cursor = stale[i]
-            checked[cursor.id] = n
+            cursor = unjudged[i]
+            rejected[cursor.id] = False
         return True
-
-    def _settled(self, block: Block, done: int) -> bool:
-        """True when every violation heard since `_heard[:done]` was heard
-        at or after `block`'s evidence deadline, so none of them can reject
-        `block` or any of its ancestors."""
-        return self._floor[done] >= block.timestamp - 2 * self.cfg.delta
 
     def _window_rejects(self, block: Block, parent: Block) -> bool:
         """The evidence rule for `block`, given that its parent's chain
-        passes against every heard violation: only violations heard from the
-        parent's evidence deadline up to the block's can reject it."""
+        passes: only violations heard from the parent's evidence deadline
+        up to the block's can reject it."""
         two_delta = 2 * self.cfg.delta
-        times = self._heard_times
+        heard = self._heard
         # the root is not judged by the rule, so it vouches for no evidence
-        lo = bisect_left(times, parent.timestamp - two_delta) if parent.height else 0
-        hi = bisect_left(times, block.timestamp - two_delta, lo)
+        lo = bisect_left(heard, parent.timestamp - two_delta, key=_HEARD_AT) \
+            if parent.height else 0
+        hi = bisect_left(heard, block.timestamp - two_delta, lo, key=_HEARD_AT)
         return self._missing_evidence(block, lo, hi)
 
     def _evidence_rejects(self, block: Block) -> bool:
         """The evidence rule for `block` alone: it is stamped later than
         2*delta after some violation was heard, and its chain has not
         included that violation's evidence."""
-        hi = bisect_left(self._heard_times, block.timestamp - 2 * self.cfg.delta)
+        hi = bisect_left(self._heard, block.timestamp - 2 * self.cfg.delta,
+                         key=_HEARD_AT)
         return self._missing_evidence(block, 0, hi)
 
     def _missing_evidence(self, block: Block, lo: int, hi: int) -> bool:
-        """True iff some violation in `_heard_keys[lo:hi]` is missing from
-        the evidence `block`'s chain has included."""
-        return lo < hi and not self.cache.get(block.id).included_evidence \
-            .issuperset(self._heard_keys[lo:hi])
+        """True iff some violation in `_heard[lo:hi]` is missing from the
+        evidence `block`'s chain has included."""
+        if lo >= hi:
+            return False
+        evidence = self.cache.get(block.id).included_evidence
+        return any(key not in evidence for key, _at in self._heard[lo:hi])
 
     # -- finalized preference ------------------------------------------------------
 

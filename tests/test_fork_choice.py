@@ -1,19 +1,22 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import ffg.chain
 from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
-from ffg.errors import DigestMismatch
+from ffg.errors import DigestMismatch, NonMonotonicTimestamp
 from ffg.finality import _UNCLASSIFIED, ChainStateCache
-from ffg.fork_choice import _REJECTED, Admissibility, ClientView
+from ffg.fork_choice import Admissibility, ClientView
 from ffg.leak import LeakConfig
-from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER,
-                     ScenarioConfig, Simulation, ValidatorSpec)
+from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER, Network,
+                     ScenarioConfig, Simulation, ValidatorSpec, config_from_dict,
+                     run)
 from ffg.slashing import check_pair, find_new_violations, violates
 from ffg.votes import Keyring, VoteClass, classify_vote, sign_vote
 
@@ -21,6 +24,7 @@ from conftest import World
 from test_acceptance import fuzz_config
 
 NO_LEAK = LeakConfig(rate=Fraction(1, 10**9))
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_world(weights=(100, 100, 100), spacing=2, delta=4):
@@ -328,16 +332,10 @@ def scan_head(view, verdicts=None):
 
 def count_shortcuts(view, shortcuts):
     """Count, in `shortcuts`, each time one of the view's evidence-rule
-    shortcuts decides: the settled-chain stop of the memo walk, a heard-at
-    window that leaves out violations heard before the parent's deadline,
-    and `admissible`'s scan for a block on a rejected chain."""
-    settled, window_rejects, evidence_rejects = \
-        view._settled, view._window_rejects, view._evidence_rejects
-
-    def counted_settled(block, done):
-        stop = settled(block, done)
-        shortcuts["settled stop"] += stop
-        return stop
+    shortcuts decides: a heard-at window that leaves out violations heard
+    before the parent's deadline, and `admissible`'s scan for a block on a
+    rejected chain."""
+    window_rejects, evidence_rejects = view._window_rejects, view._evidence_rejects
 
     def counted_window_rejects(block, parent):
         deadline = parent.timestamp - 2 * view.cfg.delta
@@ -349,9 +347,34 @@ def count_shortcuts(view, shortcuts):
         shortcuts["rejected-chain scan"] += 1
         return evidence_rejects(block)
 
-    view._settled = counted_settled
     view._window_rejects = counted_window_rejects
     view._evidence_rejects = counted_evidence_rejects
+
+
+def check_against_walks(view, outcomes):
+    """Compare the view's `chain_admissible`, `admissible` and `head()` with
+    the reference walks, counting each leaf's verdict in `outcomes`."""
+    verdicts = {}
+    for leaf in view.tree.leaves():
+        ok = view.chain_admissible(leaf)
+        assert ok == walk_chain_admissible(view, leaf, verdicts)
+        outcomes["admissible" if ok else "rejected"] += 1
+        block = view.tree.get(leaf)
+        assert view.admissible(block) is rule_admissible(view, block)
+    assert view.head() == scan_head(view, verdicts)
+
+
+def check_tips_against_scans(view, outcomes):
+    """Compare the view's justified tips with the reference scan, counting
+    each leaf's tip in `outcomes`."""
+    for leaf in view.tree.leaves():
+        tip = view.justified_tip(leaf)
+        assert tip == scan_justified_tip(view, leaf)
+        outcomes["justified" if tip != view.tree.root else "root"] += 1
+        target = view.tree.latest_checkpoint(leaf)
+        h_t = view.tree.require_checkpoint(target)
+        assert view.justified_tip(target, below=h_t) \
+            == scan_justified_tip(view, target, below=h_t)
 
 
 class CheckedSimulation(Simulation):
@@ -368,24 +391,9 @@ class CheckedSimulation(Simulation):
 
     def deliver(self, kind, payload, name, now):
         super().deliver(kind, payload, name, now)
-        if kind not in self.kinds:
-            return
-        view = self.views[name]
-        verdicts = {}
-        for leaf in view.tree.leaves():
-            ok = view.chain_admissible(leaf)
-            assert ok == walk_chain_admissible(view, leaf, verdicts)
-            self.outcomes["admissible" if ok else "rejected"] += 1
-            block = view.tree.get(leaf)
-            assert view.admissible(block) is rule_admissible(view, block)
-            tip = view.justified_tip(leaf)
-            assert tip == scan_justified_tip(view, leaf)
-            self.outcomes["justified" if tip != view.tree.root else "root"] += 1
-            target = view.tree.latest_checkpoint(leaf)
-            h_t = view.tree.require_checkpoint(target)
-            assert view.justified_tip(target, below=h_t) \
-                == scan_justified_tip(view, target, below=h_t)
-        assert view.head() == scan_head(view, verdicts)
+        if kind in self.kinds:
+            check_against_walks(self.views[name], self.outcomes)
+            check_tips_against_scans(self.views[name], self.outcomes)
 
 
 def checked_run(cfg):
@@ -421,6 +429,30 @@ def test_memoized_fork_choice_matches_walks_on_long_horizon_world():
     assert min(outcomes.values()) > 0, outcomes
 
 
+SCRIPTED_CORPUS = ("dyn_attack_nostitch.json", "dyn_attack_stitch.json",
+                   "long_range_omega3.json", "long_range_omega5.json",
+                   "split_finality.json")
+
+
+def test_memoized_fork_choice_matches_walks_on_scripted_corpus(monkeypatch):
+    # scripted runs deliver fork blocks late, which generic runs never do
+    pins = json.loads((CORPUS / "digests.json").read_text())
+    outcomes = []
+    deliver = Network.deliver
+
+    def checked_deliver(net, kind, payload, name, now):
+        deliver(net, kind, payload, name, now)
+        check_against_walks(net.views[name], outcomes[-1])
+    monkeypatch.setattr(Network, "deliver", checked_deliver)
+    for name in SCRIPTED_CORPUS:
+        outcomes.append(Counter())
+        cfg = config_from_dict(json.loads((CORPUS / name).read_text()))
+        assert run(cfg).digest() == pins[name]
+        assert outcomes[-1]["admissible"] > 0
+    # leaves rejected by the evidence rule, summed over the deliveries
+    assert [counts["rejected"] for counts in outcomes] == [0, 0, 794, 1234, 0]
+
+
 class EvidenceHoldingSimulation(CheckedSimulation):
     """Evidence the agents submit in ticks [start, end) reaches the proposer
     only at tick `end`, so the blocks proposed in between lack it and their
@@ -453,7 +485,7 @@ def test_evidence_shortcuts_match_the_rule_on_a_deep_long_horizon_world():
                                     kinds=("block",))
     sim.run_loop()
     assert min(sim.outcomes.values()) > 0, sim.outcomes
-    assert set(sim.shortcuts) == {"settled stop", "window", "rejected-chain scan"}
+    assert set(sim.shortcuts) == {"window", "rejected-chain scan"}
     assert min(sim.shortcuts.values()) > 0, sim.shortcuts
 
 
@@ -464,55 +496,96 @@ def two_violations(w, blocks):
              sign_vote(w.keyring, i, blocks[3].id, c1, 1, 1)) for i in (0, 1)]
 
 
+def count_judgments(view):
+    """Count the blocks the view judges by the evidence rule, by id."""
+    judged = Counter()
+    window_rejects = view._window_rejects
+
+    def counted(block, parent):
+        judged[block.id] += 1
+        return window_rejects(block, parent)
+    view._window_rejects = counted
+    return judged
+
+
 def test_evidence_heard_after_clean_memo_rejects_chain():
-    w = make_world(delta=4)
-    blocks = w.grow(12)                      # stamped 1..12
-    view = client(w)
-    feed_chain(view, w, blocks)
+    w = make_world(delta=2)
+    blocks = w.grow(4)                       # stamped 1..4
     (a0, b0), (a1, b1) = two_violations(w, blocks)
-    view.receive_vote(a0, 9)
-    assert view.receive_vote(b0, 10)         # rejects blocks stamped after 18
+    first = check_pair(a0, b0)
+    carrier = make_block(blocks[-1], 5, None,
+                         (SlashEvidence(first.vote_a, first.vote_b),),
+                         w.tree.hash_name)
+    w.tree.insert_block(carrier)
+    blocks += [carrier] + w.grow(7, start=carrier.id)      # stamped 5..12
+    view = client(w)
+    feed_chain(view, w, blocks[:4])
+    view.receive_vote(a0, 4)
+    assert view.receive_vote(b0, 4)          # rejects blocks stamped after 8
+    feed_chain(view, w, blocks[4:], t0=5)    # the rest arrive stamped ahead
+    assert view.chain_admissible(carrier.id)
+    # memoized clean against the first violation, whose evidence it includes
+    assert view._rejected == {b.id: False for b in blocks[:5]}
+    view.receive_vote(a1, 5)
+    assert view.receive_vote(b1, 5)          # rejects blocks stamped after 9
+    view.advance_clock(12)
     leaf = blocks[-1].id
-    assert view.chain_admissible(leaf)
-    assert view._chain_checked[leaf] == 1    # memoized clean against one violation
-    view.receive_vote(a1, 2)
-    assert view.receive_vote(b1, 3)          # rejects blocks stamped after 11
     assert not view.chain_admissible(leaf)
     assert not walk_chain_admissible(view, leaf)
-    # the prefix up to the last block stamped 11 is still clean
-    assert view.chain_admissible(blocks[10].id)
-    assert walk_chain_admissible(view, blocks[10].id)
+    # the first block stamped after 9 rejects the chain, and so every block
+    # between it and the leaf
+    assert [view._rejected[b.id] for b in blocks] == [False] * 9 + [True] * 3
+    # the prefix up to the block stamped 9 is still clean
+    assert view.chain_admissible(blocks[8].id)
+    assert walk_chain_admissible(view, blocks[8].id)
+    for block in blocks:
+        assert view.admissible(block) is rule_admissible(view, block)
 
 
 def test_violation_heard_early_after_the_blocks_rejects_them():
     w = make_world(delta=4)
     blocks = w.grow(12)                      # stamped 1..12
     view = client(w)
-    feed_chain(view, w, blocks)
-    (a0, b0), (a1, b1) = two_violations(w, blocks)
-    shortcuts = Counter()
-    count_shortcuts(view, shortcuts)
-    view.receive_vote(a0, 9)
-    assert view.receive_vote(b0, 10)         # heard after every block's deadline
+    judged = count_judgments(view)
+    feed_chain(view, w, blocks, t0=2)        # every block but one stamped ahead
+    (a0, b0), _ = two_violations(w, blocks)
+    view.receive_vote(a0, 2)
+    assert view.receive_vote(b0, 2)          # rejects blocks stamped after 10
     leaf = blocks[-1].id
-    assert view.chain_admissible(leaf)
-    # heard at 10, past the leaf's deadline 12 - 8: the walk stops at the leaf
-    assert view._chain_checked == {leaf: 1}
-    assert shortcuts == {"settled stop": 1}
-    # the scripted case: the tree already holds blocks stamped more than
-    # 2*delta after this violation's heard-at time
-    view.receive_vote(a1, 1)
-    assert view.receive_vote(b1, 2)          # rejects blocks stamped after 10
+    assert not view.chain_admissible(leaf)   # stamped ahead of the clock
+    assert not judged
+    view.advance_clock(12)
     assert not view.chain_admissible(leaf)
-    # the walk goes past the two rejected blocks and stops at the one stamped 10
-    assert view._chain_checked[leaf] == _REJECTED
-    assert view._chain_checked[blocks[10].id] == _REJECTED
-    assert view._chain_checked[blocks[9].id] == 2
-    assert shortcuts["settled stop"] == 2
+    assert not walk_chain_admissible(view, leaf)
+    # judged top down up to the first rejected block, which marks the leaf
+    assert judged == Counter({b.id: 1 for b in blocks[:11]})
+    assert view._rejected[leaf] and view._rejected[blocks[10].id]
+    assert not any(view._rejected[b.id] for b in blocks[:10])
     for block in blocks:
         assert view.admissible(block) is rule_admissible(view, block)
     assert view.admissible(blocks[10]) is Admissibility.REJECT
     assert view.chain_admissible(blocks[9].id)
+    assert view.head() == w.tree.root        # no admissible leaf: the finalized anchor
+    # every verdict is final: nothing is judged again
+    assert judged == Counter({b.id: 1 for b in blocks[:11]})
+
+
+def test_a_violation_heard_before_the_clock_raises():
+    w = make_world(delta=4)
+    blocks = w.grow(6)                       # stamped 1..6
+    c1 = blocks[1].id
+    view = client(w)
+    feed_chain(view, w, blocks)              # the clock is at 6
+    (a0, b0), _ = two_violations(w, blocks)
+    honest = sign_vote(w.keyring, 2, w.tree.root, c1, 0, 1)
+    view.receive_vote(a0, 6)
+    # a late vote that exposes no violation is still tallied
+    assert view.receive_vote(honest, 3) == []
+    assert view.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 2}
+    with pytest.raises(NonMonotonicTimestamp):
+        view.receive_vote(b0, 5)
+    assert view.violations_heard == {} and view._heard == []
+    assert view.clock == 6
 
 
 def test_future_stamped_leaf_admissible_once_clock_passes():
