@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .codec import HASH_BYTES
 from .errors import ConfigInvalid
 from .leak import LeakConfig
 
@@ -28,6 +30,11 @@ class ProtocolConfig:
             raise ConfigInvalid("withdrawal delay must be >= 0")
         if not (0 <= self.finder_fee < 1):
             raise ConfigInvalid("finder fee must be in [0, 1)")
+        # a hash every platform has, so runs reproduce, and no shorter than ids
+        if self.hash_name not in hashlib.algorithms_guaranteed \
+                or hashlib.new(self.hash_name).digest_size < HASH_BYTES:
+            raise ConfigInvalid(f"hash {self.hash_name!r} is not a guaranteed "
+                                f"hashlib hash of at least {HASH_BYTES} bytes")
 
     def deadline(self, target_cp_height: int) -> int:
         """Last block number at which votes for a link into this target still

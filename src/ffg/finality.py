@@ -54,21 +54,18 @@ class DynastySnapshot:
     voting window on the target's own chain; zero-weight members are omitted.
     """
 
-    __slots__ = ("checkpoint", "cp_height", "dynasty", "forward", "rear",
-                 "forward_total", "rear_total")
+    __slots__ = ("cp_height", "forward", "rear", "forward_total", "rear_total")
 
-    def __init__(self, checkpoint: bytes, cp_height: int, dynasty: int,
-                 forward: dict[int, int], rear: dict[int, int]):
-        self.checkpoint = checkpoint
+    def __init__(self, cp_height: int, forward: dict[int, int],
+                 rear: dict[int, int]):
         self.cp_height = cp_height
-        self.dynasty = dynasty
         self.forward = forward
         self.rear = rear
         self.forward_total = sum(forward.values())
         self.rear_total = sum(rear.values())
 
 
-def snapshot_registry(checkpoint: bytes, cp_height: int, dynasty: int,
+def snapshot_registry(cp_height: int, dynasty: int,
                       registry: ValidatorRegistry) -> DynastySnapshot:
     forward: dict[int, int] = {}
     rear: dict[int, int] = {}
@@ -80,7 +77,7 @@ def snapshot_registry(checkpoint: bytes, cp_height: int, dynasty: int,
             forward[rec.vid.index] = w
         if rec.in_rear(dynasty):
             rear[rec.vid.index] = w
-    return DynastySnapshot(checkpoint, cp_height, dynasty, forward, rear)
+    return DynastySnapshot(cp_height, forward, rear)
 
 
 def link_established(fwd_sum: int, rear_sum: int, snap: DynastySnapshot,
@@ -226,10 +223,8 @@ def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
 class ChainState:
     """State after processing one block; immutable once built."""
 
-    __slots__ = ("block_id", "height", "epoch", "dynasty", "finalized_count",
-                 "registry", "snapshots", "links", "finalized_at",
-                 "included_votes", "included_evidence", "voted_window",
-                 "payouts", "stall_epochs", "slashed_at")
+    __slots__ = ("height", "dynasty", "registry", "snapshots", "links",
+                 "finalized_at", "included_evidence", "voted_window", "payouts")
 
     @property
     def justified(self) -> set[bytes]:
@@ -239,21 +234,15 @@ class ChainState:
 def genesis_state(root_id: bytes, registry: ValidatorRegistry,
                   stitching: bool) -> ChainState:
     st = ChainState()
-    st.block_id = root_id
     st.height = 0
-    st.epoch = 0
     st.dynasty = 0
-    st.finalized_count = 0
     st.registry = registry
-    st.snapshots = {root_id: snapshot_registry(root_id, 0, 0, registry)}
+    st.snapshots = {root_id: snapshot_registry(0, 0, registry)}
     st.links = LinkTally(root_id, stitching)
     st.finalized_at = {root_id: 0}
-    st.included_votes = frozenset()
     st.included_evidence = frozenset()
     st.voted_window = frozenset()
     st.payouts = ()
-    st.stall_epochs = 0
-    st.slashed_at = ()
     return st
 
 
@@ -267,9 +256,8 @@ class _StepContext:
             setattr(st, name, getattr(parent, name))
         self._own_registry = False
         self._own = set()
-        # this block's newly included vote and evidence keys and window
-        # voters, unioned into the frozensets once per block by `close_payload`
-        self.new_votes: set[tuple] = set()
+        # this block's newly included evidence keys and window voters,
+        # unioned into the frozensets once per block by `close_payload`
         self.new_evidence: set[tuple] = set()
         self.new_voters: set[int] = set()
 
@@ -286,12 +274,9 @@ class _StepContext:
         return self.st.registry
 
     def include_vote(self, vote: VoteData, keyring: Keyring):
-        st = self.st
-        key = vote.key
-        if key in st.included_votes or key in self.new_votes \
-                or not keyring.verify(vote):
+        if not keyring.verify(vote):
             return
-        self.new_votes.add(key)
+        st = self.st
         src_snap = st.snapshots.get(vote.source)
         snap = st.snapshots.get(vote.target)
         if snap is None or src_snap is None:
@@ -303,13 +288,17 @@ class _StepContext:
         idx = vote.validator_index
         if idx not in snap.forward and idx not in snap.rear:
             return
+        # a countable vote's key is fixed by its validator and link, and
+        # whether it counts by its target being an ancestor, so this counts
+        # each key once per chain: a vote included again is not a new voter
+        entry = st.links.tallies.get((vote.source, vote.target))
+        if entry is not None and idx in entry[2]:
+            return
         self.new_voters.add(idx)
         self.owned("links").count(vote, snap, st.height)
 
     def close_payload(self):
         st = self.st
-        if self.new_votes:
-            st.included_votes = st.included_votes | self.new_votes
         if self.new_evidence:
             st.included_evidence = st.included_evidence | self.new_evidence
         if self.new_voters:
@@ -333,8 +322,6 @@ class _StepContext:
                 if any(src in links.justified and jh <= deadline
                        for src, jh in links.by_target[source]):
                     self.owned("finalized_at")[source] = st.height
-                    st.finalized_count += 1
-                    st.stall_epochs = 0
                     break
 
     def include_evidence(self, tx: SlashEvidence, proposer: int | None,
@@ -353,7 +340,6 @@ class _StepContext:
         if rec is None or rec.slashed:
             return
         taken = reg.slash(rec.vid)
-        st.slashed_at = st.slashed_at + ((rec.vid.index, st.height),)
         fee = (taken * self.cfg.finder_fee.numerator) // self.cfg.finder_fee.denominator
         if proposer is not None:
             finder = reg.by_index(proposer)
@@ -367,15 +353,14 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
     """Fold one block into its parent's chain state."""
     ctx = _StepContext(parent, cfg)
     st = ctx.st
-    st.block_id = block.id
     st.height = block.height
-    st.epoch = cfg.epoch_of_height(block.height)
-    st.dynasty = parent.finalized_count
+    epoch = cfg.epoch_of_height(block.height)
+    # the root is finalized at genesis and starts dynasty 0
+    st.dynasty = len(parent.finalized_at) - 1
     st.payouts = ()
-    st.slashed_at = ()
 
     if st.dynasty != parent.dynasty:
-        ctx.registry().mark_end_dynasty_started(st.dynasty, st.epoch,
+        ctx.registry().mark_end_dynasty_started(st.dynasty, epoch,
                                                 cfg.withdrawal_delay,
                                                 previous=parent.dynasty)
 
@@ -402,18 +387,16 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
         # leak starts one spacing later.
         reg = ctx.registry()
         if block.height > cfg.spacing:
-            apply_epoch_leak(reg, set(st.voted_window), st.dynasty, cfg.leak,
-                             st.stall_epochs)
-            st.stall_epochs += 1
+            apply_epoch_leak(reg, set(st.voted_window), st.dynasty, cfg.leak)
         st.voted_window = frozenset()
         for rec in reg.records.values():
             if (rec.unlock_epoch is not None and not rec.slashed
-                    and not rec.withdrawn and st.epoch >= rec.unlock_epoch):
+                    and not rec.withdrawn and epoch >= rec.unlock_epoch):
                 rec.withdrawn = True
                 st.payouts = st.payouts + ((rec.vid.index, block.height),)
         snaps = ctx.owned("snapshots")
         cp_height = block.height // cfg.spacing
-        snaps[block.id] = snapshot_registry(block.id, cp_height, st.dynasty, reg)
+        snaps[block.id] = snapshot_registry(cp_height, st.dynasty, reg)
     return st
 
 

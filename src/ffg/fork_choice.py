@@ -113,7 +113,6 @@ class ClientView:
                  cache: ChainStateCache):
         self.name = name
         self.cfg = cfg
-        self.keyring = keyring
         self.cache = cache
         self.clock = 0
         self.tree = BlockTree(cfg.spacing, cfg.hash_name, trusted=cache.tree)
@@ -125,9 +124,7 @@ class ClientView:
         self.finalized_anchor: bytes = self.tree.root
         self.observed_finalized: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
         self.ignored_finalized: list[tuple[int, bytes]] = []
-        self.violations_heard: dict[tuple, tuple[int, Violation]] = {}
-        # (key, heard_at) of violations_heard in the order heard, which is
-        # heard-at order
+        # (key, heard_at) per violation heard, in the order heard: heard-at order
         self._heard: list[tuple[tuple, int]] = []
         # block id -> whether the evidence rule rejects a block between the
         # root and it; final once judged (see the module docstring)
@@ -205,16 +202,15 @@ class ClientView:
             partners = record.partners = self.cache.conflict_partners(vote)
         new_violations = []
         if partners:
-            # in pool order, each pair oriented (earlier vote, incoming)
+            # in pool order, oriented (earlier vote, incoming); each pair is new
             for old in self.pool.validator_votes(vote.validator_index):
                 violation = partners.get(old.key)
-                if violation is None or violation.key in self.violations_heard:
+                if violation is None:
                     continue
                 if now < self.clock:
                     raise NonMonotonicTimestamp(
                         f"{self.name} hears a violation at {now}, "
                         f"before its clock {self.clock}")
-                self.violations_heard[violation.key] = (now, violation)
                 self._heard.append((violation.key, now))
                 new_violations.append(violation)
         self.fstate.on_vote(record)

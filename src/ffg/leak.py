@@ -1,9 +1,9 @@
 """Inactivity leak: drain non-voting deposits so finalization can resume.
 
 Each epoch a validator with deposit D that fails to get a countable vote
-included on the chain loses floor(D * p).  The rate is an exact rational and
-the rounding is per validator per epoch, so every platform computes the same
-integers.
+included on the chain loses floor(D * p), with one configured rate p for
+every epoch.  The rate is an exact rational and the rounding is per validator
+per epoch, so every platform computes the same integers.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ BURN = "burn"
 @dataclass(frozen=True)
 class LeakConfig:
     rate: Fraction = Fraction(1, 10)
-    # optional multiplier applied per consecutive non-finalized epoch; off by default
-    escalation: tuple[Fraction, ...] | None = None
     disposition: str = BURN
 
     def __post_init__(self):
@@ -31,27 +29,19 @@ class LeakConfig:
         if self.disposition != BURN:
             raise ValueError(f"unknown leak disposition {self.disposition!r}")
 
-    def epoch_rate(self, stall_epochs: int) -> Fraction:
-        if not self.escalation:
-            return self.rate
-        step = self.escalation[min(stall_epochs, len(self.escalation) - 1)]
-        return min(self.rate * step, Fraction(99, 100))
-
 
 def leak_amount(deposit: int, rate: Fraction) -> int:
     return (deposit * rate.numerator) // rate.denominator
 
 
 def apply_epoch_leak(registry: ValidatorRegistry, voted: set[int],
-                     current_dynasty: int, cfg: LeakConfig,
-                     stall_epochs: int = 0) -> int:
+                     current_dynasty: int, cfg: LeakConfig) -> int:
     """Leak every active non-voter once; returns the total amount drained.
 
     `voted` holds validator indexes with a countable vote included on this
     chain during the closing epoch.  Voters and inactive records are untouched;
     deposits never increase here.
     """
-    rate = cfg.epoch_rate(stall_epochs)
     drained = 0
     for rec in registry.records.values():
         if rec.slashed or rec.withdrawn or rec.deposit <= 0:
@@ -60,7 +50,7 @@ def apply_epoch_leak(registry: ValidatorRegistry, voted: set[int],
             continue
         if rec.vid.index in voted:
             continue
-        cut = leak_amount(rec.deposit, rate)
+        cut = leak_amount(rec.deposit, cfg.rate)
         rec.deposit -= cut
         rec.leaked += cut
         drained += cut
@@ -78,7 +68,7 @@ def epochs_to_supermajority(online: int, offline: int, cfg: LeakConfig) -> int:
         raise Unreachable("no online weight")
     k = 0
     while 3 * online < 2 * (online + offline):
-        cut = leak_amount(offline, cfg.epoch_rate(k))
+        cut = leak_amount(offline, cfg.rate)
         if cut <= 0:
             # floor rounding leaks nothing once offline * p < 1
             raise Unreachable("drain stalls below the rounding floor")

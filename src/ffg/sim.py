@@ -118,6 +118,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown scenario kind {self.scenario!r}")
         if self.duration_epochs < 1:
             raise ConfigInvalid("duration must be >= 1 epoch")
+        if type(self.observers) is not int or self.observers < 0:
+            raise ConfigInvalid("observers must be an integer >= 0")
         if self.scenario != GENERIC:
             if self.observers != SCRIPTED_OBSERVERS:
                 raise ConfigInvalid(
@@ -131,19 +133,39 @@ class ScenarioConfig:
                     f"{', '.join(unread)}: only the default is allowed")
         if not self.validators:
             raise ConfigInvalid("at least one validator required")
-        seen = set()
+        joined: dict[int, int] = {}         # index -> epoch of its deposit
         for spec in self.validators:
-            if spec.deposit <= 0:
-                raise ConfigInvalid(f"validator {spec.index} deposit must be positive")
-            if spec.index in seen:
+            if not _u64s((spec.index, spec.deposit), 2) or spec.deposit == 0:
+                raise ConfigInvalid(f"validator {spec.index}: need a u64 index "
+                                    "and a u64 deposit > 0")
+            if spec.index in joined:
                 raise ConfigInvalid(f"duplicate validator index {spec.index}")
             if spec.behavior.kind not in BEHAVIOR_KINDS:
                 raise ConfigInvalid(f"unknown behavior {spec.behavior.kind!r}")
             if spec.behavior.kind == SURROUND_VOTER and spec.behavior.from_epoch < 3:
                 raise ConfigInvalid("surround voter needs from_epoch >= 3")
-            seen.add(spec.index)
+            joined[spec.index] = 0
         if not (0 <= self.proposer_fork_rate < 1):
             raise ConfigInvalid("fork rate must be in [0, 1)")
+        # each deposit adds a new validator and each withdraw removes one
+        # once, not before its deposit; like indexes, amounts are u64
+        for entry in self.deposits:
+            if not _u64s(entry, 3) or entry[2] == 0 or entry[1] in joined:
+                raise ConfigInvalid(f"deposit {list(entry)}: need [epoch, "
+                                    "index, amount > 0] with a new index")
+            joined[entry[1]] = entry[0]
+        left = set()
+        for entry in self.withdraws:
+            if not _u64s(entry, 2) or entry[1] in left \
+                    or entry[0] < joined.get(entry[1], math.inf):
+                raise ConfigInvalid(f"withdraw {list(entry)}: need [epoch, index] "
+                                    "once per index, not before its deposit")
+            left.add(entry[1])
+
+
+def _u64s(entry, length: int) -> bool:
+    return len(entry) == length and all(
+        type(value) is int and 0 <= value < 2**64 for value in entry)
 
 
 # -- JSON round trip ----------------------------------------------------------
@@ -493,7 +515,9 @@ class Simulation(Network):
             if ep == epoch:
                 vid = self.keyring.vid(index)
                 rec = parent_state.registry.records.get(vid)
-                if rec is not None and rec.end_dynasty is None:
+                # a validator may leave only once active in the block's dynasty
+                if rec is not None and rec.end_dynasty is None \
+                        and rec.start_dynasty < len(parent_state.finalized_at):
                     txs.append(Withdraw(index, vid.pubkey))
         return txs
 
@@ -505,11 +529,10 @@ class Simulation(Network):
 
         Both are what arrived after the parent was proposed.  Every block of
         a generic run is proposed here, and each carries all it was offered:
-        a chain includes the key of every verified vote, the pool's votes
-        are verified and distinct, and pending evidence is never removed and
-        is included whatever its verdict.  So a chain has included exactly
-        the pool prefix and the evidence its tip was offered, and the rest
-        is new."""
+        the pool's votes are distinct, and pending evidence is never removed.
+        So a chain's payloads hold exactly the pool prefix and the evidence
+        its tip was offered (each evidence key is included whatever its
+        verdict), and the rest is new."""
         head = self.proposer.head()
         parent_id = head
         if self.cfg.proposer_fork_rate and head != self.tree.root:
@@ -823,7 +846,7 @@ def build_report(world: RunWorld, invariants: dict,
             "finalized": sorted(cp.hex() for cp in view.observed_finalized),
             "first_seen_finalized": {str(h): cp.hex()
                                      for h, cp in sorted(view.first_seen_finalized.items())},
-            "violations_heard": len(view.violations_heard),
+            "violations_heard": len(view._heard),
             "leak_totals": {str(rec.vid.index): rec.leaked
                             for rec in sorted(head_state.registry.records.values(),
                                               key=lambda r: r.vid.index)

@@ -4,9 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffg.cli import main
-from ffg.sim import RunWorld, build_report, config_to_dict, run
+from ffg.errors import ConfigInvalid
+from ffg.sim import RunWorld, build_report, config_from_dict, config_to_dict, run
 from ffg.scenarios import (dynamic_attack_config, long_range_config,
                            split_finality_config)
 
@@ -100,6 +102,52 @@ def test_check_valid_and_invalid(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({"validators": []}))
     assert main(["check", "--scenario", str(broken)]) == 1
+
+
+def honest_data(**changes):
+    """`scenarios/all_honest.json` with top-level and protocol fields changed."""
+    data = json.loads((REPO_SCENARIOS / "all_honest.json").read_text())
+    if "hash_name" in changes:
+        data["protocol"]["hash_name"] = changes.pop("hash_name")
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("changes", [
+    {"hash_name": "nope"}, {"hash_name": "shake_128"}, {"hash_name": "md5"},
+    {"deposits": [[1, 9, -5]]}, {"deposits": [[1, 9, 0]]},
+    {"deposits": [[1, 9, 50], [1, 9, 60]]}, {"deposits": [[1, 0, 50]]},
+    {"withdraws": [[1, 99]]}, {"withdraws": [[1, 0], [2, 0]]},
+    {"deposits": [[2, 9, 50]], "withdraws": [[1, 9]]},
+    {"observers": -1}, {"validators": [{"index": -1, "deposit": 100}]},
+    {"validators": [{"index": 0, "deposit": "100"}]}], ids=repr)
+def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(honest_data(**changes)))
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None)
+@given(hash_name=st.sampled_from(["sha256", "sha512", "blake2s", "sha3_256",
+                                  "sha1", "md5", "shake_128", "nope"]),
+       deposits=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9),
+                                   st.integers(-1, 200)), max_size=3),
+       withdraws=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9)),
+                          max_size=3),
+       observers=st.integers(-2, 3), duration=st.integers(1, 2))
+def test_a_config_that_loads_runs(hash_name, deposits, withdraws, observers,
+                                  duration):
+    data = honest_data(hash_name=hash_name, observers=observers,
+                       duration_epochs=duration,
+                       deposits=[list(d) for d in deposits],
+                       withdraws=[list(w) for w in withdraws])
+    try:
+        cfg = config_from_dict(data)
+    except ConfigInvalid:
+        return
+    run(cfg)
 
 
 def test_corpus_matches_committed_digests(capsys):

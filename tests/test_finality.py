@@ -68,7 +68,7 @@ def test_dual_threshold_forward_passes_rear_fails():
     new = ValidatorId(1, b"\x01" * 32)
     reg.records[old] = ValidatorRecord(old, 300, start_dynasty=0, end_dynasty=1)
     reg.records[new] = ValidatorRecord(new, 300, start_dynasty=1)
-    snap = snapshot_registry(b"\xcc" * 32, 2, 1, reg)
+    snap = snapshot_registry(2, 1, reg)
     assert snap.forward == {1: 300} and snap.rear == {0: 300}
     assert not link_established(300, 0, snap, stitching=True)
     assert link_established(300, 0, snap, stitching=False)
@@ -78,10 +78,10 @@ def test_dual_threshold_forward_passes_rear_fails():
 def test_empty_side_semantics():
     reg = ValidatorRegistry()
     reg.add_genesis_validator(ValidatorId(0, b"\x00" * 32), 100)
-    genesis_snap = snapshot_registry(b"\xcc" * 32, 1, 0, reg)
+    genesis_snap = snapshot_registry(1, 0, reg)
     assert genesis_snap.rear_total == 0           # strict lower bound at dynasty 0
     assert link_established(100, 0, genesis_snap, stitching=True)
-    deserted = snapshot_registry(b"\xdd" * 32, 1, 5, ValidatorRegistry())
+    deserted = snapshot_registry(1, 5, ValidatorRegistry())
     assert not link_established(0, 0, deserted, stitching=True)
     assert not link_established(0, 0, deserted, stitching=False)
 
@@ -205,7 +205,7 @@ def test_finalize_with_timely_inclusion():
     b[2 * E + 1] = w2.include(b[2 * E], fin, timestamp=2 * E + 1)
     state = w2.cache.get(b[2 * E + 1].id)
     assert c1 in state.finalized_at                 # votes landed inside the window
-    assert state.finalized_count == 1
+    assert len(state.finalized_at) == 2             # the root and c1
     assert c2 not in state.finalized_at
 
 
@@ -238,7 +238,7 @@ def test_direct_child_required_for_finality():
     tip = w.include(b[2 * E], skip, timestamp=2 * E + 1)
     state = w.cache.get(tip.id)
     assert c2 in state.justified
-    assert w.tree.root in state.finalized_at and state.finalized_count == 0
+    assert w.tree.root in state.finalized_at and len(state.finalized_at) == 1
     assert c2 not in state.finalized_at
 
 
@@ -478,7 +478,7 @@ def test_included_wrong_pubkey_copy_does_not_count_after_genuine_verified():
              for v in genuine]
     tip = w.include(tip, wrong)
     state = w.cache.get(tip.id)
-    assert not state.included_votes and not state.voted_window
+    assert not state.voted_window
     assert c1 not in state.justified and not state.links.tallies
     tip = w.include(tip, genuine)
     assert c1 in w.cache.get(tip.id).justified
@@ -495,13 +495,36 @@ def test_one_block_counts_a_vote_once_and_skips_forged_copies():
     verify = w.keyring.verify
     w.keyring.verify = lambda vote: verified.append(vote) or verify(vote)
     state = w.cache.get(tip.id)
-    # the repeated vote is skipped before its signature is checked again
-    assert verified == [forged, genuine[0], genuine[1]]
-    assert state.included_votes == {genuine[0].key, genuine[1].key}
+    # the repeated vote is verified again (a memo hit) and then found in
+    # the link's voter set
+    assert verified == [forged, genuine[0], genuine[0], genuine[1]]
     assert state.voted_window == {0, 1}
     assert state.links.tallies[(w.tree.root, c1)] == (200, 0, {0, 1})
-    assert isinstance(state.included_votes, frozenset)
     assert isinstance(state.voted_window, frozenset)
+
+
+def test_a_vote_included_again_later_neither_counts_nor_saves_its_validator():
+    proto = ProtocolConfig(spacing=2, delta=4, withdrawal_delay=10,
+                           leak=LeakConfig(rate=Fraction(1, 10)))
+    w = World(proto, [100, 100, 100, 100])
+    tip = first_checkpoint(w)                       # c1 at height 2
+    c1 = tip.id
+    link = (w.tree.root, c1)
+    again, control = (sign_vote(w.keyring, i, w.tree.root, c1, 0, 1)
+                      for i in (0, 1))
+    tip = w.include(tip, [again, control])          # window k: heights 3-4
+    tip = w.include(tip, [])                        # checkpoint 4 closes it
+
+    def deposits(block):
+        reg = w.cache.get(block.id).registry
+        return [reg.by_index(i).deposit for i in range(4)]
+    assert deposits(tip) == [100, 100, 90, 90]
+    tip = w.include(tip, [again])                   # window k+1: heights 5-6
+    state = w.cache.get(tip.id)
+    assert state.links.tallies[link] == (200, 0, {0, 1})
+    assert not state.voted_window
+    tip = w.include(tip, [])                        # checkpoint 6 closes it
+    assert deposits(tip) == [90, 90, 81, 81]
 
 
 def test_child_blocks_leave_the_parent_tallies_unchanged():

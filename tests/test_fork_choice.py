@@ -279,7 +279,7 @@ def rule_rejects(view, block):
     latest = block.timestamp - 2 * view.cfg.delta
     evidence = view.cache.get(block.id).included_evidence
     return any(heard_at < latest and key not in evidence
-               for key, (heard_at, _v) in view.violations_heard.items())
+               for key, heard_at in view._heard)
 
 
 def rule_admissible(view, block):
@@ -584,7 +584,7 @@ def test_a_violation_heard_before_the_clock_raises():
     assert view.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 2}
     with pytest.raises(NonMonotonicTimestamp):
         view.receive_vote(b0, 5)
-    assert view.violations_heard == {} and view._heard == []
+    assert view._heard == []
     assert view.clock == 6
 
 
@@ -611,11 +611,11 @@ def test_future_stamped_leaf_admissible_once_clock_passes():
 def scan_new_violations(view, vote):
     """Reference: the vote checked pairwise against its validator's votes in
     the view's pool, keeping the violations the view has not heard yet."""
-    if vote in view.pool or not view.keyring.verify(vote):
+    if vote in view.pool or not view.pool.keyring.verify(vote):
         return []
     history = view.pool.validator_votes(vote.validator_index)
-    return [v for v in find_new_violations(history, vote)
-            if v.key not in view.violations_heard]
+    heard = {key for key, _at in view._heard}
+    return [v for v in find_new_violations(history, vote) if v.key not in heard]
 
 
 def recount_tallies(view, countable):
@@ -631,7 +631,7 @@ def recount_tallies(view, countable):
     for vote in view.pool.votes:
         snap = countable.get(vote)
         if snap is None:
-            if classify_vote(view.tree, snapshot_for, view.keyring,
+            if classify_vote(view.tree, snapshot_for, view.pool.keyring,
                              vote) is not VoteClass.COUNTABLE:
                 continue
             snap = countable[vote] = snapshot_for(vote.target)
@@ -652,14 +652,24 @@ class VerdictCheckedSimulation(Simulation):
         super().__init__(cfg)
         self.outcomes = Counter()
         self.countable = {name: {} for name in self.views}
+        for view in self.views.values():
+            view.receive_vote = self._recording(view.receive_vote)
+
+    def _recording(self, receive_vote):
+        def recorded(vote, now):
+            self.returned = receive_vote(vote, now)
+            return self.returned
+        return recorded
 
     def deliver(self, kind, payload, name, now):
         view = self.views[name]
         expected = scan_new_violations(view, payload) if kind == "vote" else []
         heard = len(view._heard)
+        self.returned = []
         super().deliver(kind, payload, name, now)
-        got = [view.violations_heard[key][1] for key, _at in view._heard[heard:]]
+        got = self.returned
         assert got == expected      # Violation equality compares vote_a, vote_b
+        assert view._heard[heard:] == [(v.key, now) for v in got]
         assert view.fstate.links.tallies == recount_tallies(view, self.countable[name])
         self.outcomes["violations"] += len(got)
         self.outcomes["tallied links"] += len(view.fstate.links.tallies)
@@ -778,7 +788,7 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
         assert all(v is not forged for v in second.pool.votes)
     assert second.pool.votes == [a]
     assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0}
-    assert not second.violations_heard
+    assert not second._heard
     # the genuine votes still count and are still reported afterwards
     second.receive_vote(honest, 7)
     assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 1}

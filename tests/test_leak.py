@@ -72,17 +72,6 @@ def test_total_never_increases():
         before = now
 
 
-def test_escalation_schedule_clamps():
-    cfg = LeakConfig(rate=Fraction(1, 10),
-                     escalation=(Fraction(1), Fraction(2), Fraction(3)))
-    assert cfg.epoch_rate(0) == Fraction(1, 10)
-    assert cfg.epoch_rate(1) == Fraction(2, 10)
-    assert cfg.epoch_rate(9) == Fraction(3, 10)
-    reg = registry([1000])
-    apply_epoch_leak(reg, set(), 0, cfg, stall_epochs=1)
-    assert reg.by_index(0).deposit == 800
-
-
 def test_oracle_trivial_cases():
     assert epochs_to_supermajority(100, 0, CFG) == 0
     assert epochs_to_supermajority(800, 300, CFG) == 0      # already over 2/3

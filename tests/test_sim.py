@@ -460,6 +460,17 @@ def test_sweep_tests_finalized_conflicts_without_pairwise_ancestry_walks(monkeyp
     assert 0 < len(calls) < 1000
 
 
+def included_vote_keys(tree, block_id):
+    """The keys of the votes in the payloads from the root to `block_id`."""
+    keys = set()
+    block = tree.get(block_id)
+    while block.height > 0:
+        keys.update(tx.vote.key for tx in block.payload
+                    if isinstance(tx, VoteInclusion))
+        block = tree.get(block.parent)
+    return keys
+
+
 class PayloadCheckedSimulation(Simulation):
     """Checks every proposed block's payload against a full scan: every
     pending evidence key, in key order, and every pooled vote, in pool
@@ -478,8 +489,9 @@ class PayloadCheckedSimulation(Simulation):
             expected += [self.pending_evidence[key]
                          for key in sorted(self.pending_evidence)
                          if key not in parent_state.included_evidence]
+        included = included_vote_keys(self.tree, block.parent)
         expected += [VoteInclusion(vote) for vote in self.proposer.pool.votes
-                     if vote.key not in parent_state.included_votes]
+                     if vote.key not in included]
         assert block.payload == tuple(expected)
         self.checked["blocks"] += 1
         self.checked["forks"] += self._children[block.parent] > 0

@@ -159,7 +159,6 @@ def test_evidence_fee_and_idempotence():
     block, reg = evidence_block(w, block, first, second, proposer=1)
     block, reg = evidence_block(w, block, *double_vote(w, 0, tag=1), proposer=1)
     assert reg.get(finder).deposit == 110
-    assert w.cache.get(block.id).slashed_at == ()
 
 
 def test_self_report_pays_fee():
@@ -188,7 +187,7 @@ def test_slash_during_withdrawal_delay():
         if h % E == 0:
             cps.append(tip.id)
     state = w.cache.get(tip.id)
-    assert state.finalized_count == 2
+    assert len(state.finalized_at) == 3             # the root and two more
     assert state.registry.get(leaver).unlock_epoch is not None
     _block, reg = evidence_block(w, tip, *double_vote(w, 3), proposer=None)
     assert reg.get(leaver).deposit == 0
