@@ -141,10 +141,10 @@ def _rebuild_world(report_data: dict):
                 txs.append(SlashEvidence(vote_from_dict(tx["first"], keyring),
                                          vote_from_dict(tx["second"], keyring)))
             elif tx["kind"] == "deposit":
-                txs.append(Deposit(tx["index"], keyring.vid(tx["index"]).pubkey,
+                txs.append(Deposit(tx["index"], keyring.pubkey(tx["index"]),
                                    tx["amount"]))
             else:
-                txs.append(Withdraw(tx["index"], keyring.vid(tx["index"]).pubkey))
+                txs.append(Withdraw(tx["index"], keyring.pubkey(tx["index"])))
         net.tree.insert_block(Block(bytes.fromhex(item["id"]),
                                     bytes.fromhex(item["parent"]), item["height"],
                                     item["timestamp"], item["proposer"], tuple(txs)))

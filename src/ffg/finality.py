@@ -16,14 +16,14 @@ One core counts votes into justification, and two engines sit on top of it:
   pure function of its parent's state plus its payload, so states are
   memoized per block id and shared across forks.  The same per-run cache
   keeps one record per vote object (`VoteRecord`) with the verdicts every
-  client view shares: its signature, its slashing partners, and whether it
-  counts.
+  client view and chain shares: its signature, its slashing partners, and
+  whether it counts (`classify_vote`, judged once per run).
 
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
-  with no inclusion requirement, and records each known checkpoint's height
-  and receipt order; fork choice reads its justified set per chain.  It
-  takes votes as their run records, so counting one needs no lookup beyond
-  the view's own tally.
+  with no inclusion requirement, and records each known checkpoint's
+  receipt order; fork choice reads its justified set per chain.  It takes
+  votes as their run records, so counting one needs no lookup beyond the
+  view's own tally.
 
 A link s -> t, with t's block in dynasty d, is established when the tallied
 deposits reach 2/3 of the forward set of d and (when stitching is enabled)
@@ -74,9 +74,9 @@ def snapshot_registry(cp_height: int, dynasty: int,
         if w <= 0:
             continue
         if rec.in_forward(dynasty):
-            forward[rec.vid.index] = w
+            forward[rec.index] = w
         if rec.in_rear(dynasty):
-            rear[rec.vid.index] = w
+            rear[rec.index] = w
     return DynastySnapshot(cp_height, forward, rear)
 
 
@@ -273,26 +273,23 @@ class _StepContext:
             self._own_registry = True
         return self.st.registry
 
-    def include_vote(self, vote: VoteData, keyring: Keyring):
-        if not keyring.verify(vote):
-            return
+    def include_vote(self, vote: VoteData, cache: ChainStateCache):
+        """Count an included vote on this chain when the run's verdict
+        (`ChainStateCache.classify`) finds it countable.  The chain adds
+        only that the target is on it, and so an ancestor of this block,
+        whose state `cache.get` has built already."""
         st = self.st
-        src_snap = st.snapshots.get(vote.source)
-        snap = st.snapshots.get(vote.target)
-        if snap is None or src_snap is None:
-            return
-        if (snap.cp_height != vote.target_height
-                or src_snap.cp_height != vote.source_height
-                or vote.source_height >= vote.target_height):
-            return
-        idx = vote.validator_index
-        if idx not in snap.forward and idx not in snap.rear:
+        if vote.target not in st.snapshots:
             return
         # a countable vote's key is fixed by its validator and link, and
         # whether it counts by its target being an ancestor, so this counts
         # each key once per chain: a vote included again is not a new voter
+        idx = vote.validator_index
         entry = st.links.tallies.get((vote.source, vote.target))
         if entry is not None and idx in entry[2]:
+            return
+        snap = cache.classify(cache.record(vote))
+        if snap is None:
             return
         self.new_voters.add(idx)
         self.owned("links").count(vote, snap, st.height)
@@ -336,21 +333,22 @@ class _StepContext:
         if check_pair(tx.first, tx.second) is None:
             return
         reg = self.registry()
-        rec = reg.by_index(tx.first.validator_index)
+        rec = reg.records.get(tx.first.validator_index)
         if rec is None or rec.slashed:
             return
-        taken = reg.slash(rec.vid)
+        taken = reg.slash(rec.index)
         fee = (taken * self.cfg.finder_fee.numerator) // self.cfg.finder_fee.denominator
         if proposer is not None:
-            finder = reg.by_index(proposer)
+            finder = reg.records.get(proposer)
             if finder is not None and not finder.slashed and not finder.withdrawn:
                 finder.deposit += fee
         # remainder (or everything, with no eligible finder) is burned
 
 
-def step_state(parent: ChainState, block, cfg: ProtocolConfig,
-               keyring: Keyring) -> ChainState:
-    """Fold one block into its parent's chain state."""
+def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
+    """Fold one block into its parent's chain state; `cache` builds the
+    states of the block's ancestors first."""
+    cfg = cache.cfg
     ctx = _StepContext(parent, cfg)
     st = ctx.st
     st.height = block.height
@@ -367,15 +365,14 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
     established = len(st.links.established)
     for tx in block.payload:
         if isinstance(tx, VoteInclusion):
-            ctx.include_vote(tx.vote, keyring)
+            ctx.include_vote(tx.vote, cache)
         elif isinstance(tx, SlashEvidence):
-            ctx.include_evidence(tx, block.proposer, keyring)
+            ctx.include_evidence(tx, block.proposer, cache.keyring)
         elif isinstance(tx, Deposit):
-            ctx.registry().process_deposit(
-                keyring.register(tx.validator_index), tx.amount, st.dynasty)
+            ctx.registry().process_deposit(tx.validator_index, tx.amount,
+                                           st.dynasty)
         elif isinstance(tx, Withdraw):
-            ctx.registry().process_withdraw(
-                keyring.register(tx.validator_index), st.dynasty)
+            ctx.registry().process_withdraw(tx.validator_index, st.dynasty)
     ctx.close_payload()
     if len(st.links.established) != established:
         ctx.finalize()
@@ -393,7 +390,7 @@ def step_state(parent: ChainState, block, cfg: ProtocolConfig,
             if (rec.unlock_epoch is not None and not rec.slashed
                     and not rec.withdrawn and epoch >= rec.unlock_epoch):
                 rec.withdrawn = True
-                st.payouts = st.payouts + ((rec.vid.index, block.height),)
+                st.payouts = st.payouts + ((rec.index, block.height),)
         snaps = ctx.owned("snapshots")
         cp_height = block.height // cfg.spacing
         snaps[block.id] = snapshot_registry(cp_height, st.dynasty, reg)
@@ -413,13 +410,15 @@ class VoteRecord:
       fresh arrival in any view; None before;
     * `snap`: the target's snapshot when the vote counts, else None; filled
       (`ChainStateCache.classify`) the first time a view that has marked
-      both endpoints counts the vote, and `_UNCLASSIFIED` before.  It is
-      never filled before the shared tree holds the target: from then on
-      every input is fixed, since a source that is an ancestor of the target
-      is in the tree already and one that is not never becomes one.  A view
-      that has marked both endpoints holds both blocks, so its own tree
-      gives the same class, because ids are digests and the two trees hold
-      the same blocks.
+      both endpoints counts the vote, or a chain that holds the target
+      includes it, and `_UNCLASSIFIED` before.  It is never filled before
+      the shared tree holds the target: from then on every input is fixed,
+      since a source that is an ancestor of the target is in the tree
+      already and one that is not never becomes one.  A view that has
+      marked both endpoints holds both blocks, so its own tree gives the
+      same class, because ids are digests and the two trees hold the same
+      blocks.  A chain that holds the target holds the source too whenever
+      the vote counts, and the target's snapshot is the one on that chain.
     """
 
     __slots__ = ("vote", "valid", "partners", "snap")
@@ -442,7 +441,8 @@ class ChainStateCache:
     * one `VoteRecord` per vote object (`record`): its signature verdict,
       its slashing partners and whether it counts.  A view finds the record
       with one lookup per delivery and then does only view-local work: pool
-      membership, the violations it hears and its own tally.
+      membership, the violations it hears and its own tally.  A chain finds
+      it per inclusion of a vote whose target is on the chain.
 
     Records are keyed by object identity, as `Keyring.verify` is: a run
     sends one vote object to every view.  Each record holds its vote, so the
@@ -480,7 +480,7 @@ class ChainStateCache:
             cursor = self.tree.get(cursor).parent
         state = states[cursor]
         for bid in reversed(missing):
-            state = step_state(state, self.tree.get(bid), self.cfg, self.keyring)
+            state = step_state(state, self.tree.get(bid), self)
             states[bid] = state
         return state
 
@@ -500,21 +500,23 @@ class ChainStateCache:
                 vote, self.keyring.verify(vote))
         return record
 
-    def countable(self, vote: VoteData) -> DynastySnapshot | None:
-        """The target's snapshot when `classify_vote` finds the vote
-        COUNTABLE on the shared tree, else None."""
-        if classify_vote(self.tree, self.snapshot_for, self.keyring,
-                         vote) is VoteClass.COUNTABLE:
-            return self.snapshot_for(vote.target)
-        return None
-
     def classify(self, record: VoteRecord) -> DynastySnapshot | None:
-        """`countable` for the record's vote, kept on the record once the
-        shared tree holds the target (see `VoteRecord`)."""
+        """The target's snapshot when `classify_vote` finds the record's
+        vote COUNTABLE on the shared tree, else None: the one countability
+        verdict, read by client views and by every chain that includes the
+        vote.  Kept on the record once the shared tree holds the target
+        (see `VoteRecord`), and then returned without classifying again."""
+        snap = record.snap
+        if snap is not _UNCLASSIFIED:
+            return snap
         vote = record.vote
         if vote.target not in self.tree:
             return None
-        record.snap = snap = self.countable(vote)
+        snap = None
+        if classify_vote(self.tree, self.snapshot_for, self.keyring,
+                         vote) is VoteClass.COUNTABLE:
+            snap = self.snapshot_for(vote.target)
+        record.snap = snap
         return snap
 
     def conflict_partners(self, vote: VoteData) -> dict[tuple, Violation]:
@@ -560,17 +562,16 @@ class FinalityState:
 
     Checkpoints must be registered (mark_checkpoint) before votes targeting
     them can be tallied; earlier votes are buffered, as their records.
-    `heights` and `order` give each registered checkpoint's height and
-    receipt sequence number, which fork choice uses to rank the justified
-    checkpoints of its chains.  Whether a vote counts is read from its run
-    record (`VoteRecord.snap`); the first view to count a vote classifies it
-    for the run.
+    `order` gives each registered checkpoint's receipt sequence number,
+    which fork choice uses, after the height the view's tree gives, to rank
+    the justified checkpoints of its chains.  Whether a vote counts is read
+    from its run record (`VoteRecord.snap`); the first reader to need the
+    verdict classifies the vote for the run.
     """
 
     def __init__(self, cache: ChainStateCache):
         root_id = cache.tree.root
         self.cache = cache
-        self.heights: dict[bytes, int] = {root_id: 0}
         self.order: dict[bytes, int] = {root_id: 0}
         self.links = LinkTally(root_id, cache.cfg.stitching)
         self._buffer: dict[bytes, list[VoteRecord]] = {}
@@ -585,9 +586,8 @@ class FinalityState:
     # -- updates ----------------------------------------------------------------
 
     def mark_checkpoint(self, cp: bytes, cp_height: int, order: int) -> None:
-        if cp in self.heights:
+        if cp in self.order:
             return
-        self.heights[cp] = cp_height
         self.order[cp] = order
         self.max_height = max(self.max_height, cp_height)
         for record in self._buffer.pop(cp, []):
@@ -597,15 +597,13 @@ class FinalityState:
         """Tally the run record of a signature-valid vote; buffers it until
         both endpoints are known."""
         vote = record.vote
-        if vote.target not in self.heights:
+        if vote.target not in self.order:
             self._buffer.setdefault(vote.target, []).append(record)
             return
-        if vote.source not in self.heights:
+        if vote.source not in self.order:
             self._buffer.setdefault(vote.source, []).append(record)
             return
-        snap = record.snap
-        if snap is _UNCLASSIFIED:
-            snap = self.cache.classify(record)
+        snap = self.cache.classify(record)
         if snap is not None:
             self.links.count(vote, snap)
 

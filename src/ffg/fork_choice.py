@@ -122,7 +122,7 @@ class ClientView:
         self.first_seen_finalized: dict[int, bytes] = {0: self.tree.root}
         self.finalizable: dict[bytes, bool] = {self.tree.root: True}
         self.finalized_anchor: bytes = self.tree.root
-        self.observed_finalized: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
+        self.observed_finalized: set[bytes] = {self.tree.root}
         self.ignored_finalized: list[tuple[int, bytes]] = []
         # (key, heard_at) per violation heard, in the order heard: heard-at order
         self._heard: list[tuple[tuple, int]] = []
@@ -130,7 +130,8 @@ class ClientView:
         # root and it; final once judged (see the module docstring)
         self._rejected: dict[bytes, bool] = {}
         self._pending_blocks: dict[bytes, list[Block]] = {}
-        self.payout_seen: list[tuple[int, bytes, int]] = []
+        # (index, height) of each payout on a chain the view has received
+        self.payout_seen: set[tuple[int, int]] = set()
 
     # -- receipt ---------------------------------------------------------------
 
@@ -165,12 +166,11 @@ class ClientView:
         if block.height % self.cfg.spacing == 0:
             self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing,
                                         self._seq)
-        return self._detect_finality(block, now)
+        return self._detect_finality(block)
 
-    def _detect_finality(self, block: Block, now: int) -> list[bytes]:
+    def _detect_finality(self, block: Block) -> list[bytes]:
         state = self.cache.get(block.id)
-        for index, height in state.payouts:
-            self.payout_seen.append((index, block.id, height))
+        self.payout_seen.update(state.payouts)
         newly = []
         for cp, fin_height in state.finalized_at.items():
             if cp in self.observed_finalized or cp not in self.tree:
@@ -180,7 +180,7 @@ class ClientView:
             carrier = self.tree.ancestor_at(block.id, fin_height)
             if self.admissible(self.tree.get(carrier)) is Admissibility.REJECT:
                 continue
-            self.observed_finalized[cp] = (fin_height, now)
+            self.observed_finalized.add(cp)
             self.on_finalized(cp)
             newly.append(cp)
         return newly
@@ -317,7 +317,7 @@ class ClientView:
 
     def head(self) -> bytes:
         anchor = self.finalized_anchor
-        heights, order = self.fstate.heights, self.fstate.order
+        blocks, order = self.tree.blocks, self.fstate.order
         best_cp: tuple[int, int, bytes] | None = None
         best_leaves: list[bytes] = []
         for leaf in self.tree.leaves():
@@ -326,7 +326,7 @@ class ClientView:
             if not self.chain_admissible(leaf):
                 continue
             tip = self.justified_tip(leaf)
-            cp = (heights[tip], order[tip], tip)
+            cp = (blocks[tip].height, order[tip], tip)
             if best_cp is None or _better(cp, best_cp):
                 best_cp = cp
                 best_leaves = [leaf]

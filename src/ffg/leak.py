@@ -48,7 +48,7 @@ def apply_epoch_leak(registry: ValidatorRegistry, voted: set[int],
             continue
         if not rec.in_forward(current_dynasty):
             continue
-        if rec.vid.index in voted:
+        if rec.index in voted:
             continue
         cut = leak_amount(rec.deposit, cfg.rate)
         rec.deposit -= cut

@@ -123,8 +123,8 @@ def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
     chain = {0: s.tree.get(root)}
     payloads = {
         6: lambda: [VoteInclusion(v) for v in s.votes(old, root, chain[5].id)],
-        7: lambda: [Deposit(i, s.keyring.vid(i).pubkey, amount) for i in new],
-        8: lambda: [Withdraw(i, s.keyring.vid(i).pubkey) for i in old],
+        7: lambda: [Deposit(i, s.keyring.pubkey(i), amount) for i in new],
+        8: lambda: [Withdraw(i, s.keyring.pubkey(i)) for i in old],
         11: lambda: [VoteInclusion(v) for v in s.votes(old, chain[5].id, chain[10].id)],
     }
     for h in range(1, 16):
@@ -238,7 +238,7 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
     for h in range(5, horizon + 1):
         txs: list = []
         if h == 8:
-            txs = [Withdraw(i, s.keyring.vid(i).pubkey) for i in attackers]
+            txs = [Withdraw(i, s.keyring.pubkey(i)) for i in attackers]
         if h % E == 1 and h > E and (h // E) <= 4:
             k = h // E
             src = root if k == 1 else fork[(k - 1) * E].id
@@ -257,7 +257,7 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
     for h in range(5, horizon + 1):
         txs = []
         if h == 8:
-            txs = [Withdraw(i, s.keyring.vid(i).pubkey) for i in attackers]
+            txs = [Withdraw(i, s.keyring.pubkey(i)) for i in attackers]
         if h % E == 1 and h > E:
             k = h // E
             voters = everyone if k <= 4 else honest
@@ -326,12 +326,11 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
                 continue
             tip = chain[-1]
             state = s.cache.get(tip.id)
-            paid = [idx for idx, rec in
-                    ((rec.vid.index, rec) for rec in state.registry.records.values())
+            paid = [idx for idx, rec in state.registry.records.items()
                     if rec.withdrawn and idx in attackers]
             if tip.height >= unlock_epoch * cfg.protocol.spacing:
                 reaches = True
-                slashed = {rec.vid.index for rec in state.registry.records.values()
+                slashed = {idx for idx, rec in state.registry.records.items()
                            if rec.slashed}
                 if not set(attackers) <= slashed and paid:
                     evidence_ok = False
@@ -425,9 +424,9 @@ def scenario_split_finality(cfg: ScenarioConfig) -> RunReport:
         "oracle_epochs": {"a": k_a, "b": k_b},
         "first_finalized_height": {"a": first_new_finalized(state_a),
                                    "b": first_new_finalized(state_b)},
-        "leaked_on_a": {str(i): state_a.registry.records[s.keyring.vid(i)].leaked
+        "leaked_on_a": {str(i): state_a.registry.records[i].leaked
                         for i in sorted(side_b)},
-        "leaked_on_b": {str(i): state_b.registry.records[s.keyring.vid(i)].leaked
+        "leaked_on_b": {str(i): state_b.registry.records[i].leaked
                         for i in sorted(side_a)},
         "heads": {name: s.views[name].head().hex() for name in sorted(s.views)},
     }

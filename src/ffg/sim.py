@@ -116,6 +116,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIO_KINDS:
             raise ConfigInvalid(f"unknown scenario kind {self.scenario!r}")
+        if self.scenario == GENERIC and self.params:
+            raise ConfigInvalid("generic runs read no params")
         if self.duration_epochs < 1:
             raise ConfigInvalid("duration must be >= 1 epoch")
         if type(self.observers) is not int or self.observers < 0:
@@ -210,9 +212,33 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
+# what `config_to_dict` writes at each level; `config_from_dict` reads
+# exactly these keys, so it rejects any other
+_WRITTEN = config_to_dict(ScenarioConfig(validators=(ValidatorSpec(0, 1),)))
+
+
+def _check_keys(data: dict, written: dict, where: str) -> None:
+    unknown = sorted(set(data).difference(written))
+    if unknown:
+        raise ConfigInvalid(f"{where}: unknown keys {', '.join(unknown)}")
+
+
+def _spec_from_dict(data: dict) -> ValidatorSpec:
+    _check_keys(data, _WRITTEN["validators"][0], "validator")
+    behavior = data.get("behavior", {})
+    _check_keys(behavior, _WRITTEN["validators"][0]["behavior"], "behavior")
+    return ValidatorSpec(data["index"], data["deposit"],
+                         Behavior(behavior.get("kind", HONEST),
+                                  behavior.get("from_epoch", 0)))
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     try:
+        _check_keys(data, _WRITTEN, "scenario")
+        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+            raise ConfigInvalid(f"schema_version must be {SCHEMA_VERSION}")
         proto = data.get("protocol", {})
+        _check_keys(proto, _WRITTEN["protocol"], "protocol")
         pcfg = ProtocolConfig(
             spacing=proto.get("spacing", 100),
             delta=proto.get("delta", 8),
@@ -223,11 +249,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             stitching=proto.get("stitching", True),
             hash_name=proto.get("hash_name", "sha256"),
         )
-        validators = tuple(
-            ValidatorSpec(v["index"], v["deposit"],
-                          Behavior(v.get("behavior", {}).get("kind", HONEST),
-                                   v.get("behavior", {}).get("from_epoch", 0)))
-            for v in data["validators"])
+        validators = tuple(map(_spec_from_dict, data["validators"]))
         cfg = ScenarioConfig(
             name=data.get("name", "scenario"),
             seed=data.get("seed", 0),
@@ -279,7 +301,7 @@ class Agent:
     def _source_for(self, target: bytes, h_t: int) -> tuple[bytes, int]:
         """Highest justified checkpoint below the target on its chain."""
         source = self.view.justified_tip(target, below=h_t)
-        return source, self.view.fstate.heights[source]
+        return source, self.view.tree.require_checkpoint(source)
 
     def maybe_vote(self) -> list[VoteData]:
         """Vote for the head chain's checkpoint of the newest epoch, skipping
@@ -315,11 +337,10 @@ class Agent:
         view = self.view
         if source != view.tree.root:
             return self._sign(view.tree.root, target, 0, h_t)
-        for cp in sorted(view.fstate.heights):
+        for cp in sorted(view.fstate.order):
             if cp in (source, target):
                 continue
-            h = view.fstate.heights[cp]
-            if h == h_t and cp in view.tree:
+            if view.tree.require_checkpoint(cp) == h_t:
                 return self._sign(source, cp, h_s, h_t)
         return None
 
@@ -358,8 +379,8 @@ class Network:
         self.keyring = Keyring(cfg.seed)
         registry = ValidatorRegistry()
         for spec in cfg.validators:
-            registry.add_genesis_validator(self.keyring.register(spec.index),
-                                           spec.deposit)
+            self.keyring.register(spec.index)
+            registry.add_genesis_validator(spec.index, spec.deposit)
         for _epoch, index, _amount in cfg.deposits:
             self.keyring.register(index)
         self.tree = BlockTree(self.proto.spacing, self.proto.hash_name)
@@ -504,21 +525,20 @@ class Simulation(Network):
     # -- proposer ----------------------------------------------------------------
 
     def _scheduled_txs(self, epoch: int, parent_state) -> list:
+        """The scheduled deposits and withdraws that a block of `epoch` on
+        the parent's chain carries: each from its own epoch on, until the
+        chain has applied it; a withdraw also waits until its validator is
+        active in the block's dynasty."""
         txs = []
+        records = parent_state.registry.records
         for ep, index, amount in self.cfg.deposits:
-            if ep == epoch:
-                vid = self.keyring.vid(index)
-                rec = parent_state.registry.records.get(vid)
-                if rec is None:
-                    txs.append(Deposit(index, vid.pubkey, amount))
+            if ep <= epoch and index not in records:
+                txs.append(Deposit(index, self.keyring.pubkey(index), amount))
         for ep, index in self.cfg.withdraws:
-            if ep == epoch:
-                vid = self.keyring.vid(index)
-                rec = parent_state.registry.records.get(vid)
-                # a validator may leave only once active in the block's dynasty
-                if rec is not None and rec.end_dynasty is None \
-                        and rec.start_dynasty < len(parent_state.finalized_at):
-                    txs.append(Withdraw(index, vid.pubkey))
+            rec = records.get(index)
+            if ep <= epoch and rec is not None and rec.end_dynasty is None \
+                    and rec.start_dynasty < len(parent_state.finalized_at):
+                txs.append(Withdraw(index, self.keyring.pubkey(index)))
         return txs
 
     def propose(self, now: int) -> None:
@@ -732,7 +752,7 @@ def sweep_invariants(world: RunWorld) -> dict:
     for leaf in tree.leaves():
         state = cache.get(leaf)
         for rec in state.registry.records.values():
-            if rec.slashed and rec.vid.index in honest:
+            if rec.slashed and rec.index in honest:
                 honest_unslashed = False
 
     accountability = None
@@ -795,8 +815,7 @@ def _vote_to_dict(vote: VoteData) -> dict:
 
 
 def vote_from_dict(data: dict, keyring: Keyring) -> VoteData:
-    vid = keyring.register(data["validator"])
-    return VoteData(data["validator"], vid.pubkey,
+    return VoteData(data["validator"], keyring.register(data["validator"]),
                     bytes.fromhex(data["source"]), bytes.fromhex(data["target"]),
                     data["source_height"], data["target_height"],
                     bytes.fromhex(data["signature"]))
@@ -847,11 +866,10 @@ def build_report(world: RunWorld, invariants: dict,
             "first_seen_finalized": {str(h): cp.hex()
                                      for h, cp in sorted(view.first_seen_finalized.items())},
             "violations_heard": len(view._heard),
-            "leak_totals": {str(rec.vid.index): rec.leaked
-                            for rec in sorted(head_state.registry.records.values(),
-                                              key=lambda r: r.vid.index)
+            "leak_totals": {str(index): rec.leaked
+                            for index, rec in sorted(head_state.registry.records.items())
                             if rec.leaked},
-            "payouts": sorted({(i, h) for i, _b, h in view.payout_seen}),
+            "payouts": sorted(view.payout_seen),
         }
 
     report = RunReport(

@@ -11,6 +11,10 @@ so forward(d) == rear(d+1).  `ValidatorRecord.in_forward` and `in_rear` test
 one record; `finality.snapshot_registry` builds the weighted sets.  All 2/3
 and 1/3 comparisons elsewhere use cross-multiplication on integer deposits;
 no floats ever enter the math.
+
+A validator is named by its index, as a vote names it: indexes are unique in
+a run (a repeated one is a Rejoin error), so records and the registry's
+methods take the index alone, and only the keyring maps it to a public key.
 """
 
 from __future__ import annotations
@@ -21,15 +25,9 @@ from .errors import (AlreadyLeaving, AlreadySlashed, NotActive, NotLeaving,
                      Rejoin, UnknownValidator, ZeroDeposit)
 
 
-@dataclass(frozen=True, slots=True)
-class ValidatorId:
-    index: int
-    pubkey: bytes
-
-
 @dataclass(slots=True)
 class ValidatorRecord:
-    vid: ValidatorId
+    index: int
     deposit: int
     start_dynasty: int
     end_dynasty: int | None = None      # None while no withdraw message is included
@@ -39,7 +37,7 @@ class ValidatorRecord:
     leaked: int = 0
 
     def copy(self) -> "ValidatorRecord":
-        return ValidatorRecord(self.vid, self.deposit, self.start_dynasty,
+        return ValidatorRecord(self.index, self.deposit, self.start_dynasty,
                                self.end_dynasty, self.unlock_epoch,
                                self.slashed, self.withdrawn, self.leaked)
 
@@ -61,56 +59,53 @@ class ValidatorRecord:
 
 @dataclass
 class ValidatorRegistry:
-    """Chain-local validator state; cloneable for fork evaluation."""
+    """Chain-local validator state, keyed by validator index; cloneable for
+    fork evaluation."""
 
-    records: dict[ValidatorId, ValidatorRecord] = field(default_factory=dict)
+    records: dict[int, ValidatorRecord] = field(default_factory=dict)
 
     def clone(self) -> "ValidatorRegistry":
-        return ValidatorRegistry({vid: rec.copy() for vid, rec in self.records.items()})
+        return ValidatorRegistry({index: rec.copy()
+                                  for index, rec in self.records.items()})
 
-    def get(self, vid: ValidatorId) -> ValidatorRecord:
+    def get(self, index: int) -> ValidatorRecord:
         try:
-            return self.records[vid]
+            return self.records[index]
         except KeyError:
-            raise UnknownValidator(vid.index) from None
+            raise UnknownValidator(index) from None
 
-    def by_index(self, index: int) -> ValidatorRecord | None:
-        for rec in self.records.values():
-            if rec.vid.index == index:
-                return rec
-        return None
-
-    def add_genesis_validator(self, vid: ValidatorId, deposit: int) -> None:
+    def add_genesis_validator(self, index: int, deposit: int) -> None:
         """Bootstrap member, active from dynasty 0."""
         if deposit <= 0:
-            raise ZeroDeposit(vid.index)
-        if vid in self.records:
-            raise Rejoin(vid.index)
-        self.records[vid] = ValidatorRecord(vid, deposit, start_dynasty=0)
+            raise ZeroDeposit(index)
+        if index in self.records:
+            raise Rejoin(index)
+        self.records[index] = ValidatorRecord(index, deposit, start_dynasty=0)
 
-    def process_deposit(self, vid: ValidatorId, amount: int, current_dynasty: int) -> None:
+    def process_deposit(self, index: int, amount: int, current_dynasty: int) -> None:
         """Join request included at dynasty d: active from dynasty d+2.
 
-        Identifiers are never reused, so any previously seen id (even a fully
+        Indexes are never reused, so any previously seen index (even a fully
         withdrawn one) is a Rejoin error.
         """
         if amount <= 0:
-            raise ZeroDeposit(vid.index)
-        if vid in self.records:
-            raise Rejoin(vid.index)
-        self.records[vid] = ValidatorRecord(vid, amount, start_dynasty=current_dynasty + 2)
+            raise ZeroDeposit(index)
+        if index in self.records:
+            raise Rejoin(index)
+        self.records[index] = ValidatorRecord(index, amount,
+                                              start_dynasty=current_dynasty + 2)
 
-    def process_withdraw(self, vid: ValidatorId, current_dynasty: int) -> None:
+    def process_withdraw(self, index: int, current_dynasty: int) -> None:
         """Leave request included at dynasty d: inactive from dynasty d+2.
 
         The withdrawal-delay countdown starts later, at the first block of the
         end dynasty on the chain being evaluated (see mark_end_dynasty_started).
         """
-        rec = self.get(vid)
+        rec = self.get(index)
         if rec.end_dynasty is not None:
-            raise AlreadyLeaving(vid.index)
+            raise AlreadyLeaving(index)
         if rec.start_dynasty > current_dynasty:
-            raise NotActive(vid.index)
+            raise NotActive(index)
         rec.end_dynasty = current_dynasty + 2
 
     def mark_end_dynasty_started(self, dynasty: int, epoch: int,
@@ -128,21 +123,21 @@ class ValidatorRegistry:
             if low < rec.end_dynasty <= dynasty:
                 rec.unlock_epoch = epoch + withdrawal_delay
 
-    def slash(self, vid: ValidatorId) -> int:
+    def slash(self, index: int) -> int:
         """Zero the deposit; returns the amount taken.  Idempotence is the caller's
         job (AlreadySlashed)."""
-        rec = self.get(vid)
+        rec = self.get(index)
         if rec.slashed:
-            raise AlreadySlashed(vid.index)
+            raise AlreadySlashed(index)
         taken = rec.deposit
         rec.deposit = 0
         rec.slashed = True
         return taken
 
-    def withdrawable(self, vid: ValidatorId, current_epoch: int) -> bool:
-        rec = self.get(vid)
+    def withdrawable(self, index: int, current_epoch: int) -> bool:
+        rec = self.get(index)
         if rec.end_dynasty is None:
-            raise NotLeaving(vid.index)
+            raise NotLeaving(index)
         if rec.slashed:
             return False
         return rec.unlock_epoch is not None and current_epoch >= rec.unlock_epoch

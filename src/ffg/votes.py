@@ -26,7 +26,6 @@ from enum import Enum
 from . import codec
 from .chain import BlockTree, VoteData
 from .errors import BadSignature
-from .validators import ValidatorId
 
 
 class Keyring:
@@ -34,31 +33,31 @@ class Keyring:
 
     `verify` memoizes its verdicts by object identity, for the callers that
     meet one vote object several times: the run's pool, the run's record of
-    the vote (`ChainStateCache.record`, which a client view reads instead of
-    verifying) and each chain that includes it.  Each entry holds its vote,
-    so the vote's id cannot be reused by another object while the entry
-    lives; a value-equal copy is a different object and is judged again, to
-    the same verdict.
+    the vote (`ChainStateCache.record`, which client views and the chains
+    that include the vote read instead of verifying), `classify_vote` and
+    the end-of-run sweep.  Each entry holds its vote, so the vote's id
+    cannot be reused by another object while the entry lives; a value-equal
+    copy is a different object and is judged again, to the same verdict.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._secrets: dict[int, bytes] = {}
-        self._ids: dict[int, ValidatorId] = {}
+        self._pubkeys: dict[int, bytes] = {}
         # id(vote) -> (vote, verdict)
         self._verified: dict[int, tuple[VoteData, bool]] = {}
 
-    def register(self, index: int) -> ValidatorId:
+    def register(self, index: int) -> bytes:
+        """Make the validator's keys on first use; returns its public key."""
         if index not in self._secrets:
             secret = hashlib.sha256(b"ffg-secret" + codec.u64(self.seed) +
                                     codec.u64(index)).digest()
-            pubkey = hashlib.sha256(b"ffg-public" + secret).digest()
             self._secrets[index] = secret
-            self._ids[index] = ValidatorId(index, pubkey)
-        return self._ids[index]
+            self._pubkeys[index] = hashlib.sha256(b"ffg-public" + secret).digest()
+        return self._pubkeys[index]
 
-    def vid(self, index: int) -> ValidatorId:
-        return self._ids[index]
+    def pubkey(self, index: int) -> bytes:
+        return self._pubkeys[index]
 
     def sign(self, index: int, message: bytes) -> bytes:
         return hmac.new(self._secrets[index], message, hashlib.sha256).digest()
@@ -67,8 +66,7 @@ class Keyring:
         entry = self._verified.get(id(vote))
         if entry is not None and entry[0] is vote:
             return entry[1]
-        vid = self._ids.get(vote.validator_index)
-        if vid is None or vid.pubkey != vote.validator_pubkey:
+        if self._pubkeys.get(vote.validator_index) != vote.validator_pubkey:
             return False
         core = codec.encode_vote_core(vote.source, vote.target,
                                       vote.source_height, vote.target_height)
@@ -81,9 +79,9 @@ class Keyring:
 
 def sign_vote(keyring: Keyring, index: int, source: bytes, target: bytes,
               source_height: int, target_height: int) -> VoteData:
-    vid = keyring.register(index)
+    pubkey = keyring.register(index)
     core = codec.encode_vote_core(source, target, source_height, target_height)
-    return VoteData(index, vid.pubkey, source, target, source_height,
+    return VoteData(index, pubkey, source, target, source_height,
                     target_height, keyring.sign(index, core))
 
 

@@ -53,7 +53,8 @@ class World:
         self.keyring = Keyring(seed)
         self.registry = ValidatorRegistry()
         for index, deposit in enumerate(weights):
-            self.registry.add_genesis_validator(self.keyring.register(index), deposit)
+            self.keyring.register(index)
+            self.registry.add_genesis_validator(index, deposit)
         self.tree = BlockTree(proto.spacing, proto.hash_name)
         self.cache = ChainStateCache(self.tree, proto, self.keyring, self.registry)
         self.pool = VotePool(self.keyring)

@@ -129,6 +129,26 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ((), "duration_epoch", 40), (("protocol",), "leak-rate", "1/5"),
+    (("validators", 0), "deposits", 100),
+    (("validators", 0, "behavior"), "from", 2),
+    ((), "schema_version", 7), ((), "params", {"partition": [[0], [1]]})],
+    ids=repr)
+def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, value):
+    # a misspelt or unread key used to be ignored, so the run silently used
+    # the default; a generic run reads no params, and only schema 1 exists
+    data = honest_data()
+    part = data
+    for step in where:
+        part = part[step]
+    part[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @settings(max_examples=40, deadline=None)
 @given(hash_name=st.sampled_from(["sha256", "sha512", "blake2s", "sha3_256",
                                   "sha1", "md5", "shake_128", "nope"]),

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,15 +8,19 @@ import ffg.finality
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
-from ffg.finality import (FinalityState, compute_justified, link_established,
-                          liveness_plan, plan_safe_for, snapshot_registry, tally)
+from ffg.finality import (FinalityState, _StepContext, compute_justified,
+                          link_established, liveness_plan, plan_safe_for,
+                          snapshot_registry, tally)
 from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
+from ffg.sim import run
 from ffg.slashing import check_pair
-from ffg.validators import ValidatorId, ValidatorRecord, ValidatorRegistry
+from ffg.validators import ValidatorRecord, ValidatorRegistry
 from ffg.votes import sign_vote
 
 from conftest import World
+from test_acceptance import fuzz_config
+from test_fork_choice import long_horizon_shaped
 
 # negligible rate: keeps engine weights equal to genesis weights so the
 # hand-rolled oracles below stay exact
@@ -64,10 +69,8 @@ def test_dual_threshold_forward_passes_rear_fails():
     # an incoming generation fills the forward set while the outgoing one
     # still controls the rear set; only both together establish the link
     reg = ValidatorRegistry()
-    old = ValidatorId(0, b"\x00" * 32)
-    new = ValidatorId(1, b"\x01" * 32)
-    reg.records[old] = ValidatorRecord(old, 300, start_dynasty=0, end_dynasty=1)
-    reg.records[new] = ValidatorRecord(new, 300, start_dynasty=1)
+    reg.records[0] = ValidatorRecord(0, 300, start_dynasty=0, end_dynasty=1)
+    reg.records[1] = ValidatorRecord(1, 300, start_dynasty=1)
     snap = snapshot_registry(2, 1, reg)
     assert snap.forward == {1: 300} and snap.rear == {0: 300}
     assert not link_established(300, 0, snap, stitching=True)
@@ -77,7 +80,7 @@ def test_dual_threshold_forward_passes_rear_fails():
 
 def test_empty_side_semantics():
     reg = ValidatorRegistry()
-    reg.add_genesis_validator(ValidatorId(0, b"\x00" * 32), 100)
+    reg.add_genesis_validator(0, 100)
     genesis_snap = snapshot_registry(1, 0, reg)
     assert genesis_snap.rear_total == 0           # strict lower bound at dynasty 0
     assert link_established(100, 0, genesis_snap, stitching=True)
@@ -246,21 +249,21 @@ def test_dynasty_and_join_leave_through_chain():
     from ffg.chain import Deposit, Withdraw
     w = make_world([100, 100, 100])
     E = w.proto.spacing
-    joiner = w.keyring.register(7)
+    joiner_key = w.keyring.register(7)
     b = {0: w.tree.get(w.tree.root)}
     b[1] = w.include(b[0], [], timestamp=1)
-    dep = make_block(b[1], 2, None, (Deposit(7, joiner.pubkey, 50),),
+    dep = make_block(b[1], 2, None, (Deposit(7, joiner_key, 50),),
                      w.tree.hash_name)
     w.tree.insert_block(dep)
     state = w.cache.get(dep.id)
     assert state.dynasty == 0
-    assert state.registry.get(joiner).start_dynasty == 2
+    assert state.registry.get(7).start_dynasty == 2
 
-    wd = make_block(dep, 3, None, (Withdraw(0, w.keyring.vid(0).pubkey),),
+    wd = make_block(dep, 3, None, (Withdraw(0, w.keyring.pubkey(0)),),
                     w.tree.hash_name)
     w.tree.insert_block(wd)
     state = w.cache.get(wd.id)
-    assert state.registry.get(w.keyring.vid(0)).end_dynasty == 2
+    assert state.registry.get(0).end_dynasty == 2
 
 
 # -- engine vs naive recomputation over every vote subset -------------------------
@@ -474,7 +477,7 @@ def test_included_wrong_pubkey_copy_does_not_count_after_genuine_verified():
         assert w.keyring.verify(v)
     # each copy carries the genuine vote's key and signature under another
     # validator's pubkey
-    wrong = [replace(v, validator_pubkey=w.keyring.vid((v.validator_index + 1) % 3).pubkey)
+    wrong = [replace(v, validator_pubkey=w.keyring.pubkey((v.validator_index + 1) % 3))
              for v in genuine]
     tip = w.include(tip, wrong)
     state = w.cache.get(tip.id)
@@ -495,9 +498,11 @@ def test_one_block_counts_a_vote_once_and_skips_forged_copies():
     verify = w.keyring.verify
     w.keyring.verify = lambda vote: verified.append(vote) or verify(vote)
     state = w.cache.get(tip.id)
-    # the repeated vote is verified again (a memo hit) and then found in
-    # the link's voter set
-    assert verified == [forged, genuine[0], genuine[0], genuine[1]]
+    # each vote object is verified when its run record is made and again (a
+    # memo hit) when it is classified; the repeated vote is found in the
+    # link's voter set first, so it is neither
+    assert verified == [forged, forged, genuine[0], genuine[0],
+                        genuine[1], genuine[1]]
     assert state.voted_window == {0, 1}
     assert state.links.tallies[(w.tree.root, c1)] == (200, 0, {0, 1})
     assert isinstance(state.voted_window, frozenset)
@@ -517,7 +522,7 @@ def test_a_vote_included_again_later_neither_counts_nor_saves_its_validator():
 
     def deposits(block):
         reg = w.cache.get(block.id).registry
-        return [reg.by_index(i).deposit for i in range(4)]
+        return [reg.get(i).deposit for i in range(4)]
     assert deposits(tip) == [100, 100, 90, 90]
     tip = w.include(tip, [again])                   # window k+1: heights 5-6
     state = w.cache.get(tip.id)
@@ -525,6 +530,47 @@ def test_a_vote_included_again_later_neither_counts_nor_saves_its_validator():
     assert not state.voted_window
     tip = w.include(tip, [])                        # checkpoint 6 closes it
     assert deposits(tip) == [90, 90, 81, 81]
+
+
+def reference_counts(st, vote, keyring):
+    """Reference: whether an included vote counts on the chain whose state
+    is being built, judged from that chain alone: a valid signature, source
+    and target among the chain's checkpoints at the vote's heights, the
+    source below the target, and the validator in the target's dynasty
+    sets as the chain recorded them."""
+    if not keyring.verify(vote):
+        return False
+    src_snap = st.snapshots.get(vote.source)
+    snap = st.snapshots.get(vote.target)
+    if snap is None or src_snap is None:
+        return False
+    if (snap.cp_height != vote.target_height
+            or src_snap.cp_height != vote.source_height
+            or vote.source_height >= vote.target_height):
+        return False
+    idx = vote.validator_index
+    return idx in snap.forward or idx in snap.rear
+
+
+def test_chain_inclusions_count_exactly_when_the_reference_says(monkeypatch):
+    outcomes = Counter()
+    include_vote = _StepContext.include_vote
+
+    def checked(ctx, vote, cache):
+        idx, link = vote.validator_index, (vote.source, vote.target)
+        entry = ctx.st.links.tallies.get(link)
+        repeat = entry is not None and idx in entry[2]
+        counts = reference_counts(ctx.st, vote, cache.keyring)
+        include_vote(ctx, vote, cache)
+        entry = ctx.st.links.tallies.get(link)
+        counted = not repeat and entry is not None and idx in entry[2]
+        assert counted == (counts and not repeat)
+        assert not counted or idx in ctx.new_voters
+        outcomes["repeat" if repeat else "counted" if counted else "not counted"] += 1
+    monkeypatch.setattr(_StepContext, "include_vote", checked)
+    for cfg in [fuzz_config(seed) for seed in range(100)] + [long_horizon_shaped(3)]:
+        run(cfg)
+    assert outcomes["counted"] > 0 and outcomes["not counted"] > 0, outcomes
 
 
 def test_child_blocks_leave_the_parent_tallies_unchanged():
@@ -621,15 +667,18 @@ def test_countable_gives_copies_the_same_verdict():
     c1 = first_checkpoint(w).id
     genuine = sign_vote(w.keyring, 0, w.tree.root, c1, 0, 1)
     forged = replace(genuine, signature=bytes(32))
-    wrong = replace(genuine, validator_pubkey=w.keyring.vid(1).pubkey)
-    snap = w.cache.countable(genuine)
+    wrong = replace(genuine, validator_pubkey=w.keyring.pubkey(1))
+
+    def classify(vote):
+        return w.cache.classify(w.cache.record(vote))
+    snap = classify(genuine)
     assert snap is not None and snap is w.cache.snapshot_for(c1)
-    assert w.cache.countable(replace(genuine)) is snap
+    assert classify(replace(genuine)) is snap
     for _ in range(2):
-        assert w.cache.countable(forged) is None
-        assert w.cache.countable(replace(forged)) is None
-        assert w.cache.countable(wrong) is None
-    assert w.cache.countable(genuine) is snap
+        assert classify(forged) is None
+        assert classify(replace(forged)) is None
+        assert classify(wrong) is None
+    assert classify(genuine) is snap
 
 
 def test_vote_record_never_returns_a_stale_verdict_for_short_lived_votes():

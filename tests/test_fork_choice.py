@@ -312,9 +312,10 @@ def scan_justified_tip(view, bid, below=None):
     fs = view.fstate
     cands = [cp for cp in fs.justified
              if cp in view.tree and view.tree.is_ancestor(cp, bid)
-             and (below is None or fs.heights[cp] < below)]
+             and (below is None or view.tree.require_checkpoint(cp) < below)]
     cands.append(view.tree.root)
-    return min(cands, key=lambda cp: (-fs.heights[cp], fs.order[cp], cp))
+    return min(cands, key=lambda cp: (-view.tree.require_checkpoint(cp),
+                                      fs.order[cp], cp))
 
 
 def scan_head(view, verdicts=None):
@@ -325,7 +326,7 @@ def scan_head(view, verdicts=None):
         if view.tree.is_ancestor(view.finalized_anchor, leaf) \
                 and walk_chain_admissible(view, leaf, verdicts):
             tip = scan_justified_tip(view, leaf)
-            ranked.append(((-fs.heights[tip], fs.order[tip], tip),
+            ranked.append(((-view.tree.require_checkpoint(tip), fs.order[tip], tip),
                            -view.tree.get(leaf).height, leaf))
     return min(ranked)[2] if ranked else view.finalized_anchor
 
@@ -767,11 +768,12 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
     first.receive_vote(honest, 5)
     first.receive_vote(a, 5)
     assert first.receive_vote(b, 5)
-    assert w.cache.countable(forged_honest) is None
+    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring,
+                         forged_honest) is VoteClass.INVALID
     # the second view is handed the forgeries: nothing counts or is heard
     second.receive_vote(a, 6)
     judged = Counter()
-    for name in ("countable", "classify", "conflict_partners"):
+    for name in ("classify", "conflict_partners"):
         original = getattr(ChainStateCache, name)
 
         def counted(cache, arg, name=name, original=original):
@@ -809,11 +811,23 @@ def count_calls_per_vote(monkeypatch, cls, name, calls, votes):
     monkeypatch.setattr(cls, name, counted)
 
 
+def count_classifications(monkeypatch, calls, votes):
+    """Wrap `ChainStateCache.classify` to count, per vote object, the calls
+    that classify its record rather than return the kept verdict."""
+    classify = ChainStateCache.classify
+
+    def counted(cache, record):
+        if record.snap is _UNCLASSIFIED:
+            votes[id(record.vote)] = record.vote
+            calls[id(record.vote)] += 1
+        return classify(cache, record)
+    monkeypatch.setattr(ChainStateCache, "classify", counted)
+
+
 def test_each_vote_object_is_judged_a_constant_number_of_times(monkeypatch):
-    calls = {name: Counter() for name in ("countable", "conflict_partners", "verify")}
+    calls = {name: Counter() for name in ("classify", "conflict_partners", "verify")}
     votes = {}
-    count_calls_per_vote(monkeypatch, ChainStateCache, "countable",
-                         calls["countable"], votes)
+    count_classifications(monkeypatch, calls["classify"], votes)
     count_calls_per_vote(monkeypatch, ChainStateCache, "conflict_partners",
                          calls["conflict_partners"], votes)
     count_calls_per_vote(monkeypatch, Keyring, "verify", calls["verify"], votes)
@@ -822,8 +836,8 @@ def test_each_vote_object_is_judged_a_constant_number_of_times(monkeypatch):
     assert len(sim.views) == 51
     distinct = len(sim.pool.votes)
     assert len(votes) == distinct > 200     # the run makes one object per vote
-    assert len(calls["countable"]) == len(calls["conflict_partners"]) == distinct
-    assert max(calls["countable"].values()) == 1
+    assert len(calls["classify"]) == len(calls["conflict_partners"]) == distinct
+    assert max(calls["classify"].values()) == 1
     assert max(calls["conflict_partners"].values()) == 1
     # the run's pool, the vote's record, the chain that includes it, the
     # end-of-run sweep and each evidence inclusion: nothing per view (the
@@ -876,7 +890,7 @@ def test_a_vote_ahead_of_its_target_is_buffered_with_its_record(monkeypatch):
     assert c1 in early.fstate.justified
     assert all(r.snap is not _UNCLASSIFIED and r.snap is not None for r in records)
     classified = Counter()
-    count_calls_per_vote(monkeypatch, ChainStateCache, "countable", classified, {})
+    count_classifications(monkeypatch, classified, {})
     feed_chain(late, w, blocks[1:])
     assert not late.fstate._buffer and not classified
     assert late.fstate.links.tallies == early.fstate.links.tallies

@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 from ffg.errors import ConfigInvalid, Unreachable
 from ffg.leak import BURN, LeakConfig, apply_epoch_leak, epochs_to_supermajority
 from ffg.sim import config_from_dict
-from ffg.validators import ValidatorId, ValidatorRegistry
+from ffg.validators import ValidatorRegistry
 
 
 def registry(deposits):
     reg = ValidatorRegistry()
     for i, d in enumerate(deposits):
-        reg.add_genesis_validator(ValidatorId(i, bytes([i]) * 32), d)
+        reg.add_genesis_validator(i, d)
     return reg
 
 
@@ -36,30 +36,30 @@ def test_unknown_disposition_rejected():
 def test_nonvoter_loses_tenth():
     reg = registry([1000])
     apply_epoch_leak(reg, voted=set(), current_dynasty=0, cfg=CFG)
-    assert reg.by_index(0).deposit == 900
+    assert reg.get(0).deposit == 900
 
 
 def test_voter_untouched():
     reg = registry([1000])
     apply_epoch_leak(reg, voted={0}, current_dynasty=0, cfg=CFG)
-    assert reg.by_index(0).deposit == 1000
+    assert reg.get(0).deposit == 1000
 
 
 def test_floor_rounding_per_epoch():
     reg = registry([81])
     apply_epoch_leak(reg, set(), 0, CFG)
-    assert reg.by_index(0).deposit == 73          # 81 - floor(8.1)
+    assert reg.get(0).deposit == 73          # 81 - floor(8.1)
     reg2 = registry([5])
     for _ in range(50):
         apply_epoch_leak(reg2, set(), 0, CFG)
-    assert reg2.by_index(0).deposit >= 1          # floor keeps small stakes alive
+    assert reg2.get(0).deposit >= 1          # floor keeps small stakes alive
 
 
 def test_inactive_members_not_leaked():
     reg = registry([100])
-    reg.process_deposit(ValidatorId(7, b"\x07" * 32), 500, current_dynasty=0)
+    reg.process_deposit(7, 500, current_dynasty=0)
     apply_epoch_leak(reg, set(), current_dynasty=0, cfg=CFG)   # 7 starts at 2
-    assert reg.get(ValidatorId(7, b"\x07" * 32)).deposit == 500
+    assert reg.get(7).deposit == 500
 
 
 def test_total_never_increases():
@@ -93,7 +93,7 @@ def test_oracle_matches_iterated_registry():
     reg = registry([600, 400])
     k = 0
     while True:
-        snapshot = [reg.by_index(0).deposit, reg.by_index(1).deposit]
+        snapshot = [reg.get(0).deposit, reg.get(1).deposit]
         if 3 * snapshot[0] >= 2 * sum(snapshot):
             break
         apply_epoch_leak(reg, voted={0}, current_dynasty=0, cfg=CFG)

@@ -14,7 +14,7 @@ import pytest
 
 import ffg.scenarios
 import ffg.sim
-from ffg.chain import BlockTree, SlashEvidence, VoteInclusion
+from ffg.chain import BlockTree, SlashEvidence, VoteInclusion, Withdraw
 from ffg.config import ProtocolConfig
 from ffg.errors import ConfigInvalid, NotACheckpoint
 from ffg.leak import LeakConfig, epochs_to_supermajority
@@ -200,6 +200,29 @@ def test_config_roundtrip_and_validation():
                             "behavior": {"kind": "surround_voter", "from_epoch": 2}}]
     with pytest.raises(ConfigInvalid):
         config_from_dict(early)
+
+
+def test_config_round_trips_on_corpus_and_fuzz_configs():
+    cfgs = corpus_configs() + [fuzz_config(seed) for seed in range(100)]
+    for cfg in cfgs:
+        assert config_from_dict(config_to_dict(cfg)) == cfg, cfg.name
+
+
+def test_a_scheduled_withdraw_waits_for_its_validator_to_be_active():
+    # validator 9's deposit lands in epoch 1, so it is active from dynasty
+    # 2, which begins after epoch 2: its withdraw is carried from epoch 2
+    # until a block in dynasty 2 applies it, not dropped with epoch 2
+    data = json.loads((CORPUS / "all_honest.json").read_text())
+    data.update(deposits=[[1, 9, 50]], withdraws=[[2, 9]])
+    sim = Simulation(config_from_dict(data))
+    sim.run_loop()
+    head = sim.proposer.head()
+    carried = [sim.tree.get(bid) for bid in sim.tree.path(head)
+               if any(isinstance(tx, Withdraw) for tx in sim.tree.get(bid).payload)]
+    assert len(carried) == 1
+    assert sim.proto.epoch_of_height(carried[0].height) > 2
+    rec = sim.cache.get(head).registry.get(9)
+    assert (rec.start_dynasty, rec.end_dynasty) == (2, 4)
 
 
 def test_report_votes_and_blocks_reconstructable():

@@ -146,7 +146,7 @@ def double_vote(w, index, tag=0):
 
 def test_evidence_fee_and_idempotence():
     w = make_world([1000, 100, 100])
-    culprit, finder = w.keyring.vid(0), w.keyring.vid(1)
+    culprit, finder = 0, 1
     first, second = double_vote(w, 0)
     block, reg = evidence_block(w, w.tree.get(w.tree.root), first, second,
                                 proposer=1)
@@ -166,16 +166,16 @@ def test_self_report_pays_fee():
     _block, reg = evidence_block(w, w.tree.get(w.tree.root), *double_vote(w, 0),
                                  proposer=0)
     # the deposit is gone before the fee lands; slashed records earn nothing
-    assert reg.get(w.keyring.vid(0)).deposit == 0
+    assert reg.get(0).deposit == 0
 
 
 def test_slash_during_withdrawal_delay():
     w = make_world([100, 100, 100, 100])
-    leaver = w.keyring.vid(3)
+    leaver = 3
     E = w.proto.spacing
     cps = [w.tree.root]
     tip = make_block(w.tree.get(w.tree.root), 1, None,
-                     (Withdraw(3, leaver.pubkey),), w.tree.hash_name)
+                     (Withdraw(3, w.keyring.pubkey(3)),), w.tree.hash_name)
     w.tree.insert_block(tip)
     # validators 0-2 finalize checkpoints 1 and 2; the second finalization
     # starts the leaver's end dynasty and with it the withdrawal delay

@@ -83,7 +83,7 @@ def test_pool_rejects_forged():
     w = small_world()
     pool = VotePool(w.keyring)
     sign_vote(w.keyring, 0, b"\x01" * 32, b"\x02" * 32, 0, 1)  # registers key
-    forged = VoteData(0, w.keyring.vid(0).pubkey, b"\x01" * 32, b"\x02" * 32,
+    forged = VoteData(0, w.keyring.pubkey(0), b"\x01" * 32, b"\x02" * 32,
                       0, 1, b"\x00" * 32)
     with pytest.raises(BadSignature):
         pool.add(forged)
@@ -109,7 +109,7 @@ def test_verify_memo_checks_pubkey():
     keyring = Keyring(seed=42)
     s, t = b"\x01" * 32, b"\x02" * 32
     genuine = sign_vote(keyring, 0, s, t, 0, 1)
-    wrong = replace(genuine, validator_pubkey=keyring.register(1).pubkey)
+    wrong = replace(genuine, validator_pubkey=keyring.register(1))
     assert not keyring.verify(wrong)
     assert keyring.verify(genuine)
     assert not keyring.verify(wrong)
@@ -137,7 +137,7 @@ def test_verify_memo_gives_copies_the_same_verdict(keyring):
     s, t = b"\x01" * 32, b"\x02" * 32
     genuine = sign_vote(keyring, 0, s, t, 0, 1)
     forged = replace(genuine, signature=bytes(32))
-    wrong = replace(genuine, validator_pubkey=keyring.register(1).pubkey)
+    wrong = replace(genuine, validator_pubkey=keyring.register(1))
     assert keyring.verify(genuine)
     # value-equal copies are other objects, judged again to the same verdict
     assert keyring.verify(replace(genuine))
@@ -160,7 +160,7 @@ def test_verify_memo_never_returns_a_stale_verdict_for_short_lived_votes(keyring
     # each vote is dropped after its check, so a memo keyed by a bare id
     # would meet recycled ids; every verdict must still be the vote's own
     s, t = b"\x01" * 32, b"\x02" * 32
-    pubkeys = [keyring.register(i).pubkey for i in range(4)]
+    pubkeys = [keyring.register(i) for i in range(4)]
     for i in range(3000):
         vote = sign_vote(keyring, i % 4, s, t, i % 7, 7 + i % 5)
         if i % 3 == 1:
