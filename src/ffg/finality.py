@@ -22,8 +22,8 @@ One core counts votes into justification, and two engines sit on top of it:
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
   with no inclusion requirement, and records each known checkpoint's
   receipt order; fork choice reads its justified set per chain.  It takes
-  votes as their run records, so counting one needs no lookup beyond the
-  view's own tally.
+  votes as their run records, which carry each vote's link and weights, so
+  counting one needs no lookup beyond the view's own tally.
 
 A link s -> t, with t's block in dynasty d, is established when the tallied
 deposits reach 2/3 of the forward set of d and (when stitching is enabled)
@@ -112,6 +112,11 @@ class LinkTally:
     a link to the caller's stamp; by_source and by_target index established
     links as (other end, stamp) tuples.
 
+    `count` takes a vote as its voter, link and weights.  Views and chains
+    pass those their run record carries (`VoteRecord`), so counting builds
+    no link and reads no snapshot; the pool queries read the weights from
+    the snapshot per vote.
+
     Voter sets are mutable and owned copy-on-write: `copy` shares them and
     starts owning none, and `count` copies a link's set the first time it
     adds to it, so a copy never writes into a set its original can see.  A
@@ -145,31 +150,31 @@ class LinkTally:
         other._owned = set()
         return other
 
-    def count(self, vote: VoteData, snap: DynastySnapshot,
-              stamp: int = 0) -> list[bytes]:
-        """Add one vote's weight to its link; returns the checkpoints it newly
-        justifies.  The caller vouches that the vote counts against `snap`."""
-        idx = vote.validator_index
-        source, target = link = (vote.source, vote.target)
+    def count(self, idx: int, link: tuple[bytes, bytes], forward: int,
+              rear: int, snap: DynastySnapshot, stamp: int = 0) -> list[bytes]:
+        """Add validator `idx`'s weights, `forward` and `rear` in `snap`, to
+        `link`; returns the checkpoints the vote newly justifies.  The caller
+        vouches that the vote counts against `snap`."""
         entry = self.tallies.get(link)
         if entry is None:
-            fwd = rear = 0
+            fwd = rear_sum = 0
             voters = set()
             self._owned.add(link)
         else:
-            fwd, rear, voters = entry
+            fwd, rear_sum, voters = entry
             if idx in voters:
                 return []
             if link not in self._owned:
                 voters = set(voters)
                 self._owned.add(link)
         voters.add(idx)
-        fwd += snap.forward.get(idx, 0)
-        rear += snap.rear.get(idx, 0)
-        self.tallies[link] = (fwd, rear, voters)
+        fwd += forward
+        rear_sum += rear
+        self.tallies[link] = (fwd, rear_sum, voters)
         if link in self.established or not link_established(
-                fwd, rear, snap, self.stitching):
+                fwd, rear_sum, snap, self.stitching):
             return []
+        source, target = link
         self.established[link] = stamp
         self.by_source[source] = self.by_source.get(source, ()) + ((target, stamp),)
         self.by_target[target] = self.by_target.get(target, ()) + ((source, stamp),)
@@ -187,13 +192,21 @@ class LinkTally:
         return newly
 
 
+def _count_pooled(links: LinkTally, vote: VoteData,
+                  snap: DynastySnapshot) -> None:
+    """Count a pooled vote, reading its validator's weights from `snap`."""
+    idx = vote.validator_index
+    links.count(idx, (vote.source, vote.target), snap.forward.get(idx, 0),
+                snap.rear.get(idx, 0), snap)
+
+
 def pool_links(tree: BlockTree, pool: VotePool, snapshot_for,
                stitching: bool = True) -> LinkTally:
     """The core fed every countable vote of the pool once."""
     links = LinkTally(tree.root, stitching)
     for vote in pool.votes:
         if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
-            links.count(vote, snapshot_for(vote.target))
+            _count_pooled(links, vote, snapshot_for(vote.target))
     return links
 
 
@@ -210,7 +223,7 @@ def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
     links = LinkTally(tree.root, stitching)
     for vote in pool.link_votes(source, target):
         if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
-            links.count(vote, snap)
+            _count_pooled(links, vote, snap)
     fwd, rear, _voters = links.tallies.get((source, target), (0, 0, ()))
     return LinkStatus(source, target, fwd, rear, snap.forward_total,
                       snap.rear_total, (source, target) in links.established)
@@ -285,14 +298,16 @@ class _StepContext:
         # whether it counts by its target being an ancestor, so this counts
         # each key once per chain: a vote included again is not a new voter
         idx = vote.validator_index
-        entry = st.links.tallies.get((vote.source, vote.target))
+        record = cache.record(vote)
+        entry = st.links.tallies.get(record.link)
         if entry is not None and idx in entry[2]:
             return
-        snap = cache.classify(cache.record(vote))
+        snap = cache.classify(record)
         if snap is None:
             return
         self.new_voters.add(idx)
-        self.owned("links").count(vote, snap, st.height)
+        self.owned("links").count(idx, record.link, record.forward,
+                                  record.rear, snap, st.height)
 
     def close_payload(self):
         st = self.st
@@ -405,6 +420,8 @@ class VoteRecord:
     """One vote object's verdicts for a whole run (`ChainStateCache.record`).
 
     * `valid`: the signature verdict, read once when the record is made;
+    * `link`: the vote's `(source, target)`, the key of its tally, made
+      with the record;
     * `partners`: the vote's slashing partners and their violations
       (`ChainStateCache.conflict_partners`), filled on the vote's first
       fresh arrival in any view; None before;
@@ -419,15 +436,20 @@ class VoteRecord:
       same class, because ids are digests and the two trees hold the same
       blocks.  A chain that holds the target holds the source too whenever
       the vote counts, and the target's snapshot is the one on that chain.
+    * `forward`, `rear`: the voter's weights in `snap`, filled with it when
+      the vote counts (0 before and otherwise) and fixed from then on, so a
+      tally that counts the record reads no snapshot.
     """
 
-    __slots__ = ("vote", "valid", "partners", "snap")
+    __slots__ = ("vote", "valid", "link", "partners", "snap", "forward", "rear")
 
     def __init__(self, vote: VoteData, valid: bool):
         self.vote = vote
         self.valid = valid
+        self.link = (vote.source, vote.target)
         self.partners: dict[tuple, Violation] | None = None
         self.snap = _UNCLASSIFIED
+        self.forward = self.rear = 0
 
 
 class ChainStateCache:
@@ -439,10 +461,12 @@ class ChainStateCache:
     * the chain state after each block, keyed by block id: a pure function
       of the block and its ancestors;
     * one `VoteRecord` per vote object (`record`): its signature verdict,
-      its slashing partners and whether it counts.  A view finds the record
-      with one lookup per delivery and then does only view-local work: pool
-      membership, the violations it hears and its own tally.  A chain finds
-      it per inclusion of a vote whose target is on the chain.
+      its link, its slashing partners, whether it counts and, if it does,
+      the voter's weights.  The network looks the record up once per heap
+      entry and hands it to every view the entry names, which then does
+      only view-local work: pool membership, the violations it hears and
+      its own tally.  A chain finds it per inclusion of a vote whose target
+      is on the chain.
 
     Records are keyed by object identity, as `Keyring.verify` is: a run
     sends one vote object to every view.  Each record holds its vote, so the
@@ -516,6 +540,9 @@ class ChainStateCache:
         if classify_vote(self.tree, self.snapshot_for, self.keyring,
                          vote) is VoteClass.COUNTABLE:
             snap = self.snapshot_for(vote.target)
+            idx = vote.validator_index
+            record.forward = snap.forward.get(idx, 0)
+            record.rear = snap.rear.get(idx, 0)
         record.snap = snap
         return snap
 
@@ -605,7 +632,8 @@ class FinalityState:
             return
         snap = self.cache.classify(record)
         if snap is not None:
-            self.links.count(vote, snap)
+            self.links.count(vote.validator_index, record.link, record.forward,
+                             record.rear, snap)
 
 
 def compute_justified(tree: BlockTree, pool: VotePool, snapshot_for,

@@ -56,7 +56,7 @@ from operator import itemgetter
 from .chain import Block, BlockTree, VoteData
 from .config import ProtocolConfig
 from .errors import NonMonotonicTimestamp
-from .finality import ChainStateCache, FinalityState
+from .finality import ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
 from .votes import Keyring, VotePool
 
@@ -91,7 +91,8 @@ class ClientView:
       frozen); any other object is hashed;
     * chain states: a pure function of a block and its ancestors;
     * one record per vote object (`ChainStateCache.record`, a `VoteRecord`),
-      which `receive_vote` finds with one lookup per delivery:
+      which the network looks up once per heap entry and passes to
+      `receive_vote` for every view the entry names:
       - the signature verdict, so a view indexes the vote into its pool
         (`VotePool.add_verified`) without verifying it again;
       - the slashing partners and their violations, filled on the vote's
@@ -100,9 +101,10 @@ class ClientView:
         pool, in pool order, each with the run's violation oriented (pooled
         vote, incoming), so its evidence and heard-at times are those of a
         scan of its own pool;
-      - the countability snapshot, filled by the first view that counts the
-        vote once it holds both endpoints; its own tree would give the same
-        class, since block ids are digests.
+      - the countability snapshot and the voter's weights in it, filled by
+        the first view that counts the vote once it holds both endpoints;
+        its own tree would give the same class, since block ids are digests.
+        With the record's link, they are all the view's tally needs.
 
     Pool membership, link tallies, heard-at times and evidence verdicts stay
     per view.  A view hears violations in clock order, so each block's
@@ -185,16 +187,20 @@ class ClientView:
             newly.append(cp)
         return newly
 
-    def receive_vote(self, vote: VoteData, now: int) -> list[Violation]:
+    def receive_vote(self, vote: VoteData, now: int,
+                     record: VoteRecord | None = None) -> list[Violation]:
         """Pool the vote; returns violations it newly exposes (heard now).
 
-        Reads the vote's run record once; the rest is view-local.  Raises
-        `NonMonotonicTimestamp` when the vote exposes a new violation at a
-        `now` before the view's clock, since verdicts already judged assume
-        none is heard in the past; the vote then stays pooled, uncounted."""
+        Reads the vote's run record: `record` when given, which must be
+        `cache.record(vote)`, else the record looked up here.  The rest is
+        view-local.  Raises `NonMonotonicTimestamp` when the vote exposes a
+        new violation at a `now` before the view's clock, since verdicts
+        already judged assume none is heard in the past; the vote then stays
+        pooled, uncounted."""
         if now > self.clock:
             self.clock = now
-        record = self.cache.record(vote)
+        if record is None:
+            record = self.cache.record(vote)
         if not record.valid or not self.pool.add_verified(vote):
             return []
         partners = record.partners

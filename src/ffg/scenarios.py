@@ -59,7 +59,7 @@ class Script(Network):
         block = make_block(self.tree.get(parent_id), timestamp, proposer,
                            tuple(txs), self.proto.hash_name)
         self.tree.insert_block(block)
-        self._trace_line(f"{timestamp}|block|{block.id.hex()}")
+        self._lines.append(f"{timestamp}|block|{block.id.hex()}")
         return block
 
     def vote(self, index: int, source: bytes, target: bytes) -> VoteData:
@@ -67,7 +67,7 @@ class Script(Network):
         ht = self.tree.require_checkpoint(target)
         v = sign_vote(self.keyring, index, source, target, hs, ht)
         self.pool.add(v)
-        self._trace_line(f"{self.tree.get(target).timestamp}|vote|{v.key}")
+        self._lines.append(f"{self.tree.get(target).timestamp}|vote|{v.key}")
         return v
 
     def votes(self, indexes, source: bytes, target: bytes) -> list[VoteData]:

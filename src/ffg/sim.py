@@ -25,11 +25,16 @@ happen, where t is the event's time:
 
 Lines are buffered in emission order and hashed with one digest update per
 `deliver_due` call, so once per delivery time (and by `build_world` for any
-left over); the digest is that of the lines hashed one by one.
+left over); the digest is that of the lines hashed one by one.  A delivery
+line is the time joined to the view's ``|deliver|name|kind`` suffix, made
+once per run.
 
 Events are heap entries (time, sequence number, kind, payload, view names),
-popped in (time, sequence) order, and each pops as one delivery per name in
-the order the names are listed.  A broadcast draws one jitter per non-sender
+popped in (time, sequence) order.  An entry is the unit of delivery:
+`deliver` takes it whole, does the run-level work once (a vote's
+`VoteRecord` is looked up once and handed to every view) and then delivers
+to one name at a time, in the order the names are listed, doing only
+view-local work per name.  A broadcast draws one jitter per non-sender
 view, in view order, and pushes one entry per distinct delivery time, holding
 the views that drew it in view order.  That delivers in the same order as one
 entry per view would, where the order is (time, then the broadcast's
@@ -394,14 +399,15 @@ class Network:
         self._trace = hashlib.sha256()
         # trace lines not yet hashed, in emission order
         self._lines: list[str] = []
+        # kind -> view name -> the view's delivery line after its time
+        self._deliver_lines = {
+            kind: {name: f"|deliver|{name}|{kind}" for name in self.views}
+            for kind in ("block", "vote")}
         # the largest jitter a broadcast drew; scripted sends draw none, so
         # their delivery delay is not measured
         self._max_jitter = 0
         self._monotonic_ok = True
         self._mono_counts: dict[str, tuple[int, int]] = {}
-
-    def _trace_line(self, text: str) -> None:
-        self._lines.append(text)
 
     def _hash_lines(self) -> None:
         """Feed the buffered trace lines to the digest, each ending in a
@@ -417,13 +423,20 @@ class Network:
         self._seq += 1
         heapq.heappush(self.events, (time, self._seq, kind, payload, names))
 
-    def deliver(self, kind: str, payload, name: str, now: int) -> None:
-        view = self.views[name]
-        self._trace_line(f"{now}|deliver|{name}|{kind}")
+    def deliver(self, kind: str, payload, names: list[str], now: int) -> None:
+        """Deliver one heap entry to each of `names`, in order."""
+        views, lines = self.views, self._lines
+        time = str(now)
+        suffixes = self._deliver_lines[kind]
         if kind == "block":
-            view.receive_block(payload, now)
+            for name in names:
+                lines.append(time + suffixes[name])
+                views[name].receive_block(payload, now)
         else:
-            view.receive_vote(payload, now)
+            record = self.cache.record(payload)
+            for name in names:
+                lines.append(time + suffixes[name])
+                views[name].receive_vote(payload, now, record)
 
     def deliver_due(self, until) -> None:
         """Deliver every event due at or before `until`, in heap order."""
@@ -431,8 +444,7 @@ class Network:
         deliver = self.deliver
         while events and events[0][0] <= until:
             t, _seq, kind, payload, names = heapq.heappop(events)
-            for name in names:
-                deliver(kind, payload, name, t)
+            deliver(kind, payload, names, t)
         self._hash_lines()
 
     def _check_monotonic(self) -> None:
@@ -503,12 +515,12 @@ class Simulation(Network):
             self.send(kind, payload, time, names)
 
     def broadcast_block(self, block: Block, now: int) -> None:
-        self._trace_line(f"{now}|block|{block.id.hex()}")
+        self._lines.append(f"{now}|block|{block.id.hex()}")
         self._broadcast("block", block, self.proposer.name, now)
 
     def broadcast_vote(self, vote: VoteData, sender: str, now: int) -> None:
         self.pool.add(vote)
-        self._trace_line(f"{now}|vote|{vote.key}")
+        self._lines.append(f"{now}|vote|{vote.key}")
         self._broadcast("vote", vote, sender, now)
 
     def submit_evidence(self, violation, now: int) -> None:
@@ -517,7 +529,7 @@ class Simulation(Network):
         key = violation.key
         if key in self.pending_evidence:
             return
-        self._trace_line(f"{now}|evidence|{key}")
+        self._lines.append(f"{now}|evidence|{key}")
         self.pending_evidence[key] = SlashEvidence(violation.vote_a,
                                                    violation.vote_b)
         self._evidence_order.append(key)
@@ -577,21 +589,33 @@ class Simulation(Network):
 
     # -- delivery ----------------------------------------------------------------
 
-    def deliver(self, kind: str, payload, name: str, now: int) -> None:
-        view = self.views[name]
-        self._trace_line(f"{now}|deliver|{name}|{kind}")
+    def deliver(self, kind: str, payload, names: list[str], now: int) -> None:
+        """`Network.deliver`, plus each agent's reaction as it is delivered
+        to: a block may make it vote, a vote may expose violations that it
+        reports."""
+        views, lines = self.views, self._lines
+        time = str(now)
+        suffixes = self._deliver_lines[kind]
         if kind == "block":
-            view.receive_block(payload, now)
-            agent = self.agents.get(name)
-            if agent is not None \
-                    and view.fstate.max_height > agent.last_voted_height:
-                for vote in agent.maybe_vote():
-                    self.broadcast_vote(vote, name, now)
-        elif kind == "vote":
-            new_violations = view.receive_vote(payload, now)
-            if new_violations and name in self._reporters:
-                for violation in new_violations:
-                    self.submit_evidence(violation, now)
+            agents = self.agents
+            for name in names:
+                lines.append(time + suffixes[name])
+                view = views[name]
+                view.receive_block(payload, now)
+                agent = agents.get(name)
+                if agent is not None \
+                        and view.fstate.max_height > agent.last_voted_height:
+                    for vote in agent.maybe_vote():
+                        self.broadcast_vote(vote, name, now)
+        else:
+            record = self.cache.record(payload)
+            reporters = self._reporters
+            for name in names:
+                lines.append(time + suffixes[name])
+                new_violations = views[name].receive_vote(payload, now, record)
+                if new_violations and name in reporters:
+                    for violation in new_violations:
+                        self.submit_evidence(violation, now)
 
     def run_loop(self) -> None:
         total_ticks = self.cfg.duration_epochs * self.proto.spacing

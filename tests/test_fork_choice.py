@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ffg.chain
+import ffg.finality
 from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import DigestMismatch, NonMonotonicTimestamp
@@ -390,11 +391,12 @@ class CheckedSimulation(Simulation):
         for view in self.views.values():
             count_shortcuts(view, self.shortcuts)
 
-    def deliver(self, kind, payload, name, now):
-        super().deliver(kind, payload, name, now)
-        if kind in self.kinds:
-            check_against_walks(self.views[name], self.outcomes)
-            check_tips_against_scans(self.views[name], self.outcomes)
+    def deliver(self, kind, payload, names, now):
+        for name in names:
+            super().deliver(kind, payload, [name], now)
+            if kind in self.kinds:
+                check_against_walks(self.views[name], self.outcomes)
+                check_tips_against_scans(self.views[name], self.outcomes)
 
 
 def checked_run(cfg):
@@ -441,9 +443,10 @@ def test_memoized_fork_choice_matches_walks_on_scripted_corpus(monkeypatch):
     outcomes = []
     deliver = Network.deliver
 
-    def checked_deliver(net, kind, payload, name, now):
-        deliver(net, kind, payload, name, now)
-        check_against_walks(net.views[name], outcomes[-1])
+    def checked_deliver(net, kind, payload, names, now):
+        for name in names:
+            deliver(net, kind, payload, [name], now)
+            check_against_walks(net.views[name], outcomes[-1])
     monkeypatch.setattr(Network, "deliver", checked_deliver)
     for name in SCRIPTED_CORPUS:
         outcomes.append(Counter())
@@ -657,23 +660,24 @@ class VerdictCheckedSimulation(Simulation):
             view.receive_vote = self._recording(view.receive_vote)
 
     def _recording(self, receive_vote):
-        def recorded(vote, now):
-            self.returned = receive_vote(vote, now)
+        def recorded(vote, now, record=None):
+            self.returned = receive_vote(vote, now, record)
             return self.returned
         return recorded
 
-    def deliver(self, kind, payload, name, now):
-        view = self.views[name]
-        expected = scan_new_violations(view, payload) if kind == "vote" else []
-        heard = len(view._heard)
-        self.returned = []
-        super().deliver(kind, payload, name, now)
-        got = self.returned
-        assert got == expected      # Violation equality compares vote_a, vote_b
-        assert view._heard[heard:] == [(v.key, now) for v in got]
-        assert view.fstate.links.tallies == recount_tallies(view, self.countable[name])
-        self.outcomes["violations"] += len(got)
-        self.outcomes["tallied links"] += len(view.fstate.links.tallies)
+    def deliver(self, kind, payload, names, now):
+        for name in names:
+            view = self.views[name]
+            expected = scan_new_violations(view, payload) if kind == "vote" else []
+            heard = len(view._heard)
+            self.returned = []
+            super().deliver(kind, payload, [name], now)
+            got = self.returned
+            assert got == expected      # Violation equality compares vote_a, vote_b
+            assert view._heard[heard:] == [(v.key, now) for v in got]
+            assert view.fstate.links.tallies == recount_tallies(view, self.countable[name])
+            self.outcomes["violations"] += len(got)
+            self.outcomes["tallied links"] += len(view.fstate.links.tallies)
 
 
 def verdict_checked_run(cfg):
@@ -868,6 +872,64 @@ def test_a_value_equal_copy_gets_its_own_record_and_counts_once():
     other.receive_vote(copy, 4)
     assert other.fstate.links.tallies == view.fstate.links.tallies
     assert w.cache.record(copy).snap is record.snap is not None
+
+
+def test_one_record_lookup_per_vote_entry_and_records_carry_link_and_weights(
+        monkeypatch):
+    calls = Counter()
+    networks = []
+    stepping = []
+    record, step_state = ChainStateCache.record, ffg.finality.step_state
+
+    def counted_record(cache, vote):
+        # chains look records up while folding blocks, deliveries otherwise
+        calls["chain" if stepping else "delivery"] += 1
+        return record(cache, vote)
+
+    def counted_step(*args):
+        stepping.append(True)
+        try:
+            return step_state(*args)
+        finally:
+            stepping.pop()
+
+    def counting(deliver):
+        def counted(net, kind, payload, names, now):
+            if net not in networks:
+                networks.append(net)
+            if kind == "vote":
+                calls["entries"] += 1
+                calls["deliveries"] += len(names)
+            deliver(net, kind, payload, names, now)
+        return counted
+    monkeypatch.setattr(ChainStateCache, "record", counted_record)
+    monkeypatch.setattr(ffg.finality, "step_state", counted_step)
+    monkeypatch.setattr(Network, "deliver", counting(Network.deliver))
+    monkeypatch.setattr(Simulation, "deliver", counting(Simulation.deliver))
+
+    sim = Simulation(fuzz_config(18))
+    sim.run_loop()
+    stitch = config_from_dict(json.loads((CORPUS / "dyn_attack_stitch.json").read_text()))
+    assert stitch.protocol.stitching
+    run(stitch)
+    assert len(networks) == 2
+    for net in networks:
+        classified = [r for r in net.cache._records.values()
+                      if r.snap is not _UNCLASSIFIED]
+        assert classified and any(r.snap is not None for r in classified)
+        for r in classified:
+            vote, i = r.vote, r.vote.validator_index
+            assert r.link == (vote.source, vote.target)
+            if r.snap is None:
+                assert (r.forward, r.rear) == (0, 0)
+            else:
+                assert (r.forward, r.rear) == (r.snap.forward.get(i, 0),
+                                               r.snap.rear.get(i, 0))
+    # the dynamic attack's handover makes forward and rear weights differ
+    assert any(r.forward != r.rear for r in networks[1].cache._records.values()
+               if r.snap is not _UNCLASSIFIED)
+    assert calls["delivery"] == calls["entries"] < calls["deliveries"], calls
+    assert calls["chain"] > 0
 
 
 def test_a_vote_ahead_of_its_target_is_buffered_with_its_record(monkeypatch):

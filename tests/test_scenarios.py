@@ -125,9 +125,10 @@ class RecordingScript(Script):
         super().__init__(cfg)
         self.delivered = []
 
-    def deliver(self, kind, payload, name, now):
-        self.delivered.append((now, name, payload))
-        super().deliver(kind, payload, name, now)
+    def deliver(self, kind, payload, names, now):
+        for name in names:
+            self.delivered.append((now, name, payload))
+            super().deliver(kind, payload, [name], now)
 
 
 def test_script_delivers_in_time_then_send_then_listed_name_order():
@@ -163,12 +164,13 @@ class UnjustifyingScript(Script):
 
     emptied = False
 
-    def deliver(self, kind, payload, name, now):
-        justified = self.views["client0"].fstate.justified
-        if not self.emptied and len(justified) > 2:
-            justified.intersection_update({self.tree.root})
-            self.emptied = True
-        super().deliver(kind, payload, name, now)
+    def deliver(self, kind, payload, names, now):
+        for name in names:
+            justified = self.views["client0"].fstate.justified
+            if not self.emptied and len(justified) > 2:
+                justified.intersection_update({self.tree.root})
+                self.emptied = True
+            super().deliver(kind, payload, [name], now)
 
 
 def test_script_reports_a_shrinking_justified_set(monkeypatch):

@@ -268,14 +268,15 @@ class OrderCheckedSimulation(Simulation):
             (now, self.reference[0][:3], self.reference[0][4])
         super().propose(now)
 
-    def deliver(self, kind, payload, name, now):
-        t, _seq, ref_kind, ref_payload, ref_name = heapq.heappop(self.reference)
-        n = self.outcomes["deliveries"]
-        assert (now, name, kind) == (t, ref_name, ref_kind) \
-            and payload is ref_payload, \
-            f"delivery {n}: got {(now, name, kind)}, reference {(t, ref_name, ref_kind)}"
-        self.outcomes["deliveries"] += 1
-        super().deliver(kind, payload, name, now)
+    def deliver(self, kind, payload, names, now):
+        for name in names:
+            t, _seq, ref_kind, ref_payload, ref_name = heapq.heappop(self.reference)
+            n = self.outcomes["deliveries"]
+            assert (now, name, kind) == (t, ref_name, ref_kind) \
+                and payload is ref_payload, \
+                f"delivery {n}: got {(now, name, kind)}, reference {(t, ref_name, ref_kind)}"
+            self.outcomes["deliveries"] += 1
+            super().deliver(kind, payload, [name], now)
 
 
 def order_checked_run(cfg):
@@ -335,9 +336,9 @@ class TraceRecordingSimulation(Simulation):
         super().__init__(cfg)
         self.lines = []
 
-    def _trace_line(self, text):
-        self.lines.append(text)
-        super()._trace_line(text)
+    def _hash_lines(self):
+        self.lines.extend(self._lines)
+        super()._hash_lines()
 
 
 def test_trace_digest_hashes_every_line_in_emission_order():
