@@ -2,11 +2,12 @@
 
 One core counts votes into justification, and two engines sit on top of it:
 
-* `LinkTally`: the core.  It weighs each validator once per link, records a
-  link as established when `link_established` says so, and keeps the
-  justified closure: the root, plus every target of an established link from
-  a justified source.  `pool_links` feeds a whole vote pool through it once;
-  `compute_justified`, `tally` and the accountable-safety audit read it.
+* `LinkTally`: the core.  It sums the weights its callers count per link,
+  each validator once, records a link as established when
+  `link_established` says so, and keeps the justified closure: the root,
+  plus every target of an established link from a justified source.
+  `pool_links` feeds a whole vote pool through it once; `compute_justified`,
+  `tally` and the accountable-safety audit read it.
 
 * `ChainState` / `ChainStateCache`: the chain engine.  It counts the votes
   included along one path of the block tree, stamping each link with the
@@ -108,36 +109,32 @@ class LinkStatus:
 class LinkTally:
     """Per-link tallies, established links, and the justified closure.
 
-    tallies maps (source, target) -> (forward, rear, voters); established maps
-    a link to the caller's stamp; by_source and by_target index established
+    tallies maps (source, target) -> (forward, rear); established maps a
+    link to the caller's stamp; by_source and by_target index established
     links as (other end, stamp) tuples.
 
-    `count` takes a vote as its voter, link and weights.  Views and chains
-    pass those their run record carries (`VoteRecord`), so counting builds
-    no link and reads no snapshot; the pool queries read the weights from
-    the snapshot per vote.
+    `count` adds one vote's weights to its link and keeps no voters: the
+    caller counts each validator at most once per link.  Views and the pool
+    queries count each vote key once, and a countable vote's key is fixed by
+    its validator and link; the chain engine, which can include one vote in
+    two payloads, keeps its own voter sets (`ChainState.link_voters`).
+    Views and chains pass the link and weights their run record carries
+    (`VoteRecord`), so counting builds no link and reads no snapshot; the
+    pool queries read the weights from the snapshot per vote.
 
-    Voter sets are mutable and owned copy-on-write: `copy` shares them and
-    starts owning none, and `count` copies a link's set the first time it
-    adds to it, so a copy never writes into a set its original can see.  A
-    tally that is never copied (a view's) grows its sets in place; the chain
-    engine copies its parent's tally per block and so pays for each link it
-    touches once per block.  The other values are immutable, so `copy` only
-    copies their containers.
+    Every value is immutable, so `copy` only copies the containers.
     """
 
     __slots__ = ("stitching", "tallies", "established", "by_source",
-                 "by_target", "justified", "_owned")
+                 "by_target", "justified")
 
     def __init__(self, root: bytes, stitching: bool):
         self.stitching = stitching
-        self.tallies: dict[tuple[bytes, bytes], tuple[int, int, set[int]]] = {}
+        self.tallies: dict[tuple[bytes, bytes], tuple[int, int]] = {}
         self.established: dict[tuple[bytes, bytes], int] = {}
         self.by_source: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
         self.by_target: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
         self.justified: set[bytes] = {root}
-        # links whose voter set this tally alone holds and may add to
-        self._owned: set[tuple[bytes, bytes]] = set()
 
     def copy(self) -> LinkTally:
         other = LinkTally.__new__(LinkTally)
@@ -147,30 +144,20 @@ class LinkTally:
         other.by_source = self.by_source.copy()
         other.by_target = self.by_target.copy()
         other.justified = self.justified.copy()
-        other._owned = set()
         return other
 
-    def count(self, idx: int, link: tuple[bytes, bytes], forward: int,
-              rear: int, snap: DynastySnapshot, stamp: int = 0) -> list[bytes]:
-        """Add validator `idx`'s weights, `forward` and `rear` in `snap`, to
+    def count(self, link: tuple[bytes, bytes], forward: int, rear: int,
+              snap: DynastySnapshot, stamp: int = 0) -> list[bytes]:
+        """Add one voter's weights, `forward` and `rear` in `snap`, to
         `link`; returns the checkpoints the vote newly justifies.  The caller
-        vouches that the vote counts against `snap`."""
+        vouches that the vote counts against `snap` and that its validator
+        has not been counted on `link` before."""
         entry = self.tallies.get(link)
         if entry is None:
-            fwd = rear_sum = 0
-            voters = set()
-            self._owned.add(link)
+            fwd, rear_sum = forward, rear
         else:
-            fwd, rear_sum, voters = entry
-            if idx in voters:
-                return []
-            if link not in self._owned:
-                voters = set(voters)
-                self._owned.add(link)
-        voters.add(idx)
-        fwd += forward
-        rear_sum += rear
-        self.tallies[link] = (fwd, rear_sum, voters)
+            fwd, rear_sum = entry[0] + forward, entry[1] + rear
+        self.tallies[link] = (fwd, rear_sum)
         if link in self.established or not link_established(
                 fwd, rear_sum, snap, self.stitching):
             return []
@@ -196,7 +183,7 @@ def _count_pooled(links: LinkTally, vote: VoteData,
                   snap: DynastySnapshot) -> None:
     """Count a pooled vote, reading its validator's weights from `snap`."""
     idx = vote.validator_index
-    links.count(idx, (vote.source, vote.target), snap.forward.get(idx, 0),
+    links.count((vote.source, vote.target), snap.forward.get(idx, 0),
                 snap.rear.get(idx, 0), snap)
 
 
@@ -224,7 +211,7 @@ def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
     for vote in pool.link_votes(source, target):
         if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
             _count_pooled(links, vote, snap)
-    fwd, rear, _voters = links.tallies.get((source, target), (0, 0, ()))
+    fwd, rear = links.tallies.get((source, target), (0, 0))
     return LinkStatus(source, target, fwd, rear, snap.forward_total,
                       snap.rear_total, (source, target) in links.established)
 
@@ -234,10 +221,17 @@ def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
 # ---------------------------------------------------------------------------
 
 class ChainState:
-    """State after processing one block; immutable once built."""
+    """State after processing one block; immutable once built.
+
+    `link_voters` maps each tallied link to the validators the chain has
+    counted on it, so a vote included again, in a later payload or as
+    another object, is not counted twice.  A child shares its parent's sets
+    until it adds to one (`_StepContext.link_voters`).
+    """
 
     __slots__ = ("height", "dynasty", "registry", "snapshots", "links",
-                 "finalized_at", "included_evidence", "voted_window", "payouts")
+                 "link_voters", "finalized_at", "included_evidence",
+                 "voted_window", "payouts")
 
     @property
     def justified(self) -> set[bytes]:
@@ -252,6 +246,7 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
     st.registry = registry
     st.snapshots = {root_id: snapshot_registry(0, 0, registry)}
     st.links = LinkTally(root_id, stitching)
+    st.link_voters = {}
     st.finalized_at = {root_id: 0}
     st.included_evidence = frozenset()
     st.voted_window = frozenset()
@@ -269,6 +264,8 @@ class _StepContext:
             setattr(st, name, getattr(parent, name))
         self._own_registry = False
         self._own = set()
+        # links whose voter set this block has copied and may add to
+        self._own_voters: set[tuple[bytes, bytes]] = set()
         # this block's newly included evidence keys and window voters,
         # unioned into the frozensets once per block by `close_payload`
         self.new_evidence: set[tuple] = set()
@@ -286,6 +283,15 @@ class _StepContext:
             self._own_registry = True
         return self.st.registry
 
+    def link_voters(self, link: tuple[bytes, bytes]) -> set[int]:
+        """The link's voter set, copied the first time this block adds to
+        it, so the parent's set is never written."""
+        voters = self.owned("link_voters")
+        if link not in self._own_voters:
+            voters[link] = set(voters.get(link, ()))
+            self._own_voters.add(link)
+        return voters[link]
+
     def include_vote(self, vote: VoteData, cache: ChainStateCache):
         """Count an included vote on this chain when the run's verdict
         (`ChainStateCache.classify`) finds it countable.  The chain adds
@@ -299,15 +305,17 @@ class _StepContext:
         # each key once per chain: a vote included again is not a new voter
         idx = vote.validator_index
         record = cache.record(vote)
-        entry = st.links.tallies.get(record.link)
-        if entry is not None and idx in entry[2]:
+        link = record.link
+        voters = st.link_voters.get(link)
+        if voters is not None and idx in voters:
             return
         snap = cache.classify(record)
         if snap is None:
             return
         self.new_voters.add(idx)
-        self.owned("links").count(idx, record.link, record.forward,
-                                  record.rear, snap, st.height)
+        self.link_voters(link).add(idx)
+        self.owned("links").count(link, record.forward, record.rear, snap,
+                                  st.height)
 
     def close_payload(self):
         st = self.st
@@ -592,8 +600,12 @@ class FinalityState:
     `order` gives each registered checkpoint's receipt sequence number,
     which fork choice uses, after the height the view's tree gives, to rank
     the justified checkpoints of its chains.  Whether a vote counts is read
-    from its run record (`VoteRecord.snap`); the first reader to need the
-    verdict classifies the vote for the run.
+    from its run record (`VoteRecord.snap`); only while the record is
+    unclassified does `on_vote` ask the run to classify it.
+
+    The tally keeps no voters: the view hands each vote key over once (its
+    receipt map drops repeats), and a countable vote's key is fixed by its
+    validator and link, so each validator is counted at most once per link.
     """
 
     def __init__(self, cache: ChainStateCache):
@@ -621,8 +633,8 @@ class FinalityState:
             self.on_vote(record)
 
     def on_vote(self, record: VoteRecord) -> None:
-        """Tally the run record of a signature-valid vote; buffers it until
-        both endpoints are known."""
+        """Tally the run record of a signature-valid vote the view has not
+        handed over before; buffers it until both endpoints are known."""
         vote = record.vote
         if vote.target not in self.order:
             self._buffer.setdefault(vote.target, []).append(record)
@@ -630,10 +642,11 @@ class FinalityState:
         if vote.source not in self.order:
             self._buffer.setdefault(vote.source, []).append(record)
             return
-        snap = self.cache.classify(record)
+        snap = record.snap
+        if snap is _UNCLASSIFIED:
+            snap = self.cache.classify(record)
         if snap is not None:
-            self.links.count(vote.validator_index, record.link, record.forward,
-                             record.rear, snap)
+            self.links.count(record.link, record.forward, record.rear, snap)
 
 
 def compute_justified(tree: BlockTree, pool: VotePool, snapshot_for,

@@ -58,7 +58,6 @@ from .config import ProtocolConfig
 from .errors import NonMonotonicTimestamp
 from .finality import ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
-from .votes import Keyring, VotePool
 
 
 class Admissibility(Enum):
@@ -93,32 +92,44 @@ class ClientView:
     * one record per vote object (`ChainStateCache.record`, a `VoteRecord`),
       which the network looks up once per heap entry and passes to
       `receive_vote` for every view the entry names:
-      - the signature verdict, so a view indexes the vote into its pool
-        (`VotePool.add_verified`) without verifying it again;
+      - the signature verdict, so a view receives a vote without verifying
+        it;
       - the slashing partners and their violations, filled on the vote's
         first fresh arrival in any view; the two conditions read only the
-        votes' fields.  The view reports the partners already in its own
-        pool, in pool order, each with the run's violation oriented (pooled
+        votes' fields.  The view reports the partners it has received, in
+        its receipt order, each with the run's violation oriented (earlier
         vote, incoming), so its evidence and heard-at times are those of a
-        scan of its own pool;
+        scan of its own receipts;
       - the countability snapshot and the voter's weights in it, filled by
         the first view that counts the vote once it holds both endpoints;
         its own tree would give the same class, since block ids are digests.
         With the record's link, they are all the view's tally needs.
 
-    Pool membership, link tallies, heard-at times and evidence verdicts stay
-    per view.  A view hears violations in clock order, so each block's
-    evidence verdict is judged once (see the module docstring).
+    A view keeps only its vote receipts: `votes`, the distinct votes in the
+    order received, which a proposer offers in that order, and `_received`,
+    each one's key mapped to its position there.  Receipts, link tallies,
+    heard-at times and evidence verdicts stay per view.  A view hears
+    violations in clock order, so each block's evidence verdict is judged
+    once (see the module docstring).
+
+    Finality detection scans, per inserted block, the checkpoints that the
+    block's chain state finalized.  A chain state shares its parent's
+    `finalized_at` map unless its block finalizes something, so once every
+    checkpoint of a map is observed or never finalizable here (both final),
+    the map is settled and later blocks that share it skip the scan.  A map
+    with a checkpoint whose carrier `admissible` rejects stays unsettled,
+    since that verdict may change as the clock moves.
     """
 
-    def __init__(self, name: str, cfg: ProtocolConfig, keyring: Keyring,
-                 cache: ChainStateCache):
+    def __init__(self, name: str, cfg: ProtocolConfig, cache: ChainStateCache):
         self.name = name
         self.cfg = cfg
         self.cache = cache
         self.clock = 0
         self.tree = BlockTree(cfg.spacing, cfg.hash_name, trusted=cache.tree)
-        self.pool = VotePool(keyring)
+        self.votes: list[VoteData] = []
+        # vote key -> the vote's position in `votes`
+        self._received: dict[tuple, int] = {}
         self.fstate = FinalityState(cache)
         self._seq = 0
         self.first_seen_finalized: dict[int, bytes] = {0: self.tree.root}
@@ -126,6 +137,9 @@ class ClientView:
         self.finalized_anchor: bytes = self.tree.root
         self.observed_finalized: set[bytes] = {self.tree.root}
         self.ignored_finalized: list[tuple[int, bytes]] = []
+        # id(finalized_at map) -> the map, for each settled map; holding the
+        # map keeps its id from being reused while the entry lives
+        self._settled: dict[int, dict[bytes, int]] = {}
         # (key, heard_at) per violation heard, in the order heard: heard-at order
         self._heard: list[tuple[tuple, int]] = []
         # block id -> whether the evidence rule rejects a block between the
@@ -173,50 +187,63 @@ class ClientView:
     def _detect_finality(self, block: Block) -> list[bytes]:
         state = self.cache.get(block.id)
         self.payout_seen.update(state.payouts)
+        finalized_at = state.finalized_at
+        if self._settled.get(id(finalized_at)) is finalized_at:
+            return []
         newly = []
-        for cp, fin_height in state.finalized_at.items():
-            if cp in self.observed_finalized or cp not in self.tree:
-                continue
-            if not self.finalizable.get(cp, False):
+        settled = True
+        # every checkpoint in the map is an ancestor of the block, so it is
+        # in the tree, and its finalizable verdict was fixed on insertion
+        for cp, fin_height in finalized_at.items():
+            if cp in self.observed_finalized or not self.finalizable[cp]:
                 continue
             carrier = self.tree.ancestor_at(block.id, fin_height)
             if self.admissible(self.tree.get(carrier)) is Admissibility.REJECT:
+                settled = False
                 continue
             self.observed_finalized.add(cp)
             self.on_finalized(cp)
             newly.append(cp)
+        if settled:
+            self._settled[id(finalized_at)] = finalized_at
         return newly
 
     def receive_vote(self, vote: VoteData, now: int,
                      record: VoteRecord | None = None) -> list[Violation]:
-        """Pool the vote; returns violations it newly exposes (heard now).
+        """Receive the vote; returns violations it newly exposes (heard now).
 
         Reads the vote's run record: `record` when given, which must be
         `cache.record(vote)`, else the record looked up here.  The rest is
-        view-local.  Raises `NonMonotonicTimestamp` when the vote exposes a
-        new violation at a `now` before the view's clock, since verdicts
-        already judged assume none is heard in the past; the vote then stays
-        pooled, uncounted."""
+        view-local: a vote with an invalid signature or a key already
+        received is dropped.  Raises `NonMonotonicTimestamp` when the vote
+        exposes a new violation at a `now` before the view's clock, since
+        verdicts already judged assume none is heard in the past; the vote
+        then stays received, uncounted."""
         if now > self.clock:
             self.clock = now
         if record is None:
             record = self.cache.record(vote)
-        if not record.valid or not self.pool.add_verified(vote):
+        if not record.valid:
             return []
+        received = self._received
+        key = vote.key
+        if key in received:
+            return []
+        received[key] = len(self.votes)
+        self.votes.append(vote)
         partners = record.partners
         if partners is None:
             partners = record.partners = self.cache.conflict_partners(vote)
         new_violations = []
         if partners:
-            # in pool order, oriented (earlier vote, incoming); each pair is new
-            for old in self.pool.validator_votes(vote.validator_index):
-                violation = partners.get(old.key)
-                if violation is None:
-                    continue
+            # in receipt order, oriented (earlier vote, incoming); each pair is new
+            for old in sorted((k for k in partners if k in received),
+                              key=received.__getitem__):
                 if now < self.clock:
                     raise NonMonotonicTimestamp(
                         f"{self.name} hears a violation at {now}, "
                         f"before its clock {self.clock}")
+                violation = partners[old]
                 self._heard.append((violation.key, now))
                 new_violations.append(violation)
         self.fstate.on_vote(record)

@@ -392,7 +392,7 @@ class Network:
         self.cache = ChainStateCache(self.tree, self.proto, self.keyring, registry)
         self.pool = VotePool(self.keyring)        # omniscient pool for audits
         self.views: dict[str, ClientView] = {
-            name: ClientView(name, self.proto, self.keyring, self.cache)
+            name: ClientView(name, self.proto, self.cache)
             for name in view_names}
         self.events: list[tuple[int, int, str, object, list[str]]] = []
         self._seq = 0
@@ -484,8 +484,8 @@ class Simulation(Network):
         self.pending_evidence: dict[tuple, SlashEvidence] = {}
         # keys of pending_evidence in the order submitted
         self._evidence_order: list[tuple] = []
-        # block id -> (proposer pool size, pending evidence count) when it
-        # was proposed; see `propose`
+        # block id -> (proposer's received vote count, pending evidence
+        # count) when it was proposed; see `propose`
         self._offered: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
 
     # -- plumbing ----------------------------------------------------------------
@@ -556,15 +556,15 @@ class Simulation(Network):
     def propose(self, now: int) -> None:
         """Extend the proposer's head (or, at the fork rate, its parent) with
         one block carrying what its chain has not yet included: the pending
-        evidence, in key order, and the proposer's pooled votes, in pool
-        order.
+        evidence, in key order, and the votes the proposer's view has
+        received, in receipt order.
 
         Both are what arrived after the parent was proposed.  Every block of
         a generic run is proposed here, and each carries all it was offered:
-        the pool's votes are distinct, and pending evidence is never removed.
-        So a chain's payloads hold exactly the pool prefix and the evidence
-        its tip was offered (each evidence key is included whatever its
-        verdict), and the rest is new."""
+        the received votes are distinct, and pending evidence is never
+        removed.  So a chain's payloads hold exactly the receipt prefix and
+        the evidence its tip was offered (each evidence key is included
+        whatever its verdict), and the rest is new."""
         head = self.proposer.head()
         parent_id = head
         if self.cfg.proposer_fork_rate and head != self.tree.root:
@@ -580,7 +580,7 @@ class Simulation(Network):
             pending = self.pending_evidence
             txs.extend(pending[key]
                        for key in sorted(self._evidence_order[n_evidence:]))
-        votes = self.proposer.pool.votes
+        votes = self.proposer.votes
         txs.extend(VoteInclusion(vote) for vote in votes[n_votes:])
         block = make_block(parent, now, None, tuple(txs), self.proto.hash_name)
         self.tree.insert_block(block)

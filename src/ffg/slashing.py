@@ -14,7 +14,7 @@ means a run needs to check each vote only once: `ChainStateCache` runs
 earlier votes in the run (unless the vote lies above all of them, when
 neither condition can hold), and records each conflict on both votes, with
 the violation in both orientations.  A client view then reports the recorded
-violations of the partners in its own pool (`ClientView.receive_vote`).
+violations of the partners it has received (`ClientView.receive_vote`).
 """
 
 from __future__ import annotations

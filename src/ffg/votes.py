@@ -35,7 +35,10 @@ class Keyring:
     meet one vote object several times: the run's pool, the run's record of
     the vote (`ChainStateCache.record`, which client views and the chains
     that include the vote read instead of verifying), `classify_vote` and
-    the end-of-run sweep.  Each entry holds its vote, so the vote's id
+    the end-of-run sweep.  A client view never verifies: it reads the
+    verdict from the vote's record, so a vote delivered to every view of a
+    run is verified a constant number of times, not once per view.  Each
+    entry holds its vote, so the vote's id
     cannot be reused by another object while the entry lives; a value-equal
     copy is a different object and is judged again, to the same verdict.
     """
@@ -125,15 +128,13 @@ class VotePool:
     Duplicates (same five-tuple) are ignored.  Votes that fail chain-dependent
     checks stay in the pool: the slashing scanner must see them.
 
-    `add` verifies a vote and then indexes it with `add_verified`.  A client
-    view calls `add_verified` directly: it has read the signature verdict
-    from the run's record of the vote (`ChainStateCache.record`), so a vote
-    is verified once per run, not once per view.
+    A run keeps one pool, its omniscient record of every vote broadcast,
+    read by the end-of-run sweep, the report and the audits; tests build
+    pools of their own.  Client views hold no pool: each keeps its vote
+    receipts (`ClientView.votes`).
 
-    `by_validator` grows with each add, since views read it per vote.
-    `by_link` is built on first read and dropped by the next add: only the
-    run's omniscient pool is read by link, in the sweep and the audit, after
-    every vote is in, so a view's pool never builds it.
+    `by_link` is built on first read and dropped by the next add, since a
+    pool is read by link only after every vote is in.
     """
 
     def __init__(self, keyring: Keyring):
@@ -153,11 +154,6 @@ class VotePool:
         """Verify and index a vote; returns False for duplicates."""
         if not self.keyring.verify(vote):
             raise BadSignature(vote.validator_index)
-        return self.add_verified(vote)
-
-    def add_verified(self, vote: VoteData) -> bool:
-        """Index a vote whose signature the caller has verified; returns
-        False for duplicates."""
         key = vote.key
         if key in self._keys:
             return False

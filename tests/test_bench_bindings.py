@@ -5,6 +5,7 @@ catches that in the test suite, without starting a run."""
 
 import importlib
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +33,13 @@ def test_every_traced_layer_binds():
         assert not single
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_selftest_passes():
+    """`bench/selftest.py` runs traced and untraced samples of every
+    workload: it fails when a traced layer is no longer called or a traced
+    run's digest differs from the untraced one."""
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          cwd=BENCH.parent, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout

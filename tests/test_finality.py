@@ -149,7 +149,7 @@ def test_highest_justified_tie_break_first_seen_then_id():
     # length can pick the winner
     first, second = sorted([left, right], key=lambda c: c[1].id, reverse=True)
     second = second + w.grow(1, start=second[-1].id)
-    view = ClientView("c0", w.proto, w.keyring, w.cache)
+    view = ClientView("c0", w.proto, w.cache)
     for block in first + second:
         view.receive_block(block, block.timestamp)
     for v in w.votes([0, 1, 2], w.tree.root, second[1].id):
@@ -483,6 +483,7 @@ def test_included_wrong_pubkey_copy_does_not_count_after_genuine_verified():
     state = w.cache.get(tip.id)
     assert not state.voted_window
     assert c1 not in state.justified and not state.links.tallies
+    assert not state.link_voters
     tip = w.include(tip, genuine)
     assert c1 in w.cache.get(tip.id).justified
 
@@ -504,7 +505,8 @@ def test_one_block_counts_a_vote_once_and_skips_forged_copies():
     assert verified == [forged, forged, genuine[0], genuine[0],
                         genuine[1], genuine[1]]
     assert state.voted_window == {0, 1}
-    assert state.links.tallies[(w.tree.root, c1)] == (200, 0, {0, 1})
+    assert state.links.tallies[(w.tree.root, c1)] == (200, 0)
+    assert state.link_voters[(w.tree.root, c1)] == {0, 1}
     assert isinstance(state.voted_window, frozenset)
 
 
@@ -526,7 +528,8 @@ def test_a_vote_included_again_later_neither_counts_nor_saves_its_validator():
     assert deposits(tip) == [100, 100, 90, 90]
     tip = w.include(tip, [again])                   # window k+1: heights 5-6
     state = w.cache.get(tip.id)
-    assert state.links.tallies[link] == (200, 0, {0, 1})
+    assert state.links.tallies[link] == (200, 0)
+    assert state.link_voters[link] == {0, 1}
     assert not state.voted_window
     tip = w.include(tip, [])                        # checkpoint 6 closes it
     assert deposits(tip) == [90, 90, 81, 81]
@@ -558,12 +561,13 @@ def test_chain_inclusions_count_exactly_when_the_reference_says(monkeypatch):
 
     def checked(ctx, vote, cache):
         idx, link = vote.validator_index, (vote.source, vote.target)
-        entry = ctx.st.links.tallies.get(link)
-        repeat = entry is not None and idx in entry[2]
+        repeat = idx in ctx.st.link_voters.get(link, ())
+        before = ctx.st.links.tallies.get(link)
         counts = reference_counts(ctx.st, vote, cache.keyring)
         include_vote(ctx, vote, cache)
-        entry = ctx.st.links.tallies.get(link)
-        counted = not repeat and entry is not None and idx in entry[2]
+        counted = not repeat and idx in ctx.st.link_voters.get(link, ())
+        if not counted:
+            assert ctx.st.links.tallies.get(link) == before
         assert counted == (counts and not repeat)
         assert not counted or idx in ctx.new_voters
         outcomes["repeat" if repeat else "counted" if counted else "not counted"] += 1
@@ -582,17 +586,23 @@ def test_child_blocks_leave_the_parent_tallies_unchanged():
     link = (w.tree.root, c1)
     parent_state = w.cache.get(parent.id)
     before = parent_state.links.tallies[link]
-    assert before == (100, 0, {0})
+    voters_before = parent_state.link_voters[link]
+    assert (before, voters_before) == ((100, 0), {0})
+
+    def tally(block):
+        state = w.cache.get(block.id)
+        return state.links.tallies[link], state.link_voters[link]
     left = w.include(parent, votes[1:2])
     right = w.include(parent, votes[2:4], timestamp=parent.timestamp + 2)
-    assert w.cache.get(left.id).links.tallies[link] == (200, 0, {0, 1})
-    assert w.cache.get(right.id).links.tallies[link] == (300, 0, {0, 2, 3})
+    assert tally(left) == ((200, 0), {0, 1})
+    assert tally(right) == ((300, 0), {0, 2, 3})
     # a grandchild copies its parent's tally again and still shares nothing
     grand = w.include(left, votes[3:4])
-    assert w.cache.get(grand.id).links.tallies[link] == (300, 0, {0, 1, 3})
-    assert w.cache.get(left.id).links.tallies[link] == (200, 0, {0, 1})
+    assert tally(grand) == ((300, 0), {0, 1, 3})
+    assert tally(left) == ((200, 0), {0, 1})
     assert parent_state.links.tallies[link] is before
-    assert before == (100, 0, {0})
+    assert parent_state.link_voters[link] is voters_before
+    assert (before, voters_before) == ((100, 0), {0})
     assert c1 not in parent_state.justified
     assert c1 in w.cache.get(right.id).justified
 

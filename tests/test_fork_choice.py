@@ -19,7 +19,7 @@ from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER, Network,
                      ScenarioConfig, Simulation, ValidatorSpec, config_from_dict,
                      run)
 from ffg.slashing import check_pair, find_new_violations, violates
-from ffg.votes import Keyring, VoteClass, classify_vote, sign_vote
+from ffg.votes import Keyring, VoteClass, VotePool, classify_vote, sign_vote
 
 from conftest import World
 from test_acceptance import fuzz_config
@@ -35,7 +35,7 @@ def make_world(weights=(100, 100, 100), spacing=2, delta=4):
 
 
 def client(w, name="c0"):
-    return ClientView(name, w.proto, w.keyring, w.cache)
+    return ClientView(name, w.proto, w.cache)
 
 
 def feed_chain(view, w, blocks, t0=None):
@@ -457,6 +457,71 @@ def test_memoized_fork_choice_matches_walks_on_scripted_corpus(monkeypatch):
     assert [counts["rejected"] for counts in outcomes] == [0, 0, 794, 1234, 0]
 
 
+def check_finality_scan(view, block, outcomes):
+    """After `block` entered the view's tree: each checkpoint its chain state
+    finalized is observed, never finalizable in the view, or carried by a
+    block that `admissible` rejects now; counts each case in `outcomes`."""
+    for cp, fin_height in view.cache.get(block.id).finalized_at.items():
+        if cp in view.observed_finalized:
+            outcomes["observed"] += 1
+        elif not view.finalizable[cp]:
+            outcomes["never finalizable"] += 1
+        else:
+            carrier = view.tree.get(view.tree.ancestor_at(block.id, fin_height))
+            assert view.admissible(carrier) is Admissibility.REJECT, cp.hex()
+            outcomes["rejected carrier"] += 1
+
+
+def test_skipped_finality_scans_miss_no_finalized_checkpoint(monkeypatch):
+    # scripted runs deliver blocks late, so some carriers are rejected
+    # before a later delivery on the same chain accepts them
+    pins = json.loads((CORPUS / "digests.json").read_text())
+    outcomes = Counter()
+
+    def checking(deliver):
+        def checked(net, kind, payload, names, now):
+            for name in names:
+                view = net.views[name]
+                fresh = kind == "block" and payload.id not in view.tree
+                deliver(net, kind, payload, [name], now)
+                if fresh and payload.id in view.tree:
+                    check_finality_scan(view, payload, outcomes)
+        return checked
+    monkeypatch.setattr(Network, "deliver", checking(Network.deliver))
+    monkeypatch.setattr(Simulation, "deliver", checking(Simulation.deliver))
+    for name in SCRIPTED_CORPUS:
+        cfg = config_from_dict(json.loads((CORPUS / name).read_text()))
+        assert run(cfg).digest() == pins[name]
+    for seed in range(12):
+        run(fuzz_config(seed))
+    assert outcomes["observed"] > 0 and outcomes["never finalizable"] > 0, outcomes
+    # no such run rejects a carrier that a later delivery accepts, so also
+    # deliver a finalizing chain before its carrier's stamp, then a child
+    w = make_world()
+    E = w.proto.spacing
+    blocks = [w.tree.get(w.tree.root)]
+    for h in range(1, 2 * E + 3):
+        votes = []
+        if h == E + 1:
+            votes = w.votes([0, 1, 2], w.tree.root, blocks[E].id)
+        elif h == 2 * E + 1:
+            votes = w.votes([0, 1, 2], blocks[E].id, blocks[2 * E].id)
+        blocks.append(w.include(blocks[-1], votes, timestamp=h))
+    carrier, child = blocks[-2:]
+    c1 = blocks[E].id
+    assert c1 in w.cache.get(carrier.id).finalized_at
+    assert w.cache.get(child.id).finalized_at is w.cache.get(carrier.id).finalized_at
+    view = client(w)
+    early = Counter()
+    for block in blocks[1:-1]:
+        view.receive_block(block, 3)         # the carrier is stamped 5
+        check_finality_scan(view, block, early)
+    assert c1 not in view.observed_finalized and early["rejected carrier"] == 1
+    view.receive_block(child, carrier.timestamp)
+    check_finality_scan(view, child, early)
+    assert c1 in view.observed_finalized
+
+
 class EvidenceHoldingSimulation(CheckedSimulation):
     """Evidence the agents submit in ticks [start, end) reaches the proposer
     only at tick `end`, so the blocks proposed in between lack it and their
@@ -585,11 +650,15 @@ def test_a_violation_heard_before_the_clock_raises():
     view.receive_vote(a0, 6)
     # a late vote that exposes no violation is still tallied
     assert view.receive_vote(honest, 3) == []
-    assert view.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 2}
+    assert view.fstate.links.tallies[(w.tree.root, c1)] == (200, 0)
+    assert list(view._received) == [a0.key, honest.key]
     with pytest.raises(NonMonotonicTimestamp):
         view.receive_vote(b0, 5)
     assert view._heard == []
     assert view.clock == 6
+    # the vote stays received, uncounted
+    assert view.votes == [a0, honest, b0]
+    assert view.fstate.links.tallies[(w.tree.root, c1)] == (200, 0)
 
 
 def test_future_stamped_leaf_admissible_once_clock_passes():
@@ -613,37 +682,37 @@ def test_future_stamped_leaf_admissible_once_clock_passes():
 # -- per-run verdicts, against the per-view work they replace -------------------------
 
 def scan_new_violations(view, vote):
-    """Reference: the vote checked pairwise against its validator's votes in
-    the view's pool, keeping the violations the view has not heard yet."""
-    if vote in view.pool or not view.pool.keyring.verify(vote):
+    """Reference: the vote checked pairwise against its validator's votes
+    among the view's receipts, in receipt order, keeping the violations the
+    view has not heard yet."""
+    if vote.key in view._received or not view.cache.keyring.verify(vote):
         return []
-    history = view.pool.validator_votes(vote.validator_index)
+    history = [v for v in view.votes if v.validator_index == vote.validator_index]
     heard = {key for key, _at in view._heard}
     return [v for v in find_new_violations(history, vote) if v.key not in heard]
 
 
 def recount_tallies(view, countable):
-    """Reference: the (forward, rear, voters) tally of every link, summed
-    afresh over the pooled votes that `classify_vote` finds countable on the
-    view's own tree.  `countable` maps the votes found countable at earlier
+    """Reference: the (forward, rear) tally of every link, summed afresh
+    over the received votes that `classify_vote` finds countable on the
+    view's own tree, each validator once per link.  `countable` maps the votes found countable at earlier
     calls to their target's snapshot; a view's tree only grows, so they stay
     countable and are not classified again."""
     def snapshot_for(cp):
         return view.cache.snapshot_for(cp) if cp in view.tree else None
 
     members: dict[tuple, dict] = {}
-    for vote in view.pool.votes:
+    for vote in view.votes:
         snap = countable.get(vote)
         if snap is None:
-            if classify_vote(view.tree, snapshot_for, view.pool.keyring,
+            if classify_vote(view.tree, snapshot_for, view.cache.keyring,
                              vote) is not VoteClass.COUNTABLE:
                 continue
             snap = countable[vote] = snapshot_for(vote.target)
         link = members.setdefault((vote.source, vote.target), {})
         link.setdefault(vote.validator_index, snap)
     return {link: (sum(snap.forward.get(i, 0) for i, snap in voters.items()),
-                   sum(snap.rear.get(i, 0) for i, snap in voters.items()),
-                   frozenset(voters))
+                   sum(snap.rear.get(i, 0) for i, snap in voters.items()))
             for link, voters in members.items()}
 
 
@@ -791,14 +860,66 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
         record = w.cache.record(forged)
         assert not record.valid and record.partners is None
         assert record.snap is _UNCLASSIFIED
-        assert all(v is not forged for v in second.pool.votes)
-    assert second.pool.votes == [a]
-    assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0}
+        assert all(v is not forged for v in second.votes)
+    assert second.votes == [a]
+    assert list(second._received) == [a.key]
+    assert second.fstate.links.tallies[(w.tree.root, c1)] == (100, 0)
     assert not second._heard
     # the genuine votes still count and are still reported afterwards
     second.receive_vote(honest, 7)
-    assert second.fstate.links.tallies[(w.tree.root, c1)][2] == {0, 1}
+    assert list(second._received) == [a.key, honest.key]
+    assert second.fstate.links.tallies[(w.tree.root, c1)] == (200, 0)
     assert [(v.vote_a, v.vote_b) for v in second.receive_vote(b, 7)] == [(a, b)]
+
+
+def test_each_view_hears_violations_in_its_own_receipt_order():
+    w = make_world()
+    a = w.grow(4)                                    # checkpoints at 1 and 2
+    b = w.grow(4, start=w.tree.root, proposer=1)     # a fork, the same heights
+    c1, c2, fork_c2 = a[1].id, a[3].id, b[3].id
+    root = w.tree.root
+    # three votes by validator 0 for checkpoints at height 2, on three
+    # links: every two are a double vote
+    votes = [sign_vote(w.keyring, 0, root, c2, 0, 2),
+             sign_vote(w.keyring, 0, c1, c2, 1, 2),
+             sign_vote(w.keyring, 0, root, fork_c2, 0, 2)]
+    for view, order in ((client(w, "forward"), votes),
+                        (client(w, "backward"), votes[::-1])):
+        feed_chain(view, w, a + b)
+        heard = [[(v.vote_a, v.vote_b) for v in view.receive_vote(vote, 9)]
+                 for vote in order]
+        # each pair once, oriented (earlier receipt, incoming), in receipt order
+        assert heard == [[], [(order[0], order[1])],
+                         [(order[0], order[2]), (order[1], order[2])]]
+        assert view.votes == order
+        assert view._received == {vote.key: i for i, vote in enumerate(order)}
+        tallies = {(root, c2): (100, 0), (c1, c2): (100, 0),
+                   (root, fork_c2): (100, 0)}
+        assert view.fstate.links.tallies == tallies
+        assert c2 not in view.fstate.justified
+        log = list(view._heard)
+        assert len(log) == 3
+        # a second delivery of each key, as the object or a copy, changes nothing
+        for vote in order + [replace(vote) for vote in order]:
+            assert view.receive_vote(vote, 9) == []
+        assert view.votes == order and view._heard == log
+        assert view.fstate.links.tallies == tallies
+
+
+def test_a_generic_run_builds_one_vote_pool(monkeypatch):
+    built = []
+    init = VotePool.__init__
+
+    def counted(pool, keyring):
+        built.append(pool)
+        init(pool, keyring)
+    monkeypatch.setattr(VotePool, "__init__", counted)
+    sim = Simulation(fuzz_config(3))
+    sim.run_loop()
+    assert built == [sim.pool]
+    for view in sim.views.values():
+        assert view.votes and len(view.votes) == len(view._received)
+        assert all(len(entry) == 2 for entry in view.fstate.links.tallies.values())
 
 
 # -- one run record per vote object ---------------------------------------------------
@@ -864,8 +985,9 @@ def test_a_value_equal_copy_gets_its_own_record_and_counts_once():
     assert w.cache.record(copy) is not record
     assert w.cache.record(copy).vote is copy and w.cache.record(copy).valid
     view.receive_vote(copy, 3)
-    assert view.pool.votes == [vote]
-    assert view.fstate.links.tallies == {(w.tree.root, c1): (100, 0, {0})}
+    assert view.votes == [vote]
+    assert view._received == {vote.key: 0}
+    assert view.fstate.links.tallies == {(w.tree.root, c1): (100, 0)}
     # a view handed only the copy counts it through the copy's own record
     other = client(w, "other")
     feed_chain(other, w, blocks)

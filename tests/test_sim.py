@@ -497,8 +497,8 @@ def included_vote_keys(tree, block_id):
 
 class PayloadCheckedSimulation(Simulation):
     """Checks every proposed block's payload against a full scan: every
-    pending evidence key, in key order, and every pooled vote, in pool
-    order, that the parent's chain has not included."""
+    pending evidence key, in key order, and every vote the proposer has
+    received, in receipt order, that the parent's chain has not included."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -514,7 +514,7 @@ class PayloadCheckedSimulation(Simulation):
                          for key in sorted(self.pending_evidence)
                          if key not in parent_state.included_evidence]
         included = included_vote_keys(self.tree, block.parent)
-        expected += [VoteInclusion(vote) for vote in self.proposer.pool.votes
+        expected += [VoteInclusion(vote) for vote in self.proposer.votes
                      if vote.key not in included]
         assert block.payload == tuple(expected)
         self.checked["blocks"] += 1
