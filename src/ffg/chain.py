@@ -134,11 +134,23 @@ class BlockTree:
     Timestamps strictly increase along every chain (`insert_block` rejects
     anything else), so a chain's tip carries its latest stamp.
 
-    `trusted` is another tree, under the same hash, whose blocks were
-    digest-checked when inserted there.  A block object that tree holds is
-    not hashed again: blocks are frozen and the trusted tree keeps the object
-    alive, so identity means the digest still holds.  Any other object, even
-    one with a known id, is hashed.
+    Blocks enter one of two ways, each hashed once:
+
+    * `extend` builds the canonical child of a known block (`make_block`,
+      one digest) and inserts it.  Construction fixes the height and the
+      digest, so it checks only what it leaves open: the parent is known,
+      the stamp is after the parent's, and the id is new;
+    * `insert_block` takes a block built elsewhere and checks all of it: the
+      id is new, the parent is known, the height is the parent's plus one,
+      the stamp is after the parent's and the id is the digest.
+
+    `trusted` is another tree, under the same hash.  A block object that
+    tree holds passed its checks there against the same parent id: blocks
+    are frozen and the trusted tree keeps the object alive, so identity
+    means its digest, height and stamp still hold.  Trust covers those three
+    and nothing else: `insert_block` still checks such an object for a
+    duplicate id and a known parent in this tree.  Any other object, even
+    one with a known id, is checked and hashed in full.
     """
 
     def __init__(self, spacing: int, hash_name: str = "sha256",
@@ -164,22 +176,43 @@ class BlockTree:
         except KeyError:
             raise UnknownBlock(bid.hex()) from None
 
-    def insert_block(self, block: Block) -> None:
+    def extend(self, parent_id: bytes, timestamp: int, proposer: int | None,
+               payload: tuple[Transaction, ...] = ()) -> Block:
+        """Build the canonical child of `parent_id`, insert it and return it.
+
+        Raises UnknownBlock for an unknown parent, NonMonotonicTimestamp for
+        a stamp not after the parent's and DuplicateId for a child already
+        in the tree."""
+        parent = self.get(parent_id)
+        if timestamp <= parent.timestamp:
+            raise NonMonotonicTimestamp(
+                f"timestamp {timestamp} not after parent {parent.timestamp}")
+        block = make_block(parent, timestamp, proposer, payload, self.hash_name)
         if block.id in self.blocks:
             raise DuplicateId(block.id.hex())
-        if block.parent is None or block.parent not in self.blocks:
+        self._add(block)
+        return block
+
+    def insert_block(self, block: Block) -> None:
+        blocks = self.blocks
+        if block.id in blocks:
+            raise DuplicateId(block.id.hex())
+        if block.parent is None or block.parent not in blocks:
             raise UnknownParent(block.id.hex())
-        parent = self.blocks[block.parent]
-        if block.height != parent.height + 1:
-            raise DigestMismatch("height must be parent height + 1")
-        if block.timestamp <= parent.timestamp:
-            raise NonMonotonicTimestamp(
-                f"timestamp {block.timestamp} not after parent {parent.timestamp}")
         if self.trusted is None or self.trusted.blocks.get(block.id) is not block:
+            parent = blocks[block.parent]
+            if block.height != parent.height + 1:
+                raise DigestMismatch("height must be parent height + 1")
+            if block.timestamp <= parent.timestamp:
+                raise NonMonotonicTimestamp(
+                    f"timestamp {block.timestamp} not after parent {parent.timestamp}")
             expect = block_id(block.parent, block.height, block.timestamp,
                               block.proposer, block.payload, self.hash_name)
             if expect != block.id:
                 raise DigestMismatch(block.id.hex())
+        self._add(block)
+
+    def _add(self, block: Block) -> None:
         self.blocks[block.id] = block
         self._leaves.pop(block.parent, None)
         self._leaves[block.id] = None

@@ -259,9 +259,18 @@ class _StepContext:
 
     def __init__(self, parent: ChainState, cfg: ProtocolConfig):
         self.cfg = cfg
+        # every slot of ChainState, carried over by direct assignment
         self.st = st = ChainState()
-        for name in ChainState.__slots__:
-            setattr(st, name, getattr(parent, name))
+        st.height = parent.height
+        st.dynasty = parent.dynasty
+        st.registry = parent.registry
+        st.snapshots = parent.snapshots
+        st.links = parent.links
+        st.link_voters = parent.link_voters
+        st.finalized_at = parent.finalized_at
+        st.included_evidence = parent.included_evidence
+        st.voted_window = parent.voted_window
+        st.payouts = parent.payouts
         self._own_registry = False
         self._own = set()
         # links whose voter set this block has copied and may add to

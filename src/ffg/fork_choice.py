@@ -56,7 +56,7 @@ from operator import itemgetter
 from .chain import Block, BlockTree, VoteData
 from .config import ProtocolConfig
 from .errors import NonMonotonicTimestamp
-from .finality import ChainStateCache, FinalityState, VoteRecord
+from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
 
 
@@ -85,10 +85,15 @@ class ClientView:
     Views of one run share its `ChainStateCache`, and through it every
     verdict that depends on message contents alone, computed once per run:
 
-    * block digests: the view's tree trusts the run's shared tree, so a
-      `Block` object already verified there is not hashed again (blocks are
-      frozen); any other object is hashed;
-    * chain states: a pure function of a block and its ancestors;
+    * block checks: the view's tree trusts the run's shared tree, so a
+      `Block` object already checked there is not hashed, nor its height and
+      stamp checked, again (blocks are frozen); the view checks only that it
+      is new and its parent is held.  Any other object is checked in full
+      and hashed;
+    * chain states: a pure function of a block and its ancestors.  The
+      network looks a block's state up once per heap entry and passes it to
+      `receive_block` for every view the entry names; a block released from
+      a view's pending buffer looks its own up;
     * one record per vote object (`ChainStateCache.record`, a `VoteRecord`),
       which the network looks up once per heap entry and passes to
       `receive_vote` for every view the entry names:
@@ -154,26 +159,32 @@ class ClientView:
     def advance_clock(self, now: int) -> None:
         self.clock = max(self.clock, now)
 
-    def receive_block(self, block: Block, now: int) -> list[bytes]:
+    def receive_block(self, block: Block, now: int,
+                      state: ChainState | None = None) -> list[bytes]:
         """Insert a block (buffering until its parent arrives); returns
-        checkpoints newly accepted as finalized."""
-        self.advance_clock(now)
-        if block.id in self.tree:
+        checkpoints newly accepted as finalized.  `state`, when given, must
+        be `cache.get(block.id)`; else it is looked up on insertion."""
+        if now > self.clock:
+            self.clock = now
+        blocks = self.tree.blocks
+        if block.id in blocks:
             return []
-        if block.parent not in self.tree:
+        if block.parent not in blocks:
             self._pending_blocks.setdefault(block.parent, []).append(block)
             return []
-        newly = self._insert(block, now)
-        queue = [block.id]
-        while queue:
-            parent = queue.pop()
-            for child in self._pending_blocks.pop(parent, []):
-                if child.id not in self.tree:
-                    newly.extend(self._insert(child, now))
-                    queue.append(child.id)
+        newly = self._insert(block, now, state)
+        pending = self._pending_blocks
+        if pending:
+            queue = [block.id]
+            while queue:
+                for child in pending.pop(queue.pop(), ()):
+                    if child.id not in blocks:
+                        newly.extend(self._insert(child, now))
+                        queue.append(child.id)
         return newly
 
-    def _insert(self, block: Block, now: int) -> list[bytes]:
+    def _insert(self, block: Block, now: int,
+                state: ChainState | None = None) -> list[bytes]:
         self.tree.insert_block(block)
         self._seq += 1
         # the too-old rule is judged when the block is first presented: a block
@@ -182,11 +193,12 @@ class ClientView:
         if block.height % self.cfg.spacing == 0:
             self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing,
                                         self._seq)
-        return self._detect_finality(block)
+        return self._detect_finality(
+            block, self.cache.get(block.id) if state is None else state)
 
-    def _detect_finality(self, block: Block) -> list[bytes]:
-        state = self.cache.get(block.id)
-        self.payout_seen.update(state.payouts)
+    def _detect_finality(self, block: Block, state: ChainState) -> list[bytes]:
+        if state.payouts:
+            self.payout_seen.update(state.payouts)
         finalized_at = state.finalized_at
         if self._settled.get(id(finalized_at)) is finalized_at:
             return []

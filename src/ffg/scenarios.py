@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chain import (Block, Deposit, SlashEvidence, VoteData, VoteInclusion,
-                    Withdraw, make_block)
+                    Withdraw)
 from .config import ProtocolConfig
 from .errors import ConfigInvalid
 from .leak import LeakConfig, epochs_to_supermajority
@@ -56,9 +56,7 @@ class Script(Network):
         super().__init__(cfg, [f"client{i}" for i in range(max(1, cfg.observers))])
 
     def extend(self, parent_id: bytes, timestamp: int, txs=(), proposer=None) -> Block:
-        block = make_block(self.tree.get(parent_id), timestamp, proposer,
-                           tuple(txs), self.proto.hash_name)
-        self.tree.insert_block(block)
+        block = self.tree.extend(parent_id, timestamp, proposer, tuple(txs))
         self._lines.append(f"{timestamp}|block|{block.id.hex()}")
         return block
 

@@ -31,14 +31,14 @@ once per run.
 
 Events are heap entries (time, sequence number, kind, payload, view names),
 popped in (time, sequence) order.  An entry is the unit of delivery:
-`deliver` takes it whole, does the run-level work once (a vote's
-`VoteRecord` is looked up once and handed to every view) and then delivers
-to one name at a time, in the order the names are listed, doing only
-view-local work per name.  A broadcast draws one jitter per non-sender
-view, in view order, and pushes one entry per distinct delivery time, holding
-the views that drew it in view order.  That delivers in the same order as one
-entry per view would, where the order is (time, then the broadcast's
-sequence, then view order):
+`deliver` takes it whole, does the run-level work once (a block's chain
+state, `ChainStateCache.get`, or a vote's `VoteRecord` is looked up once and
+handed to every view) and then delivers to one name at a time, in the order
+the names are listed, doing only view-local work per name.  A broadcast
+draws one jitter per non-sender view, in view order, and pushes one entry
+per distinct delivery time, holding the views that drew it in view order.
+That delivers in the same order as one entry per view would, where the
+order is (time, then the broadcast's sequence, then view order):
 
 * a broadcast pushes all its entries at once, so their sequence numbers are
   contiguous and every one of them sorts between the entries of the
@@ -57,9 +57,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .chain import (Block, BlockTree, Deposit, SlashEvidence, VoteData,
-                    VoteInclusion, Withdraw, make_block)
+                    VoteInclusion, Withdraw)
 from .config import ProtocolConfig
 from .errors import ConfigInvalid
 from .finality import ChainStateCache, compute_justified, tally
@@ -429,9 +431,10 @@ class Network:
         time = str(now)
         suffixes = self._deliver_lines[kind]
         if kind == "block":
+            state = self.cache.get(payload.id)
             for name in names:
                 lines.append(time + suffixes[name])
-                views[name].receive_block(payload, now)
+                views[name].receive_block(payload, now, state)
         else:
             record = self.cache.record(payload)
             for name in names:
@@ -582,8 +585,7 @@ class Simulation(Network):
                        for key in sorted(self._evidence_order[n_evidence:]))
         votes = self.proposer.votes
         txs.extend(VoteInclusion(vote) for vote in votes[n_votes:])
-        block = make_block(parent, now, None, tuple(txs), self.proto.hash_name)
-        self.tree.insert_block(block)
+        block = self.tree.extend(parent_id, now, None, tuple(txs))
         self._offered[block.id] = (len(votes), len(self._evidence_order))
         self.broadcast_block(block, now)
 
@@ -598,10 +600,11 @@ class Simulation(Network):
         suffixes = self._deliver_lines[kind]
         if kind == "block":
             agents = self.agents
+            state = self.cache.get(payload.id)
             for name in names:
                 lines.append(time + suffixes[name])
                 view = views[name]
-                view.receive_block(payload, now)
+                view.receive_block(payload, now, state)
                 agent = agents.get(name)
                 if agent is not None \
                         and view.fstate.max_height > agent.last_voted_height:
@@ -656,24 +659,27 @@ def established_links(tree: BlockTree, pool: VotePool, snapshot_for,
 
 
 def check_link_properties(tree: BlockTree, links) -> dict:
-    """Distinct links must not share a target height nor strictly nest."""
-    by_target_height: dict[int, int] = {}
-    unique_targets = True
-    for st in links:
-        h = tree.require_checkpoint(st.target)
-        by_target_height[h] = by_target_height.get(h, 0) + 1
-    same_height_ok = all(n <= 1 for n in by_target_height.values())
-    nesting_ok = True
+    """Distinct links must not share a target height nor strictly nest.
+
+    Link i strictly surrounds link j when s_i < s_j < t_j < t_i (heights).
+    Taken in source-height order, a link is nested exactly when the greatest
+    target height among links with a strictly smaller source exceeds its
+    own, so one sort finds it."""
     hs = [(tree.require_checkpoint(s.source), tree.require_checkpoint(s.target))
           for s in links]
-    for i in range(len(hs)):
-        for j in range(len(hs)):
-            if i != j and hs[i][0] < hs[j][0] < hs[j][1] < hs[i][1]:
-                nesting_ok = False
-    targets_per_height_ok = same_height_ok
+    target_heights = [h_t for _h_s, h_t in hs]
+    same_height_ok = len(set(target_heights)) == len(target_heights)
+    nesting_ok = True
+    outer = -1      # greatest target height of the links with a smaller source
+    for h_s, group in groupby(sorted(hs), key=itemgetter(0)):
+        targets = [h_t for _h_s, h_t in group]
+        if any(h_s < h_t < outer for h_t in targets):
+            nesting_ok = False
+            break
+        outer = max(outer, targets[-1])
     return {"no_double_target_height": same_height_ok,
             "no_nested_links": nesting_ok,
-            "single_link_per_height": targets_per_height_ok}
+            "single_link_per_height": same_height_ok}
 
 
 class RunWorld:
@@ -737,7 +743,8 @@ def sweep_invariants(world: RunWorld) -> dict:
       tests of two set lookups each;
     * slashable weight: `scan` checks every pair of one validator's votes,
       sum of v_i^2 / 2 pair checks;
-    * link properties: one `tally` per voted link and an L^2 nesting check;
+    * link properties: one `tally` per voted link and an L log L nesting
+      check;
     * one justified checkpoint per height: one `compute_justified` pass;
     * honest never slashed: every validator record at every leaf;
     * accountability: one `safety_audit` of the first conflicting pair, only

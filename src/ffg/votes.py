@@ -37,10 +37,15 @@ class Keyring:
     that include the vote read instead of verifying), `classify_vote` and
     the end-of-run sweep.  A client view never verifies: it reads the
     verdict from the vote's record, so a vote delivered to every view of a
-    run is verified a constant number of times, not once per view.  Each
-    entry holds its vote, so the vote's id
+    run is verified a constant number of times, not once per view.
+
+    `sign_vote` enters each vote object it makes in the same memo, as valid:
+    it signed the vote's own fields under the validator's key, so the HMAC
+    that `verify` would compute is the one it just computed.  A vote costs
+    one HMAC, at signing.  Each entry holds its vote, so the vote's id
     cannot be reused by another object while the entry lives; a value-equal
-    copy is a different object and is judged again, to the same verdict.
+    copy (one decoded from a report, or made by `dataclasses.replace`) is a
+    different object and is judged again, to its own verdict.
     """
 
     def __init__(self, seed: int):
@@ -82,10 +87,14 @@ class Keyring:
 
 def sign_vote(keyring: Keyring, index: int, source: bytes, target: bytes,
               source_height: int, target_height: int) -> VoteData:
+    """A vote signed by validator `index`, entered in the keyring's verdict
+    memo as valid (see `Keyring`), so verifying it costs no second HMAC."""
     pubkey = keyring.register(index)
     core = codec.encode_vote_core(source, target, source_height, target_height)
-    return VoteData(index, pubkey, source, target, source_height,
+    vote = VoteData(index, pubkey, source, target, source_height,
                     target_height, keyring.sign(index, core))
+    keyring._verified[id(vote)] = (vote, True)
+    return vote
 
 
 class VoteClass(Enum):

@@ -67,6 +67,28 @@ def test_timestamps_strictly_increase():
         tree.insert_block(stale)
 
 
+def test_extend_builds_the_canonical_child_and_inserts_it():
+    tree, blocks = tree_with_chain(2)
+    payload = (Deposit(5, b"\xaa" * 32, 1000),)
+    child = tree.extend(blocks[1].id, 7, 3, payload)
+    assert child == make_block(blocks[1], 7, 3, payload)
+    assert tree.get(child.id) is child
+    assert tree.leaves() == [blocks[2].id, child.id]
+
+
+def test_extend_checks_what_construction_leaves_open():
+    tree, blocks = tree_with_chain(2)
+    with pytest.raises(NonMonotonicTimestamp):
+        tree.extend(blocks[2].id, blocks[2].timestamp, None)
+    with pytest.raises(NonMonotonicTimestamp):
+        tree.extend(blocks[2].id, blocks[1].timestamp, None)
+    with pytest.raises(UnknownBlock):
+        tree.extend(b"\xaa" * 32, 9, None)
+    with pytest.raises(DuplicateId):
+        tree.extend(GENESIS_ID, blocks[1].timestamp, None)
+    assert len(tree) == 3
+
+
 def test_checkpoint_height():
     tree, blocks = tree_with_chain(6)
     # height 3*E with spacing E has checkpoint height 3

@@ -8,9 +8,9 @@ import ffg.finality
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
-from ffg.finality import (FinalityState, _StepContext, compute_justified,
-                          link_established, liveness_plan, plan_safe_for,
-                          snapshot_registry, tally)
+from ffg.finality import (ChainState, FinalityState, _StepContext,
+                          compute_justified, link_established, liveness_plan,
+                          plan_safe_for, snapshot_registry, tally)
 from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
 from ffg.sim import run
@@ -737,3 +737,12 @@ def test_conflict_partners_skip_only_votes_above_their_validators_history(monkey
                     if old is not v and check_pair(old, v) is not None}
         assert found == expected
     assert set(partners[-1]) == {v12.key, v14.key, v23.key, v34.key}
+
+
+def test_step_context_carries_every_chain_state_slot():
+    parent = ChainState()
+    for name in ChainState.__slots__:
+        setattr(parent, name, object())
+    child = _StepContext(parent, quiet_proto()).st
+    for name in ChainState.__slots__:
+        assert getattr(child, name) is getattr(parent, name), name

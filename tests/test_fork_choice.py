@@ -11,7 +11,8 @@ import ffg.chain
 import ffg.finality
 from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
-from ffg.errors import DigestMismatch, NonMonotonicTimestamp
+from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
+                        UnknownParent)
 from ffg.finality import _UNCLASSIFIED, ChainStateCache
 from ffg.fork_choice import Admissibility, ClientView
 from ffg.leak import LeakConfig
@@ -822,6 +823,72 @@ def test_shared_tree_blocks_skip_the_digest_others_are_hashed(monkeypatch):
     assert calls["digests"] == 0
     view.tree.insert_block(stray)
     assert stray.id in view.tree and calls["digests"] == 1
+
+
+def test_view_tree_checks_duplicates_and_parents_of_shared_tree_blocks():
+    w = make_world()
+    blocks = w.grow(3)
+    view = client(w)
+    with pytest.raises(UnknownParent):
+        view.tree.insert_block(blocks[1])        # held by the shared tree
+    view.tree.insert_block(blocks[0])
+    with pytest.raises(DuplicateId):
+        view.tree.insert_block(blocks[0])
+    assert list(view.tree.blocks) == [w.tree.root, blocks[0].id]
+
+
+def test_other_objects_are_checked_in_full(monkeypatch):
+    w = make_world()
+    blocks = w.grow(3)
+    view = client(w)
+    feed_chain(view, w, blocks[:2])
+    parent, real = blocks[1], blocks[2]
+
+    def digested(height, timestamp, payload):
+        """A block whose id is the digest of its own fields."""
+        bid = ffg.chain.block_id(parent.id, height, timestamp, real.proposer,
+                                 payload, w.tree.hash_name)
+        return Block(bid, parent.id, height, timestamp, real.proposer, payload)
+
+    too_high = digested(real.height + 1, real.timestamp, ())
+    stale = digested(real.height, parent.timestamp, ())
+    calls = count_block_digests(monkeypatch)
+    with pytest.raises(DigestMismatch):
+        view.tree.insert_block(too_high)
+    with pytest.raises(NonMonotonicTimestamp):
+        view.tree.insert_block(stale)
+    tampered = replace(real, payload=(Deposit(7, b"\x07" * 32, 100),))
+    with pytest.raises(DigestMismatch):
+        view.tree.insert_block(tampered)
+    with pytest.raises(DigestMismatch):
+        view.tree.insert_block(replace(real, height=real.height + 1))
+    assert real.id not in view.tree and len(view.tree) == 3
+    # only the tampered payload got as far as the digest
+    assert calls["digests"] == 1
+
+
+def test_a_block_entry_looks_its_chain_state_up_once(monkeypatch):
+    net = Network(ScenarioConfig(validators=(ValidatorSpec(0, 100),),
+                                 protocol=make_world().proto), ["a", "b", "c"])
+    b1 = net.tree.extend(net.tree.root, 1, None)
+    b2 = net.tree.extend(b1.id, 2, None)
+    lookups = Counter()
+    get = ChainStateCache.get
+
+    def counted(cache, bid):
+        lookups[bid] += 1
+        return get(cache, bid)
+    monkeypatch.setattr(ChainStateCache, "get", counted)
+    # one lookup per entry for all the views it names; the child reaches
+    # "c" before its parent, so "c" buffers it, and on release looks the
+    # child's state up itself
+    net.send("block", b1, 2, ["a", "b"])
+    net.send("block", b2, 3, ["a", "b", "c"])
+    net.send("block", b1, 4, ["c"])
+    net.deliver_due(4)
+    assert lookups == Counter({b1.id: 2, b2.id: 2})
+    for view in net.views.values():
+        assert list(view.tree.blocks) == [net.tree.root, b1.id, b2.id]
 
 
 def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):

@@ -9,8 +9,10 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ffg.scenarios
 import ffg.sim
@@ -20,7 +22,8 @@ from ffg.errors import ConfigInvalid, NotACheckpoint
 from ffg.leak import LeakConfig, epochs_to_supermajority
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, OFFLINE, SURROUND_VOTER,
                      ScenarioConfig, Simulation, ValidatorSpec,
-                     config_from_dict, config_to_dict, first_conflict, run)
+                     check_link_properties, config_from_dict, config_to_dict,
+                     first_conflict, run)
 
 from conftest import build_chain
 from test_acceptance import fuzz_config
@@ -434,6 +437,32 @@ def test_first_conflict_matches_pairwise_search_on_a_branching_tree():
     chain = [cp for cp in checkpoints if tree.is_ancestor(cp, branches[1][-1].id)]
     assert len(chain) == 16
     assert first_conflict(tree, chain) is None
+
+
+def pairwise_nesting_ok(hs):
+    """The nesting check `check_link_properties` replaced: every ordered pair."""
+    return not any(i != j and hs[i][0] < hs[j][0] < hs[j][1] < hs[i][1]
+                   for i in range(len(hs)) for j in range(len(hs)))
+
+
+class HeightTree:
+    """Stands in for a block tree whose checkpoint ids are their heights."""
+
+    @staticmethod
+    def require_checkpoint(cp):
+        return cp
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12))
+@example([(1, 3), (0, 4), (1, 4), (0, 3)])      # nested, ties at both ends
+@example([(0, 3), (1, 3), (1, 4), (0, 2)])      # ties, nothing nested
+def test_link_properties_match_pairwise_checks(hs):
+    links = [SimpleNamespace(source=h_s, target=h_t) for h_s, h_t in hs]
+    distinct = all(n == 1 for n in Counter(h_t for _h_s, h_t in hs).values())
+    assert check_link_properties(HeightTree(), links) == {
+        "no_double_target_height": distinct,
+        "no_nested_links": pairwise_nesting_ok(hs),
+        "single_link_per_height": distinct}
 
 
 def test_first_conflict_finds_none_on_one_long_chain():
