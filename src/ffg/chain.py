@@ -261,20 +261,6 @@ class BlockTree:
         self.require_checkpoint(b)
         return not (self.is_ancestor(a, b) or self.is_ancestor(b, a))
 
-    def checkpoint_chain(self, c: bytes) -> list[bytes]:
-        """Checkpoints from the root to `c` inclusive, in root-first order."""
-        self.require_checkpoint(c)
-        chain = []
-        cursor = self.get(c)
-        while True:
-            if cursor.height % self.spacing == 0:
-                chain.append(cursor.id)
-            if cursor.parent is None:
-                break
-            cursor = self.blocks[cursor.parent]
-        chain.reverse()
-        return chain
-
     def path(self, bid: bytes) -> list[bytes]:
         """All blocks from the root to `bid` inclusive."""
         out = []

@@ -121,10 +121,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
-def _rebuild_world(report_data: dict):
-    """Reconstruct tree and pool from a written report."""
-    cfg = config_from_dict(report_data["config"])
-    net = Network(cfg, ())
+def _rebuild_network(report_data: dict) -> Network:
+    """The network of a written report's run, its tree and pool rebuilt;
+    nothing is delivered, so it has no views."""
+    net = Network(config_from_dict(report_data["config"]), ())
     keyring = net.keyring
     for block in report_data["blocks"]:
         for tx in block["txs"]:
@@ -150,18 +150,18 @@ def _rebuild_world(report_data: dict):
                                     item["timestamp"], item["proposer"], tuple(txs)))
     for vote in report_data["votes"]:
         net.pool.add(vote_from_dict(vote, keyring))
-    return cfg, net.tree, net.cache, net.pool
+    return net
 
 
 def cmd_audit(args) -> int:
     from .slashing import safety_audit
     try:
         report_data = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        cfg, tree, cache, pool = _rebuild_world(report_data)
+        net = _rebuild_network(report_data)
         a = bytes.fromhex(args.a)
         b = bytes.fromhex(args.b)
-        result = safety_audit(tree, pool, a, b, cache.snapshot_for,
-                              cfg.protocol.stitching)
+        result = safety_audit(net.tree, net.pool, a, b, net.cache.snapshot_for,
+                              net.proto.stitching)
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)

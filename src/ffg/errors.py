@@ -57,10 +57,6 @@ class AlreadyLeaving(FfgError):
     pass
 
 
-class NotLeaving(FfgError):
-    pass
-
-
 # -- votes and slashing -------------------------------------------------------
 
 class BadSignature(FfgError):

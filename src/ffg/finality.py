@@ -147,11 +147,11 @@ class LinkTally:
         return other
 
     def count(self, link: tuple[bytes, bytes], forward: int, rear: int,
-              snap: DynastySnapshot, stamp: int = 0) -> list[bytes]:
+              snap: DynastySnapshot, stamp: int = 0) -> None:
         """Add one voter's weights, `forward` and `rear` in `snap`, to
-        `link`; returns the checkpoints the vote newly justifies.  The caller
-        vouches that the vote counts against `snap` and that its validator
-        has not been counted on `link` before."""
+        `link`; when that establishes the link, justify what it newly
+        justifies.  The caller vouches that the vote counts against `snap`
+        and that its validator has not been counted on `link` before."""
         entry = self.tallies.get(link)
         if entry is None:
             fwd, rear_sum = forward, rear
@@ -160,23 +160,20 @@ class LinkTally:
         self.tallies[link] = (fwd, rear_sum)
         if link in self.established or not link_established(
                 fwd, rear_sum, snap, self.stitching):
-            return []
+            return
         source, target = link
         self.established[link] = stamp
         self.by_source[source] = self.by_source.get(source, ()) + ((target, stamp),)
         self.by_target[target] = self.by_target.get(target, ()) + ((source, stamp),)
         if source not in self.justified:
-            return []
-        newly = []
+            return
         queue = [target]
         while queue:
             cp = queue.pop()
             if cp in self.justified:
                 continue
             self.justified.add(cp)
-            newly.append(cp)
             queue.extend(tgt for tgt, _stamp in self.by_source.get(cp, ()))
-        return newly
 
 
 def _count_pooled(links: LinkTally, vote: VoteData,

@@ -160,31 +160,30 @@ class ClientView:
         self.clock = max(self.clock, now)
 
     def receive_block(self, block: Block, now: int,
-                      state: ChainState | None = None) -> list[bytes]:
-        """Insert a block (buffering until its parent arrives); returns
-        checkpoints newly accepted as finalized.  `state`, when given, must
-        be `cache.get(block.id)`; else it is looked up on insertion."""
+                      state: ChainState | None = None) -> None:
+        """Insert a block (buffering until its parent arrives), then any
+        buffered descendants it releases.  `state`, when given, must be
+        `cache.get(block.id)`; else it is looked up on insertion."""
         if now > self.clock:
             self.clock = now
         blocks = self.tree.blocks
         if block.id in blocks:
-            return []
+            return
         if block.parent not in blocks:
             self._pending_blocks.setdefault(block.parent, []).append(block)
-            return []
-        newly = self._insert(block, now, state)
+            return
+        self._insert(block, now, state)
         pending = self._pending_blocks
         if pending:
             queue = [block.id]
             while queue:
                 for child in pending.pop(queue.pop(), ()):
                     if child.id not in blocks:
-                        newly.extend(self._insert(child, now))
+                        self._insert(child, now)
                         queue.append(child.id)
-        return newly
 
     def _insert(self, block: Block, now: int,
-                state: ChainState | None = None) -> list[bytes]:
+                state: ChainState | None = None) -> None:
         self.tree.insert_block(block)
         self._seq += 1
         # the too-old rule is judged when the block is first presented: a block
@@ -193,16 +192,17 @@ class ClientView:
         if block.height % self.cfg.spacing == 0:
             self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing,
                                         self._seq)
-        return self._detect_finality(
+        self._detect_finality(
             block, self.cache.get(block.id) if state is None else state)
 
-    def _detect_finality(self, block: Block, state: ChainState) -> list[bytes]:
+    def _detect_finality(self, block: Block, state: ChainState) -> None:
+        """Accept as finalized each checkpoint the block's chain finalizes
+        that is finalizable here and carried by an admissible block."""
         if state.payouts:
             self.payout_seen.update(state.payouts)
         finalized_at = state.finalized_at
         if self._settled.get(id(finalized_at)) is finalized_at:
-            return []
-        newly = []
+            return
         settled = True
         # every checkpoint in the map is an ancestor of the block, so it is
         # in the tree, and its finalizable verdict was fixed on insertion
@@ -215,10 +215,8 @@ class ClientView:
                 continue
             self.observed_finalized.add(cp)
             self.on_finalized(cp)
-            newly.append(cp)
         if settled:
             self._settled[id(finalized_at)] = finalized_at
-        return newly
 
     def receive_vote(self, vote: VoteData, now: int,
                      record: VoteRecord | None = None) -> list[Violation]:

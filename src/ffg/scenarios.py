@@ -2,14 +2,14 @@
 
 These three runs need block-level orchestration (which branch includes which
 votes at which heights), so they build chains directly instead of going
-through the generic agent loop.  They still run on the simulator's network
-(`ffg.sim.Network`) and produce ordinary reports: client views receive every
-staged message in (time, send order, listed-name order), the monotonicity
-check runs after each delivery time, the invariant sweep runs unchanged, and
-the trace digest hashes the simulator's lines, ``t|block|id``, ``t|vote|key``,
-``t|evidence|key`` and ``t|deliver|name|kind`` (scripts submit no evidence,
-so they write no evidence lines).  Delivery delay is not measured: a script
-chooses its delivery times, so `delivery_within_delta` reads ok.
+through the generic agent loop.  A `Script` is the simulator's network
+(`ffg.sim.Network`), so its runs produce ordinary reports: client views
+receive every staged message in (time, send order, listed-name order), the
+network writes the block, vote and delivery trace lines and runs the
+monotonicity check after each delivery time, and the invariant sweep and the
+report read the script itself (scripts submit no evidence, so they write no
+evidence lines).  Delivery delay is not measured: a script chooses its
+delivery times, so `delivery_within_delta` reads ok.
 
 * dynamic_attack: two validator generations hand over; one branch includes
   the handover finalization votes in time, the sibling branch includes them
@@ -32,6 +32,7 @@ chooses its delivery times, so `delivery_within_delta` reads ok.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .chain import (Block, Deposit, SlashEvidence, VoteData, VoteInclusion,
@@ -57,15 +58,14 @@ class Script(Network):
 
     def extend(self, parent_id: bytes, timestamp: int, txs=(), proposer=None) -> Block:
         block = self.tree.extend(parent_id, timestamp, proposer, tuple(txs))
-        self._lines.append(f"{timestamp}|block|{block.id.hex()}")
+        self.announce_block(block, timestamp)
         return block
 
     def vote(self, index: int, source: bytes, target: bytes) -> VoteData:
         hs = self.tree.require_checkpoint(source)
         ht = self.tree.require_checkpoint(target)
         v = sign_vote(self.keyring, index, source, target, hs, ht)
-        self.pool.add(v)
-        self._lines.append(f"{self.tree.get(target).timestamp}|vote|{v.key}")
+        self.announce_vote(v, self.tree.get(target).timestamp)
         return v
 
     def votes(self, indexes, source: bytes, target: bytes) -> list[VoteData]:
@@ -78,11 +78,8 @@ class Script(Network):
         self.send("vote", vote, time, list(names or self.views))
 
     def finish(self, final_clock: int) -> None:
-        """Deliver every send, one delivery time at a time, checking
-        monotonicity after each; then move every view's clock on."""
-        while self.events:
-            self.deliver_due(self.events[0][0])
-            self._check_monotonic()
+        """Deliver every send, then move every view's clock on."""
+        self.deliver_due(math.inf)
         for view in self.views.values():
             view.advance_clock(final_clock)
 
@@ -186,9 +183,7 @@ def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
         "checkpoints": {"c3": c3.hex(), "c4p": c4p.hex(), "c4q": c4q.hex(),
                         "c5p": p[25].id.hex(), "c5q": q[25].id.hex()},
     }
-    world = s.build_world(extra)
-    invariants = sweep_invariants(world)
-    return build_report(world, invariants)
+    return build_report(s, sweep_invariants(s), extra)
 
 
 # -----------------------------------------------------------------------------
@@ -292,11 +287,9 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
 
     # -- outcome analysis ----------------------------------------------------------
     extra = analyze_longrange(s, cfg, unlock_epoch, attackers)
-    world = s.build_world(extra)
-    invariants = sweep_invariants(world)
+    invariants = sweep_invariants(s)
     invariants["long_range_defended"] = extra["defended"]
-    report = build_report(world, invariants)
-    return report
+    return build_report(s, invariants, extra)
 
 
 def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
@@ -428,6 +421,4 @@ def scenario_split_finality(cfg: ScenarioConfig) -> RunReport:
                         for i in sorted(side_a)},
         "heads": {name: s.views[name].head().hex() for name in sorted(s.views)},
     }
-    world = s.build_world(extra)
-    invariants = sweep_invariants(world)
-    return build_report(world, invariants)
+    return build_report(s, sweep_invariants(s), extra)

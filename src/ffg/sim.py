@@ -10,24 +10,26 @@ The proposal engine stands in for an external block producer: one block per
 tick extending the engine's fork-choice head, occasionally (per the configured
 fork rate) a sibling of the head instead, which models latency forks.
 
-`Network` is the one delivery engine.  It builds a run's world (keyring,
+`Network` is a run's one object.  It builds the run's world (keyring,
 genesis registry, shared block tree, chain-state cache, omniscient vote pool
 and client views), keeps the event heap and the trace, and checks that no
-view's justified or finalized count falls.  `Simulation` drives it with
-agents and a jittered broadcast; `ffg.scenarios.Script` drives it with staged
-sends.  The trace digest hashes one text line per event, in the order they
-happen, where t is the event's time:
+view's justified or finalized count falls; the invariant sweep and the report
+read it when the run is over.  `Simulation` drives it with agents and a
+jittered broadcast; `ffg.scenarios.Script` drives it with staged sends.  The
+trace digest hashes one text line per event, in the order they happen, where
+t is the event's time:
 
 * ``t|block|id`` for a block entering the network (id in hex);
 * ``t|vote|key`` for a vote entering the network and the run's pool;
 * ``t|evidence|key`` for slashing evidence an agent submits;
 * ``t|deliver|name|kind`` for a block or vote delivered to view `name`.
 
-Lines are buffered in emission order and hashed with one digest update per
-`deliver_due` call, so once per delivery time (and by `build_world` for any
-left over); the digest is that of the lines hashed one by one.  A delivery
-line is the time joined to the view's ``|deliver|name|kind`` suffix, made
-once per run.
+`announce_block` and `announce_vote` write the first two kinds, whoever
+drives the network.  Lines are buffered in emission order and hashed with one
+digest update per delivery time, right before that time's monotonicity check,
+and by `trace_digest` for any left over; the digest is that of the lines
+hashed one by one.  A delivery line is the time joined to the view's
+``|deliver|name|kind`` suffix, made once per run.
 
 Events are heap entries (time, sequence number, kind, payload, view names),
 popped in (time, sequence) order.  An entry is the unit of delivery:
@@ -183,10 +185,6 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_frac(text) -> Fraction:
-    return Fraction(text)
-
-
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     p = cfg.protocol
     return {
@@ -250,9 +248,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             spacing=proto.get("spacing", 100),
             delta=proto.get("delta", 8),
             withdrawal_delay=proto.get("withdrawal_delay", 100),
-            leak=LeakConfig(rate=_parse_frac(proto.get("leak_rate", "1/10")),
+            leak=LeakConfig(rate=Fraction(proto.get("leak_rate", "1/10")),
                             disposition=proto.get("leak_disposition", "burn")),
-            finder_fee=_parse_frac(proto.get("finder_fee", "1/100")),
+            finder_fee=Fraction(proto.get("finder_fee", "1/100")),
             stitching=proto.get("stitching", True),
             hash_name=proto.get("hash_name", "sha256"),
         )
@@ -264,7 +262,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             validators=validators,
             duration_epochs=data.get("duration_epochs", 6),
             observers=data.get("observers", 2),
-            proposer_fork_rate=_parse_frac(data.get("proposer_fork_rate", "0")),
+            proposer_fork_rate=Fraction(data.get("proposer_fork_rate", "0")),
             scenario=data.get("scenario", GENERIC),
             params=data.get("params", {}),
             deposits=tuple(tuple(d) for d in data.get("deposits", [])),
@@ -378,7 +376,9 @@ class Agent:
 
 class Network:
     """A run's world and its one delivery engine: the event heap, the trace
-    and the monotonicity check (see the module docstring)."""
+    and the monotonicity check (see the module docstring).  What a finished
+    run exposes is read off it: `cfg`, `tree`, `cache`, `pool`, `views` and
+    `trace_digest()`."""
 
     def __init__(self, cfg: ScenarioConfig, view_names):
         self.cfg = cfg
@@ -420,6 +420,21 @@ class Network:
             self._trace.update("\n".join(lines).encode())
             lines.clear()
 
+    def trace_digest(self) -> str:
+        """Hash any buffered lines; the hex digest of the trace so far."""
+        self._hash_lines()
+        return self._trace.hexdigest()
+
+    def announce_block(self, block: Block, t: int) -> None:
+        """Trace a block entering the network at time `t`."""
+        self._lines.append(f"{t}|block|{block.id.hex()}")
+
+    def announce_vote(self, vote: VoteData, t: int) -> None:
+        """Add a vote to the run's pool and trace it entering the network
+        at time `t`."""
+        self.pool.add(vote)
+        self._lines.append(f"{t}|vote|{vote.key}")
+
     def send(self, kind: str, payload, time: int, names: list[str]) -> None:
         """One heap entry: deliver `payload` at `time` to `names`, in order."""
         self._seq += 1
@@ -442,30 +457,28 @@ class Network:
                 views[name].receive_vote(payload, now, record)
 
     def deliver_due(self, until) -> None:
-        """Deliver every event due at or before `until`, in heap order."""
+        """Deliver every event due at or before `until`, in heap order, one
+        delivery time at a time; after each time, hash the buffered lines and
+        check monotonicity (counts change only on deliveries)."""
         events = self.events
         deliver = self.deliver
         while events and events[0][0] <= until:
-            t, _seq, kind, payload, names = heapq.heappop(events)
-            deliver(kind, payload, names, t)
-        self._hash_lines()
+            t = events[0][0]
+            while events and events[0][0] == t:
+                _t, _seq, kind, payload, names = heapq.heappop(events)
+                deliver(kind, payload, names, t)
+            self._hash_lines()
+            self._check_monotonic()
 
     def _check_monotonic(self) -> None:
         """Record whether any view's justified or finalized count fell since
-        the last check; run after each delivery time's deliveries."""
+        the last check."""
         for view in self.views.values():
             j, f = len(view.fstate.justified), len(view.observed_finalized)
             old = self._mono_counts.get(view.name, (0, 0))
             if j < old[0] or f < old[1]:
                 self._monotonic_ok = False
             self._mono_counts[view.name] = (j, f)
-
-    def build_world(self, extra: dict | None = None) -> "RunWorld":
-        self._hash_lines()
-        return RunWorld(self.cfg, self.tree, self.cache, self.pool, self.keyring,
-                        self.views, self._trace.hexdigest(), extra,
-                        delivery_ok=self._max_jitter <= self.proto.delta,
-                        monotonic_ok=self._monotonic_ok)
 
 
 class Simulation(Network):
@@ -518,12 +531,11 @@ class Simulation(Network):
             self.send(kind, payload, time, names)
 
     def broadcast_block(self, block: Block, now: int) -> None:
-        self._lines.append(f"{now}|block|{block.id.hex()}")
+        self.announce_block(block, now)
         self._broadcast("block", block, self.proposer.name, now)
 
     def broadcast_vote(self, vote: VoteData, sender: str, now: int) -> None:
-        self.pool.add(vote)
-        self._lines.append(f"{now}|vote|{vote.key}")
+        self.announce_vote(vote, now)
         self._broadcast("vote", vote, sender, now)
 
     def submit_evidence(self, violation, now: int) -> None:
@@ -625,13 +637,11 @@ class Simulation(Network):
         drain = self.proto.delta + 1
         for now in range(1, total_ticks + drain + 1):
             self.deliver_due(now - 1)
-            self._check_monotonic()
             for view in self.views.values():
                 view.advance_clock(now)
             if now <= total_ticks:
                 self.propose(now)
         self.deliver_due(math.inf)
-        self._check_monotonic()
 
 
 # -----------------------------------------------------------------------------
@@ -682,26 +692,6 @@ def check_link_properties(tree: BlockTree, links) -> dict:
             "single_link_per_height": same_height_ok}
 
 
-class RunWorld:
-    """Everything a finished run exposes to the report builder and tests."""
-
-    def __init__(self, cfg: ScenarioConfig, tree: BlockTree, cache: ChainStateCache,
-                 pool: VotePool, keyring: Keyring, views: dict[str, ClientView],
-                 trace_digest: str = "", extra: dict | None = None,
-                 delivery_ok: bool = True, monotonic_ok: bool = True):
-        self.cfg = cfg
-        self.tree = tree
-        self.cache = cache
-        self.pool = pool
-        self.keyring = keyring
-        self.views = views
-        self.trace_digest = trace_digest
-        self.extra = extra or {}
-        # verdicts of the network's own checks; see `Network.build_world`
-        self.delivery_ok = delivery_ok
-        self.monotonic_ok = monotonic_ok
-
-
 def first_conflict(tree: BlockTree, checkpoints) -> tuple[bytes, bytes] | None:
     """The first pair (a, b) of conflicting checkpoints, in the order of
     `(i, j)`, i < j, over the id-sorted set; None when all lie on one chain.
@@ -731,8 +721,9 @@ def first_conflict(tree: BlockTree, checkpoints) -> tuple[bytes, bytes] | None:
     return None
 
 
-def sweep_invariants(world: RunWorld) -> dict:
-    """End-of-run checks over the run's shared tree, pool and views.
+def sweep_invariants(net: Network) -> dict:
+    """End-of-run checks over a finished run's shared tree, pool and views,
+    plus the network's own delivery-delay and monotonicity verdicts.
 
     With F checkpoints finalized in any view, L voted links in the pool and
     v_i votes by validator i:
@@ -750,13 +741,13 @@ def sweep_invariants(world: RunWorld) -> dict:
     * accountability: one `safety_audit` of the first conflicting pair, only
       when there is one and the validator set is static.
     """
-    cfg = world.cfg
-    tree, pool, cache = world.tree, world.pool, world.cache
+    cfg = net.cfg
+    tree, pool, cache = net.tree, net.pool, net.cache
     stitching = cfg.protocol.stitching
 
     # conflicting finalization across client views
     finalized_union: set[bytes] = set()
-    for view in world.views.values():
+    for view in net.views.values():
         finalized_union.update(view.observed_finalized)
     conflict_pair = first_conflict(tree, finalized_union)
     safety_ok = conflict_pair is None
@@ -806,8 +797,8 @@ def sweep_invariants(world: RunWorld) -> dict:
         "link_properties": properties,
         "link_properties_ok": properties_ok,
         "honest_never_slashed": honest_unslashed,
-        "delivery_within_delta": world.delivery_ok,
-        "justified_finalized_monotonic": world.monotonic_ok,
+        "delivery_within_delta": net._max_jitter <= net.proto.delta,
+        "justified_finalized_monotonic": net._monotonic_ok,
         "accountability": accountability,
     }
 
@@ -852,14 +843,18 @@ def vote_from_dict(data: dict, keyring: Keyring) -> VoteData:
                     bytes.fromhex(data["signature"]))
 
 
-def build_report(world: RunWorld, invariants: dict,
-                 heuristics: list | None = None) -> "RunReport":
-    tree, cache = world.tree, world.cache
-    heuristics = list(heuristics or [])
-    for name in sorted(world.views):
-        for height, cp in world.views[name].ignored_finalized:
+def build_report(net: Network, invariants: dict,
+                 extra: dict | None = None) -> "RunReport":
+    """A finished run's report: its config, every block in (height, id)
+    order with the slashings they include, each view's end state, the pool's
+    votes, `invariants`, the views' first-seen tie-breaks as heuristics,
+    the trace digest and the script's `extra` facts."""
+    tree, cache = net.tree, net.cache
+    heuristics = []
+    for name in sorted(net.views):
+        for height, cp in net.views[name].ignored_finalized:
             heuristics.append(f"first-seen-kept:{name}:{height}:{cp.hex()[:8]}")
-    blocks = []
+    blocks, slashings = [], []
     for block in sorted(tree.iter_blocks(), key=lambda b: (b.height, b.id)):
         blocks.append({
             "id": block.id.hex(),
@@ -869,9 +864,6 @@ def build_report(world: RunWorld, invariants: dict,
             "proposer": block.proposer,
             "txs": [_tx_to_dict(tx) for tx in block.payload],
         })
-
-    slashings = []
-    for block in sorted(tree.iter_blocks(), key=lambda b: (b.height, b.id)):
         for tx in block.payload:
             if isinstance(tx, SlashEvidence):
                 violation = check_pair(tx.first, tx.second)
@@ -885,8 +877,8 @@ def build_report(world: RunWorld, invariants: dict,
                 })
 
     clients = {}
-    for name in sorted(world.views):
-        view = world.views[name]
+    for name in sorted(net.views):
+        view = net.views[name]
         head = view.head()
         head_state = cache.get(head)
         clients[name] = {
@@ -903,20 +895,19 @@ def build_report(world: RunWorld, invariants: dict,
             "payouts": sorted(view.payout_seen),
         }
 
-    report = RunReport(
+    return RunReport(
         schema_version=SCHEMA_VERSION,
-        config=config_to_dict(world.cfg),
+        config=config_to_dict(net.cfg),
         clients=clients,
         slashings=slashings,
         votes=[_vote_to_dict(v) for v in
-               sorted(world.pool.votes, key=lambda v: v.key)],
+               sorted(net.pool.votes, key=lambda v: v.key)],
         blocks=blocks,
         invariants=invariants,
-        heuristics=sorted(heuristics or []),
-        trace_digest=world.trace_digest,
-        extra=world.extra,
+        heuristics=sorted(heuristics),
+        trace_digest=net.trace_digest(),
+        extra=extra or {},
     )
-    return report
 
 
 @dataclass
@@ -970,5 +961,4 @@ def run(cfg: ScenarioConfig) -> RunReport:
 
     sim = Simulation(cfg)
     sim.run_loop()
-    world = sim.build_world()
-    return build_report(world, sweep_invariants(world))
+    return build_report(sim, sweep_invariants(sim))

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (AlreadyLeaving, AlreadySlashed, NotActive, NotLeaving,
-                     Rejoin, UnknownValidator, ZeroDeposit)
+from .errors import (AlreadyLeaving, AlreadySlashed, NotActive, Rejoin,
+                     UnknownValidator, ZeroDeposit)
 
 
 @dataclass(slots=True)
@@ -133,11 +133,3 @@ class ValidatorRegistry:
         rec.deposit = 0
         rec.slashed = True
         return taken
-
-    def withdrawable(self, index: int, current_epoch: int) -> bool:
-        rec = self.get(index)
-        if rec.end_dynasty is None:
-            raise NotLeaving(index)
-        if rec.slashed:
-            return False
-        return rec.unlock_epoch is not None and current_epoch >= rec.unlock_epoch

@@ -183,26 +183,6 @@ def test_conflicting_and_trichotomy():
                 assert sum([fwd, back, conf]) == 1
 
 
-def test_checkpoint_chain_length_and_oracle():
-    tree, blocks = tree_with_chain(6)
-    c3 = blocks[6].id
-    chain = tree.checkpoint_chain(c3)
-    assert chain[0] == GENESIS_ID and chain[-1] == c3
-    assert len(chain) == tree.checkpoint_height(c3) + 1
-
-    # oracle: block-by-block parent walk keeping spacing multiples
-    walk = []
-    cursor = tree.get(c3)
-    while True:
-        if cursor.height % E == 0:
-            walk.append(cursor.id)
-        if cursor.parent is None:
-            break
-        cursor = tree.get(cursor.parent)
-    assert chain == list(reversed(walk))
-    assert tree.checkpoint_chain(GENESIS_ID) == [GENESIS_ID]
-
-
 # -- canonical encodings -------------------------------------------------------
 
 @given(st.tuples(st.integers(0, 2**32), st.binary(min_size=32, max_size=32),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffg.cli import main
 from ffg.errors import ConfigInvalid
-from ffg.sim import RunWorld, build_report, config_from_dict, config_to_dict, run
+from ffg.sim import Network, build_report, config_from_dict, config_to_dict, run
 from ffg.scenarios import (dynamic_attack_config, long_range_config,
                            split_finality_config)
 
@@ -36,6 +36,21 @@ def test_run_flags_designed_safety_violation(tmp_path):
     path = write_scenario(tmp_path, dynamic_attack_config(stitching=False))
     code = main(["run", "--scenario", str(path)])
     assert code == 2
+
+
+# the corpus entries whose invariants fail by design (see the README)
+FAIL_BY_DESIGN = {"dyn_attack_nostitch.json", "long_range_omega3.json",
+                  "split_finality.json"}
+
+
+def test_run_exits_two_on_exactly_the_corpus_entries_that_fail_by_design(capsys):
+    codes = {path.name: main(["run", "--scenario", str(path)])
+             for path in sorted(REPO_SCENARIOS.glob("*.json"))
+             if path.name != "digests.json"}
+    assert len(codes) == 10
+    assert {name for name, code in codes.items() if code == 2} == FAIL_BY_DESIGN
+    assert {name for name, code in codes.items() if code == 0} \
+        == set(codes) - FAIL_BY_DESIGN
 
 
 def test_run_missing_file_exits_one(tmp_path):
@@ -212,8 +227,9 @@ def dual_finalized_report():
         protocol=w.proto,
         validators=tuple(ValidatorSpec(i, 100) for i in range(3)),
         duration_epochs=4, observers=0)
-    world = RunWorld(cfg, w.tree, w.cache, w.pool, w.keyring, {})
-    report = build_report(world, sweep_invariants(world))
+    net = Network(cfg, ())
+    net.tree, net.cache, net.pool = w.tree, w.cache, w.pool
+    report = build_report(net, sweep_invariants(net))
     return report, l1, r1
 
 

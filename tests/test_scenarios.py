@@ -155,7 +155,7 @@ def test_script_delivers_in_time_then_send_then_listed_name_order():
     lines += [f"{t}|deliver|{name}|{'vote' if p is vote else 'block'}"
               for t, name, p in s.delivered]
     expected = hashlib.sha256("".join(line + "\n" for line in lines).encode())
-    assert s.build_world().trace_digest == expected.hexdigest()
+    assert s.trace_digest() == expected.hexdigest()
 
 
 class UnjustifyingScript(Script):

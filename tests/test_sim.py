@@ -355,7 +355,7 @@ def test_trace_digest_hashes_every_line_in_emission_order():
     assert any(kinds[i - 1] == kinds[i + 1] == "deliver" and kinds[i] == "evidence"
                for i in range(1, len(kinds) - 1))
     expected = hashlib.sha256("".join(line + "\n" for line in sim.lines).encode())
-    assert sim.build_world().trace_digest == expected.hexdigest()
+    assert sim.trace_digest() == expected.hexdigest()
     assert run(cfg).trace_digest == expected.hexdigest()
 
 

@@ -169,16 +169,15 @@ def test_self_report_pays_fee():
     assert reg.get(0).deposit == 0
 
 
-def test_slash_during_withdrawal_delay():
-    w = make_world([100, 100, 100, 100])
-    leaver = 3
+def leaving_chain(w, leaver=3):
+    """A chain on which `leaver` withdraws at height 1 and the others
+    finalize checkpoints 1 and 2; the second finalization starts the
+    leaver's end dynasty and with it the withdrawal delay."""
     E = w.proto.spacing
     cps = [w.tree.root]
     tip = make_block(w.tree.get(w.tree.root), 1, None,
-                     (Withdraw(3, w.keyring.pubkey(3)),), w.tree.hash_name)
+                     (Withdraw(leaver, w.keyring.pubkey(leaver)),), w.tree.hash_name)
     w.tree.insert_block(tip)
-    # validators 0-2 finalize checkpoints 1 and 2; the second finalization
-    # starts the leaver's end dynasty and with it the withdrawal delay
     for h in range(2, 4 * E + 1):
         votes = []
         if h % E == 1 and len(cps) > 1:
@@ -189,10 +188,40 @@ def test_slash_during_withdrawal_delay():
     state = w.cache.get(tip.id)
     assert len(state.finalized_at) == 3             # the root and two more
     assert state.registry.get(leaver).unlock_epoch is not None
+    return tip
+
+
+def test_slash_during_withdrawal_delay():
+    w = make_world([100, 100, 100, 100])
+    leaver = 3
+    tip = leaving_chain(w, leaver)
     _block, reg = evidence_block(w, tip, *double_vote(w, 3), proposer=None)
     assert reg.get(leaver).deposit == 0
     assert sum(rec.deposit for rec in reg.records.values()) == 300
-    assert not reg.withdrawable(leaver, 999)
+    assert reg.get(leaver).slashed and reg.get(leaver).end_dynasty is not None
+
+
+def test_leaver_paid_out_at_unlock_checkpoint_unless_slashed():
+    """The chain engine pays a leaver out (`withdrawn`, plus a `payouts`
+    entry) at the first checkpoint block whose epoch reaches its unlock
+    epoch, and never when it was slashed during the delay."""
+    leaver = 3
+    for slashed in (False, True):
+        w = make_world([100, 100, 100, 100])
+        E = w.proto.spacing
+        tip = leaving_chain(w, leaver)
+        if slashed:
+            tip, _reg = evidence_block(w, tip, *double_vote(w, leaver), proposer=None)
+        unlock = w.cache.get(tip.id).registry.get(leaver).unlock_epoch
+        assert tip.height < unlock * E
+        payouts = []
+        while tip.height < (unlock + 2) * E:
+            tip = w.include(tip, [])
+            state = w.cache.get(tip.id)
+            paid = not slashed and tip.height >= unlock * E
+            assert state.registry.get(leaver).withdrawn == paid
+            payouts.extend(state.payouts)
+        assert payouts == ([] if slashed else [(leaver, unlock * E)])
 
 
 # -- the constructive accountable-safety audit ---------------------------------------

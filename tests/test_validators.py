@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ffg.errors import (AlreadyLeaving, NotActive, NotLeaving, Rejoin,
-                        UnknownValidator, ZeroDeposit)
+from ffg.errors import (AlreadyLeaving, NotActive, Rejoin, UnknownValidator,
+                        ZeroDeposit)
 from ffg.finality import snapshot_registry
 from ffg.validators import ValidatorRegistry
 
@@ -108,20 +108,6 @@ def test_total_weight_and_slash():
     assert reg.get(1).deposit == 0
     with pytest.raises(UnknownValidator):
         reg.get(9)
-
-
-def test_withdrawable_gates():
-    reg = registry_with([1])
-    with pytest.raises(NotLeaving):
-        reg.withdrawable(1, 100)
-    reg.process_withdraw(1, 0)            # end dynasty 2
-    reg.mark_end_dynasty_started(2, epoch=6, withdrawal_delay=10)
-    assert reg.get(1).unlock_epoch == 16
-    assert not reg.withdrawable(1, 15)
-    assert reg.withdrawable(1, 16)
-    # a violation during the delay forfeits the deposit for good
-    reg.slash(1)
-    assert not reg.withdrawable(1, 100)
 
 
 def test_end_dynasty_anchor_covers_jumped_range():
