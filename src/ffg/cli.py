@@ -19,10 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-from .chain import Block, Deposit, SlashEvidence, VoteInclusion, Withdraw
+from .chain import Block
 from .errors import ConfigInvalid, FfgError, NotConflicting, NotFinalized
 from .sim import (Network, RunReport, config_from_dict, invariants_pass, run,
-                  vote_from_dict)
+                  tx_from_dict, vote_from_dict)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,28 +126,13 @@ def _rebuild_network(report_data: dict) -> Network:
     nothing is delivered, so it has no views."""
     net = Network(config_from_dict(report_data["config"]), ())
     keyring = net.keyring
-    for block in report_data["blocks"]:
-        for tx in block["txs"]:
-            if tx["kind"] in ("deposit", "withdraw"):
-                keyring.register(tx["index"])
     for item in sorted(report_data["blocks"], key=lambda b: b["height"]):
         if item["height"] == 0:
             continue
-        txs = []
-        for tx in item["txs"]:
-            if tx["kind"] == "vote":
-                txs.append(VoteInclusion(vote_from_dict(tx["vote"], keyring)))
-            elif tx["kind"] == "evidence":
-                txs.append(SlashEvidence(vote_from_dict(tx["first"], keyring),
-                                         vote_from_dict(tx["second"], keyring)))
-            elif tx["kind"] == "deposit":
-                txs.append(Deposit(tx["index"], keyring.pubkey(tx["index"]),
-                                   tx["amount"]))
-            else:
-                txs.append(Withdraw(tx["index"], keyring.pubkey(tx["index"])))
+        txs = tuple(tx_from_dict(tx, keyring) for tx in item["txs"])
         net.tree.insert_block(Block(bytes.fromhex(item["id"]),
                                     bytes.fromhex(item["parent"]), item["height"],
-                                    item["timestamp"], item["proposer"], tuple(txs)))
+                                    item["timestamp"], item["proposer"], txs))
     for vote in report_data["votes"]:
         net.pool.add(vote_from_dict(vote, keyring))
     return net

@@ -42,7 +42,7 @@ from .chain import (BlockTree, Deposit, SlashEvidence, VoteData, VoteInclusion,
 from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
-from .slashing import (Violation, check_pair, find_new_violations, violates,
+from .slashing import (Violation, check_pair, find_new_violations, slashable,
                        violation_key)
 from .validators import ValidatorRegistry
 from .votes import Keyring, VoteClass, VotePool, classify_vote
@@ -587,7 +587,8 @@ class ChainStateCache:
                 for violation in find_new_violations(history, vote):
                     old = violation.vote_a
                     partners[old.key] = violation
-                    self._partners[old.key][vote.key] = check_pair(vote, old)
+                    self._partners[old.key][vote.key] = Violation(
+                        violation.kind, vote, old, index)
             history.append(vote)
             self._reach[index] = (max(top_source, vote.source_height),
                                   max(top_target, vote.target_height))
@@ -718,13 +719,15 @@ def liveness_plan(tree: BlockTree, pool: VotePool, justified: set[bytes],
 
 def plan_safe_for(plan: LivenessPlan, history: list[VoteData]) -> bool:
     """True when executing both planned votes violates no commandment against
-    any vote in `history` (nor between the two planned votes themselves)."""
-    planned = [(s_h, t_h) for (_s, _t, s_h, t_h) in plan.votes]
-    for hs, ht in planned:
+    any vote in `history` (nor between the two planned votes themselves).
+    An old vote identical to a planned one is the same vote, cast again."""
+    for planned in plan.votes:
+        _s, _t, hs, ht = planned
         for old in history:
-            if (old.source_height, old.target_height) == (hs, ht):
+            if (old.source, old.target, old.source_height,
+                    old.target_height) == planned:
                 continue
-            if violates(hs, ht, old.source_height, old.target_height):
+            if slashable(hs, ht, old.source_height, old.target_height) is not None:
                 return False
-    (h1, t1), (h2, t2) = planned
-    return not violates(h1, t1, h2, t2)
+    first, second = plan.votes
+    return slashable(*first[2:], *second[2:]) is None

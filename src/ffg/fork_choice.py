@@ -5,8 +5,10 @@ greatest height.  Three client-local filters compose around it, in order:
 
 1. admissibility: reject future-stamped blocks; reject blocks stamped later
    than t + 2*delta whose ancestor chain has not included slashing evidence
-   first heard at t; accept but refuse to treat as finalized blocks stamped
-   more than delta in the past;
+   first heard at t.  The too-old rule is judged once, when a checkpoint is
+   first presented: one stamped more than delta before it reaches the view
+   is never treated as finalized (`ClientView.finalizable`), though its
+   chain stays eligible;
 2. never revert: only chains containing every locally recorded finalized
    checkpoint are eligible (first-seen wins per height, write-once);
 3. the justified-height rule with deterministic tie-breaks (earliest-received
@@ -40,17 +42,16 @@ evidence contains its parent's.  So only violations heard in
 block, and a bisect into the heard log, which is in heard-at order, finds
 them.
 
-`admissible(block)` reads the same verdicts, and scans the violations heard
-before the block's own deadline only when its chain is rejected.  The
-justified checkpoint of a chain is found by walking its checkpoints downward
-to the first justified one (`justified_tip`), which is the highest since a
-chain has one checkpoint per height.
+`admissible(block)`, a yes or no, reads the same verdicts, and scans the
+violations heard before the block's own deadline only when its chain is
+rejected.  The justified checkpoint of a chain is found by walking its
+checkpoints downward to the first justified one (`justified_tip`), which is
+the highest since a chain has one checkpoint per height.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from enum import Enum
 from operator import itemgetter
 
 from .chain import Block, BlockTree, VoteData
@@ -58,12 +59,6 @@ from .config import ProtocolConfig
 from .errors import NonMonotonicTimestamp
 from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
-
-
-class Admissibility(Enum):
-    ACCEPT = "accept"
-    ACCEPT_NOT_FINALIZABLE = "accept-not-finalizable"
-    REJECT = "reject"
 
 
 _HEARD_AT = itemgetter(1)
@@ -116,6 +111,13 @@ class ClientView:
     heard-at times and evidence verdicts stay per view.  A view hears
     violations in clock order, so each block's evidence verdict is judged
     once (see the module docstring).
+
+    The too-old rule is judged once per checkpoint, when it is first
+    presented: `finalizable` maps each checkpoint the view holds to whether
+    it arrived within delta of its stamp, and never changes.  `admissible`
+    is a yes or no, the timestamp and evidence filters alone.  A view
+    accepts a checkpoint as finalized when it is finalizable and the block
+    carrying its finalization is admissible.
 
     Finality detection scans, per inserted block, the checkpoints that the
     block's chain state finalized.  A chain state shares its parent's
@@ -186,10 +188,10 @@ class ClientView:
                 state: ChainState | None = None) -> None:
         self.tree.insert_block(block)
         self._seq += 1
-        # the too-old rule is judged when the block is first presented: a block
-        # tracked live stays finalizable; one that shows up already stale never is
-        self.finalizable[block.id] = block.timestamp >= now - self.cfg.delta
         if block.height % self.cfg.spacing == 0:
+            # the too-old rule, judged once: a checkpoint tracked live stays
+            # finalizable; one that shows up already stale never is
+            self.finalizable[block.id] = block.timestamp >= now - self.cfg.delta
             self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing,
                                         self._seq)
         self._detect_finality(
@@ -210,7 +212,7 @@ class ClientView:
             if cp in self.observed_finalized or not self.finalizable[cp]:
                 continue
             carrier = self.tree.ancestor_at(block.id, fin_height)
-            if self.admissible(self.tree.get(carrier)) is Admissibility.REJECT:
+            if not self.admissible(self.tree.get(carrier)):
                 settled = False
                 continue
             self.observed_finalized.add(cp)
@@ -261,18 +263,14 @@ class ClientView:
 
     # -- admissibility -----------------------------------------------------------
 
-    def admissible(self, block: Block) -> Admissibility:
-        """Timestamp and evidence filters; a classification, not an error."""
+    def admissible(self, block: Block) -> bool:
+        """False iff the timestamp or the evidence filter rejects `block`."""
         if block.timestamp > self.clock:
-            return Admissibility.REJECT
+            return False
         # a chain that passes the evidence rule passes it at every block; a
         # rejected chain may have been rejected below `block`
-        passes = block.id in self.tree and self._chain_passes(block)
-        if not passes and self._evidence_rejects(block):
-            return Admissibility.REJECT
-        if block.timestamp < self.clock - self.cfg.delta:
-            return Admissibility.ACCEPT_NOT_FINALIZABLE
-        return Admissibility.ACCEPT
+        return (block.id in self.tree and self._chain_passes(block)) \
+            or not self._evidence_rejects(block)
 
     def chain_admissible(self, leaf: bytes) -> bool:
         """True iff `admissible` rejects no block between the root and `leaf`."""

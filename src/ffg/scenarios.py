@@ -296,7 +296,6 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
                       attackers: list[int]) -> dict:
     """Per client: does any admissible chain pay the coalition out, and do all
     admissible chains that reach the unlock epoch carry the evidence first?"""
-    from .fork_choice import Admissibility
     per_client = {}
     any_payout = False
     evidence_everywhere = True
@@ -310,7 +309,7 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
             chain = []
             for bid in view.tree.path(leaf)[1:]:
                 block = view.tree.get(bid)
-                if view.admissible(block) is Admissibility.REJECT:
+                if not view.admissible(block):
                     break
                 chain.append(block)
             if not chain:

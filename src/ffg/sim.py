@@ -57,7 +57,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -69,7 +69,7 @@ from .errors import ConfigInvalid
 from .finality import ChainStateCache, compute_justified, tally
 from .fork_choice import ClientView
 from .leak import LeakConfig
-from .slashing import check_pair, scan, violates
+from .slashing import check_pair, scan, slashable
 from .validators import ValidatorRegistry
 from .votes import Keyring, VotePool, sign_vote
 
@@ -217,57 +217,60 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
-# what `config_to_dict` writes at each level; `config_from_dict` reads
-# exactly these keys, so it rejects any other
+# what `config_to_dict` writes at each level for the dataclass defaults;
+# `config_from_dict` reads exactly these keys, so it rejects any other, and
+# takes the value written here for each key a file leaves out
 _WRITTEN = config_to_dict(ScenarioConfig(validators=(ValidatorSpec(0, 1),)))
 
 
-def _check_keys(data: dict, written: dict, where: str) -> None:
+def _over_written(data: dict, written: dict, where: str) -> dict:
+    """`data` laid over `written`, one level of `_WRITTEN`, so a key it
+    leaves out reads the dataclass default; rejects a key `written` lacks."""
     unknown = sorted(set(data).difference(written))
     if unknown:
         raise ConfigInvalid(f"{where}: unknown keys {', '.join(unknown)}")
+    return {**written, **data}
 
 
 def _spec_from_dict(data: dict) -> ValidatorSpec:
-    _check_keys(data, _WRITTEN["validators"][0], "validator")
-    behavior = data.get("behavior", {})
-    _check_keys(behavior, _WRITTEN["validators"][0]["behavior"], "behavior")
+    written = _WRITTEN["validators"][0]
+    _over_written(data, written, "validator")   # index and deposit: required
+    behavior = _over_written(data.get("behavior", {}), written["behavior"],
+                             "behavior")
     return ValidatorSpec(data["index"], data["deposit"],
-                         Behavior(behavior.get("kind", HONEST),
-                                  behavior.get("from_epoch", 0)))
+                         Behavior(behavior["kind"], behavior["from_epoch"]))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     try:
-        _check_keys(data, _WRITTEN, "scenario")
-        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        top = _over_written(data, _WRITTEN, "scenario")
+        if top["schema_version"] != SCHEMA_VERSION:
             raise ConfigInvalid(f"schema_version must be {SCHEMA_VERSION}")
-        proto = data.get("protocol", {})
-        _check_keys(proto, _WRITTEN["protocol"], "protocol")
+        proto = _over_written(top["protocol"], _WRITTEN["protocol"], "protocol")
         pcfg = ProtocolConfig(
-            spacing=proto.get("spacing", 100),
-            delta=proto.get("delta", 8),
-            withdrawal_delay=proto.get("withdrawal_delay", 100),
-            leak=LeakConfig(rate=Fraction(proto.get("leak_rate", "1/10")),
-                            disposition=proto.get("leak_disposition", "burn")),
-            finder_fee=Fraction(proto.get("finder_fee", "1/100")),
-            stitching=proto.get("stitching", True),
-            hash_name=proto.get("hash_name", "sha256"),
+            spacing=proto["spacing"],
+            delta=proto["delta"],
+            withdrawal_delay=proto["withdrawal_delay"],
+            leak=LeakConfig(rate=Fraction(proto["leak_rate"]),
+                            disposition=proto["leak_disposition"]),
+            finder_fee=Fraction(proto["finder_fee"]),
+            stitching=proto["stitching"],
+            hash_name=proto["hash_name"],
         )
         validators = tuple(map(_spec_from_dict, data["validators"]))
         cfg = ScenarioConfig(
-            name=data.get("name", "scenario"),
-            seed=data.get("seed", 0),
+            name=top["name"],
+            seed=top["seed"],
             protocol=pcfg,
             validators=validators,
-            duration_epochs=data.get("duration_epochs", 6),
-            observers=data.get("observers", 2),
-            proposer_fork_rate=Fraction(data.get("proposer_fork_rate", "0")),
-            scenario=data.get("scenario", GENERIC),
-            params=data.get("params", {}),
-            deposits=tuple(tuple(d) for d in data.get("deposits", [])),
-            withdraws=tuple(tuple(w) for w in data.get("withdraws", [])),
-            censor_evidence=data.get("censor_evidence", False),
+            duration_epochs=top["duration_epochs"],
+            observers=top["observers"],
+            proposer_fork_rate=Fraction(top["proposer_fork_rate"]),
+            scenario=top["scenario"],
+            params=dict(top["params"]),
+            deposits=tuple(tuple(d) for d in top["deposits"]),
+            withdraws=tuple(tuple(w) for w in top["withdraws"]),
+            censor_evidence=top["censor_evidence"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
@@ -291,12 +294,8 @@ class Agent:
         self._surround_stage = 0
 
     def _would_violate(self, h_s: int, h_t: int) -> bool:
-        for old in self.history:
-            if old.target_height == h_t:
-                return True
-            if violates(h_s, h_t, old.source_height, old.target_height):
-                return True
-        return False
+        return any(slashable(h_s, h_t, old.source_height, old.target_height)
+                   is not None for old in self.history)
 
     def _sign(self, source: bytes, target: bytes, h_s: int, h_t: int) -> VoteData:
         vote = sign_vote(self.keyring, self.spec.index, source, target, h_s, h_t)
@@ -828,6 +827,20 @@ def _tx_to_dict(tx) -> dict:
     return {"kind": "withdraw", "index": tx.validator_index}
 
 
+def tx_from_dict(data: dict, keyring: Keyring):
+    """The transaction `_tx_to_dict` wrote; registers the keys it names."""
+    kind = data["kind"]
+    if kind == "vote":
+        return VoteInclusion(vote_from_dict(data["vote"], keyring))
+    if kind == "evidence":
+        return SlashEvidence(vote_from_dict(data["first"], keyring),
+                             vote_from_dict(data["second"], keyring))
+    pubkey = keyring.register(data["index"])
+    if kind == "deposit":
+        return Deposit(data["index"], pubkey, data["amount"])
+    return Withdraw(data["index"], pubkey)
+
+
 def _vote_to_dict(vote: VoteData) -> dict:
     return {"validator": vote.validator_index,
             "source": vote.source.hex(), "target": vote.target.hex(),
@@ -924,18 +937,7 @@ class RunReport:
     extra: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "clients": self.clients,
-            "slashings": self.slashings,
-            "votes": self.votes,
-            "blocks": self.blocks,
-            "invariants": self.invariants,
-            "heuristics": self.heuristics,
-            "trace_digest": self.trace_digest,
-            "extra": self.extra,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

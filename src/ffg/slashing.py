@@ -7,7 +7,10 @@ The two slashing conditions on a pair of distinct votes by one validator:
     II. one vote strictly inside the span of the other:
         h(s1) < h(s2) < h(t2) < h(t1)
 
-Both are judged purely on the votes' own fields, so detection works across
+`slashable` is their one definition, on the four heights; `check_pair`
+classifies a pair of votes through it, and the simulator's agents and the
+liveness planner ask it of the votes they would cast.  Both conditions are
+judged purely on the votes' own fields, so detection works across
 branches and regardless of which chain (if any) included the votes.  It also
 means a run needs to check each vote only once: `ChainStateCache` runs
 `find_new_violations` when a vote is first seen, against its validator's
@@ -61,6 +64,16 @@ def violates(hs1: int, ht1: int, hs2: int, ht2: int) -> bool:
     return (hs1 < hs2 < ht2 < ht1) or (hs2 < hs1 < ht1 < ht2)
 
 
+def slashable(hs1: int, ht1: int, hs2: int, ht2: int) -> ViolationKind | None:
+    """The condition that two distinct votes with these source and target
+    heights break: I for the same target height, II for strict nesting."""
+    if ht1 == ht2:
+        return ViolationKind.DOUBLE_VOTE
+    if violates(hs1, ht1, hs2, ht2):
+        return ViolationKind.SURROUND_VOTE
+    return None
+
+
 def check_pair(v1: VoteData, v2: VoteData) -> Violation | None:
     """Classify one pair of same-validator votes; identical votes are not
     distinct and never violate."""
@@ -68,12 +81,9 @@ def check_pair(v1: VoteData, v2: VoteData) -> Violation | None:
         raise DifferentValidators(f"{v1.validator_index} vs {v2.validator_index}")
     if v1.key == v2.key:
         return None
-    if v1.target_height == v2.target_height:
-        return Violation(ViolationKind.DOUBLE_VOTE, v1, v2, v1.validator_index)
-    if violates(v1.source_height, v1.target_height,
-                v2.source_height, v2.target_height):
-        return Violation(ViolationKind.SURROUND_VOTE, v1, v2, v1.validator_index)
-    return None
+    kind = slashable(v1.source_height, v1.target_height,
+                     v2.source_height, v2.target_height)
+    return None if kind is None else Violation(kind, v1, v2, v1.validator_index)
 
 
 def scan(pool: VotePool) -> list[Violation]:
@@ -111,7 +121,6 @@ class AuditResult:
     violators: tuple[tuple[int, Violation], ...]
     violator_weight: int
     reference_total: int    # min over the implicated sets' totals
-    implicated_links: tuple[tuple[bytes, bytes], ...]
 
     @property
     def bound_holds(self) -> bool:
@@ -215,7 +224,6 @@ def safety_audit(tree: BlockTree, pool: VotePool, a_m: bytes, b_n: bytes,
     violators: dict[int, Violation] = {}
     weight = 0
     ref_total = 0
-    implicated: list[tuple[bytes, bytes]] = []
     best: tuple[int, int] | None = None
     for link1, link2 in crossing:
         voters1 = _link_voters(tree, pool, snapshot_for, link1)
@@ -241,7 +249,5 @@ def safety_audit(tree: BlockTree, pool: VotePool, a_m: bytes, b_n: bytes,
             violators = pair_violators
             weight = pair_weight
             ref_total = pair_total
-            implicated = [link1, link2]
 
-    return AuditResult(tuple(sorted(violators.items())), weight, ref_total,
-                       tuple(implicated))
+    return AuditResult(tuple(sorted(violators.items())), weight, ref_total)

@@ -109,18 +109,17 @@ class ValidatorRegistry:
         rec.end_dynasty = current_dynasty + 2
 
     def mark_end_dynasty_started(self, dynasty: int, epoch: int,
-                                 withdrawal_delay: int, previous: int | None = None) -> None:
+                                 withdrawal_delay: int, previous: int) -> None:
         """Anchor unlock epochs for validators whose end dynasty just began.
 
         `previous` is the dynasty before the jump; a single block can complete
         several finalizations, so every end dynasty in (previous, dynasty]
         starts here.
         """
-        low = dynasty - 1 if previous is None else previous
         for rec in self.records.values():
             if rec.end_dynasty is None or rec.unlock_epoch is not None:
                 continue
-            if low < rec.end_dynasty <= dynasty:
+            if previous < rec.end_dynasty <= dynasty:
                 rec.unlock_epoch = epoch + withdrawal_delay
 
     def slash(self, index: int) -> int:

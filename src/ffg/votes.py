@@ -156,9 +156,6 @@ class VotePool:
     def __len__(self) -> int:
         return len(self.votes)
 
-    def __contains__(self, vote: VoteData) -> bool:
-        return vote.key in self._keys
-
     def add(self, vote: VoteData) -> bool:
         """Verify and index a vote; returns False for duplicates."""
         if not self.keyring.verify(vote):

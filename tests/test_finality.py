@@ -672,6 +672,31 @@ def test_plan_safe_for_histories():
         assert not plan_safe_for(plan_low, wild)
 
 
+def planned_one_to_two():
+    """A world with a second checkpoint at height 2 on a fork, and the plan
+    (1 -> 2), (2 -> 3) from the justified checkpoint at height 1."""
+    w = make_world()
+    blocks = w.grow(10)
+    cps = {b.height // 2: b.id for b in blocks if b.height % 2 == 0}
+    cps[0] = w.tree.root
+    fork = w.grow(2, start=cps[1], proposer=77)
+    plan = liveness_plan(w.tree, w.pool, {w.tree.root, cps[1]})
+    assert plan.votes[0] == (cps[1], cps[2], 1, 2)
+    # the planned vote itself, already cast, is no conflict
+    assert plan_safe_for(plan, [sign_vote(w.keyring, 0, *plan.votes[0])])
+    return w, cps, fork[-1].id, plan
+
+
+def test_plan_safe_for_rejects_an_old_vote_at_the_target_height_from_another_source():
+    w, cps, _fork_cp, plan = planned_one_to_two()
+    assert not plan_safe_for(plan, [sign_vote(w.keyring, 0, cps[0], cps[2], 0, 2)])
+
+
+def test_plan_safe_for_rejects_an_old_vote_with_the_planned_heights_on_other_blocks():
+    w, cps, fork_cp, plan = planned_one_to_two()
+    assert not plan_safe_for(plan, [sign_vote(w.keyring, 0, cps[1], fork_cp, 1, 2)])
+
+
 def test_countable_gives_copies_the_same_verdict():
     w = make_world()
     c1 = first_checkpoint(w).id

@@ -14,7 +14,7 @@ from ffg.config import ProtocolConfig
 from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
                         UnknownParent)
 from ffg.finality import _UNCLASSIFIED, ChainStateCache
-from ffg.fork_choice import Admissibility, ClientView
+from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER, Network,
                      ScenarioConfig, Simulation, ValidatorSpec, config_from_dict,
@@ -51,19 +51,26 @@ def test_future_timestamp_rejected():
     blocks = w.grow(2)
     view = client(w)
     view.advance_clock(1)
-    assert view.admissible(blocks[1]) is Admissibility.REJECT      # stamped 2
+    assert view.admissible(blocks[1]) is False      # stamped 2
     view.advance_clock(2)
-    assert view.admissible(blocks[1]) is Admissibility.ACCEPT
+    assert view.admissible(blocks[1]) is True
 
 
-def test_too_old_accepted_but_not_finalizable():
+def test_too_old_judged_when_a_checkpoint_is_first_presented():
     w = make_world(delta=4)
-    blocks = w.grow(1)
-    view = client(w)
-    view.advance_clock(blocks[0].timestamp + 4)
-    assert view.admissible(blocks[0]) is Admissibility.ACCEPT
-    view.advance_clock(blocks[0].timestamp + 5)
-    assert view.admissible(blocks[0]) is Admissibility.ACCEPT_NOT_FINALIZABLE
+    blocks = w.grow(2)
+    cp = blocks[1]                                   # height 2: a checkpoint
+    live, stale = client(w, "live"), client(w, "stale")
+    feed_chain(live, w, blocks, t0=cp.timestamp + 4)
+    feed_chain(stale, w, blocks, t0=cp.timestamp + 5)
+    assert live.finalizable[cp.id] is True
+    assert stale.finalizable[cp.id] is False
+    assert stale.admissible(cp) is True
+    # the verdict is fixed on presentation, whatever the clock does later
+    live.advance_clock(cp.timestamp + 100)
+    assert live.finalizable[cp.id] is True and live.admissible(cp) is True
+    # only checkpoints are judged
+    assert blocks[0].id not in live.finalizable
 
 
 def test_missing_evidence_rejection_window():
@@ -81,12 +88,12 @@ def test_missing_evidence_rejection_window():
                       w.tree.hash_name)
     w.tree.insert_block(late)
     view.receive_block(late, late.timestamp)
-    assert view.admissible(late) is Admissibility.REJECT
+    assert view.admissible(late) is False
     # exactly at the boundary the block still passes
     ontime = make_block(blocks[-1], heard_at + 2 * 4, 1, (), w.tree.hash_name)
     w.tree.insert_block(ontime)
     view.receive_block(ontime, late.timestamp)
-    assert view.admissible(ontime) is not Admissibility.REJECT
+    assert view.admissible(ontime) is True
 
 
 def test_evidence_rule_checks_ancestor_chain():
@@ -105,17 +112,17 @@ def test_evidence_rule_checks_ancestor_chain():
                           w.tree.hash_name)
     w.tree.insert_block(carrying)
     view.receive_block(carrying, 19)
-    assert view.admissible(carrying) is Admissibility.ACCEPT
+    assert view.admissible(carrying) is True
     follow = make_block(carrying, 25, None, (), w.tree.hash_name)
     w.tree.insert_block(follow)
     view.receive_block(follow, 25)
-    assert view.admissible(follow) is Admissibility.ACCEPT
+    assert view.admissible(follow) is True
     # the old-stamp rule must not shadow the evidence rule: an evidence-free
     # sibling stamped late-but-old is rejected outright
     stale = make_block(blocks[-1], 20, 1, (), w.tree.hash_name)
     w.tree.insert_block(stale)
     view.receive_block(stale, 40)
-    assert view.admissible(stale) is Admissibility.REJECT
+    assert view.admissible(stale) is False
 
 
 # -- head selection ------------------------------------------------------------------
@@ -286,11 +293,7 @@ def rule_rejects(view, block):
 
 def rule_admissible(view, block):
     """Reference: `admissible` from `rule_rejects`."""
-    if rule_rejects(view, block):
-        return Admissibility.REJECT
-    if block.timestamp < view.clock - view.cfg.delta:
-        return Admissibility.ACCEPT_NOT_FINALIZABLE
-    return Admissibility.ACCEPT
+    return not rule_rejects(view, block)
 
 
 def walk_chain_admissible(view, leaf, verdicts=None):
@@ -469,7 +472,7 @@ def check_finality_scan(view, block, outcomes):
             outcomes["never finalizable"] += 1
         else:
             carrier = view.tree.get(view.tree.ancestor_at(block.id, fin_height))
-            assert view.admissible(carrier) is Admissibility.REJECT, cp.hex()
+            assert view.admissible(carrier) is False, cp.hex()
             outcomes["rejected carrier"] += 1
 
 
@@ -633,7 +636,7 @@ def test_violation_heard_early_after_the_blocks_rejects_them():
     assert not any(view._rejected[b.id] for b in blocks[:10])
     for block in blocks:
         assert view.admissible(block) is rule_admissible(view, block)
-    assert view.admissible(blocks[10]) is Admissibility.REJECT
+    assert view.admissible(blocks[10]) is False
     assert view.chain_admissible(blocks[9].id)
     assert view.head() == w.tree.root        # no admissible leaf: the finalized anchor
     # every verdict is final: nothing is judged again

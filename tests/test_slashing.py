@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,7 @@ from ffg.config import ProtocolConfig
 from ffg.errors import DifferentValidators, NotConflicting
 from ffg.leak import LeakConfig
 from ffg.slashing import (ViolationKind, check_pair, safety_audit, scan,
-                          violates)
+                          slashable, violates)
 from ffg.votes import VotePool, sign_vote
 
 from conftest import World
@@ -83,6 +84,14 @@ def test_violates_is_the_written_inequality():
     assert violates(2, 4, 1, 5)
     assert not violates(1, 4, 2, 4)
     assert not violates(1, 2, 3, 4)
+    # `slashable` gives I exactly on equal target heights, II exactly on
+    # strict nesting between different ones, over all heights 0-6
+    for hs1, ht1, hs2, ht2 in product(range(7), repeat=4):
+        kind = slashable(hs1, ht1, hs2, ht2)
+        nested = hs1 < hs2 < ht2 < ht1 or hs2 < hs1 < ht1 < ht2
+        assert (kind is ViolationKind.DOUBLE_VOTE) == (ht1 == ht2)
+        assert (kind is ViolationKind.SURROUND_VOTE) == nested
+        assert (kind is None) == (ht1 != ht2 and not nested)
 
 
 # -- pool scan -------------------------------------------------------------------
