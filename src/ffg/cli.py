@@ -145,8 +145,7 @@ def cmd_audit(args) -> int:
         net = _rebuild_network(report_data)
         a = bytes.fromhex(args.a)
         b = bytes.fromhex(args.b)
-        result = safety_audit(net.tree, net.pool, a, b, net.cache.snapshot_for,
-                              net.proto.stitching)
+        result = safety_audit(net.cache, net.pool, a, b)
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)

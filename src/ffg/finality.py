@@ -184,27 +184,29 @@ def _count_pooled(links: LinkTally, vote: VoteData,
                 snap.rear.get(idx, 0), snap)
 
 
-def pool_links(tree: BlockTree, pool: VotePool, snapshot_for,
-               stitching: bool = True) -> LinkTally:
-    """The core fed every countable vote of the pool once."""
-    links = LinkTally(tree.root, stitching)
+def pool_links(cache: ChainStateCache, pool: VotePool) -> LinkTally:
+    """The core fed every countable vote of the pool once, judged on the
+    run's tree and snapshots with the run's stitching rule."""
+    tree, snapshot_for = cache.tree, cache.snapshot_for
+    links = LinkTally(tree.root, cache.cfg.stitching)
     for vote in pool.votes:
         if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
             _count_pooled(links, vote, snapshot_for(vote.target))
     return links
 
 
-def tally(tree: BlockTree, pool: VotePool, snapshot_for, source: bytes,
-          target: bytes, stitching: bool = True) -> LinkStatus:
+def tally(cache: ChainStateCache, pool: VotePool, source: bytes,
+          target: bytes) -> LinkStatus:
     """Deposit-weighted tally of countable votes source -> target.
 
     Distinct validators only; each contributes its snapshot weight to the
     forward and/or rear side it belongs to.
     """
+    tree, snapshot_for = cache.tree, cache.snapshot_for
     if not tree.is_ancestor(source, target) or source == target:
         raise NotAncestor(f"{source.hex()} !-> {target.hex()}")
     snap = snapshot_for(target)
-    links = LinkTally(tree.root, stitching)
+    links = LinkTally(tree.root, cache.cfg.stitching)
     for vote in pool.link_votes(source, target):
         if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
             _count_pooled(links, vote, snap)
@@ -656,11 +658,10 @@ class FinalityState:
             self.links.count(record.link, record.forward, record.rear, snap)
 
 
-def compute_justified(tree: BlockTree, pool: VotePool, snapshot_for,
-                      stitching: bool = True) -> set[bytes]:
+def compute_justified(cache: ChainStateCache, pool: VotePool) -> set[bytes]:
     """Justified checkpoints of the pool: the root plus every target of an
     established link from a justified source.  Links may skip heights."""
-    return pool_links(tree, pool, snapshot_for, stitching).justified
+    return pool_links(cache, pool).justified
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from bisect import bisect_left
 from operator import itemgetter
 
 from .chain import Block, BlockTree, VoteData
-from .config import ProtocolConfig
 from .errors import NonMonotonicTimestamp
 from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
@@ -77,8 +76,9 @@ def _better(a: tuple, b: tuple) -> bool:
 class ClientView:
     """One client's received messages, clocks, and chain preferences.
 
-    Views of one run share its `ChainStateCache`, and through it every
-    verdict that depends on message contents alone, computed once per run:
+    Views of one run share its `ChainStateCache`, and through it the run's
+    protocol config and every verdict that depends on message contents
+    alone, computed once per run:
 
     * block checks: the view's tree trusts the run's shared tree, so a
       `Block` object already checked there is not hashed, nor its height and
@@ -128,9 +128,9 @@ class ClientView:
     since that verdict may change as the clock moves.
     """
 
-    def __init__(self, name: str, cfg: ProtocolConfig, cache: ChainStateCache):
+    def __init__(self, name: str, cache: ChainStateCache):
         self.name = name
-        self.cfg = cfg
+        self.cfg = cfg = cache.cfg
         self.cache = cache
         self.clock = 0
         self.tree = BlockTree(cfg.spacing, cfg.hash_name, trusted=cache.tree)

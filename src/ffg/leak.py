@@ -2,7 +2,7 @@
 
 Each epoch a validator with deposit D that fails to get a countable vote
 included on the chain loses floor(D * p), with one configured rate p for
-every epoch.  The rate is an exact rational and the rounding is per validator
+every epoch, and what it loses is burned.  The rate is an exact rational and the rounding is per validator
 per epoch, so every platform computes the same integers.
 """
 
@@ -14,20 +14,14 @@ from fractions import Fraction
 from .errors import Unreachable
 from .validators import ValidatorRegistry
 
-BURN = "burn"
-
 
 @dataclass(frozen=True)
 class LeakConfig:
     rate: Fraction = Fraction(1, 10)
-    disposition: str = BURN
 
     def __post_init__(self):
         if not (0 < self.rate < 1):
             raise ValueError("leak rate must be in (0, 1)")
-        # leaked deposits are always burned; no other disposition is modelled
-        if self.disposition != BURN:
-            raise ValueError(f"unknown leak disposition {self.disposition!r}")
 
 
 def leak_amount(deposit: int, rate: Fraction) -> int:

@@ -8,8 +8,16 @@ receive every staged message in (time, send order, listed-name order), the
 network writes the block, vote and delivery trace lines and runs the
 monotonicity check after each delivery time, and the invariant sweep and the
 report read the script itself (scripts submit no evidence, so they write no
-evidence lines).  Delivery delay is not measured: a script chooses its
-delivery times, so `delivery_within_delta` reads ok.
+evidence lines).  The sweep's pool queries (`tally`, `compute_justified`,
+`safety_audit`) take the script's `ChainStateCache`, so they judge with its
+tree, snapshots and stitching rule.  Delivery delay is not measured: a script
+chooses its delivery times, so `delivery_within_delta` reads ok.
+
+Each kind reads exactly the params `ffg.sim.SCRIPTED_PARAMS` names, all of
+them required, and derives its horizon from them and the protocol, so
+`ScenarioConfig.validate` rejects any other param and a `duration_epochs`
+other than the default; `dynamic_attack` also needs spacing 5 and three seed
+validators.
 
 * dynamic_attack: two validator generations hand over; one branch includes
   the handover finalization votes in time, the sibling branch includes them
@@ -38,7 +46,6 @@ from fractions import Fraction
 from .chain import (Block, Deposit, SlashEvidence, VoteData, VoteInclusion,
                     Withdraw)
 from .config import ProtocolConfig
-from .errors import ConfigInvalid
 from .leak import LeakConfig, epochs_to_supermajority
 from .sim import (Behavior, DOUBLE_VOTER, HONEST, Network, RunReport, ScenarioConfig,
                   ValidatorSpec, build_report, sweep_invariants)
@@ -94,20 +101,16 @@ def dynamic_attack_config(stitching: bool, seed: int = 7) -> ScenarioConfig:
     old = tuple(ValidatorSpec(i, 100, Behavior(HONEST)) for i in range(3))
     return ScenarioConfig(
         name="dynamic_attack" + ("_stitch" if stitching else "_nostitch"),
-        seed=seed, protocol=proto, validators=old, duration_epochs=6,
-        observers=2, scenario="dynamic_attack",
-        params={"new_validators": [3, 4, 5], "new_deposit": 100,
-                "extra_keys": [3, 4, 5]})
+        seed=seed, protocol=proto, validators=old, observers=2,
+        scenario="dynamic_attack",
+        params={"new_validators": [3, 4, 5], "new_deposit": 100})
 
 
 def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
-    E = cfg.protocol.spacing
-    if E != 5 or len(cfg.validators) != 3:
-        raise ConfigInvalid("dynamic_attack script expects spacing 5 and 3 seed validators")
     s = Script(cfg)
     old = [spec.index for spec in cfg.validators]
-    new = list(cfg.params.get("new_validators", [3, 4, 5]))
-    amount = cfg.params.get("new_deposit", 100)
+    new = list(cfg.params["new_validators"])
+    amount = cfg.params["new_deposit"]
     for idx in new:
         s.keyring.register(idx)
 
@@ -201,10 +204,8 @@ def long_range_config(omega_delta_ratio: int, seed: int = 11) -> ScenarioConfig:
                   ValidatorSpec(2, 400, Behavior(DOUBLE_VOTER)))
     return ScenarioConfig(
         name=f"long_range_omega{omega_delta_ratio}delta", seed=seed,
-        protocol=proto, validators=validators, duration_epochs=omega_epochs + 8,
-        observers=2, scenario="long_range",
-        params={"attackers": [1, 2], "honest": [0],
-                "omega_delta_ratio": omega_delta_ratio, "reveal": 15})
+        protocol=proto, validators=validators, observers=2, scenario="long_range",
+        params={"attackers": [1, 2], "honest": [0], "reveal": 15})
 
 
 def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
@@ -213,7 +214,7 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
     attackers = list(cfg.params["attackers"])
     honest = list(cfg.params["honest"])
     everyone = sorted(honest + attackers)
-    t0 = cfg.params.get("reveal", 15)
+    t0 = cfg.params["reveal"]
     s = Script(cfg)
     root = s.tree.root
 
@@ -351,8 +352,7 @@ def split_finality_config(seed: int = 13) -> ScenarioConfig:
                   ValidatorSpec(1, 500, Behavior(HONEST)))
     return ScenarioConfig(
         name="split_finality", seed=seed, protocol=proto, validators=validators,
-        duration_epochs=10, observers=2, scenario="split_finality",
-        params={"partition": [[0], [1]]})
+        observers=2, scenario="split_finality", params={"partition": [[0], [1]]})
 
 
 def scenario_split_finality(cfg: ScenarioConfig) -> RunReport:

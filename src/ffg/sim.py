@@ -89,9 +89,16 @@ SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
 # the scripted kinds (`ffg.scenarios`) send to client0 and client1 by name
 SCRIPTED_OBSERVERS = 2
 # config fields the scripted kinds never read, so they must keep their defaults
-SCRIPTED_UNREAD = ("proposer_fork_rate", "deposits", "withdraws", "censor_evidence")
+SCRIPTED_UNREAD = ("duration_epochs", "proposer_fork_rate", "deposits", "withdraws",
+                   "censor_evidence")
+# the params each scripted kind reads, all of them required
+SCRIPTED_PARAMS = {
+    DYNAMIC_ATTACK: ("new_validators", "new_deposit"),
+    LONG_RANGE: ("attackers", "honest", "reveal"),
+    SPLIT_FINALITY: ("partition",),
+}
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,15 @@ class ScenarioConfig:
                 raise ConfigInvalid(
                     f"scenario {self.scenario!r} does not read "
                     f"{', '.join(unread)}: only the default is allowed")
+            wanted = SCRIPTED_PARAMS[self.scenario]
+            if set(self.params) != set(wanted):
+                raise ConfigInvalid(
+                    f"scenario {self.scenario!r} reads exactly the params "
+                    f"{', '.join(wanted)}, got {', '.join(sorted(self.params))}")
+            if self.scenario == DYNAMIC_ATTACK and (
+                    self.protocol.spacing != 5 or len(self.validators) != 3):
+                raise ConfigInvalid("scenario 'dynamic_attack' needs spacing 5 "
+                                    "and 3 seed validators")
         if not self.validators:
             raise ConfigInvalid("at least one validator required")
         joined: dict[int, int] = {}         # index -> epoch of its deposit
@@ -196,7 +212,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "delta": p.delta,
             "withdrawal_delay": p.withdrawal_delay,
             "leak_rate": _frac_str(p.leak.rate),
-            "leak_disposition": p.leak.disposition,
             "finder_fee": _frac_str(p.finder_fee),
             "stitching": p.stitching,
             "hash_name": p.hash_name,
@@ -251,8 +266,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             spacing=proto["spacing"],
             delta=proto["delta"],
             withdrawal_delay=proto["withdrawal_delay"],
-            leak=LeakConfig(rate=Fraction(proto["leak_rate"]),
-                            disposition=proto["leak_disposition"]),
+            leak=LeakConfig(rate=Fraction(proto["leak_rate"])),
             finder_fee=Fraction(proto["finder_fee"]),
             stitching=proto["stitching"],
             hash_name=proto["hash_name"],
@@ -285,10 +299,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 class Agent:
     """A validator: a client view plus a behavior-driven voting policy."""
 
-    def __init__(self, spec: ValidatorSpec, view: ClientView, keyring: Keyring):
+    def __init__(self, spec: ValidatorSpec, view: ClientView):
         self.spec = spec
         self.view = view
-        self.keyring = keyring
+        self.keyring = view.cache.keyring
         self.history: list[VoteData] = []
         self.last_voted_height = 0
         self._surround_stage = 0
@@ -393,7 +407,7 @@ class Network:
         self.cache = ChainStateCache(self.tree, self.proto, self.keyring, registry)
         self.pool = VotePool(self.keyring)        # omniscient pool for audits
         self.views: dict[str, ClientView] = {
-            name: ClientView(name, self.proto, self.cache)
+            name: ClientView(name, self.cache)
             for name in view_names}
         self.events: list[tuple[int, int, str, object, list[str]]] = []
         self._seq = 0
@@ -489,7 +503,7 @@ class Simulation(Network):
         self.rng_net = random.Random(cfg.seed ^ 0x6E65745F)
         self.rng_prop = random.Random(cfg.seed ^ 0x70726F70)
         self.agents: dict[str, Agent] = {
-            name: Agent(spec, self.views[name], self.keyring)
+            name: Agent(spec, self.views[name])
             for name, spec in zip(agent_names, cfg.validators)}
         self.proposer = self.views["proposer"]
         # agents whose heard violations become evidence
@@ -647,9 +661,9 @@ class Simulation(Network):
 # Invariant sweep and report
 # -----------------------------------------------------------------------------
 
-def established_links(tree: BlockTree, pool: VotePool, snapshot_for,
-                      stitching: bool) -> list:
+def established_links(cache: ChainStateCache, pool: VotePool) -> list:
     """Every established link derivable from the pool, one tally per voted pair."""
+    tree = cache.tree
     out = []
     for (source, target) in sorted(pool.by_link):
         if source not in tree or target not in tree:
@@ -659,9 +673,9 @@ def established_links(tree: BlockTree, pool: VotePool, snapshot_for,
             continue
         if source == target or not tree.is_ancestor(source, target):
             continue
-        if snapshot_for(target) is None:
+        if cache.snapshot_for(target) is None:
             continue
-        status = tally(tree, pool, snapshot_for, source, target, stitching)
+        status = tally(cache, pool, source, target)
         if status.established:
             out.append(status)
     return out
@@ -687,8 +701,7 @@ def check_link_properties(tree: BlockTree, links) -> dict:
             break
         outer = max(outer, targets[-1])
     return {"no_double_target_height": same_height_ok,
-            "no_nested_links": nesting_ok,
-            "single_link_per_height": same_height_ok}
+            "no_nested_links": nesting_ok}
 
 
 def first_conflict(tree: BlockTree, checkpoints) -> tuple[bytes, bytes] | None:
@@ -742,7 +755,6 @@ def sweep_invariants(net: Network) -> dict:
     """
     cfg = net.cfg
     tree, pool, cache = net.tree, net.pool, net.cache
-    stitching = cfg.protocol.stitching
 
     # conflicting finalization across client views
     finalized_union: set[bytes] = set()
@@ -758,9 +770,9 @@ def sweep_invariants(net: Network) -> dict:
     violator_weight = sum(genesis_weights.get(i, 0) for i in violator_indexes)
     under_third = 3 * violator_weight < total
 
-    links = established_links(tree, pool, cache.snapshot_for, stitching)
+    links = established_links(cache, pool)
     properties = check_link_properties(tree, links)
-    justified = compute_justified(tree, pool, cache.snapshot_for, stitching)
+    justified = compute_justified(cache, pool)
     per_height: dict[int, int] = {}
     for cp in justified:
         h = tree.require_checkpoint(cp)
@@ -780,8 +792,7 @@ def sweep_invariants(net: Network) -> dict:
     static_set = not cfg.deposits and not cfg.withdraws
     if conflict_pair is not None and static_set:
         from .slashing import safety_audit
-        result = safety_audit(tree, pool, conflict_pair[0], conflict_pair[1],
-                              cache.snapshot_for, stitching)
+        result = safety_audit(cache, pool, conflict_pair[0], conflict_pair[1])
         accountability = {
             "violators": [i for i, _v in result.violators],
             "violator_weight": result.violator_weight,
@@ -828,13 +839,16 @@ def _tx_to_dict(tx) -> dict:
 
 
 def tx_from_dict(data: dict, keyring: Keyring):
-    """The transaction `_tx_to_dict` wrote; registers the keys it names."""
+    """The transaction `_tx_to_dict` wrote; registers the keys it names.
+    Raises ValueError for a kind it never writes."""
     kind = data["kind"]
     if kind == "vote":
         return VoteInclusion(vote_from_dict(data["vote"], keyring))
     if kind == "evidence":
         return SlashEvidence(vote_from_dict(data["first"], keyring),
                              vote_from_dict(data["second"], keyring))
+    if kind not in ("deposit", "withdraw"):
+        raise ValueError(f"unknown transaction kind {kind!r}")
     pubkey = keyring.register(data["index"])
     if kind == "deposit":
         return Deposit(data["index"], pubkey, data["amount"])

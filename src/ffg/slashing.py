@@ -24,10 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .chain import BlockTree, VoteData
+from .chain import VoteData
 from .errors import DifferentValidators, NotConflicting, NotFinalized
 from .votes import VotePool
+
+if TYPE_CHECKING:
+    from .finality import ChainStateCache
 
 
 class ViolationKind(Enum):
@@ -150,13 +154,14 @@ def _finalizing_link(tree, links, cp):
     return (cp, kids[0]) if kids else None
 
 
-def _link_voters(tree, pool, snapshot_for, link) -> dict[int, VoteData]:
+def _link_voters(cache, pool, link) -> dict[int, VoteData]:
     from .votes import VoteClass, classify_vote
     out: dict[int, VoteData] = {}
     for vote in pool.link_votes(*link):
         if vote.validator_index in out:
             continue
-        if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
+        if classify_vote(cache.tree, cache.snapshot_for, pool.keyring,
+                         vote) is VoteClass.COUNTABLE:
             out[vote.validator_index] = vote
     return out
 
@@ -165,8 +170,8 @@ def _member_weight(snap, index: int) -> int:
     return max(snap.forward.get(index, 0), snap.rear.get(index, 0))
 
 
-def safety_audit(tree: BlockTree, pool: VotePool, a_m: bytes, b_n: bytes,
-                 snapshot_for, stitching: bool = True) -> AuditResult:
+def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
+                 b_n: bytes) -> AuditResult:
     """Walk the two finalization structures and surface the overlapping voters.
 
     Equal finalized heights: the two links targeting that height (and the two
@@ -177,9 +182,10 @@ def safety_audit(tree: BlockTree, pool: VotePool, a_m: bytes, b_n: bytes,
     """
     from .finality import pool_links  # local import to avoid a cycle
 
+    tree, snapshot_for = cache.tree, cache.snapshot_for
     if not tree.conflicting(a_m, b_n):
         raise NotConflicting("checkpoints are on one chain")
-    links = pool_links(tree, pool, snapshot_for, stitching)
+    links = pool_links(cache, pool)
 
     def finalization_of(cp):
         if cp not in links.justified:
@@ -226,8 +232,8 @@ def safety_audit(tree: BlockTree, pool: VotePool, a_m: bytes, b_n: bytes,
     ref_total = 0
     best: tuple[int, int] | None = None
     for link1, link2 in crossing:
-        voters1 = _link_voters(tree, pool, snapshot_for, link1)
-        voters2 = _link_voters(tree, pool, snapshot_for, link2)
+        voters1 = _link_voters(cache, pool, link1)
+        voters2 = _link_voters(cache, pool, link2)
         snap1 = snapshot_for(link1[1])
         snap2 = snapshot_for(link2[1])
         common = sorted(set(voters1) & set(voters2))

@@ -170,7 +170,7 @@ def test_criterion_2_accountability():
     bad = []
     for seed in range(cases):
         w, x_a, x_b, side_a, side_b, weights, mode = forced_dual_case(seed)
-        result = safety_audit(w.tree, w.pool, x_a, x_b, w.cache.snapshot_for)
+        result = safety_audit(w.cache, w.pool, x_a, x_b)
         overlap = sorted(set(side_a) & set(side_b))
         expect_weight = sum(weights[i] for i in overlap)
         scanned = {v.key for v in scan(w.pool)}
@@ -225,7 +225,7 @@ def liveness_case(seed: int):
         voters = [i for i in compliant if rng.random() < 0.85]
         for i in voters:
             histories[i].append(w.vote(i, src, cps[k]))
-        justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+        justified = compute_justified(w.cache, w.pool)
         if rng.random() < 0.2:
             break
     # adversarial junk, any shape the tree allows
@@ -272,7 +272,7 @@ def test_criterion_3_plausible_liveness():
     bad = []
     for seed in range(cases):
         w, compliant, histories, slashed = liveness_case(seed)
-        justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+        justified = compute_justified(w.cache, w.pool)
         try:
             plan = liveness_plan(w.tree, w.pool, justified, slashed)
         except NoExtension:

@@ -28,7 +28,7 @@ def test_run_honest_exits_zero(tmp_path, capsys):
                  "--format", "json"])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["clients"]
 
 
@@ -101,7 +101,8 @@ def test_run_scripted_scenario_with_other_observer_count_exits_one(
 
 @pytest.mark.parametrize("field, value", [
     ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
-    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),))])
+    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),)),
+    ("duration_epochs", 9)])
 def test_run_scripted_scenario_with_a_field_it_never_reads_exits_one(
         tmp_path, capsys, field, value):
     for cfg in (dynamic_attack_config(stitching=True), long_range_config(5),
@@ -117,6 +118,18 @@ def test_check_valid_and_invalid(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({"validators": []}))
     assert main(["check", "--scenario", str(broken)]) == 1
+
+
+def test_check_rejects_a_dynamic_attack_that_run_rejects(tmp_path, capsys):
+    # the script's heights assume spacing 5; `check` used to accept what
+    # `run` then refused
+    data = json.loads((REPO_SCENARIOS / "dyn_attack_stitch.json").read_text())
+    data["protocol"]["spacing"] = 4
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert "spacing 5" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(path)]) == 1
 
 
 def honest_data(**changes):
@@ -148,11 +161,13 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     ((), "duration_epoch", 40), (("protocol",), "leak-rate", "1/5"),
     (("validators", 0), "deposits", 100),
     (("validators", 0, "behavior"), "from", 2),
-    ((), "schema_version", 7), ((), "params", {"partition": [[0], [1]]})],
+    ((), "schema_version", 7), ((), "params", {"partition": [[0], [1]]}),
+    (("protocol",), "leak_disposition", "burn")],
     ids=repr)
 def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, value):
     # a misspelt or unread key used to be ignored, so the run silently used
-    # the default; a generic run reads no params, and only schema 1 exists
+    # the default; a generic run reads no params, only schema 2 exists, and
+    # leaked deposits are always burned, so no disposition can be set
     data = honest_data()
     part = data
     for step in where:

@@ -8,9 +8,10 @@ import ffg.finality
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
-from ffg.finality import (ChainState, FinalityState, _StepContext,
-                          compute_justified, link_established, liveness_plan,
-                          plan_safe_for, snapshot_registry, tally)
+from ffg.finality import (ChainState, ChainStateCache, FinalityState,
+                          _StepContext, compute_justified, link_established,
+                          liveness_plan, plan_safe_for, snapshot_registry,
+                          tally)
 from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
 from ffg.sim import run
@@ -43,7 +44,7 @@ def test_tally_exactly_two_thirds_established():
     blocks = w.grow(2)
     c1 = blocks[1].id
     w.votes([0, 1], w.tree.root, c1)
-    status = tally(w.tree, w.pool, w.cache.snapshot_for, w.tree.root, c1)
+    status = tally(w.cache, w.pool, w.tree.root, c1)
     assert status.forward_voted == 200 and status.forward_total == 300
     assert status.established
 
@@ -53,7 +54,7 @@ def test_tally_one_unit_short_not_established():
     blocks = w.grow(2)
     c1 = blocks[1].id
     w.votes([0, 1], w.tree.root, c1)          # 199 of 300
-    assert not tally(w.tree, w.pool, w.cache.snapshot_for, w.tree.root, c1).established
+    assert not tally(w.cache, w.pool, w.tree.root, c1).established
 
 
 def test_tally_requires_ancestry():
@@ -61,8 +62,7 @@ def test_tally_requires_ancestry():
     w.grow(2)
     side = w.grow(2, start=w.tree.root, proposer=1)
     with pytest.raises(NotAncestor):
-        tally(w.tree, w.pool, w.cache.snapshot_for, side[1].id,
-              w.tree.ancestor_at(w.tree.leaves()[0], 2))
+        tally(w.cache, w.pool, side[1].id, w.tree.ancestor_at(w.tree.leaves()[0], 2))
 
 
 def test_dual_threshold_forward_passes_rear_fails():
@@ -76,6 +76,23 @@ def test_dual_threshold_forward_passes_rear_fails():
     assert not link_established(300, 0, snap, stitching=True)
     assert link_established(300, 0, snap, stitching=False)
     assert link_established(300, 300, snap, stitching=True)
+
+
+@pytest.mark.parametrize("stitching", [True, False])
+def test_pool_queries_follow_the_runs_stitching_rule(stitching):
+    # the handover of the test above, at genesis: the incoming validator
+    # alone fills the forward set, the outgoing one holds the rear set
+    reg = ValidatorRegistry()
+    reg.records[0] = ValidatorRecord(0, 300, start_dynasty=-1, end_dynasty=0)
+    reg.records[1] = ValidatorRecord(1, 300, start_dynasty=0)
+    w = World(replace(quiet_proto(), stitching=stitching), [300, 300])
+    w.cache = ChainStateCache(w.tree, w.proto, w.keyring, reg)
+    c1 = w.grow(2)[-1].id
+    snap = w.cache.snapshot_for(c1)
+    assert snap.forward == {1: 300} and snap.rear == {0: 300}
+    w.vote(1, w.tree.root, c1)
+    assert tally(w.cache, w.pool, w.tree.root, c1).established is not stitching
+    assert (c1 in compute_justified(w.cache, w.pool)) is not stitching
 
 
 def test_empty_side_semantics():
@@ -97,7 +114,7 @@ def test_justified_chain_of_links():
     cps = [w.tree.root] + [b.id for b in blocks if b.height % 2 == 0]
     for s, t in zip(cps, cps[1:]):
         w.votes([0, 1, 2], s, t)
-    justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    justified = compute_justified(w.cache, w.pool)
     assert justified == set(cps)
 
 
@@ -106,7 +123,7 @@ def test_unjustified_source_gates_target():
     blocks = w.grow(4)
     c1, c2 = blocks[1].id, blocks[3].id
     w.votes([0, 1, 2], c1, c2)               # no link into c1 itself
-    justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    justified = compute_justified(w.cache, w.pool)
     assert justified == {w.tree.root}
 
 
@@ -115,7 +132,7 @@ def test_link_may_skip_heights():
     blocks = w.grow(4)
     c2 = blocks[3].id
     w.votes([0, 1, 2], w.tree.root, c2)
-    justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    justified = compute_justified(w.cache, w.pool)
     assert c2 in justified and blocks[1].id not in justified
 
 
@@ -137,7 +154,7 @@ def test_incremental_matches_batch_justification():
         fs.on_vote(w.cache.record(v))
         assert grown <= fs.justified
         grown = set(fs.justified)
-    assert fs.justified == compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    assert fs.justified == compute_justified(w.cache, w.pool)
 
 
 def test_highest_justified_tie_break_first_seen_then_id():
@@ -149,7 +166,7 @@ def test_highest_justified_tie_break_first_seen_then_id():
     # length can pick the winner
     first, second = sorted([left, right], key=lambda c: c[1].id, reverse=True)
     second = second + w.grow(1, start=second[-1].id)
-    view = ClientView("c0", w.proto, w.cache)
+    view = ClientView("c0", w.cache)
     for block in first + second:
         view.receive_block(block, block.timestamp)
     for v in w.votes([0, 1, 2], w.tree.root, second[1].id):
@@ -226,7 +243,7 @@ def test_deadline_miss_blocks_finalization():
     tip = w.include(b[3 * E], just, timestamp=3 * E + 1)
     tip = w.include(tip, fin, timestamp=3 * E + 2)
     state = w.cache.get(tip.id)
-    assert c1 in compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    assert c1 in compute_justified(w.cache, w.pool)
     assert c1 not in state.finalized_at
 
 
@@ -360,7 +377,7 @@ def test_engine_matches_naive_on_all_vote_subsets():
         pool = VotePool(w.keyring)
         for v in votes:
             pool.add(v)
-        got = compute_justified(w.tree, pool, w.cache.snapshot_for)
+        got = compute_justified(w.cache, pool)
         if got != expect:
             mismatches += 1
     assert mismatches == 0
@@ -626,7 +643,7 @@ def test_liveness_plan_after_partial_stall():
     for s, t in [(0, 1), (1, 2), (2, 3)]:
         w.votes([0, 1, 2], cps[s], cps[t])
     w.vote(0, cps[3], cps[5])                 # a stray vote at height 5
-    justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    justified = compute_justified(w.cache, w.pool)
     plan = liveness_plan(w.tree, w.pool, justified)
     assert plan.source == cps[3]
     assert plan.middle_height == 6
@@ -636,7 +653,7 @@ def test_liveness_plan_no_extension():
     w = make_world()
     w.grow(2)
     w.votes([0, 1, 2], w.tree.root, w.tree.ancestor_at(w.tree.leaves()[0], 2))
-    justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    justified = compute_justified(w.cache, w.pool)
     with pytest.raises(NoExtension):
         liveness_plan(w.tree, w.pool, justified)
 
@@ -659,7 +676,7 @@ def test_plan_safe_for_histories():
     w.votes([1, 2], cps[0], cps[1])
     w.votes([1, 2], cps[1], cps[2])
     honest_history = [w.vote(0, cps[0], cps[1]), w.vote(0, cps[1], cps[2])]
-    justified = compute_justified(w.tree, w.pool, w.cache.snapshot_for)
+    justified = compute_justified(w.cache, w.pool)
     assert cps[2] in justified
     plan = liveness_plan(w.tree, w.pool, justified)
     assert plan_safe_for(plan, honest_history)

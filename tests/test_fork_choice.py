@@ -36,7 +36,7 @@ def make_world(weights=(100, 100, 100), spacing=2, delta=4):
 
 
 def client(w, name="c0"):
-    return ClientView(name, w.proto, w.cache)
+    return ClientView(name, w.cache)
 
 
 def feed_chain(view, w, blocks, t0=None):

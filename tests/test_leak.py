@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ffg.errors import ConfigInvalid, Unreachable
-from ffg.leak import BURN, LeakConfig, apply_epoch_leak, epochs_to_supermajority
+from ffg.leak import LeakConfig, apply_epoch_leak, epochs_to_supermajority
 from ffg.sim import config_from_dict
 from ffg.validators import ValidatorRegistry
 
@@ -20,17 +20,17 @@ CFG = LeakConfig(rate=Fraction(1, 10))
 
 
 def test_unknown_disposition_rejected():
-    # leaked deposits are only ever burned, so any other disposition must be
-    # refused rather than silently ignored
-    for disposition in ("return-after-delay", "bogus"):
-        with pytest.raises(ValueError):
+    # leaked deposits are only ever burned, so no disposition can be set:
+    # the key is unknown, whatever its value, burn included
+    for disposition in ("return-after-delay", "bogus", "burn"):
+        with pytest.raises(TypeError):
             LeakConfig(disposition=disposition)
         data = {"validators": [{"index": 0, "deposit": 100}],
                 "protocol": {"leak_disposition": disposition}}
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="leak_disposition"):
             config_from_dict(data)
-    data["protocol"]["leak_disposition"] = BURN
-    assert config_from_dict(data).protocol.leak.disposition == BURN
+    del data["protocol"]["leak_disposition"]
+    assert config_from_dict(data).protocol.leak == LeakConfig()
 
 
 def test_nonvoter_loses_tenth():

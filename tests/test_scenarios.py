@@ -198,9 +198,23 @@ def test_scripted_scenarios_reject_observer_counts_they_cannot_serve(observers):
 
 @pytest.mark.parametrize("field, value", [
     ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
-    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),))])
+    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),)),
+    ("duration_epochs", 9)])
 def test_scripted_scenarios_reject_config_fields_they_never_read(field, value):
     for cfg in SCRIPTED_CONFIGS:
         data = config_to_dict(replace(cfg, **{field: value}))
         with pytest.raises(ConfigInvalid, match=field):
             config_from_dict(data)
+
+
+@pytest.mark.parametrize("cfg", SCRIPTED_CONFIGS, ids=lambda cfg: cfg.scenario)
+def test_scripted_scenarios_read_exactly_their_params(cfg):
+    # a param the script never reads used to be accepted, and a missing one
+    # fell back to a default written in the script or failed mid-run
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    first = next(iter(cfg.params))
+    missing = {k: v for k, v in cfg.params.items() if k != first}
+    unread = {**cfg.params, "extra_keys": [3, 4, 5]}
+    for params in (missing, unread):
+        with pytest.raises(ConfigInvalid, match="reads exactly the params"):
+            config_from_dict(config_to_dict(replace(cfg, params=params)))

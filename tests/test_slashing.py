@@ -264,7 +264,7 @@ def dual_finalize_equal_height(w):
 def test_audit_equal_height_case():
     w = make_world([100, 100, 100])
     l1, r1 = dual_finalize_equal_height(w)
-    result = safety_audit(w.tree, w.pool, l1, r1, w.cache.snapshot_for)
+    result = safety_audit(w.cache, w.pool, l1, r1)
     assert result.bound_holds
     assert 3 * result.violator_weight >= result.reference_total
     indexes = [i for i, _ in result.violators]
@@ -310,7 +310,7 @@ def test_audit_nested_case():
     assert x_a in w.cache.get(ltip.id).finalized_at
     assert b_big in w.cache.get(rtip.id).finalized_at
 
-    result = safety_audit(w.tree, w.pool, x_a, b_big, w.cache.snapshot_for)
+    result = safety_audit(w.cache, w.pool, x_a, b_big)
     assert result.bound_holds
     kinds = {v.kind for _i, v in result.violators}
     assert kinds == {ViolationKind.SURROUND_VOTE}
@@ -325,5 +325,4 @@ def test_audit_requires_conflict():
     w = make_world()
     blocks = w.grow(4)
     with pytest.raises(NotConflicting):
-        safety_audit(w.tree, w.pool, w.tree.root, blocks[1].id,
-                     w.cache.snapshot_for)
+        safety_audit(w.cache, w.pool, w.tree.root, blocks[1].id)
