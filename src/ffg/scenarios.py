@@ -15,9 +15,9 @@ chooses its delivery times, so `delivery_within_delta` reads ok.
 
 Each kind reads exactly the params `ffg.sim.SCRIPTED_PARAMS` names, all of
 them required, and derives its horizon from them and the protocol, so
-`ScenarioConfig.validate` rejects any other param and a `duration_epochs`
-other than the default; `dynamic_attack` also needs spacing 5 and three seed
-validators.
+`ScenarioConfig.validate` rejects any other param, a param value the script
+cannot use, and a `duration_epochs` other than the default; `dynamic_attack`
+also needs spacing 5 and three seed validators.
 
 * dynamic_attack: two validator generations hand over; one branch includes
   the handover finalization votes in time, the sibling branch includes them
@@ -193,8 +193,8 @@ def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
 # Long-range revision
 # -----------------------------------------------------------------------------
 
-def long_range_config(omega_delta_ratio: int, seed: int = 11) -> ScenarioConfig:
-    delta = 50
+def long_range_config(omega_delta_ratio: int, seed: int = 11,
+                      delta: int = 50) -> ScenarioConfig:
     spacing = 5
     omega_epochs = omega_delta_ratio * delta // spacing
     proto = ProtocolConfig(spacing=spacing, delta=delta,

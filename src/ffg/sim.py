@@ -52,6 +52,7 @@ order is (time, then the broadcast's sequence, then view order):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 import json
@@ -188,6 +189,49 @@ class ScenarioConfig:
                 raise ConfigInvalid(f"withdraw {list(entry)}: need [epoch, index] "
                                     "once per index, not before its deposit")
             left.add(entry[1])
+        if self.scenario != GENERIC:
+            self._validate_params(set(joined))
+
+    def _validate_params(self, seeds: set[int]) -> None:
+        """The values of a scripted kind's params: a handover brings distinct
+        new validators with a real deposit, `reveal` is a time, and validator
+        groups are non-empty, disjoint lists of the config's indexes."""
+        params = self.params
+        if self.scenario == DYNAMIC_ATTACK:
+            new, amount = params["new_validators"], params["new_deposit"]
+            if not (isinstance(new, list) and new and _u64s(new, len(new))
+                    and len(set(new)) == len(new) and seeds.isdisjoint(new)):
+                raise ConfigInvalid(
+                    "scenario 'dynamic_attack': new_validators must be a "
+                    "non-empty list of distinct u64 indexes outside the seed "
+                    f"validators, got {new!r}")
+            if not _u64s((amount,), 1) or amount == 0:
+                raise ConfigInvalid("scenario 'dynamic_attack': new_deposit "
+                                    f"must be a u64 > 0, got {amount!r}")
+            return
+        if self.scenario == SPLIT_FINALITY:
+            partition = params["partition"]
+            if not (isinstance(partition, list) and len(partition) == 2):
+                raise ConfigInvalid("scenario 'split_finality': partition must "
+                                    f"be a list of two sides, got {partition!r}")
+            groups = {"partition[0]": partition[0], "partition[1]": partition[1]}
+        else:
+            reveal = params["reveal"]
+            if type(reveal) is not int or reveal < 0:
+                raise ConfigInvalid(f"scenario 'long_range': reveal must be an "
+                                    f"integer >= 0, got {reveal!r}")
+            groups = {name: params[name] for name in ("attackers", "honest")}
+        seen: set[int] = set()
+        for name, group in groups.items():
+            if not (isinstance(group, list) and group
+                    and all(type(i) is int and i in seeds for i in group)
+                    and len(set(group)) == len(group)
+                    and seen.isdisjoint(group)):
+                raise ConfigInvalid(
+                    f"scenario {self.scenario!r}: {name} must be a non-empty "
+                    "list of distinct validator indexes, disjoint from the "
+                    f"other group, got {group!r}")
+            seen.update(group)
 
 
 def _u64s(entry, length: int) -> bool:
@@ -965,16 +1009,30 @@ class RunReport:
 
 
 def run(cfg: ScenarioConfig) -> RunReport:
-    """Run a scenario to completion and assemble its report."""
-    cfg.validate()
-    if cfg.scenario != GENERIC:
-        from . import scenarios
-        if cfg.scenario == LONG_RANGE:
-            return scenarios.scenario_longrange(cfg)
-        if cfg.scenario == SPLIT_FINALITY:
-            return scenarios.scenario_split_finality(cfg)
-        return scenarios.scenario_dynamic_attack(cfg)
+    """Run a scenario to completion and assemble its report.
 
-    sim = Simulation(cfg)
-    sim.run_loop()
-    return build_report(sim, sweep_invariants(sim))
+    The cyclic collector is paused for the run and the caller's setting is
+    restored afterwards, also when the run raises.  A run's objects form no
+    reference cycles, so reference counting frees all of them and the
+    collector's passes over the live chain states would free nothing
+    (`tests/test_work_budget.py::test_runs_leave_no_cyclic_garbage` guards
+    this).  Code that calls `Simulation.run_loop` or a scenario runner
+    directly keeps the collector as it is."""
+    cfg.validate()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if cfg.scenario != GENERIC:
+            from . import scenarios
+            if cfg.scenario == LONG_RANGE:
+                return scenarios.scenario_longrange(cfg)
+            if cfg.scenario == SPLIT_FINALITY:
+                return scenarios.scenario_split_finality(cfg)
+            return scenarios.scenario_dynamic_attack(cfg)
+
+        sim = Simulation(cfg)
+        sim.run_loop()
+        return build_report(sim, sweep_invariants(sim))
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -51,6 +54,17 @@ def test_run_exits_two_on_exactly_the_corpus_entries_that_fail_by_design(capsys)
     assert {name for name, code in codes.items() if code == 2} == FAIL_BY_DESIGN
     assert {name for name, code in codes.items() if code == 0} \
         == set(codes) - FAIL_BY_DESIGN
+
+
+def test_python_dash_m_ffg_runs_the_cli():
+    root = REPO_SCENARIOS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "ffg", "check", "--scenario",
+         "scenarios/all_honest.json"],
+        cwd=root, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ok: all_honest")
 
 
 def test_run_missing_file_exits_one(tmp_path):
@@ -130,6 +144,68 @@ def test_check_rejects_a_dynamic_attack_that_run_rejects(tmp_path, capsys):
     assert main(["check", "--scenario", str(path)]) == 1
     assert "spacing 5" in capsys.readouterr().err
     assert main(["run", "--scenario", str(path)]) == 1
+
+
+LONG_RANGE = {"attackers": [1, 2], "honest": [0], "reveal": 15}
+HANDOVER = {"new_validators": [3, 4, 5], "new_deposit": 100}
+
+
+@pytest.mark.parametrize("file, params", [
+    ("split_finality.json", {"partition": [[0], [5]]}),
+    ("split_finality.json", {"partition": [[0], [0]]}),
+    ("split_finality.json", {"partition": [[0], []]}),
+    ("split_finality.json", {"partition": [[0, 0], [1]]}),
+    ("split_finality.json", {"partition": [[0], [True]]}),
+    ("split_finality.json", {"partition": [[0]]}),
+    ("split_finality.json", {"partition": [[0], [1], []]}),
+    ("split_finality.json", {"partition": "01"}),
+    ("long_range_omega5.json", {**LONG_RANGE, "reveal": "x"}),
+    ("long_range_omega5.json", {**LONG_RANGE, "reveal": -1}),
+    ("long_range_omega5.json", {**LONG_RANGE, "reveal": 1.5}),
+    ("long_range_omega5.json", {**LONG_RANGE, "attackers": []}),
+    ("long_range_omega5.json", {**LONG_RANGE, "attackers": [1, 9]}),
+    ("long_range_omega5.json", {**LONG_RANGE, "honest": []}),
+    ("long_range_omega5.json", {**LONG_RANGE, "honest": [2]}),
+    ("long_range_omega5.json", {**LONG_RANGE, "honest": 0}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_validators": []}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_validators": [3, 3]}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_validators": [0, 4]}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_validators": [-1]}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_validators": [2**64]}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": 0}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": "100"}),
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": 2**64})], ids=repr)
+def test_check_and_run_reject_scripted_param_values(tmp_path, capsys, file, params):
+    # these passed `check` and then failed mid-run (a KeyError, a TypeError)
+    # or, for an empty handover, ran and passed without one; an exception
+    # escaping `main` would fail this test instead of exiting 1
+    data = json.loads((REPO_SCENARIOS / file).read_text())
+    data["params"] = params
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert main(["run", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups=st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=2,
+                       max_size=2),
+       reveal=st.integers(-1, 200))
+def test_a_scripted_config_that_loads_runs(groups, reveal):
+    long_range = json.loads((REPO_SCENARIOS / "long_range_omega5.json").read_text())
+    long_range["params"] = {"attackers": groups[0], "honest": groups[1],
+                            "reveal": reveal}
+    split = json.loads((REPO_SCENARIOS / "split_finality.json").read_text())
+    split["params"] = {"partition": [[i for i in group if i < 2]
+                                     for group in groups]}
+    for data in (long_range, split):
+        try:
+            cfg = config_from_dict(data)
+        except ConfigInvalid:
+            continue
+        run(cfg)
 
 
 def honest_data(**changes):

@@ -70,6 +70,17 @@ def test_long_range_negative_control_pays_out():
     assert not report.passed
 
 
+@pytest.mark.parametrize("delta", [20, 30, 50])
+def test_long_range_boundary_sits_at_four_deltas(delta):
+    # the paper's bound: an unlock delay of r*delta is exposed up to 3*delta
+    # and defended from 4*delta, whatever delta is (reveal at 15)
+    for ratio in range(1, 9):
+        report = run(long_range_config(ratio, delta=delta))
+        assert report.config["protocol"]["withdrawal_delay"] == ratio * delta // 5
+        assert report.extra["defended"] is (ratio >= 4), ratio
+        assert report.extra["attacker_payout_accepted"] is (ratio <= 3), ratio
+
+
 def test_long_range_clients_keep_first_seen_finalized():
     report = run(long_range_config(5))
     for name, client in report.clients.items():

@@ -9,8 +9,9 @@ over the golden corpus and fuzz configs 0-49.
   view the entry names, and once more per block a view releases from its
   pending buffer.
 
-It also guards that a run leaves no cyclic garbage, so that a run could do
-without the cyclic collector.
+It also guards that a run leaves no cyclic garbage, which is what lets
+`ffg.sim.run` pause the cyclic collector, and that `run` gives the caller
+back the collector as it found it.
 """
 
 import gc
@@ -18,14 +19,19 @@ import hmac
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import ffg.chain
 import ffg.votes
+from ffg.config import ProtocolConfig
 from ffg.finality import ChainStateCache
 from ffg.fork_choice import ClientView
-from ffg.sim import Network, Simulation, config_from_dict, run
+from ffg.sim import (Behavior, DOUBLE_VOTER, Network, ScenarioConfig,
+                     Simulation, ValidatorSpec, config_from_dict, run)
 
 from test_acceptance import fuzz_config
 
@@ -36,7 +42,22 @@ def budget_configs():
     names = sorted(json.loads((CORPUS / "digests.json").read_text()))
     corpus = [config_from_dict(json.loads((CORPUS / name).read_text()))
               for name in names]
-    return corpus + [fuzz_config(seed) for seed in range(50)]
+    return corpus + [fuzz_config(seed) for seed in range(50)] + [deep_config()]
+
+
+def deep_config():
+    """A deep generic run: 20 validators, 3 of them double voters, a fork in
+    one block of five, 20 epochs.  Its chain states stay live the longest,
+    so a cycle among them would cost most here."""
+    validators = tuple(
+        ValidatorSpec(i, 100, Behavior(DOUBLE_VOTER, 1) if i in (3, 9, 15)
+                      else Behavior())
+        for i in range(20))
+    return ScenarioConfig(
+        name="deep", seed=4, protocol=ProtocolConfig(spacing=5, delta=2,
+                                                     withdrawal_delay=50),
+        validators=validators, duration_epochs=20, observers=2,
+        proposer_fork_rate=Fraction(1, 5))
 
 
 def counting(counts, key, function):
@@ -117,3 +138,30 @@ def test_runs_leave_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_run_pauses_the_collector_and_restores_the_callers_setting(
+        monkeypatch, enabled, raises):
+    seen = []
+    run_loop = Simulation.run_loop
+
+    def observed_run_loop(sim):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("run failed")
+        return run_loop(sim)
+    monkeypatch.setattr(Simulation, "run_loop", observed_run_loop)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="run failed"):
+                run(fuzz_config(0))
+        else:
+            run(fuzz_config(0))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
