@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .chain import Block
-from .errors import ConfigInvalid, FfgError, NotConflicting, NotFinalized
+from .errors import ConfigInvalid, FfgError
 from .sim import (Network, RunReport, config_from_dict, invariants_pass, run,
                   tx_from_dict, vote_from_dict)
 
@@ -149,9 +149,6 @@ def cmd_audit(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError,
             ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NotConflicting, NotFinalized) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if result.violators:
         for index, violation in result.violators:

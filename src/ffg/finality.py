@@ -42,7 +42,7 @@ from .chain import (BlockTree, Deposit, SlashEvidence, VoteData, VoteInclusion,
 from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
-from .slashing import (Violation, check_pair, find_new_violations, slashable,
+from .slashing import (Violation, find_new_violations, proven_violation, slashable,
                        violation_key)
 from .validators import ValidatorRegistry
 from .votes import Keyring, VoteClass, VotePool, classify_vote
@@ -359,9 +359,7 @@ class _StepContext:
         if key in st.included_evidence or key in self.new_evidence:
             return
         self.new_evidence.add(key)
-        if not (keyring.verify(tx.first) and keyring.verify(tx.second)):
-            return
-        if check_pair(tx.first, tx.second) is None:
+        if proven_violation(keyring, tx) is None:
             return
         reg = self.registry()
         rec = reg.records.get(tx.first.validator_index)

@@ -13,11 +13,12 @@ evidence lines).  The sweep's pool queries (`tally`, `compute_justified`,
 tree, snapshots and stitching rule.  Delivery delay is not measured: a script
 chooses its delivery times, so `delivery_within_delta` reads ok.
 
-Each kind reads exactly the params `ffg.sim.SCRIPTED_PARAMS` names, all of
-them required, and derives its horizon from them and the protocol, so
-`ScenarioConfig.validate` rejects any other param, a param value the script
-cannot use, and a `duration_epochs` other than the default; `dynamic_attack`
-also needs spacing 5 and three seed validators.
+Each kind's contract is stated once, by its reader (`read_dynamic_attack`,
+`read_long_range`, `read_split_finality`): exactly the params it reads, the
+values and protocol settings its script can use, and the values the script
+runs with.  `ScenarioConfig.validate` calls `check_scripted` (two observers,
+unread fields at their defaults, then the reader) and each script calls its
+reader, so `ffg check` accepts exactly what `ffg run` can run.
 
 * dynamic_attack: two validator generations hand over; one branch includes
   the handover finalization votes in time, the sibling branch includes them
@@ -42,14 +43,75 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import takewhile
 
 from .chain import (Block, Deposit, SlashEvidence, VoteData, VoteInclusion,
                     Withdraw)
 from .config import ProtocolConfig
+from .errors import ConfigInvalid, Unreachable
 from .leak import LeakConfig, epochs_to_supermajority
-from .sim import (Behavior, DOUBLE_VOTER, HONEST, Network, RunReport, ScenarioConfig,
-                  ValidatorSpec, build_report, sweep_invariants)
+from .sim import (Behavior, DOUBLE_VOTER, DYNAMIC_ATTACK, HONEST, LONG_RANGE,
+                  SPLIT_FINALITY, Network, RunReport, ScenarioConfig, ValidatorSpec,
+                  build_report, sweep_invariants, u64s)
 from .votes import sign_vote
+
+# the scripts send to client0 and client1 by name
+SCRIPTED_OBSERVERS = 2
+# config fields the scripts never read (each derives its horizon from its
+# params and the protocol), so they must keep their defaults
+SCRIPTED_UNREAD = ("duration_epochs", "proposer_fork_rate", "deposits", "withdraws",
+                   "censor_evidence")
+
+
+def check_scripted(cfg: ScenarioConfig) -> None:
+    """`ScenarioConfig.validate`'s rules for a scripted kind."""
+    if cfg.observers != SCRIPTED_OBSERVERS:
+        raise ConfigInvalid(f"scenario {cfg.scenario!r} needs observers: "
+                            f"{SCRIPTED_OBSERVERS}, got {cfg.observers}")
+    unread = [name for name in SCRIPTED_UNREAD
+              if getattr(cfg, name) != getattr(ScenarioConfig, name)]
+    if unread:
+        raise ConfigInvalid(f"scenario {cfg.scenario!r} does not read "
+                            f"{', '.join(unread)}: only the default is allowed")
+    {DYNAMIC_ATTACK: read_dynamic_attack, LONG_RANGE: read_long_range,
+     SPLIT_FINALITY: read_split_finality}[cfg.scenario](cfg)
+
+
+def run_scripted(cfg: ScenarioConfig) -> RunReport:
+    """Run a validated config of a scripted kind.  The scripts are called
+    through this module's globals, where a tracer can replace them."""
+    if cfg.scenario == LONG_RANGE:
+        return scenario_longrange(cfg)
+    if cfg.scenario == SPLIT_FINALITY:
+        return scenario_split_finality(cfg)
+    return scenario_dynamic_attack(cfg)
+
+
+def _params(cfg: ScenarioConfig, *wanted: str) -> list:
+    """The values of exactly the params `wanted`, in that order."""
+    if set(cfg.params) != set(wanted):
+        raise ConfigInvalid(
+            f"scenario {cfg.scenario!r} reads exactly the params "
+            f"{', '.join(wanted)}, got {', '.join(sorted(cfg.params))}")
+    return [cfg.params[name] for name in wanted]
+
+
+def _groups(cfg: ScenarioConfig, groups: dict) -> list[list[int]]:
+    """`groups` (name -> value), each a non-empty list of distinct
+    validator indexes disjoint from the others, or ConfigInvalid."""
+    seeds = {spec.index for spec in cfg.validators}
+    seen: set[int] = set()
+    for name, group in groups.items():
+        if not (isinstance(group, list) and group
+                and all(type(i) is int and i in seeds for i in group)
+                and len(set(group)) == len(group)
+                and seen.isdisjoint(group)):
+            raise ConfigInvalid(
+                f"scenario {cfg.scenario!r}: {name} must be a non-empty "
+                "list of distinct validator indexes, disjoint from the "
+                f"other group, got {group!r}")
+        seen.update(group)
+    return list(groups.values())
 
 
 class Script(Network):
@@ -61,7 +123,7 @@ class Script(Network):
     each delivery is traced as it happens."""
 
     def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg, [f"client{i}" for i in range(max(1, cfg.observers))])
+        super().__init__(cfg, [f"client{i}" for i in range(cfg.observers)])
 
     def extend(self, parent_id: bytes, timestamp: int, txs=(), proposer=None) -> Block:
         block = self.tree.extend(parent_id, timestamp, proposer, tuple(txs))
@@ -106,11 +168,31 @@ def dynamic_attack_config(stitching: bool, seed: int = 7) -> ScenarioConfig:
         params={"new_validators": [3, 4, 5], "new_deposit": 100})
 
 
+def read_dynamic_attack(cfg: ScenarioConfig) -> tuple[list[int], int]:
+    """The incoming generation's indexes and their deposit: distinct u64
+    indexes outside the seed validators, and a u64 > 0.  The script's
+    heights need spacing 5 and three seed validators."""
+    new, amount = _params(cfg, "new_validators", "new_deposit")
+    if cfg.protocol.spacing != 5 or len(cfg.validators) != 3:
+        raise ConfigInvalid("scenario 'dynamic_attack' needs spacing 5 "
+                            "and 3 seed validators")
+    seeds = {spec.index for spec in cfg.validators}
+    if not (isinstance(new, list) and new and u64s(new, len(new))
+            and len(set(new)) == len(new) and seeds.isdisjoint(new)):
+        raise ConfigInvalid(
+            "scenario 'dynamic_attack': new_validators must be a "
+            "non-empty list of distinct u64 indexes outside the seed "
+            f"validators, got {new!r}")
+    if not u64s((amount,), 1) or amount == 0:
+        raise ConfigInvalid("scenario 'dynamic_attack': new_deposit "
+                            f"must be a u64 > 0, got {amount!r}")
+    return new, amount
+
+
 def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
+    new, amount = read_dynamic_attack(cfg)
     s = Script(cfg)
     old = [spec.index for spec in cfg.validators]
-    new = list(cfg.params["new_validators"])
-    amount = cfg.params["new_deposit"]
     for idx in new:
         s.keyring.register(idx)
 
@@ -126,11 +208,9 @@ def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
         11: lambda: [VoteInclusion(v) for v in s.votes(old, chain[5].id, chain[10].id)],
     }
     for h in range(1, 16):
-        txs = payloads[h]() if h in payloads else ()
-        block = s.extend(chain[h - 1].id, h, txs)
-        chain[h] = block
-        s.send_block(block, h)
-    c1, c2, c3 = chain[5].id, chain[10].id, chain[15].id
+        chain[h] = s.extend(chain[h - 1].id, h, payloads[h]() if h in payloads else ())
+        s.send_block(chain[h], h)
+    c2, c3 = chain[10].id, chain[15].id
     for h in (6, 11):
         for tx in chain[h].payload:
             if isinstance(tx, VoteInclusion):
@@ -140,38 +220,28 @@ def scenario_dynamic_attack(cfg: ScenarioConfig) -> RunReport:
     for v in late_votes:
         s.send_vote(v, 16)
 
-    # branch P: timely inclusion at 16 -> c2 finalized, dynasty 2 at c4p
-    p = {15: chain[15]}
-    p_payload = {16: [VoteInclusion(v) for v in late_votes]}
-    for h in range(16, 31):
-        block = s.extend(p[h - 1].id, h, p_payload.get(h, ()))
-        p[h] = block
-        s.send_block(block, h)
-        if h == 20:
-            p_payload[21] = [VoteInclusion(v) for v in s.votes(new, c3, block.id)]
-            for tx in p_payload[21]:
-                s.send_vote(tx.vote, h + 1)
-        if h == 25:
-            p_payload[26] = [VoteInclusion(v) for v in s.votes(new, p[20].id, block.id)]
-            for tx in p_payload[26]:
-                s.send_vote(tx.vote, h + 1)
+    def branch(late_at: int, voters, timing: dict, proposer, names) -> dict:
+        """Blocks 16..30 on c3, the late votes included at `late_at`; at
+        heights 20 and 25, `voters` link the previous checkpoint to the new
+        one, included and sent at `timing[h]`."""
+        blocks = {15: chain[15]}
+        payload = {late_at: [VoteInclusion(v) for v in late_votes]}
+        for h in range(16, 31):
+            blocks[h] = s.extend(blocks[h - 1].id, h, payload.get(h, ()), proposer)
+            s.send_block(blocks[h], h, names)
+            if h in timing:
+                include_at, send_at = timing[h]
+                payload[include_at] = [VoteInclusion(v) for v in
+                                       s.votes(voters, blocks[h - 5].id, blocks[h].id)]
+                for tx in payload[include_at]:
+                    s.send_vote(tx.vote, send_at)
+        return blocks
 
+    # branch P: timely inclusion at 16 -> c2 finalized, dynasty 2 at c4p
+    p = branch(16, new, {20: (21, 21), 25: (26, 26)}, None, None)
     # branch Q: one block late at 21 -> c2 misses its deadline, dynasty stays 1,
     # and the old guard alone still forms both sets for its targets
-    q = {15: chain[15]}
-    q_payload = {21: [VoteInclusion(v) for v in late_votes]}
-    for h in range(16, 31):
-        block = s.extend(q[h - 1].id, h, q_payload.get(h, ()), proposer=old[0])
-        q[h] = block
-        s.send_block(block, h, names=["client1", "client0"])
-        if h == 20:
-            q_payload[26] = [VoteInclusion(v) for v in s.votes(old, c3, block.id)]
-            for tx in q_payload[26]:
-                s.send_vote(tx.vote, 25)
-        if h == 25:
-            q_payload[27] = [VoteInclusion(v) for v in s.votes(old, q[20].id, block.id)]
-            for tx in q_payload[27]:
-                s.send_vote(tx.vote, 26)
+    q = branch(21, old, {20: (26, 25), 25: (27, 26)}, old[0], ["client1", "client0"])
 
     s.finish(final_clock=33)
 
@@ -208,50 +278,53 @@ def long_range_config(omega_delta_ratio: int, seed: int = 11,
         params={"attackers": [1, 2], "honest": [0], "reveal": 15})
 
 
+def read_long_range(cfg: ScenarioConfig) -> tuple[list[int], list[int], int]:
+    """The coalition, the honest minority (two disjoint groups of the
+    validators) and the reveal time, an integer >= 0."""
+    attackers, honest, reveal = _params(cfg, "attackers", "honest", "reveal")
+    if type(reveal) is not int or reveal < 0:
+        raise ConfigInvalid(f"scenario 'long_range': reveal must be an "
+                            f"integer >= 0, got {reveal!r}")
+    _groups(cfg, {"attackers": attackers, "honest": honest})
+    return attackers, honest, reveal
+
+
 def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
+    attackers, honest, t0 = read_long_range(cfg)
     proto = cfg.protocol
     E, delta = proto.spacing, proto.delta
-    attackers = list(cfg.params["attackers"])
-    honest = list(cfg.params["honest"])
     everyone = sorted(honest + attackers)
-    t0 = cfg.params["reveal"]
     s = Script(cfg)
     root = s.tree.root
 
     unlock_epoch = 3 + proto.withdrawal_delay          # end dynasty starts epoch 3
     horizon = (unlock_epoch + 1) * E + 4 * delta
 
-    # -- the secret fork, built first so its votes can be slashed on the real
-    # chain: replayed withdraws, conflicting votes for heights 1..4 ---------------
+    # -- the secret fork off height 4, built first so its votes can be slashed
+    # on the real chain: replayed withdraws, conflicting votes for heights 1..4
     real: dict[int, Block] = {0: s.tree.get(root)}
     for h in range(1, 5):
         real[h] = s.extend(real[h - 1].id, h)
-    fork: dict[int, Block] = {4: real[4]}
+    fork = dict(real)
     fork_votes: dict[int, list[VoteData]] = {}
-    fork_blocks: list[Block] = []
     for h in range(5, horizon + 1):
-        txs: list = []
-        if h == 8:
-            txs = [Withdraw(i, s.keyring.pubkey(i)) for i in attackers]
+        txs = [Withdraw(i, s.keyring.pubkey(i)) for i in attackers] if h == 8 else []
         if h % E == 1 and h > E and (h // E) <= 4:
             k = h // E
             src = root if k == 1 else fork[(k - 1) * E].id
             votes = s.votes(attackers, src, fork[k * E].id)
             fork_votes[k] = votes
             txs = txs + [VoteInclusion(v) for v in votes]
-        block = s.extend(fork[h - 1].id, h, txs, proposer=attackers[0])
-        fork[h] = block
-        fork_blocks.append(block)
+        fork[h] = s.extend(fork[h - 1].id, h, txs, proposer=attackers[0])
 
     # -- the real chain: everyone votes until the coalition's rear-set duty
     # ends, the honest minority finalizes alone afterwards, and the first block
-    # after the reveal settles carries the slash evidence -------------------------
+    # after the reveal settles carries the slash evidence for each epoch both
+    # chains have voted in by then ---------------------------------------------
     evidence_block_h = t0 + delta + 1
     real_votes: dict[int, list[VoteData]] = {}
     for h in range(5, horizon + 1):
-        txs = []
-        if h == 8:
-            txs = [Withdraw(i, s.keyring.pubkey(i)) for i in attackers]
+        txs = [Withdraw(i, s.keyring.pubkey(i)) for i in attackers] if h == 8 else []
         if h % E == 1 and h > E:
             k = h // E
             voters = everyone if k <= 4 else honest
@@ -260,12 +333,11 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
             real_votes[k] = votes
             txs = txs + [VoteInclusion(v) for v in votes]
         if h == evidence_block_h:
-            for k in sorted(fork_votes):
+            for k in sorted(fork_votes.keys() & real_votes.keys()):
                 by_index = {v.validator_index: v for v in real_votes[k]}
                 txs = txs + [SlashEvidence(by_index[v.validator_index], v)
                              for v in fork_votes[k]]
-        block = s.extend(real[h - 1].id, h, txs)
-        real[h] = block
+        real[h] = s.extend(real[h - 1].id, h, txs)
 
     for h in range(1, horizon + 1):
         deliver_at = max(h, t0)
@@ -278,8 +350,8 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
     # fork bundle in [t0+delta-1, t0+2*delta-1]; one tick of overlap
     hear_fork = {"client0": t0 + delta - 1, "client1": t0 + 2 * delta - 1}
     for name, when in hear_fork.items():
-        for block in fork_blocks:
-            s.send_block(block, max(when, block.timestamp), names=[name])
+        for h in range(5, horizon + 1):
+            s.send_block(fork[h], max(when, h), names=[name])
         for k in sorted(fork_votes):
             for v in fork_votes[k]:
                 s.send_vote(v, when, names=[name])
@@ -298,8 +370,6 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
     """Per client: does any admissible chain pay the coalition out, and do all
     admissible chains that reach the unlock epoch carry the evidence first?"""
     per_client = {}
-    any_payout = False
-    evidence_everywhere = True
     reaches = False
     for name in sorted(s.views):
         view = s.views[name]
@@ -307,12 +377,8 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
         evidence_ok = True
         for leaf in view.tree.leaves():
             # longest admissible prefix of this chain
-            chain = []
-            for bid in view.tree.path(leaf)[1:]:
-                block = view.tree.get(bid)
-                if not view.admissible(block):
-                    break
-                chain.append(block)
+            chain = list(takewhile(view.admissible,
+                                   map(view.tree.get, view.tree.path(leaf)[1:])))
             if not chain:
                 continue
             tip = chain[-1]
@@ -321,16 +387,16 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
                     if rec.withdrawn and idx in attackers]
             if tip.height >= unlock_epoch * cfg.protocol.spacing:
                 reaches = True
-                slashed = {idx for idx, rec in state.registry.records.items()
-                           if rec.slashed}
-                if not set(attackers) <= slashed and paid:
+                records = state.registry.records
+                if paid and not all(records[i].slashed for i in attackers):
                     evidence_ok = False
             if paid:
                 payout_chains.append(tip.id.hex())
-                any_payout = True
         per_client[name] = {"payout_chains": sorted(payout_chains),
                             "all_reaching_chains_slash_first": evidence_ok}
-        evidence_everywhere = evidence_everywhere and evidence_ok
+    any_payout = any(c["payout_chains"] for c in per_client.values())
+    evidence_everywhere = all(c["all_reaching_chains_slash_first"]
+                              for c in per_client.values())
     return {
         "unlock_epoch": unlock_epoch,
         "attacker_payout_accepted": any_payout,
@@ -355,55 +421,59 @@ def split_finality_config(seed: int = 13) -> ScenarioConfig:
         observers=2, scenario="split_finality", params={"partition": [[0], [1]]})
 
 
+def read_split_finality(cfg: ScenarioConfig) -> tuple[list[int], list[int], int, int]:
+    """The partition's two sides (disjoint groups of the validators) and the
+    leak epochs each needs to regain a supermajority, which both must reach."""
+    (partition,) = _params(cfg, "partition")
+    if not (isinstance(partition, list) and len(partition) == 2):
+        raise ConfigInvalid("scenario 'split_finality': partition must "
+                            f"be a list of two sides, got {partition!r}")
+    side_a, side_b = _groups(cfg, {"partition[0]": partition[0],
+                                   "partition[1]": partition[1]})
+    w_a, w_b = (sum(spec.deposit for spec in cfg.validators if spec.index in side)
+                for side in (side_a, side_b))
+    try:
+        k_a = epochs_to_supermajority(w_a, w_b, cfg.protocol.leak)
+        k_b = epochs_to_supermajority(w_b, w_a, cfg.protocol.leak)
+    except Unreachable as exc:
+        raise ConfigInvalid("scenario 'split_finality': the leak never gives "
+                            f"both sides a supermajority: {exc}") from exc
+    return side_a, side_b, k_a, k_b
+
+
 def scenario_split_finality(cfg: ScenarioConfig) -> RunReport:
-    proto = cfg.protocol
-    E = proto.spacing
-    side_a, side_b = (list(p) for p in cfg.params["partition"])
-    weights = {spec.index: spec.deposit for spec in cfg.validators}
-    w_a = sum(weights[i] for i in side_a)
-    w_b = sum(weights[i] for i in side_b)
-    k_a = epochs_to_supermajority(w_a, w_b, proto.leak)
-    k_b = epochs_to_supermajority(w_b, w_a, proto.leak)
+    side_a, side_b, k_a, k_b = read_split_finality(cfg)
+    E = cfg.protocol.spacing
     epochs = max(k_a, k_b) + 4
 
     s = Script(cfg)
     root = s.tree.root
-    # the opposite side first misses the window targeting checkpoint 1, so the
-    # snapshot at height 1 + k is the first with its deposits drained k times
-    lanes = {"a": {"members": side_a, "chain": {0: s.tree.get(root)}, "proposer": side_a[0],
-                   "justified_from": k_a + 1},
-             "b": {"members": side_b, "chain": {0: s.tree.get(root)}, "proposer": side_b[0],
-                   "justified_from": k_b + 1}}
-    # observers hear lane a first / lane b first respectively
-    lag = {("a", "client0"): 0, ("a", "client1"): 1,
-           ("b", "client0"): 1, ("b", "client1"): 0}
-
+    # per side: its members, the first checkpoint its links may chain from
+    # (the opposite side first misses the window targeting checkpoint 1, so
+    # the snapshot at height 1 + k is the first with its deposits drained k
+    # times), each observer's lag (client0 hears side a first, client1 side
+    # b) and its chain
+    lanes = [(side_a, k_a + 1, {"client0": 0, "client1": 1}, {0: s.tree.get(root)}),
+             (side_b, k_b + 1, {"client0": 1, "client1": 0}, {0: s.tree.get(root)})]
     for h in range(1, epochs * E + 1):
-        for lane_name, lane in lanes.items():
-            chain = lane["chain"]
+        for members, start, lag, chain in lanes:
             txs = []
             if h % E == 1 and h > E:
                 k = h // E
-                start = lane["justified_from"]
                 # wide votes from the root until the drained snapshot at
                 # `start` lets a link establish, then chain link by link
                 src = root if k <= start else chain[(k - 1) * E].id
-                votes = s.votes(lane["members"], src, chain[k * E].id)
+                votes = s.votes(members, src, chain[k * E].id)
                 txs = [VoteInclusion(v) for v in votes]
                 for v in votes:
-                    for client in ("client0", "client1"):
-                        s.send_vote(v, h + lag[(lane_name, client)], names=[client])
-            block = s.extend(chain[h - 1].id, h, txs, proposer=lane["proposer"])
-            chain[h] = block
-            for client in ("client0", "client1"):
-                s.send_block(block, h + lag[(lane_name, client)], names=[client])
+                    for client, late in lag.items():
+                        s.send_vote(v, h + late, names=[client])
+            chain[h] = s.extend(chain[h - 1].id, h, txs, proposer=members[0])
+            for client, late in lag.items():
+                s.send_block(chain[h], h + late, names=[client])
 
     s.finish(final_clock=epochs * E + 2)
-
-    tip_a = lanes["a"]["chain"][epochs * E].id
-    tip_b = lanes["b"]["chain"][epochs * E].id
-    state_a = s.cache.get(tip_a)
-    state_b = s.cache.get(tip_b)
+    state_a, state_b = (s.cache.get(chain[epochs * E].id) for *_, chain in lanes)
 
     def first_new_finalized(state):
         heights = [state.snapshots[cp].cp_height

@@ -70,7 +70,7 @@ from .errors import ConfigInvalid
 from .finality import ChainStateCache, compute_justified, tally
 from .fork_choice import ClientView
 from .leak import LeakConfig
-from .slashing import check_pair, scan, slashable
+from .slashing import proven_violation, scan, slashable
 from .validators import ValidatorRegistry
 from .votes import Keyring, VotePool, sign_vote
 
@@ -86,18 +86,8 @@ LONG_RANGE = "long_range"
 SPLIT_FINALITY = "split_finality"
 DYNAMIC_ATTACK = "dynamic_attack"
 
+# every kind but generic is scripted, with its contract in `ffg.scenarios`
 SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
-# the scripted kinds (`ffg.scenarios`) send to client0 and client1 by name
-SCRIPTED_OBSERVERS = 2
-# config fields the scripted kinds never read, so they must keep their defaults
-SCRIPTED_UNREAD = ("duration_epochs", "proposer_fork_rate", "deposits", "withdraws",
-                   "censor_evidence")
-# the params each scripted kind reads, all of them required
-SCRIPTED_PARAMS = {
-    DYNAMIC_ATTACK: ("new_validators", "new_deposit"),
-    LONG_RANGE: ("attackers", "honest", "reveal"),
-    SPLIT_FINALITY: ("partition",),
-}
 
 SCHEMA_VERSION = 2
 
@@ -131,6 +121,7 @@ class ScenarioConfig:
     censor_evidence: bool = False
 
     def validate(self) -> None:
+        """Raise ConfigInvalid unless `run` can run this config as written."""
         if self.scenario not in SCENARIO_KINDS:
             raise ConfigInvalid(f"unknown scenario kind {self.scenario!r}")
         if self.scenario == GENERIC and self.params:
@@ -139,31 +130,11 @@ class ScenarioConfig:
             raise ConfigInvalid("duration must be >= 1 epoch")
         if type(self.observers) is not int or self.observers < 0:
             raise ConfigInvalid("observers must be an integer >= 0")
-        if self.scenario != GENERIC:
-            if self.observers != SCRIPTED_OBSERVERS:
-                raise ConfigInvalid(
-                    f"scenario {self.scenario!r} needs observers: "
-                    f"{SCRIPTED_OBSERVERS}, got {self.observers}")
-            unread = [name for name in SCRIPTED_UNREAD
-                      if getattr(self, name) != getattr(ScenarioConfig, name)]
-            if unread:
-                raise ConfigInvalid(
-                    f"scenario {self.scenario!r} does not read "
-                    f"{', '.join(unread)}: only the default is allowed")
-            wanted = SCRIPTED_PARAMS[self.scenario]
-            if set(self.params) != set(wanted):
-                raise ConfigInvalid(
-                    f"scenario {self.scenario!r} reads exactly the params "
-                    f"{', '.join(wanted)}, got {', '.join(sorted(self.params))}")
-            if self.scenario == DYNAMIC_ATTACK and (
-                    self.protocol.spacing != 5 or len(self.validators) != 3):
-                raise ConfigInvalid("scenario 'dynamic_attack' needs spacing 5 "
-                                    "and 3 seed validators")
         if not self.validators:
             raise ConfigInvalid("at least one validator required")
         joined: dict[int, int] = {}         # index -> epoch of its deposit
         for spec in self.validators:
-            if not _u64s((spec.index, spec.deposit), 2) or spec.deposit == 0:
+            if not u64s((spec.index, spec.deposit), 2) or spec.deposit == 0:
                 raise ConfigInvalid(f"validator {spec.index}: need a u64 index "
                                     "and a u64 deposit > 0")
             if spec.index in joined:
@@ -178,63 +149,23 @@ class ScenarioConfig:
         # each deposit adds a new validator and each withdraw removes one
         # once, not before its deposit; like indexes, amounts are u64
         for entry in self.deposits:
-            if not _u64s(entry, 3) or entry[2] == 0 or entry[1] in joined:
+            if not u64s(entry, 3) or entry[2] == 0 or entry[1] in joined:
                 raise ConfigInvalid(f"deposit {list(entry)}: need [epoch, "
                                     "index, amount > 0] with a new index")
             joined[entry[1]] = entry[0]
         left = set()
         for entry in self.withdraws:
-            if not _u64s(entry, 2) or entry[1] in left \
+            if not u64s(entry, 2) or entry[1] in left \
                     or entry[0] < joined.get(entry[1], math.inf):
                 raise ConfigInvalid(f"withdraw {list(entry)}: need [epoch, index] "
                                     "once per index, not before its deposit")
             left.add(entry[1])
         if self.scenario != GENERIC:
-            self._validate_params(set(joined))
-
-    def _validate_params(self, seeds: set[int]) -> None:
-        """The values of a scripted kind's params: a handover brings distinct
-        new validators with a real deposit, `reveal` is a time, and validator
-        groups are non-empty, disjoint lists of the config's indexes."""
-        params = self.params
-        if self.scenario == DYNAMIC_ATTACK:
-            new, amount = params["new_validators"], params["new_deposit"]
-            if not (isinstance(new, list) and new and _u64s(new, len(new))
-                    and len(set(new)) == len(new) and seeds.isdisjoint(new)):
-                raise ConfigInvalid(
-                    "scenario 'dynamic_attack': new_validators must be a "
-                    "non-empty list of distinct u64 indexes outside the seed "
-                    f"validators, got {new!r}")
-            if not _u64s((amount,), 1) or amount == 0:
-                raise ConfigInvalid("scenario 'dynamic_attack': new_deposit "
-                                    f"must be a u64 > 0, got {amount!r}")
-            return
-        if self.scenario == SPLIT_FINALITY:
-            partition = params["partition"]
-            if not (isinstance(partition, list) and len(partition) == 2):
-                raise ConfigInvalid("scenario 'split_finality': partition must "
-                                    f"be a list of two sides, got {partition!r}")
-            groups = {"partition[0]": partition[0], "partition[1]": partition[1]}
-        else:
-            reveal = params["reveal"]
-            if type(reveal) is not int or reveal < 0:
-                raise ConfigInvalid(f"scenario 'long_range': reveal must be an "
-                                    f"integer >= 0, got {reveal!r}")
-            groups = {name: params[name] for name in ("attackers", "honest")}
-        seen: set[int] = set()
-        for name, group in groups.items():
-            if not (isinstance(group, list) and group
-                    and all(type(i) is int and i in seeds for i in group)
-                    and len(set(group)) == len(group)
-                    and seen.isdisjoint(group)):
-                raise ConfigInvalid(
-                    f"scenario {self.scenario!r}: {name} must be a non-empty "
-                    "list of distinct validator indexes, disjoint from the "
-                    f"other group, got {group!r}")
-            seen.update(group)
+            from .scenarios import check_scripted
+            check_scripted(self)
 
 
-def _u64s(entry, length: int) -> bool:
+def u64s(entry, length: int) -> bool:
     return len(entry) == length and all(
         type(value) is int and 0 <= value < 2**64 for value in entry)
 
@@ -917,9 +848,9 @@ def vote_from_dict(data: dict, keyring: Keyring) -> VoteData:
 def build_report(net: Network, invariants: dict,
                  extra: dict | None = None) -> "RunReport":
     """A finished run's report: its config, every block in (height, id)
-    order with the slashings they include, each view's end state, the pool's
-    votes, `invariants`, the views' first-seen tie-breaks as heuristics,
-    the trace digest and the script's `extra` facts."""
+    order with the slashings its evidence proves, each view's end state,
+    the pool's votes, `invariants`, the views' first-seen tie-breaks as
+    heuristics, the trace digest and the script's `extra` facts."""
     tree, cache = net.tree, net.cache
     heuristics = []
     for name in sorted(net.views):
@@ -937,7 +868,7 @@ def build_report(net: Network, invariants: dict,
         })
         for tx in block.payload:
             if isinstance(tx, SlashEvidence):
-                violation = check_pair(tx.first, tx.second)
+                violation = proven_violation(net.keyring, tx)
                 if violation is None:
                     continue
                 slashings.append({
@@ -1023,12 +954,8 @@ def run(cfg: ScenarioConfig) -> RunReport:
     gc.disable()
     try:
         if cfg.scenario != GENERIC:
-            from . import scenarios
-            if cfg.scenario == LONG_RANGE:
-                return scenarios.scenario_longrange(cfg)
-            if cfg.scenario == SPLIT_FINALITY:
-                return scenarios.scenario_split_finality(cfg)
-            return scenarios.scenario_dynamic_attack(cfg)
+            from .scenarios import run_scripted
+            return run_scripted(cfg)
 
         sim = Simulation(cfg)
         sim.run_loop()

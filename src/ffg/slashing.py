@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .chain import VoteData
+from .chain import SlashEvidence, VoteData
 from .errors import DifferentValidators, NotConflicting, NotFinalized
-from .votes import VotePool
+from .votes import Keyring, VotePool
 
 if TYPE_CHECKING:
     from .finality import ChainStateCache
@@ -88,6 +88,14 @@ def check_pair(v1: VoteData, v2: VoteData) -> Violation | None:
     kind = slashable(v1.source_height, v1.target_height,
                      v2.source_height, v2.target_height)
     return None if kind is None else Violation(kind, v1, v2, v1.validator_index)
+
+
+def proven_violation(keyring: Keyring, tx: SlashEvidence) -> Violation | None:
+    """What slashing evidence proves, the one rule for chains and reports:
+    `check_pair` of the two votes if both signatures are valid, else None."""
+    if not (keyring.verify(tx.first) and keyring.verify(tx.second)):
+        return None
+    return check_pair(tx.first, tx.second)
 
 
 def scan(pool: VotePool) -> list[Violation]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffg.cli import main
 from ffg.errors import ConfigInvalid
@@ -192,20 +192,42 @@ def test_check_and_run_reject_scripted_param_values(tmp_path, capsys, file, para
 @settings(max_examples=30, deadline=None)
 @given(groups=st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=2,
                        max_size=2),
-       reveal=st.integers(-1, 200))
-def test_a_scripted_config_that_loads_runs(groups, reveal):
+       reveal=st.integers(-1, 200),
+       deposits=st.tuples(st.integers(1, 600), st.integers(1, 600)))
+@example(groups=[[0], [1]], reveal=15, deposits=(5, 5))
+def test_a_scripted_config_that_loads_runs(groups, reveal, deposits):
+    # deposits of 5 and 5 passed `check`, and then the split's leak stalled
+    # below the rounding floor mid-run
     long_range = json.loads((REPO_SCENARIOS / "long_range_omega5.json").read_text())
     long_range["params"] = {"attackers": groups[0], "honest": groups[1],
                             "reveal": reveal}
     split = json.loads((REPO_SCENARIOS / "split_finality.json").read_text())
     split["params"] = {"partition": [[i for i in group if i < 2]
                                      for group in groups]}
+    for validator, deposit in zip(split["validators"], deposits):
+        validator["deposit"] = deposit
     for data in (long_range, split):
         try:
             cfg = config_from_dict(data)
         except ConfigInvalid:
             continue
         run(cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spacing=st.integers(1, 8), delta=st.integers(0, 8),
+       withdrawal_delay=st.integers(0, 3), reveal=st.integers(0, 40))
+@example(spacing=2, delta=8, withdrawal_delay=3, reveal=15)
+@example(spacing=5, delta=0, withdrawal_delay=3, reveal=10)
+def test_a_long_range_config_that_loads_runs(spacing, delta, withdrawal_delay, reveal):
+    # the fork, which branches at height 4, looked its link sources up among
+    # its own blocks alone, and an early evidence block paired fork votes
+    # with real votes not yet cast: both raised KeyError mid-run
+    data = json.loads((REPO_SCENARIOS / "long_range_omega5.json").read_text())
+    data["protocol"].update(spacing=spacing, delta=delta,
+                            withdrawal_delay=withdrawal_delay)
+    data["params"]["reveal"] = reveal
+    run(config_from_dict(data))
 
 
 def honest_data(**changes):

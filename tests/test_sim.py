@@ -144,6 +144,25 @@ def test_offline_minority_stalls_then_leak_resumes():
     assert client["leak_totals"] == {"3": 400 - deposit}
 
 
+@pytest.mark.parametrize("crash", [2, 3, 4])
+@pytest.mark.parametrize("offline", [340, 380, 420, 460, 500, 550, 600, 650])
+def test_leak_resumes_finality_when_the_oracle_says(offline, crash):
+    # criterion 6's construction at one crash point, swept over the offline
+    # weight (of 1000) and the crash epoch
+    leak = LeakConfig(rate=Fraction(1, 10))
+    oracle = epochs_to_supermajority(1000 - offline, offline, leak)
+    share = (1000 - offline) // 3
+    online = (share, share, 1000 - offline - 2 * share)
+    cfg = ScenarioConfig(
+        name="crash", seed=5,
+        protocol=ProtocolConfig(spacing=5, delta=2, withdrawal_delay=50, leak=leak),
+        validators=tuple(ValidatorSpec(i, w) for i, w in enumerate(online))
+        + (ValidatorSpec(3, offline, Behavior(OFFLINE, crash)),),
+        duration_epochs=crash + oracle + 3, observers=1)
+    heights = map(int, run(cfg).clients["client0"]["first_seen_finalized"])
+    assert min((h for h in heights if h >= crash), default=None) == crash + oracle
+
+
 def test_delivery_bound_and_monotonicity_flags():
     report = run(base_config(epochs=4, delta=3))
     assert report.invariants["delivery_within_delta"]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ from ffg.chain import SlashEvidence, Withdraw, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import DifferentValidators, NotConflicting
 from ffg.leak import LeakConfig
+from ffg.sim import Network, ScenarioConfig, ValidatorSpec, build_report
 from ffg.slashing import (ViolationKind, check_pair, safety_audit, scan,
                           slashable, violates)
 from ffg.votes import VotePool, sign_vote
@@ -176,6 +178,22 @@ def test_self_report_pays_fee():
                                  proposer=0)
     # the deposit is gone before the fee lands; slashed records earn nothing
     assert reg.get(0).deposit == 0
+
+
+@pytest.mark.parametrize("forged", [False, True])
+def test_the_report_lists_exactly_the_slashings_the_chain_applies(forged):
+    # the report listed any pair `check_pair` accepts, while the chain also
+    # requires both signatures: a forged partner slashed nobody but was listed
+    cfg = ScenarioConfig(protocol=make_world().proto,
+                         validators=tuple(ValidatorSpec(i, 100) for i in range(3)))
+    net = Network(cfg, ())
+    genuine, partner = double_vote(net, 0)
+    if forged:
+        partner = replace(partner, signature=bytes(32))
+    block = net.tree.extend(net.tree.root, 1, None, (SlashEvidence(genuine, partner),))
+    slashed = net.cache.get(block.id).registry.get(0).slashed
+    listed = [s["validator"] for s in build_report(net, {}).slashings]
+    assert (slashed, listed) == ((False, []) if forged else (True, [0]))
 
 
 def leaving_chain(w, leaver=3):
