@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .codec import HASH_BYTES
 from .errors import ConfigInvalid
@@ -17,7 +16,6 @@ class ProtocolConfig:
     delta: int = 8                   # max message delay, in ticks
     withdrawal_delay: int = 100      # omega, in epochs
     leak: LeakConfig = field(default_factory=LeakConfig)
-    finder_fee: Fraction = Fraction(1, 100)
     stitching: bool = True           # require 2/3 of both forward and rear sets
     hash_name: str = "sha256"        # digest pinned so runs are reproducible
 
@@ -28,8 +26,6 @@ class ProtocolConfig:
             raise ConfigInvalid("delta must be >= 0")
         if self.withdrawal_delay < 0:
             raise ConfigInvalid("withdrawal delay must be >= 0")
-        if not (0 <= self.finder_fee < 1):
-            raise ConfigInvalid("finder fee must be in [0, 1)")
         # a hash every platform has, so runs reproduce, and no shorter than ids
         if self.hash_name not in hashlib.algorithms_guaranteed \
                 or hashlib.new(self.hash_name).digest_size < HASH_BYTES:

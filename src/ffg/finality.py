@@ -42,8 +42,7 @@ from .chain import (BlockTree, Deposit, SlashEvidence, VoteData, VoteInclusion,
 from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
-from .slashing import (Violation, find_new_violations, proven_violation, slashable,
-                       violation_key)
+from .slashing import Violation, find_new_violations, proven_violation, slashable
 from .validators import ValidatorRegistry
 from .votes import Keyring, VoteClass, VotePool, classify_vote
 
@@ -225,11 +224,13 @@ class ChainState:
     `link_voters` maps each tallied link to the validators the chain has
     counted on it, so a vote included again, in a later payload or as
     another object, is not counted twice.  A child shares its parent's sets
-    until it adds to one (`_StepContext.link_voters`).
+    until it adds to one (`_StepContext.link_voters`).  `evidence_against`
+    holds the validators the chain has included valid evidence against, one
+    proof each (`_StepContext.include_evidence`).
     """
 
     __slots__ = ("height", "dynasty", "registry", "snapshots", "links",
-                 "link_voters", "finalized_at", "included_evidence",
+                 "link_voters", "finalized_at", "evidence_against",
                  "voted_window", "payouts")
 
     @property
@@ -247,7 +248,7 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
     st.links = LinkTally(root_id, stitching)
     st.link_voters = {}
     st.finalized_at = {root_id: 0}
-    st.included_evidence = frozenset()
+    st.evidence_against = frozenset()
     st.voted_window = frozenset()
     st.payouts = ()
     return st
@@ -267,16 +268,16 @@ class _StepContext:
         st.links = parent.links
         st.link_voters = parent.link_voters
         st.finalized_at = parent.finalized_at
-        st.included_evidence = parent.included_evidence
+        st.evidence_against = parent.evidence_against
         st.voted_window = parent.voted_window
         st.payouts = parent.payouts
         self._own_registry = False
         self._own = set()
         # links whose voter set this block has copied and may add to
         self._own_voters: set[tuple[bytes, bytes]] = set()
-        # this block's newly included evidence keys and window voters,
-        # unioned into the frozensets once per block by `close_payload`
-        self.new_evidence: set[tuple] = set()
+        # the validators this block's evidence newly proves and its window
+        # voters, unioned into the frozensets once per block by `close_payload`
+        self.new_evidence: set[int] = set()
         self.new_voters: set[int] = set()
 
     def owned(self, name: str):
@@ -328,7 +329,7 @@ class _StepContext:
     def close_payload(self):
         st = self.st
         if self.new_evidence:
-            st.included_evidence = st.included_evidence | self.new_evidence
+            st.evidence_against = st.evidence_against | self.new_evidence
         if self.new_voters:
             st.voted_window = st.voted_window | self.new_voters
 
@@ -352,26 +353,18 @@ class _StepContext:
                     self.owned("finalized_at")[source] = st.height
                     break
 
-    def include_evidence(self, tx: SlashEvidence, proposer: int | None,
-                         keyring: Keyring):
-        st = self.st
-        key = violation_key(tx.first, tx.second)
-        if key in st.included_evidence or key in self.new_evidence:
+    def include_evidence(self, tx: SlashEvidence, keyring: Keyring):
+        """One valid proof covers its validator and burns its whole deposit;
+        a proof against a validator the chain already covers is skipped
+        unverified, and an invalid one covers no one.  Only this slashes,
+        so a covered validator's record is slashed already."""
+        index = tx.first.validator_index
+        if index in self.st.evidence_against or index in self.new_evidence \
+                or proven_violation(keyring, tx) is None:
             return
-        self.new_evidence.add(key)
-        if proven_violation(keyring, tx) is None:
-            return
-        reg = self.registry()
-        rec = reg.records.get(tx.first.validator_index)
-        if rec is None or rec.slashed:
-            return
-        taken = reg.slash(rec.index)
-        fee = (taken * self.cfg.finder_fee.numerator) // self.cfg.finder_fee.denominator
-        if proposer is not None:
-            finder = reg.records.get(proposer)
-            if finder is not None and not finder.slashed and not finder.withdrawn:
-                finder.deposit += fee
-        # remainder (or everything, with no eligible finder) is burned
+        self.new_evidence.add(index)
+        if index in self.st.registry.records:
+            self.registry().slash(index)
 
 
 def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
@@ -396,7 +389,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
         if isinstance(tx, VoteInclusion):
             ctx.include_vote(tx.vote, cache)
         elif isinstance(tx, SlashEvidence):
-            ctx.include_evidence(tx, block.proposer, cache.keyring)
+            ctx.include_evidence(tx, cache.keyring)
         elif isinstance(tx, Deposit):
             ctx.registry().process_deposit(tx.validator_index, tx.amount,
                                            st.dynasty)

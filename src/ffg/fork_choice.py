@@ -4,11 +4,14 @@ The base rule follows the chain containing the justified checkpoint of the
 greatest height.  Three client-local filters compose around it, in order:
 
 1. admissibility: reject future-stamped blocks; reject blocks stamped later
-   than t + 2*delta whose ancestor chain has not included slashing evidence
-   first heard at t.  The too-old rule is judged once, when a checkpoint is
-   first presented: one stamped more than delta before it reaches the view
-   is never treated as finalized (`ClientView.finalizable`), though its
-   chain stays eligible;
+   than t + 2*delta whose chain has not included valid evidence against a
+   validator whose first violation the view heard at t.  One proof takes a
+   violator's whole deposit, so a view hears one violation per validator,
+   the first, and any valid proof against that validator satisfies the
+   rule (`ChainState.evidence_against`).  The too-old rule is judged once,
+   when a checkpoint is first presented: one stamped more than delta
+   before it reaches the view is never treated as finalized
+   (`ClientView.finalizable`), though its chain stays eligible;
 2. never revert: only chains containing every locally recorded finalized
    checkpoint are eligible (first-seen wins per height, write-once);
 3. the justified-height rule with deterministic tie-breaks (earliest-received
@@ -23,27 +26,28 @@ block on it is.  That verdict is final per block once the view's clock has
 reached the block's stamp:
 
 * a view hears violations in clock order: `receive_vote` raises
-  `NonMonotonicTimestamp` on a vote that exposes a new violation at a time
+  `NonMonotonicTimestamp` on a vote that exposes a new violator at a time
   before the view's clock.  Both engines deliver from one heap in time
   order and move clocks on only to the next delivery time, so a run never
   does.  A violation heard later is then heard at or after the clock, so it
   cannot reject a block stamped at or before the clock;
-* the evidence a chain has included up to a block is frozen with the block
-  (`ChainStateCache`), as is the block's timestamp, and delta is fixed.
+* the validators a chain has included evidence against up to a block are
+  frozen with the block (`ChainStateCache`), as is the block's timestamp,
+  and delta is fixed.
 
 Only blocks stamped at or before the clock are judged (a later tip is
 rejected by its stamp), so `chain_admissible` judges each block once, top
 down from its nearest judged ancestor, and keeps the verdict.  A window
-bounds each judgment by the violations heard near the block's stamp: the
-block's parent's chain passes, so it has included the evidence of every
-violation heard before `parent.timestamp - 2*delta`, and a block's included
-evidence contains its parent's.  So only violations heard in
+bounds each judgment by the violators heard near the block's stamp: the
+block's parent's chain passes, so it covers every validator heard before
+`parent.timestamp - 2*delta`, and a block's chain covers every validator
+its parent's does.  So only violators heard in
 `[parent.timestamp - 2*delta, block.timestamp - 2*delta)` can reject the
 block, and a bisect into the heard log, which is in heard-at order, finds
 them.
 
 `admissible(block)`, a yes or no, reads the same verdicts, and scans the
-violations heard before the block's own deadline only when its chain is
+violators heard before the block's own deadline only when its chain is
 rejected.  The justified checkpoint of a chain is found by walking its
 checkpoints downward to the first justified one (`justified_tip`), which is
 the highest since a chain has one checkpoint per height.
@@ -96,10 +100,11 @@ class ClientView:
         it;
       - the slashing partners and their violations, filled on the vote's
         first fresh arrival in any view; the two conditions read only the
-        votes' fields.  The view reports the partners it has received, in
-        its receipt order, each with the run's violation oriented (earlier
-        vote, incoming), so its evidence and heard-at times are those of a
-        scan of its own receipts;
+        votes' fields.  A view hears one violation per validator, the first
+        in its receipt order: when the vote's validator has none heard yet,
+        the run's violation with the partner it received first, oriented
+        (earlier vote, incoming), so its heard-at times are those of a scan
+        of its own receipts;
       - the countability snapshot and the voter's weights in it, filled by
         the first view that counts the vote once it holds both endpoints;
         its own tree would give the same class, since block ids are digests.
@@ -109,7 +114,7 @@ class ClientView:
     order received, which a proposer offers in that order, and `_received`,
     each one's key mapped to its position there.  Receipts, link tallies,
     heard-at times and evidence verdicts stay per view.  A view hears
-    violations in clock order, so each block's evidence verdict is judged
+    violators in clock order, so each block's evidence verdict is judged
     once (see the module docstring).
 
     The too-old rule is judged once per checkpoint, when it is first
@@ -147,8 +152,10 @@ class ClientView:
         # id(finalized_at map) -> the map, for each settled map; holding the
         # map keeps its id from being reused while the entry lives
         self._settled: dict[int, dict[bytes, int]] = {}
-        # (key, heard_at) per violation heard, in the order heard: heard-at order
-        self._heard: list[tuple[tuple, int]] = []
+        # (validator, heard_at) per violator heard, in the order heard:
+        # heard-at order; `_violators` holds the same validators
+        self._heard: list[tuple[int, int]] = []
+        self._violators: set[int] = set()
         # block id -> whether the evidence rule rejects a block between the
         # root and it; final once judged (see the module docstring)
         self._rejected: dict[bytes, bool] = {}
@@ -222,13 +229,14 @@ class ClientView:
 
     def receive_vote(self, vote: VoteData, now: int,
                      record: VoteRecord | None = None) -> list[Violation]:
-        """Receive the vote; returns violations it newly exposes (heard now).
+        """Receive the vote; returns the violation it newly exposes (heard
+        now), in a list, when its validator has none heard yet.
 
         Reads the vote's run record: `record` when given, which must be
         `cache.record(vote)`, else the record looked up here.  The rest is
         view-local: a vote with an invalid signature or a key already
         received is dropped.  Raises `NonMonotonicTimestamp` when the vote
-        exposes a new violation at a `now` before the view's clock, since
+        exposes a new violator at a `now` before the view's clock, since
         verdicts already judged assume none is heard in the past; the vote
         then stays received, uncounted."""
         if now > self.clock:
@@ -247,17 +255,20 @@ class ClientView:
         if partners is None:
             partners = record.partners = self.cache.conflict_partners(vote)
         new_violations = []
-        if partners:
-            # in receipt order, oriented (earlier vote, incoming); each pair is new
-            for old in sorted((k for k in partners if k in received),
-                              key=received.__getitem__):
+        index = vote.validator_index
+        if partners and index not in self._violators:
+            earlier = [k for k in partners if k in received]
+            if earlier:
                 if now < self.clock:
                     raise NonMonotonicTimestamp(
                         f"{self.name} hears a violation at {now}, "
                         f"before its clock {self.clock}")
-                violation = partners[old]
-                self._heard.append((violation.key, now))
-                new_violations.append(violation)
+                # the pair with the first partner received, oriented
+                # (earlier vote, incoming)
+                new_violations.append(
+                    partners[min(earlier, key=received.__getitem__)])
+                self._violators.add(index)
+                self._heard.append((index, now))
         self.fstate.on_vote(record)
         return new_violations
 
@@ -310,7 +321,7 @@ class ClientView:
 
     def _window_rejects(self, block: Block, parent: Block) -> bool:
         """The evidence rule for `block`, given that its parent's chain
-        passes: only violations heard from the parent's evidence deadline
+        passes: only violators heard from the parent's evidence deadline
         up to the block's can reject it."""
         two_delta = 2 * self.cfg.delta
         heard = self._heard
@@ -322,19 +333,19 @@ class ClientView:
 
     def _evidence_rejects(self, block: Block) -> bool:
         """The evidence rule for `block` alone: it is stamped later than
-        2*delta after some violation was heard, and its chain has not
-        included that violation's evidence."""
+        2*delta after some violator was heard, and its chain has not
+        included valid evidence against that validator."""
         hi = bisect_left(self._heard, block.timestamp - 2 * self.cfg.delta,
                          key=_HEARD_AT)
         return self._missing_evidence(block, 0, hi)
 
     def _missing_evidence(self, block: Block, lo: int, hi: int) -> bool:
-        """True iff some violation in `_heard[lo:hi]` is missing from the
-        evidence `block`'s chain has included."""
+        """True iff `block`'s chain has included no valid evidence against
+        some validator in `_heard[lo:hi]`."""
         if lo >= hi:
             return False
-        evidence = self.cache.get(block.id).included_evidence
-        return any(key not in evidence for key, _at in self._heard[lo:hi])
+        covered = self.cache.get(block.id).evidence_against
+        return any(index not in covered for index, _at in self._heard[lo:hi])
 
     # -- finalized preference ------------------------------------------------------
 

@@ -280,7 +280,12 @@ def long_range_config(omega_delta_ratio: int, seed: int = 11,
 
 def read_long_range(cfg: ScenarioConfig) -> tuple[list[int], list[int], int]:
     """The coalition, the honest minority (two disjoint groups of the
-    validators) and the reveal time, an integer >= 0."""
+    validators) and the reveal time, an integer >= 0.  The script's heights
+    (the fork off height 4, the withdraws at height 8, the double votes of
+    epochs 1-4) need spacing 5."""
+    if cfg.protocol.spacing != 5:
+        raise ConfigInvalid("scenario 'long_range' needs spacing 5, got "
+                            f"{cfg.protocol.spacing}")
     attackers, honest, reveal = _params(cfg, "attackers", "honest", "reveal")
     if type(reveal) is not int or reveal < 0:
         raise ConfigInvalid(f"scenario 'long_range': reveal must be an "
@@ -319,8 +324,8 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
 
     # -- the real chain: everyone votes until the coalition's rear-set duty
     # ends, the honest minority finalizes alone afterwards, and the first block
-    # after the reveal settles carries the slash evidence for each epoch both
-    # chains have voted in by then ---------------------------------------------
+    # after the reveal settles carries one proof per attacker, from the first
+    # epoch both chains have voted in by then ----------------------------------
     evidence_block_h = t0 + delta + 1
     real_votes: dict[int, list[VoteData]] = {}
     for h in range(5, horizon + 1):
@@ -332,11 +337,11 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
             votes = s.votes(voters, src, real[k * E].id)
             real_votes[k] = votes
             txs = txs + [VoteInclusion(v) for v in votes]
-        if h == evidence_block_h:
-            for k in sorted(fork_votes.keys() & real_votes.keys()):
-                by_index = {v.validator_index: v for v in real_votes[k]}
-                txs = txs + [SlashEvidence(by_index[v.validator_index], v)
-                             for v in fork_votes[k]]
+        if h == evidence_block_h and fork_votes.keys() & real_votes.keys():
+            k = min(fork_votes.keys() & real_votes.keys())
+            by_index = {v.validator_index: v for v in real_votes[k]}
+            txs = txs + [SlashEvidence(by_index[v.validator_index], v)
+                         for v in fork_votes[k]]
         real[h] = s.extend(real[h - 1].id, h, txs)
 
     for h in range(1, horizon + 1):
@@ -422,14 +427,20 @@ def split_finality_config(seed: int = 13) -> ScenarioConfig:
 
 
 def read_split_finality(cfg: ScenarioConfig) -> tuple[list[int], list[int], int, int]:
-    """The partition's two sides (disjoint groups of the validators) and the
-    leak epochs each needs to regain a supermajority, which both must reach."""
+    """The partition's two sides (disjoint groups that together hold every
+    validator, so the oracle weighs all the deposits) and the leak epochs
+    each needs to regain a supermajority, which both must reach."""
     (partition,) = _params(cfg, "partition")
     if not (isinstance(partition, list) and len(partition) == 2):
         raise ConfigInvalid("scenario 'split_finality': partition must "
                             f"be a list of two sides, got {partition!r}")
     side_a, side_b = _groups(cfg, {"partition[0]": partition[0],
                                    "partition[1]": partition[1]})
+    outside = sorted({spec.index for spec in cfg.validators}
+                     .difference(side_a, side_b))
+    if outside:
+        raise ConfigInvalid("scenario 'split_finality': the partition must "
+                            f"hold every validator, and leaves out {outside}")
     w_a, w_b = (sum(spec.deposit for spec in cfg.validators if spec.index in side)
                 for side in (side_a, side_b))
     try:

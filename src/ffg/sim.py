@@ -21,7 +21,8 @@ t is the event's time:
 
 * ``t|block|id`` for a block entering the network (id in hex);
 * ``t|vote|key`` for a vote entering the network and the run's pool;
-* ``t|evidence|key`` for slashing evidence an agent submits;
+* ``t|evidence|key`` for slashing evidence an agent submits, once per
+  violator: the first violation reported against each validator;
 * ``t|deliver|name|kind`` for a block or vote delivered to view `name`.
 
 `announce_block` and `announce_vote` write the first two kinds, whoever
@@ -89,7 +90,7 @@ DYNAMIC_ATTACK = "dynamic_attack"
 # every kind but generic is scripted, with its contract in `ffg.scenarios`
 SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "delta": p.delta,
             "withdrawal_delay": p.withdrawal_delay,
             "leak_rate": _frac_str(p.leak.rate),
-            "finder_fee": _frac_str(p.finder_fee),
             "stitching": p.stitching,
             "hash_name": p.hash_name,
         },
@@ -242,7 +242,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             delta=proto["delta"],
             withdrawal_delay=proto["withdrawal_delay"],
             leak=LeakConfig(rate=Fraction(proto["leak_rate"])),
-            finder_fee=Fraction(proto["finder_fee"]),
             stitching=proto["stitching"],
             hash_name=proto["hash_name"],
         )
@@ -485,9 +484,10 @@ class Simulation(Network):
         self._reporters = frozenset(
             name for name, agent in self.agents.items()
             if agent.spec.behavior.kind != OFFLINE)
-        self.pending_evidence: dict[tuple, SlashEvidence] = {}
+        # validator index -> the first evidence submitted against it
+        self.pending_evidence: dict[int, SlashEvidence] = {}
         # keys of pending_evidence in the order submitted
-        self._evidence_order: list[tuple] = []
+        self._evidence_order: list[int] = []
         # block id -> (proposer's received vote count, pending evidence
         # count) when it was proposed; see `propose`
         self._offered: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
@@ -527,15 +527,16 @@ class Simulation(Network):
         self._broadcast("vote", vote, sender, now)
 
     def submit_evidence(self, violation, now: int) -> None:
-        # a chain includes only pending evidence (`propose`), so a key
-        # already included is pending too
-        key = violation.key
-        if key in self.pending_evidence:
+        # one proof takes a validator's whole deposit, so only the first
+        # against each is kept; a chain includes only pending evidence
+        # (`propose`), so a validator it covers is pending too
+        index = violation.validator_index
+        if index in self.pending_evidence:
             return
-        self._lines.append(f"{now}|evidence|{key}")
-        self.pending_evidence[key] = SlashEvidence(violation.vote_a,
-                                                   violation.vote_b)
-        self._evidence_order.append(key)
+        self._lines.append(f"{now}|evidence|{violation.key}")
+        self.pending_evidence[index] = SlashEvidence(violation.vote_a,
+                                                     violation.vote_b)
+        self._evidence_order.append(index)
 
     # -- proposer ----------------------------------------------------------------
 
@@ -559,15 +560,15 @@ class Simulation(Network):
     def propose(self, now: int) -> None:
         """Extend the proposer's head (or, at the fork rate, its parent) with
         one block carrying what its chain has not yet included: the pending
-        evidence, in key order, and the votes the proposer's view has
+        evidence, in validator order, and the votes the proposer's view has
         received, in receipt order.
 
         Both are what arrived after the parent was proposed.  Every block of
         a generic run is proposed here, and each carries all it was offered:
         the received votes are distinct, and pending evidence is never
         removed.  So a chain's payloads hold exactly the receipt prefix and
-        the evidence its tip was offered (each evidence key is included
-        whatever its verdict), and the rest is new."""
+        the evidence its tip was offered (one proof per violator), and the
+        rest is new."""
         head = self.proposer.head()
         parent_id = head
         if self.cfg.proposer_fork_rate and head != self.tree.root:
@@ -890,7 +891,7 @@ def build_report(net: Network, invariants: dict,
             "finalized": sorted(cp.hex() for cp in view.observed_finalized),
             "first_seen_finalized": {str(h): cp.hex()
                                      for h, cp in sorted(view.first_seen_finalized.items())},
-            "violations_heard": len(view._heard),
+            "violators_heard": len(view._heard),
             "leak_totals": {str(index): rec.leaked
                             for index, rec in sorted(head_state.registry.records.items())
                             if rec.leaked},

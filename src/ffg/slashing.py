@@ -16,8 +16,9 @@ means a run needs to check each vote only once: `ChainStateCache` runs
 `find_new_violations` when a vote is first seen, against its validator's
 earlier votes in the run (unless the vote lies above all of them, when
 neither condition can hold), and records each conflict on both votes, with
-the violation in both orientations.  A client view then reports the recorded
-violations of the partners it has received (`ClientView.receive_vote`).
+the violation in both orientations.  One valid proof takes a validator's whole
+deposit, so a client view hears one violation per validator: the recorded
+violation with the first partner it received (`ClientView.receive_vote`).
 """
 
 from __future__ import annotations

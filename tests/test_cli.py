@@ -31,7 +31,7 @@ def test_run_honest_exits_zero(tmp_path, capsys):
                  "--format", "json"])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert data["clients"]
 
 
@@ -150,7 +150,9 @@ LONG_RANGE = {"attackers": [1, 2], "honest": [0], "reveal": 15}
 HANDOVER = {"new_validators": [3, 4, 5], "new_deposit": 100}
 
 
-@pytest.mark.parametrize("file, params", [
+# (file, params, protocol fields to change and validators to add); rows
+# with no changes keep the ids of the (file, params) rows they began as
+SCRIPTED_REJECTS = [
     ("split_finality.json", {"partition": [[0], [5]]}),
     ("split_finality.json", {"partition": [[0], [0]]}),
     ("split_finality.json", {"partition": [[0], []]}),
@@ -174,13 +176,31 @@ HANDOVER = {"new_validators": [3, 4, 5], "new_deposit": 100}
     ("dyn_attack_stitch.json", {**HANDOVER, "new_validators": [2**64]}),
     ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": 0}),
     ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": "100"}),
-    ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": 2**64})], ids=repr)
-def test_check_and_run_reject_scripted_param_values(tmp_path, capsys, file, params):
+    ("dyn_attack_stitch.json", {**HANDOVER, "new_deposit": 2**64})]
+SCRIPTED_REJECTS = [(file, params, {}) for file, params in SCRIPTED_REJECTS] + [
+    # a validator outside the partition: the oracle weighed only the two
+    # sides, and the run finalized nothing on either
+    ("split_finality.json", {"partition": [[0], [1]]},
+     {"validators": [{"index": 2, "deposit": 500}]}),
+    # the script's heights are written for spacing 5: at spacing 1 it cast
+    # no vote and still reported the long-range attack defended
+    ("long_range_omega5.json", LONG_RANGE, {"protocol": {"spacing": 1}}),
+    ("long_range_omega5.json", LONG_RANGE, {"protocol": {"spacing": 4}})]
+
+
+@pytest.mark.parametrize(
+    "file, params, changes", SCRIPTED_REJECTS,
+    ids=["-".join(map(repr, row if row[2] else row[:2]))
+         for row in SCRIPTED_REJECTS])
+def test_check_and_run_reject_scripted_param_values(tmp_path, capsys, file, params,
+                                                    changes):
     # these passed `check` and then failed mid-run (a KeyError, a TypeError)
     # or, for an empty handover, ran and passed without one; an exception
     # escaping `main` would fail this test instead of exiting 1
     data = json.loads((REPO_SCENARIOS / file).read_text())
     data["params"] = params
+    data["protocol"].update(changes.get("protocol", {}))
+    data["validators"] += changes.get("validators", [])
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     assert main(["check", "--scenario", str(path)]) == 1
@@ -227,7 +247,11 @@ def test_a_long_range_config_that_loads_runs(spacing, delta, withdrawal_delay, r
     data["protocol"].update(spacing=spacing, delta=delta,
                             withdrawal_delay=withdrawal_delay)
     data["params"]["reveal"] = reveal
-    run(config_from_dict(data))
+    try:
+        cfg = config_from_dict(data)
+    except ConfigInvalid:
+        return
+    run(cfg)
 
 
 def honest_data(**changes):
@@ -260,12 +284,14 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     (("validators", 0), "deposits", 100),
     (("validators", 0, "behavior"), "from", 2),
     ((), "schema_version", 7), ((), "params", {"partition": [[0], [1]]}),
-    (("protocol",), "leak_disposition", "burn")],
+    (("protocol",), "leak_disposition", "burn"),
+    (("protocol",), "finder_fee", "1/100")],
     ids=repr)
 def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, value):
     # a misspelt or unread key used to be ignored, so the run silently used
-    # the default; a generic run reads no params, only schema 2 exists, and
-    # leaked deposits are always burned, so no disposition can be set
+    # the default; a generic run reads no params, only schema 3 exists,
+    # leaked deposits are always burned, so no disposition can be set, and
+    # slashed deposits are burned whole, so no finder's fee can be set
     data = honest_data()
     part = data
     for step in where:

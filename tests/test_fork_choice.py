@@ -1,5 +1,6 @@
 import json
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from ffg.leak import LeakConfig
 from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER, Network,
                      ScenarioConfig, Simulation, ValidatorSpec, config_from_dict,
                      run)
-from ffg.slashing import check_pair, find_new_violations, violates
+from ffg.slashing import check_pair, find_new_violations, proven_violation, violates
 from ffg.votes import Keyring, VoteClass, VotePool, classify_vote, sign_vote
 
 from conftest import World
@@ -123,6 +124,67 @@ def test_evidence_rule_checks_ancestor_chain():
     w.tree.insert_block(stale)
     view.receive_block(stale, 40)
     assert view.admissible(stale) is False
+
+
+# -- the evidence rule asks for the violator, not the pair -------------------------
+
+def heard_then_judged(make_proof):
+    """A view hears validator 0's double vote (a, b) at 9, so with delta 4 a
+    block stamped after 17 needs valid evidence against validator 0 on its
+    chain.  A block stamped 10 carries `make_proof(w, a, b, c)`'s evidence
+    (c is a third vote of validator 0 for the same target height, which the
+    view has not received); returns the view, c, the carrier's state, and
+    whether its children stamped 17 and 18 are admissible."""
+    w = make_world(delta=4)
+    blocks = w.grow(6)                                     # stamped 1..6
+    c1 = blocks[1].id
+    a = sign_vote(w.keyring, 0, w.tree.root, c1, 0, 1)
+    b = sign_vote(w.keyring, 0, blocks[3].id, c1, 1, 1)
+    c = sign_vote(w.keyring, 0, blocks[5].id, c1, 1, 1)
+    view = client(w)
+    feed_chain(view, w, blocks)
+    view.receive_vote(a, 8)
+    assert view.receive_vote(b, 9)
+    carrier = make_block(blocks[-1], 10, None, (make_proof(w, a, b, c),),
+                         w.tree.hash_name)
+    w.tree.insert_block(carrier)
+    view.receive_block(carrier, 10)
+    verdicts = []
+    for stamp in (17, 18):
+        child = make_block(carrier, stamp, None, (), w.tree.hash_name)
+        w.tree.insert_block(child)
+        view.receive_block(child, stamp)
+        assert view.admissible(child) is rule_admissible(view, child)
+        verdicts.append(view.admissible(child))
+    return view, c, w.cache.get(carrier.id), verdicts
+
+
+def test_evidence_for_another_pair_of_the_violator_covers_it():
+    view, c, state, verdicts = heard_then_judged(
+        lambda w, a, b, c: SlashEvidence(a, c))
+    assert state.evidence_against == {0}
+    assert verdicts == [True, True]
+    # the validator's later pairs are not heard, and the chain still passes
+    assert view.receive_vote(c, 19) == []
+    assert view._heard == [(0, 9)]
+    assert all(map(view.chain_admissible, view.tree.leaves()))
+
+
+def test_a_chain_without_evidence_against_the_violator_is_rejected_after_the_deadline():
+    _view, _c, state, verdicts = heard_then_judged(
+        lambda w, a, b, c: SlashEvidence(
+            sign_vote(w.keyring, 1, a.source, a.target, 0, 1),
+            sign_vote(w.keyring, 1, b.source, b.target, 1, 1)))
+    assert state.evidence_against == {1}
+    assert verdicts == [True, False]
+
+
+def test_a_forged_proof_against_the_violator_does_not_cover_it():
+    _view, _c, state, verdicts = heard_then_judged(
+        lambda w, a, b, c: SlashEvidence(a, replace(c, signature=bytes(32))))
+    assert state.evidence_against == frozenset()
+    assert not state.registry.get(0).slashed
+    assert verdicts == [True, False]
 
 
 # -- head selection ------------------------------------------------------------------
@@ -280,15 +342,42 @@ def test_stuck_scenario_justified_rule_finalizes():
 
 # -- memoized chain admissibility and the justified tip, against the old walks --------
 
+# ChainStateCache -> {block id: the validators `proven_violators` found}
+_PROVEN = weakref.WeakKeyDictionary()
+
+
+def proven_violators(cache, block_id):
+    """Reference: the validators that the slashing evidence on the chain from
+    the root to `block_id` proves a violation against, judged transaction by
+    transaction with `proven_violation`.  Blocks are frozen, so each block's
+    answer is kept per run and extended by its children."""
+    memo = _PROVEN.setdefault(cache, {cache.tree.root: frozenset()})
+    path = []
+    cursor = block_id
+    while cursor not in memo:
+        path.append(cursor)
+        cursor = cache.tree.get(cursor).parent
+    proven = memo[cursor]
+    for bid in reversed(path):
+        proven = proven | {tx.first.validator_index
+                           for tx in cache.tree.get(bid).payload
+                           if isinstance(tx, SlashEvidence)
+                           and proven_violation(cache.keyring, tx) is not None}
+        memo[bid] = proven
+    return proven
+
+
 def rule_rejects(view, block):
     """Reference: the future-stamp and evidence rules evaluated directly on
-    the view's heard violations, with no memo."""
+    the view's heard violators, with no memo: a validator heard more than
+    2*delta before the block's stamp against whom the block's chain holds no
+    valid evidence rejects it."""
     if block.timestamp > view.clock:
         return True
     latest = block.timestamp - 2 * view.cfg.delta
-    evidence = view.cache.get(block.id).included_evidence
-    return any(heard_at < latest and key not in evidence
-               for key, heard_at in view._heard)
+    return any(heard_at < latest
+               and validator not in proven_violators(view.cache, block.id)
+               for validator, heard_at in view._heard)
 
 
 def rule_admissible(view, block):
@@ -345,7 +434,7 @@ def count_shortcuts(view, shortcuts):
 
     def counted_window_rejects(block, parent):
         deadline = parent.timestamp - 2 * view.cfg.delta
-        if parent.height and any(at < deadline for _key, at in view._heard):
+        if parent.height and any(at < deadline for _index, at in view._heard):
             shortcuts["window"] += 1
         return window_rejects(block, parent)
 
@@ -362,6 +451,8 @@ def check_against_walks(view, outcomes):
     the reference walks, counting each leaf's verdict in `outcomes`."""
     verdicts = {}
     for leaf in view.tree.leaves():
+        assert view.cache.get(leaf).evidence_against \
+            == proven_violators(view.cache, leaf)
         ok = view.chain_admissible(leaf)
         assert ok == walk_chain_admissible(view, leaf, verdicts)
         outcomes["admissible" if ok else "rejected"] += 1
@@ -552,9 +643,11 @@ class EvidenceHoldingSimulation(CheckedSimulation):
 
 
 def test_evidence_shortcuts_match_the_rule_on_a_deep_long_horizon_world():
-    # deep enough for the heard violations to pile up; checked at block
-    # deliveries, where new blocks meet the memo
-    sim = EvidenceHoldingSimulation(long_horizon_shaped(7, epochs=20), 40, 50,
+    # the three double voters are first reported at ticks 14, 15 and 20,
+    # and later violations are not reported again, so the evidence is held
+    # over those ticks; checked at block deliveries, where new blocks meet
+    # the memo
+    sim = EvidenceHoldingSimulation(long_horizon_shaped(7, epochs=20), 10, 30,
                                     kinds=("block",))
     sim.run_loop()
     assert min(sim.outcomes.values()) > 0, sim.outcomes
@@ -687,13 +780,14 @@ def test_future_stamped_leaf_admissible_once_clock_passes():
 
 def scan_new_violations(view, vote):
     """Reference: the vote checked pairwise against its validator's votes
-    among the view's receipts, in receipt order, keeping the violations the
-    view has not heard yet."""
+    among the view's receipts, in receipt order, keeping the first violation
+    when the view has heard none by that validator."""
     if vote.key in view._received or not view.cache.keyring.verify(vote):
         return []
+    if any(index == vote.validator_index for index, _at in view._heard):
+        return []
     history = [v for v in view.votes if v.validator_index == vote.validator_index]
-    heard = {key for key, _at in view._heard}
-    return [v for v in find_new_violations(history, vote) if v.key not in heard]
+    return find_new_violations(history, vote)[:1]
 
 
 def recount_tallies(view, countable):
@@ -747,7 +841,9 @@ class VerdictCheckedSimulation(Simulation):
             super().deliver(kind, payload, [name], now)
             got = self.returned
             assert got == expected      # Violation equality compares vote_a, vote_b
-            assert view._heard[heard:] == [(v.key, now) for v in got]
+            assert view._heard[heard:] == [(v.validator_index, now) for v in got]
+            heard_validators = [index for index, _at in view._heard]
+            assert len(set(heard_validators)) == len(heard_validators)
             assert view.fstate.links.tallies == recount_tallies(view, self.countable[name])
             self.outcomes["violations"] += len(got)
             self.outcomes["tallied links"] += len(view.fstate.links.tallies)
@@ -958,9 +1054,9 @@ def test_each_view_hears_violations_in_its_own_receipt_order():
         feed_chain(view, w, a + b)
         heard = [[(v.vote_a, v.vote_b) for v in view.receive_vote(vote, 9)]
                  for vote in order]
-        # each pair once, oriented (earlier receipt, incoming), in receipt order
-        assert heard == [[], [(order[0], order[1])],
-                         [(order[0], order[2]), (order[1], order[2])]]
+        # the validator's first pair in receipt order, oriented (earlier
+        # receipt, incoming); its later pairs are not heard
+        assert heard == [[], [(order[0], order[1])], []]
         assert view.votes == order
         assert view._received == {vote.key: i for i, vote in enumerate(order)}
         tallies = {(root, c2): (100, 0), (c1, c2): (100, 0),
@@ -968,7 +1064,7 @@ def test_each_view_hears_violations_in_its_own_receipt_order():
         assert view.fstate.links.tallies == tallies
         assert c2 not in view.fstate.justified
         log = list(view._heard)
-        assert len(log) == 3
+        assert log == [(0, 9)]
         # a second delivery of each key, as the object or a copy, changes nothing
         for vote in order + [replace(vote) for vote in order]:
             assert view.receive_vote(vote, 9) == []

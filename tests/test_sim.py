@@ -28,7 +28,7 @@ from ffg.votes import Keyring
 
 from conftest import build_chain
 from test_acceptance import fuzz_config
-from test_fork_choice import long_horizon_shaped
+from test_fork_choice import long_horizon_shaped, proven_violators
 
 CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -553,9 +553,11 @@ def included_vote_keys(tree, block_id):
 
 
 class PayloadCheckedSimulation(Simulation):
-    """Checks every proposed block's payload against a full scan: every
-    pending evidence key, in key order, and every vote the proposer has
-    received, in receipt order, that the parent's chain has not included."""
+    """Checks every proposed block's payload against a full scan: the
+    pending evidence, in validator order, against every validator the
+    parent's chain carries no evidence against, and every vote the proposer
+    has received, in receipt order, that the parent's chain has not
+    included."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -567,9 +569,10 @@ class PayloadCheckedSimulation(Simulation):
         expected = self._scheduled_txs(self.proto.epoch_of_height(block.height),
                                        parent_state)
         if not self.cfg.censor_evidence:
-            expected += [self.pending_evidence[key]
-                         for key in sorted(self.pending_evidence)
-                         if key not in parent_state.included_evidence]
+            covered = proven_violators(self.cache, block.parent)
+            expected += [self.pending_evidence[index]
+                         for index in sorted(self.pending_evidence)
+                         if index not in covered]
         included = included_vote_keys(self.tree, block.parent)
         expected += [VoteInclusion(vote) for vote in self.proposer.votes
                      if vote.key not in included]

@@ -143,8 +143,8 @@ def test_scan_sees_cross_branch_and_noncountable_votes():
 
 # -- penalties, applied when a block includes evidence ------------------------------
 
-def evidence_block(w, parent, first, second, proposer):
-    block = make_block(parent, parent.timestamp + 1, proposer,
+def evidence_block(w, parent, first, second):
+    block = make_block(parent, parent.timestamp + 1, None,
                        (SlashEvidence(first, second),), w.tree.hash_name)
     w.tree.insert_block(block)
     return block, w.cache.get(block.id).registry
@@ -155,29 +155,34 @@ def double_vote(w, index, tag=0):
             fake_vote(w.keyring, index, 3, 4, tag))
 
 
-def test_evidence_fee_and_idempotence():
+def test_evidence_burns_the_whole_deposit_once():
     w = make_world([1000, 100, 100])
-    culprit, finder = 0, 1
+    culprit = 0
     first, second = double_vote(w, 0)
-    block, reg = evidence_block(w, w.tree.get(w.tree.root), first, second,
-                                proposer=1)
+    block, reg = evidence_block(w, w.tree.get(w.tree.root), first, second)
     assert reg.get(culprit).deposit == 0 and reg.get(culprit).slashed
-    assert reg.get(finder).deposit == 110
     burned = 1200 - sum(rec.deposit for rec in reg.records.values())
-    assert burned == 990
+    assert burned == 1000
+    assert w.cache.get(block.id).evidence_against == {culprit}
     # the same evidence again, and a second violation by the same validator,
-    # pay no second fee
-    block, reg = evidence_block(w, block, first, second, proposer=1)
-    block, reg = evidence_block(w, block, *double_vote(w, 0, tag=1), proposer=1)
-    assert reg.get(finder).deposit == 110
+    # slash no second time
+    block, reg = evidence_block(w, block, first, second)
+    block, reg = evidence_block(w, block, *double_vote(w, 0, tag=1))
+    assert sum(rec.deposit for rec in reg.records.values()) == 200
+    assert w.cache.get(block.id).evidence_against == {culprit}
 
 
-def test_self_report_pays_fee():
+def test_a_forged_proof_covers_no_one():
     w = make_world([1000, 100, 100])
-    _block, reg = evidence_block(w, w.tree.get(w.tree.root), *double_vote(w, 0),
-                                 proposer=0)
-    # the deposit is gone before the fee lands; slashed records earn nothing
-    assert reg.get(0).deposit == 0
+    first, second = double_vote(w, 0)
+    forged = replace(second, signature=bytes(32))
+    block, reg = evidence_block(w, w.tree.get(w.tree.root), first, forged)
+    assert w.cache.get(block.id).evidence_against == frozenset()
+    assert not reg.get(0).slashed and reg.get(0).deposit == 1000
+    # a valid proof after it still covers the validator and slashes it
+    block, reg = evidence_block(w, block, first, second)
+    assert w.cache.get(block.id).evidence_against == {0}
+    assert reg.get(0).slashed
 
 
 @pytest.mark.parametrize("forged", [False, True])
@@ -222,7 +227,7 @@ def test_slash_during_withdrawal_delay():
     w = make_world([100, 100, 100, 100])
     leaver = 3
     tip = leaving_chain(w, leaver)
-    _block, reg = evidence_block(w, tip, *double_vote(w, 3), proposer=None)
+    _block, reg = evidence_block(w, tip, *double_vote(w, 3))
     assert reg.get(leaver).deposit == 0
     assert sum(rec.deposit for rec in reg.records.values()) == 300
     assert reg.get(leaver).slashed and reg.get(leaver).end_dynasty is not None
@@ -238,7 +243,7 @@ def test_leaver_paid_out_at_unlock_checkpoint_unless_slashed():
         E = w.proto.spacing
         tip = leaving_chain(w, leaver)
         if slashed:
-            tip, _reg = evidence_block(w, tip, *double_vote(w, leaver), proposer=None)
+            tip, _reg = evidence_block(w, tip, *double_vote(w, leaver))
         unlock = w.cache.get(tip.id).registry.get(leaver).unlock_epoch
         assert tip.height < unlock * E
         payouts = []

@@ -7,7 +7,10 @@ over the golden corpus and fuzz configs 0-49.
   that object reads the keyring's memo;
 * delivery looks a block's chain state up once per heap entry, for every
   view the entry names, and once more per block a view releases from its
-  pending buffer.
+  pending buffer;
+* one proof slashes a validator's whole deposit, so a chain carries at most
+  one evidence transaction per violator, and a view hears at most one
+  violation per validator.
 
 It also guards that a run leaves no cyclic garbage, which is what lets
 `ffg.sim.run` pause the cyclic collector, and that `run` gives the caller
@@ -27,6 +30,7 @@ import pytest
 
 import ffg.chain
 import ffg.votes
+from ffg.chain import SlashEvidence
 from ffg.config import ProtocolConfig
 from ffg.finality import ChainStateCache
 from ffg.fork_choice import ClientView
@@ -34,6 +38,7 @@ from ffg.sim import (Behavior, DOUBLE_VOTER, Network, ScenarioConfig,
                      Simulation, ValidatorSpec, config_from_dict, run)
 
 from test_acceptance import fuzz_config
+from test_fork_choice import long_horizon_shaped
 
 CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -165,3 +170,23 @@ def test_run_pauses_the_collector_and_restores_the_callers_setting(
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+
+
+def test_a_deep_run_carries_and_hears_one_proof_per_violator():
+    # the `long_horizon` shape at seed 3 and 40 epochs: with a proof per
+    # vote pair its chains carried thousands of evidence transactions
+    sim = Simulation(long_horizon_shaped(3, epochs=40))
+    sim.run_loop()
+    carried = 0
+    for leaf in sim.tree.leaves():
+        against = Counter(tx.first.validator_index
+                          for bid in sim.tree.path(leaf)
+                          for tx in sim.tree.get(bid).payload
+                          if isinstance(tx, SlashEvidence))
+        assert max(against.values(), default=0) <= 1, against
+        carried += sum(against.values())
+    assert carried > 0
+    for view in sim.views.values():
+        heard = [index for index, _at in view._heard]
+        assert len(heard) == len(set(heard)), view.name
+    assert any(view._heard for view in sim.views.values())
