@@ -6,8 +6,8 @@ One core counts votes into justification, and two engines sit on top of it:
   each validator once, records a link as established when
   `link_established` says so, and keeps the justified closure: the root,
   plus every target of an established link from a justified source.
-  `pool_links` feeds a whole vote pool through it once; `compute_justified`,
-  `tally` and the accountable-safety audit read it.
+  `pool_links` feeds a whole vote pool through it once, for
+  `compute_justified` and the accountable-safety audit.
 
 * `ChainState` / `ChainStateCache`: the chain engine.  It counts the votes
   included along one path of the block tree, stamping each link with the
@@ -18,7 +18,8 @@ One core counts votes into justification, and two engines sit on top of it:
   memoized per block id and shared across forks.  The same per-run cache
   keeps one record per vote object (`VoteRecord`) with the verdicts every
   client view and chain shares: its signature, its slashing partners, and
-  whether it counts (`classify_vote`, judged once per run).
+  whether it counts (`classify_vote`, judged once per run).  The pool
+  queries (`pool_links`, `tally`) and the audit read the same records.
 
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
   with no inclusion requirement, and records each known checkpoint's
@@ -117,9 +118,9 @@ class LinkTally:
     queries count each vote key once, and a countable vote's key is fixed by
     its validator and link; the chain engine, which can include one vote in
     two payloads, keeps its own voter sets (`ChainState.link_voters`).
-    Views and chains pass the link and weights their run record carries
-    (`VoteRecord`), so counting builds no link and reads no snapshot; the
-    pool queries read the weights from the snapshot per vote.
+    Views, chains and `pool_links` pass the link and weights their run
+    record carries (`VoteRecord`), so counting builds no link and reads no
+    snapshot.
 
     Every value is immutable, so `copy` only copies the containers.
     """
@@ -175,22 +176,20 @@ class LinkTally:
             queue.extend(tgt for tgt, _stamp in self.by_source.get(cp, ()))
 
 
-def _count_pooled(links: LinkTally, vote: VoteData,
-                  snap: DynastySnapshot) -> None:
-    """Count a pooled vote, reading its validator's weights from `snap`."""
-    idx = vote.validator_index
-    links.count((vote.source, vote.target), snap.forward.get(idx, 0),
-                snap.rear.get(idx, 0), snap)
-
-
 def pool_links(cache: ChainStateCache, pool: VotePool) -> LinkTally:
-    """The core fed every countable vote of the pool once, judged on the
-    run's tree and snapshots with the run's stitching rule."""
-    tree, snapshot_for = cache.tree, cache.snapshot_for
-    links = LinkTally(tree.root, cache.cfg.stitching)
+    """The core fed every countable vote of the pool once.
+
+    Each vote counts by the verdict and weights of its run record
+    (`ChainStateCache.classify`), the verdict views and chains read, judged
+    with the run's keyring, on which every pool of a run is built.  Costs
+    one record lookup per pool vote; the run has classified almost every
+    record already, and one it has not is classified here, once per run."""
+    links = LinkTally(cache.tree.root, cache.cfg.stitching)
     for vote in pool.votes:
-        if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
-            _count_pooled(links, vote, snapshot_for(vote.target))
+        record = cache.record(vote)
+        snap = cache.classify(record)
+        if snap is not None:
+            links.count(record.link, record.forward, record.rear, snap)
     return links
 
 
@@ -198,20 +197,22 @@ def tally(cache: ChainStateCache, pool: VotePool, source: bytes,
           target: bytes) -> LinkStatus:
     """Deposit-weighted tally of countable votes source -> target.
 
-    Distinct validators only; each contributes its snapshot weight to the
-    forward and/or rear side it belongs to.
+    Distinct validators only; each contributes the forward and rear weights
+    its vote's run record carries, as `pool_links` counts them.  Costs one
+    record lookup per pool vote on the link.
     """
-    tree, snapshot_for = cache.tree, cache.snapshot_for
-    if not tree.is_ancestor(source, target) or source == target:
+    if not cache.tree.is_ancestor(source, target) or source == target:
         raise NotAncestor(f"{source.hex()} !-> {target.hex()}")
-    snap = snapshot_for(target)
-    links = LinkTally(tree.root, cache.cfg.stitching)
+    snap = cache.snapshot_for(target)
+    fwd = rear = 0
     for vote in pool.link_votes(source, target):
-        if classify_vote(tree, snapshot_for, pool.keyring, vote) is VoteClass.COUNTABLE:
-            _count_pooled(links, vote, snap)
-    fwd, rear = links.tallies.get((source, target), (0, 0))
+        record = cache.record(vote)
+        if cache.classify(record) is not None:
+            fwd += record.forward
+            rear += record.rear
     return LinkStatus(source, target, fwd, rear, snap.forward_total,
-                      snap.rear_total, (source, target) in links.established)
+                      snap.rear_total,
+                      link_established(fwd, rear, snap, cache.cfg.stitching))
 
 
 # ---------------------------------------------------------------------------

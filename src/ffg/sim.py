@@ -714,7 +714,10 @@ def sweep_invariants(net: Network) -> dict:
     plus the network's own delivery-delay and monotonicity verdicts.
 
     With F checkpoints finalized in any view, L voted links in the pool and
-    v_i votes by validator i:
+    v_i votes by validator i (the pool queries, `tally`, `compute_justified`
+    and `safety_audit`, read each vote's run record, so the sweep looks one
+    record up per pool vote per query and verifies and classifies nothing
+    the run has not):
 
     * no conflicting finalization: `first_conflict` makes one parent walk
       per finalized checkpoint, down to its nearest finalized ancestor (on
@@ -722,9 +725,10 @@ def sweep_invariants(net: Network) -> dict:
       tests of two set lookups each;
     * slashable weight: `scan` checks every pair of one validator's votes,
       sum of v_i^2 / 2 pair checks;
-    * link properties: one `tally` per voted link and an L log L nesting
-      check;
-    * one justified checkpoint per height: one `compute_justified` pass;
+    * link properties: one `tally` per voted link, one record lookup per
+      vote on it, and an L log L nesting check;
+    * one justified checkpoint per height: one `compute_justified` pass,
+      one record lookup per pool vote;
     * honest never slashed: every validator record at every leaf;
     * accountability: one `safety_audit` of the first conflicting pair, only
       when there is one and the validator set is static.
@@ -803,12 +807,13 @@ def invariants_pass(inv: dict) -> bool:
     return ok
 
 
-def _tx_to_dict(tx) -> dict:
+def _tx_to_dict(tx, vote_dict) -> dict:
+    """The transaction as report data, its votes written by `vote_dict`."""
     if isinstance(tx, VoteInclusion):
-        return {"kind": "vote", "vote": _vote_to_dict(tx.vote)}
+        return {"kind": "vote", "vote": vote_dict(tx.vote)}
     if isinstance(tx, SlashEvidence):
-        return {"kind": "evidence", "first": _vote_to_dict(tx.first),
-                "second": _vote_to_dict(tx.second)}
+        return {"kind": "evidence", "first": vote_dict(tx.first),
+                "second": vote_dict(tx.second)}
     if isinstance(tx, Deposit):
         return {"kind": "deposit", "index": tx.validator_index, "amount": tx.amount}
     return {"kind": "withdraw", "index": tx.validator_index}
@@ -849,14 +854,32 @@ def vote_from_dict(data: dict, keyring: Keyring) -> VoteData:
 def build_report(net: Network, invariants: dict,
                  extra: dict | None = None) -> "RunReport":
     """A finished run's report: its config, every block in (height, id)
-    order with the slashings its evidence proves, each view's end state,
-    the pool's votes, `invariants`, the views' first-seen tie-breaks as
-    heuristics, the trace digest and the script's `extra` facts."""
+    order with the slashings its evidence applies on its chain, each view's
+    end state, the pool's votes, `invariants`, the views' first-seen
+    tie-breaks as heuristics, the trace digest and the script's `extra`
+    facts.
+
+    Each vote object is written as one dict, shared by `votes` and every
+    transaction that carries it.  A block lists a slashing for each
+    validator its own evidence newly covers on its chain
+    (`ChainState.evidence_against`), from the first proof against that
+    validator that `proven_violation` accepts, in payload order: the proof
+    that slashed it there."""
     tree, cache = net.tree, net.cache
     heuristics = []
     for name in sorted(net.views):
         for height, cp in net.views[name].ignored_finalized:
             heuristics.append(f"first-seen-kept:{name}:{height}:{cp.hex()[:8]}")
+    # id(vote) -> its dict; the tree and the pool hold every vote, so no id
+    # is reused while this lives
+    vote_dicts: dict[int, dict] = {}
+
+    def vote_dict(vote: VoteData) -> dict:
+        data = vote_dicts.get(id(vote))
+        if data is None:
+            data = vote_dicts[id(vote)] = _vote_to_dict(vote)
+        return data
+
     blocks, slashings = [], []
     for block in sorted(tree.iter_blocks(), key=lambda b: (b.height, b.id)):
         blocks.append({
@@ -865,19 +888,27 @@ def build_report(net: Network, invariants: dict,
             "height": block.height,
             "timestamp": block.timestamp,
             "proposer": block.proposer,
-            "txs": [_tx_to_dict(tx) for tx in block.payload],
+            "txs": [_tx_to_dict(tx, vote_dict) for tx in block.payload],
         })
-        for tx in block.payload:
-            if isinstance(tx, SlashEvidence):
-                violation = proven_violation(net.keyring, tx)
-                if violation is None:
-                    continue
-                slashings.append({
-                    "validator": violation.validator_index,
-                    "kind": violation.kind.value,
-                    "included_in": block.id.hex(),
-                    "height": block.height,
-                })
+        evidence = [tx for tx in block.payload if isinstance(tx, SlashEvidence)]
+        if not evidence:
+            continue
+        covered = set(cache.get(block.id).evidence_against
+                      - cache.get(block.parent).evidence_against)
+        for tx in evidence:
+            index = tx.first.validator_index
+            if index not in covered:
+                continue
+            violation = proven_violation(cache.keyring, tx)
+            if violation is None:
+                continue
+            covered.discard(index)
+            slashings.append({
+                "validator": index,
+                "kind": violation.kind.value,
+                "included_in": block.id.hex(),
+                "height": block.height,
+            })
 
     clients = {}
     for name in sorted(net.views):
@@ -903,8 +934,7 @@ def build_report(net: Network, invariants: dict,
         config=config_to_dict(net.cfg),
         clients=clients,
         slashings=slashings,
-        votes=[_vote_to_dict(v) for v in
-               sorted(net.pool.votes, key=lambda v: v.key)],
+        votes=[vote_dict(v) for v in sorted(net.pool.votes, key=lambda v: v.key)],
         blocks=blocks,
         invariants=invariants,
         heuristics=sorted(heuristics),
@@ -930,7 +960,10 @@ class RunReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        # `build_report` makes fresh plain data that shares vote dicts but
+        # holds no cycle, so the encoder's cycle check would find nothing
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()

@@ -32,7 +32,7 @@ from .errors import DifferentValidators, NotConflicting, NotFinalized
 from .votes import Keyring, VotePool
 
 if TYPE_CHECKING:
-    from .finality import ChainStateCache
+    from .finality import ChainStateCache, VoteRecord
 
 
 class ViolationKind(Enum):
@@ -163,20 +163,21 @@ def _finalizing_link(tree, links, cp):
     return (cp, kids[0]) if kids else None
 
 
-def _link_voters(cache, pool, link) -> dict[int, VoteData]:
-    from .votes import VoteClass, classify_vote
-    out: dict[int, VoteData] = {}
+def _link_voters(cache, pool, link) -> dict[int, VoteRecord]:
+    """The run records of the link's countable pool votes, by validator:
+    the verdict and weights `pool_links` counted (`ChainStateCache.classify`)."""
+    out: dict[int, VoteRecord] = {}
     for vote in pool.link_votes(*link):
         if vote.validator_index in out:
             continue
-        if classify_vote(cache.tree, cache.snapshot_for, pool.keyring,
-                         vote) is VoteClass.COUNTABLE:
-            out[vote.validator_index] = vote
+        record = cache.record(vote)
+        if cache.classify(record) is not None:
+            out[vote.validator_index] = record
     return out
 
 
-def _member_weight(snap, index: int) -> int:
-    return max(snap.forward.get(index, 0), snap.rear.get(index, 0))
+def _member_weight(record: VoteRecord) -> int:
+    return max(record.forward, record.rear)
 
 
 def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
@@ -249,11 +250,12 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
         pair_weight = 0
         pair_violators: dict[int, Violation] = {}
         for idx in common:
-            violation = check_pair(voters1[idx], voters2[idx])
+            record1, record2 = voters1[idx], voters2[idx]
+            violation = check_pair(record1.vote, record2.vote)
             if violation is None:
                 continue
             pair_violators[idx] = violation
-            pair_weight += min(_member_weight(snap1, idx), _member_weight(snap2, idx))
+            pair_weight += min(_member_weight(record1), _member_weight(record2))
         totals = [t for t in (snap1.forward_total, snap1.rear_total,
                               snap2.forward_total, snap2.rear_total) if t > 0]
         pair_total = min(totals) if totals else 0

@@ -235,23 +235,18 @@ def test_a_scripted_config_that_loads_runs(groups, reveal, deposits):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spacing=st.integers(1, 8), delta=st.integers(0, 8),
-       withdrawal_delay=st.integers(0, 3), reveal=st.integers(0, 40))
-@example(spacing=2, delta=8, withdrawal_delay=3, reveal=15)
-@example(spacing=5, delta=0, withdrawal_delay=3, reveal=10)
-def test_a_long_range_config_that_loads_runs(spacing, delta, withdrawal_delay, reveal):
-    # the fork, which branches at height 4, looked its link sources up among
-    # its own blocks alone, and an early evidence block paired fork votes
-    # with real votes not yet cast: both raised KeyError mid-run
+@given(delta=st.integers(0, 8), withdrawal_delay=st.integers(0, 3),
+       reveal=st.integers(0, 40))
+@example(delta=8, withdrawal_delay=3, reveal=15)
+@example(delta=0, withdrawal_delay=3, reveal=10)
+def test_a_long_range_config_that_loads_runs(delta, withdrawal_delay, reveal):
+    # an early evidence block paired fork votes with real votes not yet
+    # cast, which raised KeyError mid-run; the script needs spacing 5
     data = json.loads((REPO_SCENARIOS / "long_range_omega5.json").read_text())
-    data["protocol"].update(spacing=spacing, delta=delta,
+    data["protocol"].update(spacing=5, delta=delta,
                             withdrawal_delay=withdrawal_delay)
     data["params"]["reveal"] = reveal
-    try:
-        cfg = config_from_dict(data)
-    except ConfigInvalid:
-        return
-    run(cfg)
+    run(config_from_dict(data))
 
 
 def honest_data(**changes):

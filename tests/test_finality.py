@@ -1,26 +1,32 @@
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ffg.finality
+import ffg.scenarios
+import ffg.sim
+import ffg.slashing
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
 from ffg.finality import (ChainState, ChainStateCache, FinalityState,
-                          _StepContext, compute_justified, link_established,
-                          liveness_plan, plan_safe_for, snapshot_registry,
-                          tally)
+                          LinkStatus, LinkTally, _StepContext,
+                          compute_justified, link_established, liveness_plan,
+                          plan_safe_for, pool_links, snapshot_registry, tally)
 from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig
-from ffg.sim import run
-from ffg.slashing import check_pair
+from ffg.sim import config_from_dict, run
+from ffg.slashing import check_pair, safety_audit
 from ffg.validators import ValidatorRecord, ValidatorRegistry
-from ffg.votes import sign_vote
+from ffg.votes import VoteClass, classify_vote, sign_vote
 
 from conftest import World
-from test_acceptance import fuzz_config
+from test_acceptance import forced_dual_case, fuzz_config
 from test_fork_choice import long_horizon_shaped
 
 # negligible rate: keeps engine weights equal to genesis weights so the
@@ -788,3 +794,99 @@ def test_step_context_carries_every_chain_state_slot():
     child = _StepContext(parent, quiet_proto()).st
     for name in ChainState.__slots__:
         assert getattr(child, name) is getattr(parent, name), name
+
+
+# -- pool queries against a classify_vote recount -------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def countable_weights(cache, pool, vote):
+    """The reference verdict: `classify_vote` on the run's tree with the
+    pool's keyring, then the voter's weights in the target's snapshot; None
+    when the vote does not count."""
+    if classify_vote(cache.tree, cache.snapshot_for, pool.keyring,
+                     vote) is not VoteClass.COUNTABLE:
+        return None
+    snap = cache.snapshot_for(vote.target)
+    i = vote.validator_index
+    return snap, snap.forward.get(i, 0), snap.rear.get(i, 0)
+
+
+def recount_links(cache, pool):
+    links = LinkTally(cache.tree.root, cache.cfg.stitching)
+    for vote in pool.votes:
+        judged = countable_weights(cache, pool, vote)
+        if judged is not None:
+            snap, forward, rear = judged
+            links.count((vote.source, vote.target), forward, rear, snap)
+    return links
+
+
+def recount_link_voters(cache, pool, link):
+    out = {}
+    for vote in pool.link_votes(*link):
+        if vote.validator_index in out:
+            continue
+        judged = countable_weights(cache, pool, vote)
+        if judged is not None:
+            out[vote.validator_index] = SimpleNamespace(
+                vote=vote, forward=judged[1], rear=judged[2])
+    return out
+
+
+def assert_pool_queries_match_the_recount(cache, pool):
+    tree = cache.tree
+    got, expect = pool_links(cache, pool), recount_links(cache, pool)
+    assert got.tallies == expect.tallies
+    assert got.established == expect.established
+    assert got.justified == expect.justified
+    voted = 0
+    for source, target in sorted(pool.by_link):
+        if not (source in tree and target in tree
+                and tree.checkpoint_height(source) is not None
+                and tree.checkpoint_height(target) is not None
+                and source != target and tree.is_ancestor(source, target)):
+            continue
+        snap = cache.snapshot_for(target)
+        fwd, rear = expect.tallies.get((source, target), (0, 0))
+        assert tally(cache, pool, source, target) == LinkStatus(
+            source, target, fwd, rear, snap.forward_total, snap.rear_total,
+            (source, target) in expect.established)
+        voted += 1
+    return voted
+
+
+def test_pool_queries_match_a_classify_vote_recount_on_runs(monkeypatch):
+    # checked on each finished run's pool just before its sweep
+    checked = Counter()
+
+    def checking(sweep_invariants):
+        def sweep(net):
+            checked["runs"] += 1
+            checked["links"] += assert_pool_queries_match_the_recount(
+                net.cache, net.pool)
+            return sweep_invariants(net)
+        return sweep
+    for module in (ffg.sim, ffg.scenarios):
+        monkeypatch.setattr(module, "sweep_invariants",
+                            checking(module.sweep_invariants))
+    names = sorted(json.loads((CORPUS / "digests.json").read_text()))
+    for name in names:
+        run(config_from_dict(json.loads((CORPUS / name).read_text())))
+    for seed in range(200):
+        run(fuzz_config(seed))
+    assert checked["runs"] == len(names) + 200 and checked["links"] > 1000
+
+
+def test_the_audit_matches_a_classify_vote_recount_on_forced_dual_finalizations(
+        monkeypatch):
+    for seed in range(200):
+        w, x_a, x_b, *_rest = forced_dual_case(seed)
+        assert_pool_queries_match_the_recount(w.cache, w.pool)
+        got = safety_audit(w.cache, w.pool, x_a, x_b)
+        with monkeypatch.context() as patched:
+            patched.setattr(ffg.finality, "pool_links", recount_links)
+            patched.setattr(ffg.slashing, "_link_voters", recount_link_voters)
+            expect = safety_audit(w.cache, w.pool, x_a, x_b)
+        assert got == expect and got.violators, seed

@@ -10,6 +10,7 @@ import pytest
 
 import ffg.chain
 import ffg.finality
+import ffg.scenarios
 from ffg.chain import Block, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
@@ -1166,12 +1167,15 @@ def test_one_record_lookup_per_vote_entry_and_records_carry_link_and_weights(
         monkeypatch):
     calls = Counter()
     networks = []
-    stepping = []
+    stepping, sweeping = [], []
     record, step_state = ChainStateCache.record, ffg.finality.step_state
+    sweep_invariants = ffg.scenarios.sweep_invariants
 
     def counted_record(cache, vote):
-        # chains look records up while folding blocks, deliveries otherwise
-        calls["chain" if stepping else "delivery"] += 1
+        # chains look records up while folding blocks, the end-of-run sweep
+        # (and the audit it runs) in its pool queries, deliveries otherwise
+        calls["chain" if stepping else "sweep" if sweeping
+              else "delivery"] += 1
         return record(cache, vote)
 
     def counted_step(*args):
@@ -1180,6 +1184,13 @@ def test_one_record_lookup_per_vote_entry_and_records_carry_link_and_weights(
             return step_state(*args)
         finally:
             stepping.pop()
+
+    def counted_sweep(net):
+        sweeping.append(True)
+        try:
+            return sweep_invariants(net)
+        finally:
+            sweeping.pop()
 
     def counting(deliver):
         def counted(net, kind, payload, names, now):
@@ -1192,6 +1203,7 @@ def test_one_record_lookup_per_vote_entry_and_records_carry_link_and_weights(
         return counted
     monkeypatch.setattr(ChainStateCache, "record", counted_record)
     monkeypatch.setattr(ffg.finality, "step_state", counted_step)
+    monkeypatch.setattr(ffg.scenarios, "sweep_invariants", counted_sweep)
     monkeypatch.setattr(Network, "deliver", counting(Network.deliver))
     monkeypatch.setattr(Simulation, "deliver", counting(Simulation.deliver))
 
@@ -1217,7 +1229,7 @@ def test_one_record_lookup_per_vote_entry_and_records_carry_link_and_weights(
     assert any(r.forward != r.rear for r in networks[1].cache._records.values()
                if r.snap is not _UNCLASSIFIED)
     assert calls["delivery"] == calls["entries"] < calls["deliveries"], calls
-    assert calls["chain"] > 0
+    assert calls["chain"] > 0 and calls["sweep"] > 0
 
 
 def test_a_vote_ahead_of_its_target_is_buffered_with_its_record(monkeypatch):

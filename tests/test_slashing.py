@@ -201,6 +201,34 @@ def test_the_report_lists_exactly_the_slashings_the_chain_applies(forged):
     assert (slashed, listed) == ((False, []) if forged else (True, [0]))
 
 
+def test_the_report_lists_the_proof_that_slashed_each_validator_on_its_chain():
+    # the report listed every valid proof, also a second one against a
+    # validator the block's chain already covers, which slashes no one
+    cfg = ScenarioConfig(protocol=make_world().proto,
+                         validators=tuple(ValidatorSpec(i, 100) for i in range(3)))
+    net = Network(cfg, ())
+    tree, root = net.tree, net.tree.root
+
+    def surround(index):
+        return SlashEvidence(fake_vote(net.keyring, index, 1, 5),
+                             fake_vote(net.keyring, index, 2, 4))
+
+    genuine = surround(0)
+    forged = replace(genuine, second=replace(genuine.second, signature=bytes(32)))
+    block = tree.extend(root, 1, None, (
+        forged, SlashEvidence(*double_vote(net, 0)), genuine,
+        SlashEvidence(*double_vote(net, 1))))
+    # evidence the chain covers already, and the same proof on another chain
+    child = tree.extend(block.id, 2, None, (surround(0), surround(1)))
+    sibling = tree.extend(root, 3, None, (surround(0),))
+    assert net.cache.get(block.id).evidence_against == {0, 1}
+    assert net.cache.get(child.id).evidence_against == {0, 1}
+    listed = [(s["validator"], s["kind"], s["included_in"])
+              for s in build_report(net, {}).slashings]
+    assert listed == [(0, "I", block.id.hex()), (1, "I", block.id.hex()),
+                      (0, "II", sibling.id.hex())]
+
+
 def leaving_chain(w, leaver=3):
     """A chain on which `leaver` withdraws at height 1 and the others
     finalize checkpoints 1 and 2; the second finalization starts the

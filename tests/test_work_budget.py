@@ -10,7 +10,9 @@ over the golden corpus and fuzz configs 0-49.
   pending buffer;
 * one proof slashes a validator's whole deposit, so a chain carries at most
   one evidence transaction per violator, and a view hears at most one
-  violation per validator.
+  violation per validator;
+* the end-of-run sweep of a generic run classifies and verifies nothing:
+  its pool queries read the verdicts the run stored on each vote's record.
 
 It also guards that a run leaves no cyclic garbage, which is what lets
 `ffg.sim.run` pause the cyclic collector, and that `run` gives the caller
@@ -29,12 +31,13 @@ from types import SimpleNamespace
 import pytest
 
 import ffg.chain
+import ffg.sim
 import ffg.votes
 from ffg.chain import SlashEvidence
 from ffg.config import ProtocolConfig
 from ffg.finality import ChainStateCache
 from ffg.fork_choice import ClientView
-from ffg.sim import (Behavior, DOUBLE_VOTER, Network, ScenarioConfig,
+from ffg.sim import (Behavior, DOUBLE_VOTER, GENERIC, Network, ScenarioConfig,
                      Simulation, ValidatorSpec, config_from_dict, run)
 
 from test_acceptance import fuzz_config
@@ -130,6 +133,41 @@ def test_each_block_hashed_each_vote_signed_and_each_entry_looked_up_once(monkey
         released += releases
     # the budget covers the pending buffer
     assert released > 0
+
+
+def test_the_sweep_of_a_generic_run_classifies_and_verifies_nothing(monkeypatch):
+    counts = Counter()
+    sweeping = []
+
+    def in_sweep(key, function):
+        def counted(*args, **kwargs):
+            counts[key] += bool(sweeping)
+            return function(*args, **kwargs)
+        return counted
+
+    classify_vote = ffg.votes.classify_vote
+    for module in [m for name, m in sys.modules.items() if name.startswith("ffg")]:
+        if getattr(module, "classify_vote", None) is classify_vote:
+            monkeypatch.setattr(module, "classify_vote",
+                                in_sweep("classified", classify_vote))
+    monkeypatch.setattr(ffg.votes, "hmac", SimpleNamespace(
+        new=in_sweep("hmacs", hmac.new), compare_digest=hmac.compare_digest))
+    sweep_invariants = ffg.sim.sweep_invariants
+
+    def counted_sweep(net):
+        counts["sweeps"] += 1
+        sweeping.append(True)
+        try:
+            return sweep_invariants(net)
+        finally:
+            sweeping.pop()
+    monkeypatch.setattr(ffg.sim, "sweep_invariants", counted_sweep)
+
+    configs = [cfg for cfg in budget_configs() if cfg.scenario == GENERIC]
+    for cfg in configs:
+        run(cfg)
+        assert counts["classified"] == counts["hmacs"] == 0, cfg.name
+    assert counts["sweeps"] == len(configs) > 50
 
 
 def test_runs_leave_no_cyclic_garbage():
