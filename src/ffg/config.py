@@ -20,12 +20,14 @@ class ProtocolConfig:
     hash_name: str = "sha256"        # digest pinned so runs are reproducible
 
     def __post_init__(self):
-        if self.spacing < 1:
-            raise ConfigInvalid("spacing must be >= 1")
-        if self.delta < 0:
-            raise ConfigInvalid("delta must be >= 0")
-        if self.withdrawal_delay < 0:
-            raise ConfigInvalid("withdrawal delay must be >= 0")
+        if type(self.spacing) is not int or self.spacing < 1:
+            raise ConfigInvalid("spacing must be an integer >= 1")
+        if type(self.delta) is not int or self.delta < 0:
+            raise ConfigInvalid("delta must be an integer >= 0")
+        if type(self.withdrawal_delay) is not int or self.withdrawal_delay < 0:
+            raise ConfigInvalid("withdrawal delay must be an integer >= 0")
+        if type(self.stitching) is not bool:
+            raise ConfigInvalid("stitching must be true or false")
         # a hash every platform has, so runs reproduce, and no shorter than ids
         if self.hash_name not in hashlib.algorithms_guaranteed \
                 or hashlib.new(self.hash_name).digest_size < HASH_BYTES:

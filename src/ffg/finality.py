@@ -227,12 +227,15 @@ class ChainState:
     another object, is not counted twice.  A child shares its parent's sets
     until it adds to one (`_StepContext.link_voters`).  `evidence_against`
     holds the validators the chain has included valid evidence against, one
-    proof each (`_StepContext.include_evidence`).
+    proof each (`_StepContext.include_evidence`).  `slashings` and `payouts`
+    are this block's own: the violation each proof that newly covers a
+    validator proves (`proven_violation`), in payload order, and the
+    `(index, height)` of each withdrawal it pays out.
     """
 
     __slots__ = ("height", "dynasty", "registry", "snapshots", "links",
                  "link_voters", "finalized_at", "evidence_against",
-                 "voted_window", "payouts")
+                 "voted_window", "slashings", "payouts")
 
     @property
     def justified(self) -> set[bytes]:
@@ -251,6 +254,7 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
     st.finalized_at = {root_id: 0}
     st.evidence_against = frozenset()
     st.voted_window = frozenset()
+    st.slashings = ()
     st.payouts = ()
     return st
 
@@ -271,6 +275,7 @@ class _StepContext:
         st.finalized_at = parent.finalized_at
         st.evidence_against = parent.evidence_against
         st.voted_window = parent.voted_window
+        st.slashings = parent.slashings
         st.payouts = parent.payouts
         self._own_registry = False
         self._own = set()
@@ -358,13 +363,18 @@ class _StepContext:
         """One valid proof covers its validator and burns its whole deposit;
         a proof against a validator the chain already covers is skipped
         unverified, and an invalid one covers no one.  Only this slashes,
-        so a covered validator's record is slashed already."""
+        so a covered validator's record is slashed already.  The block
+        keeps the violation a covering proof proves, for the report."""
+        st = self.st
         index = tx.first.validator_index
-        if index in self.st.evidence_against or index in self.new_evidence \
-                or proven_violation(keyring, tx) is None:
+        if index in st.evidence_against or index in self.new_evidence:
+            return
+        violation = proven_violation(keyring, tx)
+        if violation is None:
             return
         self.new_evidence.add(index)
-        if index in self.st.registry.records:
+        st.slashings = st.slashings + (violation,)
+        if index in st.registry.records:
             self.registry().slash(index)
 
 
@@ -378,7 +388,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
     epoch = cfg.epoch_of_height(block.height)
     # the root is finalized at genesis and starts dynasty 0
     st.dynasty = len(parent.finalized_at) - 1
-    st.payouts = ()
+    st.slashings = st.payouts = ()
 
     if st.dynasty != parent.dynasty:
         ctx.registry().mark_end_dynasty_started(st.dynasty, epoch,

@@ -37,34 +37,25 @@ reached the block's stamp:
 
 Only blocks stamped at or before the clock are judged (a later tip is
 rejected by its stamp), so `chain_admissible` judges each block once, top
-down from its nearest judged ancestor, and keeps the verdict.  A window
-bounds each judgment by the violators heard near the block's stamp: the
-block's parent's chain passes, so it covers every validator heard before
-`parent.timestamp - 2*delta`, and a block's chain covers every validator
-its parent's does.  So only violators heard in
-`[parent.timestamp - 2*delta, block.timestamp - 2*delta)` can reject the
-block, and a bisect into the heard log, which is in heard-at order, finds
-them.
+down from its nearest judged ancestor, and keeps the verdict.  A view maps
+each violator it has heard to the time it heard it (`_heard`), in the order
+heard, which is heard-at order, so a judgment reads the violators heard
+before the block's deadline, `block.timestamp - 2*delta`, and stops at the
+first heard after it.
 
-`admissible(block)`, a yes or no, reads the same verdicts, and scans the
-violators heard before the block's own deadline only when its chain is
-rejected.  The justified checkpoint of a chain is found by walking its
-checkpoints downward to the first justified one (`justified_tip`), which is
-the highest since a chain has one checkpoint per height.
+`admissible(block)`, a yes or no, reads the same verdicts, and judges the
+block alone only when its chain is rejected.  The justified checkpoint of a
+chain is found by walking its checkpoints downward to the first justified
+one (`justified_tip`), which is the highest since a chain has one
+checkpoint per height.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from operator import itemgetter
 
 from .chain import Block, BlockTree, VoteData
 from .errors import NonMonotonicTimestamp
 from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
-
-
-_HEARD_AT = itemgetter(1)
 
 
 def _better(a: tuple, b: tuple) -> bool:
@@ -103,8 +94,8 @@ class ClientView:
         votes' fields.  A view hears one violation per validator, the first
         in its receipt order: when the vote's validator has none heard yet,
         the run's violation with the partner it received first, oriented
-        (earlier vote, incoming), so its heard-at times are those of a scan
-        of its own receipts;
+        (earlier vote, incoming), so its heard-at time is that of a scan of
+        its own receipts;
       - the countability snapshot and the voter's weights in it, filled by
         the first view that counts the vote once it holds both endpoints;
         its own tree would give the same class, since block ids are digests.
@@ -113,7 +104,8 @@ class ClientView:
     A view keeps only its vote receipts: `votes`, the distinct votes in the
     order received, which a proposer offers in that order, and `_received`,
     each one's key mapped to its position there.  Receipts, link tallies,
-    heard-at times and evidence verdicts stay per view.  A view hears
+    heard-at times and evidence verdicts stay per view: `_heard` maps each
+    violator heard to its heard-at time, in the order heard.  A view hears
     violators in clock order, so each block's evidence verdict is judged
     once (see the module docstring).
 
@@ -152,10 +144,9 @@ class ClientView:
         # id(finalized_at map) -> the map, for each settled map; holding the
         # map keeps its id from being reused while the entry lives
         self._settled: dict[int, dict[bytes, int]] = {}
-        # (validator, heard_at) per violator heard, in the order heard:
-        # heard-at order; `_violators` holds the same validators
-        self._heard: list[tuple[int, int]] = []
-        self._violators: set[int] = set()
+        # validator -> when its first violation was heard, in the order
+        # heard, which is heard-at order
+        self._heard: dict[int, int] = {}
         # block id -> whether the evidence rule rejects a block between the
         # root and it; final once judged (see the module docstring)
         self._rejected: dict[bytes, bool] = {}
@@ -228,9 +219,9 @@ class ClientView:
             self._settled[id(finalized_at)] = finalized_at
 
     def receive_vote(self, vote: VoteData, now: int,
-                     record: VoteRecord | None = None) -> list[Violation]:
+                     record: VoteRecord | None = None) -> Violation | None:
         """Receive the vote; returns the violation it newly exposes (heard
-        now), in a list, when its validator has none heard yet.
+        now) when its validator has none heard yet, else None.
 
         Reads the vote's run record: `record` when given, which must be
         `cache.record(vote)`, else the record looked up here.  The rest is
@@ -244,19 +235,19 @@ class ClientView:
         if record is None:
             record = self.cache.record(vote)
         if not record.valid:
-            return []
+            return None
         received = self._received
         key = vote.key
         if key in received:
-            return []
+            return None
         received[key] = len(self.votes)
         self.votes.append(vote)
         partners = record.partners
         if partners is None:
             partners = record.partners = self.cache.conflict_partners(vote)
-        new_violations = []
+        violation = None
         index = vote.validator_index
-        if partners and index not in self._violators:
+        if partners and index not in self._heard:
             earlier = [k for k in partners if k in received]
             if earlier:
                 if now < self.clock:
@@ -265,12 +256,10 @@ class ClientView:
                         f"before its clock {self.clock}")
                 # the pair with the first partner received, oriented
                 # (earlier vote, incoming)
-                new_violations.append(
-                    partners[min(earlier, key=received.__getitem__)])
-                self._violators.add(index)
-                self._heard.append((index, now))
+                violation = partners[min(earlier, key=received.__getitem__)]
+                self._heard[index] = now
         self.fstate.on_vote(record)
-        return new_violations
+        return violation
 
     # -- admissibility -----------------------------------------------------------
 
@@ -309,43 +298,28 @@ class ClientView:
                 break
             unjudged.append(cursor)
             cursor = self.tree.blocks[cursor.parent]
-        # top-down, so each block's parent's chain passes before it is judged
+        # top-down from the judged ancestor: the blocks before the first
+        # one rejected pass, and it and every block after it are rejected
         for i in range(len(unjudged) - 1, -1, -1):
-            if self._window_rejects(unjudged[i], cursor):
+            if self._evidence_rejects(unjudged[i]):
                 for b in unjudged[:i + 1]:
                     rejected[b.id] = True
                 return False
-            cursor = unjudged[i]
-            rejected[cursor.id] = False
+            rejected[unjudged[i].id] = False
         return True
-
-    def _window_rejects(self, block: Block, parent: Block) -> bool:
-        """The evidence rule for `block`, given that its parent's chain
-        passes: only violators heard from the parent's evidence deadline
-        up to the block's can reject it."""
-        two_delta = 2 * self.cfg.delta
-        heard = self._heard
-        # the root is not judged by the rule, so it vouches for no evidence
-        lo = bisect_left(heard, parent.timestamp - two_delta, key=_HEARD_AT) \
-            if parent.height else 0
-        hi = bisect_left(heard, block.timestamp - two_delta, lo, key=_HEARD_AT)
-        return self._missing_evidence(block, lo, hi)
 
     def _evidence_rejects(self, block: Block) -> bool:
         """The evidence rule for `block` alone: it is stamped later than
         2*delta after some violator was heard, and its chain has not
         included valid evidence against that validator."""
-        hi = bisect_left(self._heard, block.timestamp - 2 * self.cfg.delta,
-                         key=_HEARD_AT)
-        return self._missing_evidence(block, 0, hi)
-
-    def _missing_evidence(self, block: Block, lo: int, hi: int) -> bool:
-        """True iff `block`'s chain has included no valid evidence against
-        some validator in `_heard[lo:hi]`."""
-        if lo >= hi:
-            return False
+        deadline = block.timestamp - 2 * self.cfg.delta
         covered = self.cache.get(block.id).evidence_against
-        return any(index not in covered for index, _at in self._heard[lo:hi])
+        for index, heard_at in self._heard.items():
+            if heard_at >= deadline:
+                return False
+            if index not in covered:
+                return True
+        return False
 
     # -- finalized preference ------------------------------------------------------
 

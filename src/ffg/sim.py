@@ -61,7 +61,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 
 from .chain import (Block, BlockTree, Deposit, SlashEvidence, VoteData,
@@ -71,7 +71,7 @@ from .errors import ConfigInvalid
 from .finality import ChainStateCache, compute_justified, tally
 from .fork_choice import ClientView
 from .leak import LeakConfig
-from .slashing import proven_violation, scan, slashable
+from .slashing import scan, slashable
 from .validators import ValidatorRegistry
 from .votes import Keyring, VotePool, sign_vote
 
@@ -127,10 +127,14 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown scenario kind {self.scenario!r}")
         if self.scenario == GENERIC and self.params:
             raise ConfigInvalid("generic runs read no params")
-        if self.duration_epochs < 1:
-            raise ConfigInvalid("duration must be >= 1 epoch")
+        if not u64s((self.seed,), 1):
+            raise ConfigInvalid("seed must be a u64")
+        if type(self.duration_epochs) is not int or self.duration_epochs < 1:
+            raise ConfigInvalid("duration must be an integer >= 1 epoch")
         if type(self.observers) is not int or self.observers < 0:
             raise ConfigInvalid("observers must be an integer >= 0")
+        if type(self.censor_evidence) is not bool:
+            raise ConfigInvalid("censor_evidence must be true or false")
         if not self.validators:
             raise ConfigInvalid("at least one validator required")
         joined: dict[int, int] = {}         # index -> epoch of its deposit
@@ -142,6 +146,9 @@ class ScenarioConfig:
                 raise ConfigInvalid(f"duplicate validator index {spec.index}")
             if spec.behavior.kind not in BEHAVIOR_KINDS:
                 raise ConfigInvalid(f"unknown behavior {spec.behavior.kind!r}")
+            if type(spec.behavior.from_epoch) is not int:
+                raise ConfigInvalid(f"validator {spec.index}: from_epoch must "
+                                    "be an integer")
             if spec.behavior.kind == SURROUND_VOTER and spec.behavior.from_epoch < 3:
                 raise ConfigInvalid("surround voter needs from_epoch >= 3")
             joined[spec.index] = 0
@@ -484,10 +491,9 @@ class Simulation(Network):
         self._reporters = frozenset(
             name for name, agent in self.agents.items()
             if agent.spec.behavior.kind != OFFLINE)
-        # validator index -> the first evidence submitted against it
+        # validator index -> the first evidence submitted against it, in the
+        # order submitted
         self.pending_evidence: dict[int, SlashEvidence] = {}
-        # keys of pending_evidence in the order submitted
-        self._evidence_order: list[int] = []
         # block id -> (proposer's received vote count, pending evidence
         # count) when it was proposed; see `propose`
         self._offered: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
@@ -536,7 +542,6 @@ class Simulation(Network):
         self._lines.append(f"{now}|evidence|{violation.key}")
         self.pending_evidence[index] = SlashEvidence(violation.vote_a,
                                                      violation.vote_b)
-        self._evidence_order.append(index)
 
     # -- proposer ----------------------------------------------------------------
 
@@ -580,22 +585,22 @@ class Simulation(Network):
         epoch = self.proto.epoch_of_height(parent.height + 1)
         txs = self._scheduled_txs(epoch, parent_state)
         n_votes, n_evidence = self._offered[parent_id]
+        pending = self.pending_evidence
         if not self.cfg.censor_evidence:
-            pending = self.pending_evidence
             txs.extend(pending[key]
-                       for key in sorted(self._evidence_order[n_evidence:]))
+                       for key in sorted(islice(pending, n_evidence, None)))
         votes = self.proposer.votes
         txs.extend(VoteInclusion(vote) for vote in votes[n_votes:])
         block = self.tree.extend(parent_id, now, None, tuple(txs))
-        self._offered[block.id] = (len(votes), len(self._evidence_order))
+        self._offered[block.id] = (len(votes), len(pending))
         self.broadcast_block(block, now)
 
     # -- delivery ----------------------------------------------------------------
 
     def deliver(self, kind: str, payload, names: list[str], now: int) -> None:
         """`Network.deliver`, plus each agent's reaction as it is delivered
-        to: a block may make it vote, a vote may expose violations that it
-        reports."""
+        to: a block may make it vote, and a vote may expose a violation,
+        which it reports unless it is offline."""
         views, lines = self.views, self._lines
         time = str(now)
         suffixes = self._deliver_lines[kind]
@@ -616,10 +621,9 @@ class Simulation(Network):
             reporters = self._reporters
             for name in names:
                 lines.append(time + suffixes[name])
-                new_violations = views[name].receive_vote(payload, now, record)
-                if new_violations and name in reporters:
-                    for violation in new_violations:
-                        self.submit_evidence(violation, now)
+                violation = views[name].receive_vote(payload, now, record)
+                if violation is not None and name in reporters:
+                    self.submit_evidence(violation, now)
 
     def run_loop(self) -> None:
         total_ticks = self.cfg.duration_epochs * self.proto.spacing
@@ -860,11 +864,10 @@ def build_report(net: Network, invariants: dict,
     facts.
 
     Each vote object is written as one dict, shared by `votes` and every
-    transaction that carries it.  A block lists a slashing for each
-    validator its own evidence newly covers on its chain
-    (`ChainState.evidence_against`), from the first proof against that
-    validator that `proven_violation` accepts, in payload order: the proof
-    that slashed it there."""
+    transaction that carries it.  A block lists the slashings its chain
+    state applied (`ChainState.slashings`): one per validator its own
+    evidence newly covers, from the proof that slashed it there, in payload
+    order."""
     tree, cache = net.tree, net.cache
     heuristics = []
     for name in sorted(net.views):
@@ -890,21 +893,9 @@ def build_report(net: Network, invariants: dict,
             "proposer": block.proposer,
             "txs": [_tx_to_dict(tx, vote_dict) for tx in block.payload],
         })
-        evidence = [tx for tx in block.payload if isinstance(tx, SlashEvidence)]
-        if not evidence:
-            continue
-        covered = set(cache.get(block.id).evidence_against
-                      - cache.get(block.parent).evidence_against)
-        for tx in evidence:
-            index = tx.first.validator_index
-            if index not in covered:
-                continue
-            violation = proven_violation(cache.keyring, tx)
-            if violation is None:
-                continue
-            covered.discard(index)
+        for violation in cache.get(block.id).slashings:
             slashings.append({
-                "validator": index,
+                "validator": violation.validator_index,
                 "kind": violation.kind.value,
                 "included_in": block.id.hex(),
                 "height": block.height,

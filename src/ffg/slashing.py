@@ -92,8 +92,10 @@ def check_pair(v1: VoteData, v2: VoteData) -> Violation | None:
 
 
 def proven_violation(keyring: Keyring, tx: SlashEvidence) -> Violation | None:
-    """What slashing evidence proves, the one rule for chains and reports:
-    `check_pair` of the two votes if both signatures are valid, else None."""
+    """What slashing evidence proves, the one rule for chains: `check_pair`
+    of the two votes if both signatures are valid, else None.  A block keeps
+    the violation a proof that covers its validator proves
+    (`ChainState.slashings`), and reports read it there."""
     if not (keyring.verify(tx.first) and keyring.verify(tx.second)):
         return None
     return check_pair(tx.first, tx.second)

@@ -249,11 +249,14 @@ def test_a_long_range_config_that_loads_runs(delta, withdrawal_delay, reveal):
     run(config_from_dict(data))
 
 
-def honest_data(**changes):
-    """`scenarios/all_honest.json` with top-level and protocol fields changed."""
+def honest_data(behavior=(), **changes):
+    """`scenarios/all_honest.json` with fields changed: a protocol field in
+    the protocol, any other at the top level; `behavior` updates the first
+    validator's behavior."""
     data = json.loads((REPO_SCENARIOS / "all_honest.json").read_text())
-    if "hash_name" in changes:
-        data["protocol"]["hash_name"] = changes.pop("hash_name")
+    for key in data["protocol"].keys() & changes.keys():
+        data["protocol"][key] = changes.pop(key)
+    data["validators"][0]["behavior"].update(behavior)
     data.update(changes)
     return data
 
@@ -265,7 +268,16 @@ def honest_data(**changes):
     {"withdraws": [[1, 99]]}, {"withdraws": [[1, 0], [2, 0]]},
     {"deposits": [[2, 9, 50]], "withdraws": [[1, 9]]},
     {"observers": -1}, {"validators": [{"index": -1, "deposit": 100}]},
-    {"validators": [{"index": 0, "deposit": "100"}]}], ids=repr)
+    {"validators": [{"index": 0, "deposit": "100"}]},
+    # each of these raised a traceback in `run`, or ran meaning something
+    # else than what was written
+    {"seed": 1.5}, {"seed": -1}, {"seed": 2**64}, {"seed": True},
+    {"duration_epochs": 2.5}, {"duration_epochs": True},
+    {"spacing": 5.0}, {"delta": 1.5}, {"delta": True},
+    {"withdrawal_delay": 2.5}, {"stitching": "no"}, {"stitching": 0},
+    {"censor_evidence": "no"},
+    {"behavior": {"kind": "double_voter", "from_epoch": 1.5}},
+    {"behavior": {"from_epoch": False}}], ids=repr)
 def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(honest_data(**changes)))

@@ -166,8 +166,8 @@ def test_evidence_for_another_pair_of_the_violator_covers_it():
     assert state.evidence_against == {0}
     assert verdicts == [True, True]
     # the validator's later pairs are not heard, and the chain still passes
-    assert view.receive_vote(c, 19) == []
-    assert view._heard == [(0, 9)]
+    assert view.receive_vote(c, 19) is None
+    assert view._heard == {0: 9}
     assert all(map(view.chain_admissible, view.tree.leaves()))
 
 
@@ -378,7 +378,7 @@ def rule_rejects(view, block):
     latest = block.timestamp - 2 * view.cfg.delta
     return any(heard_at < latest
                and validator not in proven_violators(view.cache, block.id)
-               for validator, heard_at in view._heard)
+               for validator, heard_at in view._heard.items())
 
 
 def rule_admissible(view, block):
@@ -426,25 +426,35 @@ def scan_head(view, verdicts=None):
     return min(ranked)[2] if ranked else view.finalized_anchor
 
 
-def count_shortcuts(view, shortcuts):
-    """Count, in `shortcuts`, each time one of the view's evidence-rule
-    shortcuts decides: a heard-at window that leaves out violations heard
-    before the parent's deadline, and `admissible`'s scan for a block on a
-    rejected chain."""
-    window_rejects, evidence_rejects = view._window_rejects, view._evidence_rejects
+def watch_evidence_checks(view, note):
+    """Call `note(block, on_chain)` at each evidence-rule check the view
+    makes: `on_chain` is true when `_chain_passes` judges the block, and
+    false when `admissible` judges a block on a rejected chain alone."""
+    chain_passes, evidence_rejects = view._chain_passes, view._evidence_rejects
+    judging = []
 
-    def counted_window_rejects(block, parent):
-        deadline = parent.timestamp - 2 * view.cfg.delta
-        if parent.height and any(at < deadline for _index, at in view._heard):
-            shortcuts["window"] += 1
-        return window_rejects(block, parent)
+    def watched_chain_passes(block):
+        judging.append(block)
+        try:
+            return chain_passes(block)
+        finally:
+            judging.pop()
 
-    def counted_evidence_rejects(block):
-        shortcuts["rejected-chain scan"] += 1
+    def watched_evidence_rejects(block):
+        note(block, bool(judging))
         return evidence_rejects(block)
 
-    view._window_rejects = counted_window_rejects
-    view._evidence_rejects = counted_evidence_rejects
+    view._chain_passes = watched_chain_passes
+    view._evidence_rejects = watched_evidence_rejects
+
+
+def count_shortcuts(view, shortcuts):
+    """Count, in `shortcuts`, each time the view's evidence-rule shortcut
+    decides: `admissible`'s check of a block on a rejected chain alone."""
+    def note(_block, on_chain):
+        if not on_chain:
+            shortcuts["rejected-chain scan"] += 1
+    watch_evidence_checks(view, note)
 
 
 def check_against_walks(view, outcomes):
@@ -652,7 +662,7 @@ def test_evidence_shortcuts_match_the_rule_on_a_deep_long_horizon_world():
                                     kinds=("block",))
     sim.run_loop()
     assert min(sim.outcomes.values()) > 0, sim.outcomes
-    assert set(sim.shortcuts) == {"window", "rejected-chain scan"}
+    assert set(sim.shortcuts) == {"rejected-chain scan"}
     assert min(sim.shortcuts.values()) > 0, sim.shortcuts
 
 
@@ -664,14 +674,13 @@ def two_violations(w, blocks):
 
 
 def count_judgments(view):
-    """Count the blocks the view judges by the evidence rule, by id."""
+    """Count the blocks `_chain_passes` judges by the evidence rule, by id."""
     judged = Counter()
-    window_rejects = view._window_rejects
 
-    def counted(block, parent):
-        judged[block.id] += 1
-        return window_rejects(block, parent)
-    view._window_rejects = counted
+    def note(block, on_chain):
+        if on_chain:
+            judged[block.id] += 1
+    watch_evidence_checks(view, note)
     return judged
 
 
@@ -747,12 +756,12 @@ def test_a_violation_heard_before_the_clock_raises():
     honest = sign_vote(w.keyring, 2, w.tree.root, c1, 0, 1)
     view.receive_vote(a0, 6)
     # a late vote that exposes no violation is still tallied
-    assert view.receive_vote(honest, 3) == []
+    assert view.receive_vote(honest, 3) is None
     assert view.fstate.links.tallies[(w.tree.root, c1)] == (200, 0)
     assert list(view._received) == [a0.key, honest.key]
     with pytest.raises(NonMonotonicTimestamp):
         view.receive_vote(b0, 5)
-    assert view._heard == []
+    assert view._heard == {}
     assert view.clock == 6
     # the vote stays received, uncounted
     assert view.votes == [a0, honest, b0]
@@ -785,7 +794,7 @@ def scan_new_violations(view, vote):
     when the view has heard none by that validator."""
     if vote.key in view._received or not view.cache.keyring.verify(vote):
         return []
-    if any(index == vote.validator_index for index, _at in view._heard):
+    if vote.validator_index in view._heard:
         return []
     history = [v for v in view.votes if v.validator_index == vote.validator_index]
     return find_new_violations(history, vote)[:1]
@@ -837,14 +846,14 @@ class VerdictCheckedSimulation(Simulation):
         for name in names:
             view = self.views[name]
             expected = scan_new_violations(view, payload) if kind == "vote" else []
-            heard = len(view._heard)
-            self.returned = []
+            heard = list(view._heard.items())
+            self.returned = None
             super().deliver(kind, payload, [name], now)
-            got = self.returned
+            got = [] if self.returned is None else [self.returned]
             assert got == expected      # Violation equality compares vote_a, vote_b
-            assert view._heard[heard:] == [(v.validator_index, now) for v in got]
-            heard_validators = [index for index, _at in view._heard]
-            assert len(set(heard_validators)) == len(heard_validators)
+            # a violator is heard once, appended at the delivery time
+            assert list(view._heard.items()) \
+                == heard + [(v.validator_index, now) for v in got]
             assert view.fstate.links.tallies == recount_tallies(view, self.countable[name])
             self.outcomes["violations"] += len(got)
             self.outcomes["tallied links"] += len(view.fstate.links.tallies)
@@ -1020,8 +1029,8 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
             judged[name] += 1
             return original(cache, arg)
         monkeypatch.setattr(ChainStateCache, name, counted)
-    assert second.receive_vote(forged_honest, 6) == []
-    assert second.receive_vote(forged_b, 6) == []
+    assert second.receive_vote(forged_honest, 6) is None
+    assert second.receive_vote(forged_b, 6) is None
     assert not judged
     for forged in (forged_honest, forged_b):
         record = w.cache.record(forged)
@@ -1036,7 +1045,8 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
     second.receive_vote(honest, 7)
     assert list(second._received) == [a.key, honest.key]
     assert second.fstate.links.tallies[(w.tree.root, c1)] == (200, 0)
-    assert [(v.vote_a, v.vote_b) for v in second.receive_vote(b, 7)] == [(a, b)]
+    violation = second.receive_vote(b, 7)
+    assert (violation.vote_a, violation.vote_b) == (a, b)
 
 
 def test_each_view_hears_violations_in_its_own_receipt_order():
@@ -1053,22 +1063,22 @@ def test_each_view_hears_violations_in_its_own_receipt_order():
     for view, order in ((client(w, "forward"), votes),
                         (client(w, "backward"), votes[::-1])):
         feed_chain(view, w, a + b)
-        heard = [[(v.vote_a, v.vote_b) for v in view.receive_vote(vote, 9)]
-                 for vote in order]
+        heard = [view.receive_vote(vote, 9) for vote in order]
         # the validator's first pair in receipt order, oriented (earlier
         # receipt, incoming); its later pairs are not heard
-        assert heard == [[], [(order[0], order[1])], []]
+        assert heard[0] is None and heard[2] is None
+        assert (heard[1].vote_a, heard[1].vote_b) == (order[0], order[1])
         assert view.votes == order
         assert view._received == {vote.key: i for i, vote in enumerate(order)}
         tallies = {(root, c2): (100, 0), (c1, c2): (100, 0),
                    (root, fork_c2): (100, 0)}
         assert view.fstate.links.tallies == tallies
         assert c2 not in view.fstate.justified
-        log = list(view._heard)
-        assert log == [(0, 9)]
+        log = dict(view._heard)
+        assert log == {0: 9}
         # a second delivery of each key, as the object or a copy, changes nothing
         for vote in order + [replace(vote) for vote in order]:
-            assert view.receive_vote(vote, 9) == []
+            assert view.receive_vote(vote, 9) is None
         assert view.votes == order and view._heard == log
         assert view.fstate.links.tallies == tallies
 

@@ -225,6 +225,7 @@ def test_a_deep_run_carries_and_hears_one_proof_per_violator():
         carried += sum(against.values())
     assert carried > 0
     for view in sim.views.values():
-        heard = [index for index, _at in view._heard]
-        assert len(heard) == len(set(heard)), view.name
+        # one heard-at time per violator, in heard-at order
+        heard_at = list(view._heard.values())
+        assert heard_at == sorted(heard_at), view.name
     assert any(view._heard for view in sim.views.values())
