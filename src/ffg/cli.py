@@ -78,7 +78,11 @@ def cmd_run(args) -> int:
         from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     report = run(cfg)
-    _emit(report, args.out, args.format)
+    try:
+        _emit(report, args.out, args.format)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.strict and report.heuristics:
         print("strict: heuristic tie-breaks triggered", file=sys.stderr)
         return EXIT_VIOLATION
@@ -104,8 +108,12 @@ def cmd_corpus(args) -> int:
         print(f"error: no corpus at {base}", file=sys.stderr)
         return EXIT_USAGE
     expected = json.loads(digest_file.read_text(encoding="utf-8"))
+    # every scenario file runs, so one left unpinned fails instead of
+    # going unchecked
+    names = set(expected).union(path.name for path in base.glob("*.json")
+                                if path != digest_file)
     failures = 0
-    for name in sorted(expected):
+    for name in sorted(names):
         try:
             cfg = _load_scenario(str(base / name))
             digest = run(cfg).digest()
@@ -113,8 +121,11 @@ def cmd_corpus(args) -> int:
             print(f"FAIL {name}: {exc}")
             failures += 1
             continue
-        if digest == expected[name]:
+        if digest == expected.get(name):
             print(f"ok   {name}  {digest[:16]}")
+        elif name not in expected:
+            print(f"FAIL {name}: digest {digest} is not pinned in {digest_file.name}")
+            failures += 1
         else:
             print(f"FAIL {name}: digest {digest} != expected {expected[name]}")
             failures += 1
@@ -146,7 +157,7 @@ def cmd_audit(args) -> int:
         a = bytes.fromhex(args.a)
         b = bytes.fromhex(args.b)
         result = safety_audit(net.cache, net.pool, a, b)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ConfigInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,17 +1,19 @@
 """Scripted adversarial scenarios.
 
 These three runs need block-level orchestration (which branch includes which
-votes at which heights), so they build chains directly instead of going
-through the generic agent loop.  A `Script` is the simulator's network
-(`ffg.sim.Network`), so its runs produce ordinary reports: client views
-receive every staged message in (time, send order, listed-name order), the
-network writes the block, vote and delivery trace lines and runs the
-monotonicity check after each delivery time, and the invariant sweep and the
-report read the script itself (scripts submit no evidence, so they write no
-evidence lines).  The sweep's pool queries (`tally`, `compute_justified`,
-`safety_audit`) take the script's `ChainStateCache`, so they judge with its
-tree, snapshots and stitching rule.  Delivery delay is not measured: a script
-chooses its delivery times, so `delivery_within_delta` reads ok.
+votes at which heights), so they build chains directly instead of letting
+agents vote.  A `Script` is the simulator's network (`ffg.sim.Network`), so
+its runs produce ordinary reports: `Network.deliver`, the one delivery loop,
+hands client views every staged message in (time, send order, listed-name
+order), the network writes the block, vote and delivery trace lines and runs
+the monotonicity check after each delivery time, and the invariant sweep and
+the report read the script itself.  The loop runs the agents' reactions, but
+a script has no agents, so nothing votes or submits evidence in response to
+a delivery, and no evidence lines are written.  The sweep's pool queries
+(`tally`, `compute_justified`, `safety_audit`) take the script's
+`ChainStateCache`, so they judge with its tree, snapshots and stitching rule.
+Delivery delay is not measured: a script chooses its delivery times, so
+`delivery_within_delta` reads ok.
 
 Each kind's contract is stated once, by its reader (`read_dynamic_attack`,
 `read_long_range`, `read_split_finality`): exactly the params it reads, the

@@ -83,6 +83,16 @@ def test_run_bad_json_exits_one(tmp_path):
     assert main(["run", "--scenario", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("out", ["", "missing/report.json"],
+                         ids=["a directory", "a missing parent"])
+def test_run_out_to_a_directory_or_a_missing_parent_exits_one(tmp_path, capsys,
+                                                              out):
+    path = write_scenario(tmp_path, dynamic_attack_config(stitching=True))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_seed_override_changes_digest(tmp_path, capsys):
     from ffg.sim import ScenarioConfig, ValidatorSpec
     from ffg.config import ProtocolConfig
@@ -277,7 +287,10 @@ def honest_data(behavior=(), **changes):
     {"withdrawal_delay": 2.5}, {"stitching": "no"}, {"stitching": 0},
     {"censor_evidence": "no"},
     {"behavior": {"kind": "double_voter", "from_epoch": 1.5}},
-    {"behavior": {"from_epoch": False}}], ids=repr)
+    {"behavior": {"from_epoch": False}},
+    # a zero denominator or an infinite float raised an arithmetic error
+    {"proposer_fork_rate": "1/0"}, {"leak_rate": "1/0"},
+    {"proposer_fork_rate": 1e400}], ids=repr)
 def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(honest_data(**changes)))
@@ -348,6 +361,19 @@ def test_corpus_detects_drift(tmp_path, capsys):
     assert main(["corpus", "--dir", str(tmp_path)]) == 2
 
 
+def test_corpus_fails_a_scenario_file_with_no_pinned_digest(tmp_path, capsys):
+    pins = json.loads((REPO_SCENARIOS / "digests.json").read_text())
+    for name in ("all_honest.json", "equivocator.json"):
+        (tmp_path / name).write_text((REPO_SCENARIOS / name).read_text())
+    (tmp_path / "digests.json").write_text(
+        json.dumps({"all_honest.json": pins["all_honest.json"]}))
+    assert main(["corpus", "--dir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "ok   all_honest.json" in out
+    assert f"FAIL equivocator.json: digest {pins['equivocator.json']} " \
+        "is not pinned" in out
+
+
 def test_corpus_env_var(monkeypatch, capsys):
     monkeypatch.setenv("FFG_CORPUS_DIR", str(REPO_SCENARIOS))
     assert main(["corpus"]) == 0
@@ -407,3 +433,17 @@ def test_audit_dynamic_attack_empty_violators(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "no violators found" in out
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data.update(blocks=5), lambda data: data.update(votes=None),
+    lambda data: data["blocks"][1].update(height="1")],
+    ids=["blocks 5", "votes null", "a string height"])
+def test_audit_of_a_malformed_report_exits_one(tmp_path, capsys, damage):
+    report, l1, r1 = dual_finalized_report()
+    data = report.to_dict()
+    damage(data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["audit", "--report", str(path), l1.hex(), r1.hex()]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -578,31 +578,10 @@ def check_finality_scan(view, block, outcomes):
             outcomes["rejected carrier"] += 1
 
 
-def test_skipped_finality_scans_miss_no_finalized_checkpoint(monkeypatch):
-    # scripted runs deliver blocks late, so some carriers are rejected
-    # before a later delivery on the same chain accepts them
-    pins = json.loads((CORPUS / "digests.json").read_text())
-    outcomes = Counter()
-
-    def checking(deliver):
-        def checked(net, kind, payload, names, now):
-            for name in names:
-                view = net.views[name]
-                fresh = kind == "block" and payload.id not in view.tree
-                deliver(net, kind, payload, [name], now)
-                if fresh and payload.id in view.tree:
-                    check_finality_scan(view, payload, outcomes)
-        return checked
-    monkeypatch.setattr(Network, "deliver", checking(Network.deliver))
-    monkeypatch.setattr(Simulation, "deliver", checking(Simulation.deliver))
-    for name in SCRIPTED_CORPUS:
-        cfg = config_from_dict(json.loads((CORPUS / name).read_text()))
-        assert run(cfg).digest() == pins[name]
-    for seed in range(12):
-        run(fuzz_config(seed))
-    assert outcomes["observed"] > 0 and outcomes["never finalizable"] > 0, outcomes
-    # no such run rejects a carrier that a later delivery accepts, so also
-    # deliver a finalizing chain before its carrier's stamp, then a child
+def finalizing_chain():
+    """A world and its chain from the root, stamped with their heights, whose
+    next-to-last block carries the finalization of the first checkpoint and
+    whose last block is that carrier's child."""
     w = make_world()
     E = w.proto.spacing
     blocks = [w.tree.get(w.tree.root)]
@@ -613,8 +592,37 @@ def test_skipped_finality_scans_miss_no_finalized_checkpoint(monkeypatch):
         elif h == 2 * E + 1:
             votes = w.votes([0, 1, 2], blocks[E].id, blocks[2 * E].id)
         blocks.append(w.include(blocks[-1], votes, timestamp=h))
+    return w, blocks
+
+
+def test_skipped_finality_scans_miss_no_finalized_checkpoint(monkeypatch):
+    # scripted runs deliver blocks late, so some carriers are rejected
+    # before a later delivery on the same chain accepts them
+    pins = json.loads((CORPUS / "digests.json").read_text())
+    outcomes = Counter()
+
+    deliver = Network.deliver
+
+    def checked(net, kind, payload, names, now):
+        for name in names:
+            view = net.views[name]
+            fresh = kind == "block" and payload.id not in view.tree
+            deliver(net, kind, payload, [name], now)
+            if fresh and payload.id in view.tree:
+                check_finality_scan(view, payload, outcomes)
+    monkeypatch.setattr(Network, "deliver", checked)
+    monkeypatch.setattr(Simulation, "deliver", checked)
+    for name in SCRIPTED_CORPUS:
+        cfg = config_from_dict(json.loads((CORPUS / name).read_text()))
+        assert run(cfg).digest() == pins[name]
+    for seed in range(12):
+        run(fuzz_config(seed))
+    assert outcomes["observed"] > 0 and outcomes["never finalizable"] > 0, outcomes
+    # no such run rejects a carrier that a later delivery accepts, so also
+    # deliver a finalizing chain before its carrier's stamp, then a child
+    w, blocks = finalizing_chain()
     carrier, child = blocks[-2:]
-    c1 = blocks[E].id
+    c1 = blocks[w.proto.spacing].id
     assert c1 in w.cache.get(carrier.id).finalized_at
     assert w.cache.get(child.id).finalized_at is w.cache.get(carrier.id).finalized_at
     view = client(w)
@@ -625,6 +633,23 @@ def test_skipped_finality_scans_miss_no_finalized_checkpoint(monkeypatch):
     assert c1 not in view.observed_finalized and early["rejected carrier"] == 1
     view.receive_block(child, carrier.timestamp)
     check_finality_scan(view, child, early)
+    assert c1 in view.observed_finalized
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "late finality, ROADMAP item 4: a view looks for newly finalized "
+    "checkpoints only when a block enters its tree, not when its clock "
+    "passes the stamp of a carrier it rejected"))
+def test_a_carrier_rejected_for_its_stamp_finalizes_once_the_clock_passes_it():
+    w, blocks = finalizing_chain()
+    carrier = blocks[-2]
+    c1 = blocks[w.proto.spacing].id
+    view = client(w)
+    for block in blocks[1:-1]:
+        view.receive_block(block, 3)         # the carrier is stamped 5
+    assert c1 not in view.observed_finalized
+    view.advance_clock(carrier.timestamp)
+    assert view.admissible(carrier)
     assert c1 in view.observed_finalized
 
 
@@ -1202,20 +1227,20 @@ def test_one_record_lookup_per_vote_entry_and_records_carry_link_and_weights(
         finally:
             sweeping.pop()
 
-    def counting(deliver):
-        def counted(net, kind, payload, names, now):
-            if net not in networks:
-                networks.append(net)
-            if kind == "vote":
-                calls["entries"] += 1
-                calls["deliveries"] += len(names)
-            deliver(net, kind, payload, names, now)
-        return counted
+    deliver = Network.deliver
+
+    def counted_deliver(net, kind, payload, names, now):
+        if net not in networks:
+            networks.append(net)
+        if kind == "vote":
+            calls["entries"] += 1
+            calls["deliveries"] += len(names)
+        deliver(net, kind, payload, names, now)
     monkeypatch.setattr(ChainStateCache, "record", counted_record)
     monkeypatch.setattr(ffg.finality, "step_state", counted_step)
     monkeypatch.setattr(ffg.scenarios, "sweep_invariants", counted_sweep)
-    monkeypatch.setattr(Network, "deliver", counting(Network.deliver))
-    monkeypatch.setattr(Simulation, "deliver", counting(Simulation.deliver))
+    monkeypatch.setattr(Network, "deliver", counted_deliver)
+    monkeypatch.setattr(Simulation, "deliver", counted_deliver)
 
     sim = Simulation(fuzz_config(18))
     sim.run_loop()
