@@ -113,17 +113,15 @@ def encode_block_body(parent: bytes, height: int, timestamp: int,
 
 
 def block_id(parent: bytes, height: int, timestamp: int, proposer: int | None,
-             payload: tuple[Transaction, ...], hash_name: str = "sha256") -> bytes:
-    return codec.digest(encode_block_body(parent, height, timestamp, proposer, payload),
-                        hash_name)
+             payload: tuple[Transaction, ...]) -> bytes:
+    return codec.digest(encode_block_body(parent, height, timestamp, proposer, payload))
 
 
 def make_block(parent_block: Block, timestamp: int, proposer: int | None,
-               payload: tuple[Transaction, ...] = (),
-               hash_name: str = "sha256") -> Block:
+               payload: tuple[Transaction, ...] = ()) -> Block:
     """Build a child of `parent_block` with the canonical digest id."""
     height = parent_block.height + 1
-    bid = block_id(parent_block.id, height, timestamp, proposer, payload, hash_name)
+    bid = block_id(parent_block.id, height, timestamp, proposer, payload)
     return Block(bid, parent_block.id, height, timestamp, proposer, payload)
 
 
@@ -144,19 +142,17 @@ class BlockTree:
       id is new, the parent is known, the height is the parent's plus one,
       the stamp is after the parent's and the id is the digest.
 
-    `trusted` is another tree, under the same hash.  A block object that
-    tree holds passed its checks there against the same parent id: blocks
-    are frozen and the trusted tree keeps the object alive, so identity
-    means its digest, height and stamp still hold.  Trust covers those three
-    and nothing else: `insert_block` still checks such an object for a
-    duplicate id and a known parent in this tree.  Any other object, even
-    one with a known id, is checked and hashed in full.
+    `trusted` is another tree.  A block object that tree holds passed its
+    checks there against the same parent id: blocks are frozen and the
+    trusted tree keeps the object alive, so identity means its digest,
+    height and stamp still hold.  Trust covers those three and nothing
+    else: `insert_block` still checks such an object for a duplicate id and
+    a known parent in this tree.  Any other object, even one with a known
+    id, is checked and hashed in full.
     """
 
-    def __init__(self, spacing: int, hash_name: str = "sha256",
-                 trusted: BlockTree | None = None):
+    def __init__(self, spacing: int, trusted: BlockTree | None = None):
         self.spacing = spacing
-        self.hash_name = hash_name
         self.trusted = trusted
         root = Block(GENESIS_ID, None, 0, 0, None, ())
         self.root = GENESIS_ID
@@ -187,7 +183,7 @@ class BlockTree:
         if timestamp <= parent.timestamp:
             raise NonMonotonicTimestamp(
                 f"timestamp {timestamp} not after parent {parent.timestamp}")
-        block = make_block(parent, timestamp, proposer, payload, self.hash_name)
+        block = make_block(parent, timestamp, proposer, payload)
         if block.id in self.blocks:
             raise DuplicateId(block.id.hex())
         self._add(block)
@@ -207,7 +203,7 @@ class BlockTree:
                 raise NonMonotonicTimestamp(
                     f"timestamp {block.timestamp} not after parent {parent.timestamp}")
             expect = block_id(block.parent, block.height, block.timestamp,
-                              block.proposer, block.payload, self.hash_name)
+                              block.proposer, block.payload)
             if expect != block.id:
                 raise DigestMismatch(block.id.hex())
         self._add(block)

@@ -107,7 +107,16 @@ def cmd_corpus(args) -> int:
     if not base.is_dir() or not digest_file.exists():
         print(f"error: no corpus at {base}", file=sys.stderr)
         return EXIT_USAGE
-    expected = json.loads(digest_file.read_text(encoding="utf-8"))
+    try:
+        expected = json.loads(digest_file.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:    # ValueError: not UTF-8 or not JSON
+        print(f"error: {digest_file}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if type(expected) is not dict \
+            or not all(type(digest) is str for digest in expected.values()):
+        print(f"error: {digest_file} must map scenario file names to digests",
+              file=sys.stderr)
+        return EXIT_USAGE
     # every scenario file runs, so one left unpinned fails instead of
     # going unchecked
     names = set(expected).union(path.name for path in base.glob("*.json")

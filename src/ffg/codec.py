@@ -12,8 +12,8 @@ they are length-prefixed and injective per kind:
               u32 tx count || blob(tx) ...
 
 The proposer field uses 2**64-1 as the sentinel for the external proposal
-engine.  Golden fixtures pin these layouts; changing them invalidates every
-recorded digest.
+engine, and a block's id is the SHA-256 `digest` of its encoding.  Golden
+fixtures pin these layouts; changing them invalidates every recorded digest.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from __future__ import annotations
 import hashlib
 
 EXTERNAL_PROPOSER = 2**64 - 1
-
-HASH_BYTES = 32
 
 
 def u64(value: int) -> bytes:
@@ -37,10 +35,8 @@ def blob(data: bytes) -> bytes:
     return u32(len(data)) + data
 
 
-def digest(data: bytes, hash_name: str = "sha256") -> bytes:
-    h = hashlib.new(hash_name)
-    h.update(data)
-    return h.digest()[:HASH_BYTES]
+def digest(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 def encode_vote_core(source: bytes, target: bytes, source_height: int,

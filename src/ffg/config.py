@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
-from .codec import HASH_BYTES
 from .errors import ConfigInvalid
 from .leak import LeakConfig
 
@@ -17,7 +15,6 @@ class ProtocolConfig:
     withdrawal_delay: int = 100      # omega, in epochs
     leak: LeakConfig = field(default_factory=LeakConfig)
     stitching: bool = True           # require 2/3 of both forward and rear sets
-    hash_name: str = "sha256"        # digest pinned so runs are reproducible
 
     def __post_init__(self):
         if type(self.spacing) is not int or self.spacing < 1:
@@ -28,11 +25,6 @@ class ProtocolConfig:
             raise ConfigInvalid("withdrawal delay must be an integer >= 0")
         if type(self.stitching) is not bool:
             raise ConfigInvalid("stitching must be true or false")
-        # a hash every platform has, so runs reproduce, and no shorter than ids
-        if self.hash_name not in hashlib.algorithms_guaranteed \
-                or hashlib.new(self.hash_name).digest_size < HASH_BYTES:
-            raise ConfigInvalid(f"hash {self.hash_name!r} is not a guaranteed "
-                                f"hashlib hash of at least {HASH_BYTES} bytes")
 
     def deadline(self, target_cp_height: int) -> int:
         """Last block number at which votes for a link into this target still

@@ -130,7 +130,7 @@ class ClientView:
         self.cfg = cfg = cache.cfg
         self.cache = cache
         self.clock = 0
-        self.tree = BlockTree(cfg.spacing, cfg.hash_name, trusted=cache.tree)
+        self.tree = BlockTree(cfg.spacing, trusted=cache.tree)
         self.votes: list[VoteData] = []
         # vote key -> the vote's position in `votes`
         self._received: dict[tuple, int] = {}

@@ -94,7 +94,7 @@ DYNAMIC_ATTACK = "dynamic_attack"
 # every kind but generic is scripted, with its contract in `ffg.scenarios`
 SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "withdrawal_delay": p.withdrawal_delay,
             "leak_rate": _frac_str(p.leak.rate),
             "stitching": p.stitching,
-            "hash_name": p.hash_name,
         },
         "validators": [
             {"index": s.index, "deposit": s.deposit,
@@ -226,7 +225,10 @@ _WRITTEN = config_to_dict(ScenarioConfig(validators=(ValidatorSpec(0, 1),)))
 
 def _over_written(data: dict, written: dict, where: str) -> dict:
     """`data` laid over `written`, one level of `_WRITTEN`, so a key it
-    leaves out reads the dataclass default; rejects a key `written` lacks."""
+    leaves out reads the dataclass default; rejects anything but an object
+    and a key `written` lacks."""
+    if type(data) is not dict:
+        raise ConfigInvalid(f"{where}: expected an object")
     unknown = sorted(set(data).difference(written))
     if unknown:
         raise ConfigInvalid(f"{where}: unknown keys {', '.join(unknown)}")
@@ -254,7 +256,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             withdrawal_delay=proto["withdrawal_delay"],
             leak=LeakConfig(rate=Fraction(proto["leak_rate"])),
             stitching=proto["stitching"],
-            hash_name=proto["hash_name"],
         )
         validators = tuple(map(_spec_from_dict, data["validators"]))
         cfg = ScenarioConfig(
@@ -391,7 +392,7 @@ class Network:
             registry.add_genesis_validator(spec.index, spec.deposit)
         for _epoch, index, _amount in cfg.deposits:
             self.keyring.register(index)
-        self.tree = BlockTree(self.proto.spacing, self.proto.hash_name)
+        self.tree = BlockTree(self.proto.spacing)
         self.cache = ChainStateCache(self.tree, self.proto, self.keyring, registry)
         self.pool = VotePool(self.keyring)        # omniscient pool for audits
         self.views: dict[str, ClientView] = {

@@ -38,7 +38,7 @@ def build_chain(tree, length, proposer=None, start=None, t0=None):
     t = t0 if t0 is not None else parent.timestamp
     out = []
     for i in range(length):
-        block = make_block(parent, t + i + 1, proposer, (), tree.hash_name)
+        block = make_block(parent, t + i + 1, proposer, ())
         tree.insert_block(block)
         out.append(block)
         parent = block
@@ -55,7 +55,7 @@ class World:
         for index, deposit in enumerate(weights):
             self.keyring.register(index)
             self.registry.add_genesis_validator(index, deposit)
-        self.tree = BlockTree(proto.spacing, proto.hash_name)
+        self.tree = BlockTree(proto.spacing)
         self.cache = ChainStateCache(self.tree, proto, self.keyring, self.registry)
         self.pool = VotePool(self.keyring)
         self.weights = list(weights)
@@ -80,8 +80,7 @@ class World:
         """One block carrying the given votes."""
         t = timestamp if timestamp is not None else parent_block.timestamp + 1
         block = make_block(parent_block, t, None,
-                           tuple(VoteInclusion(v) for v in votes),
-                           self.tree.hash_name)
+                           tuple(VoteInclusion(v) for v in votes))
         self.tree.insert_block(block)
         return block
 

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ffg import codec
 from ffg.chain import (GENESIS_ID, BlockTree, Deposit, SlashEvidence, VoteData,
                        VoteInclusion, Withdraw, block_id, make_block)
 from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
@@ -235,4 +234,4 @@ def test_block_id_changes_with_any_field():
     other_time = make_block(tree.get(GENESIS_ID), base.timestamp + 1, None)
     other_prop = make_block(tree.get(GENESIS_ID), base.timestamp, 3)
     assert len({base.id, other_time.id, other_prop.id}) == 3
-    assert len(base.id) == codec.HASH_BYTES
+    assert len(base.id) == 32

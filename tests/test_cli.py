@@ -11,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from ffg.cli import main
 from ffg.errors import ConfigInvalid
-from ffg.sim import Network, build_report, config_from_dict, config_to_dict, run
+from ffg.sim import (Network, ScenarioConfig, ValidatorSpec, build_report,
+                     config_from_dict, config_to_dict, run, sweep_invariants)
 from ffg.scenarios import (dynamic_attack_config, long_range_config,
                            split_finality_config)
+from test_slashing import dual_finalize_equal_height, make_world
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -31,7 +33,7 @@ def test_run_honest_exits_zero(tmp_path, capsys):
                  "--format", "json"])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema_version"] == 3
+    assert data["schema_version"] == 4
     assert data["clients"]
 
 
@@ -272,7 +274,6 @@ def honest_data(behavior=(), **changes):
 
 
 @pytest.mark.parametrize("changes", [
-    {"hash_name": "nope"}, {"hash_name": "shake_128"}, {"hash_name": "md5"},
     {"deposits": [[1, 9, -5]]}, {"deposits": [[1, 9, 0]]},
     {"deposits": [[1, 9, 50], [1, 9, 60]]}, {"deposits": [[1, 0, 50]]},
     {"withdraws": [[1, 99]]}, {"withdraws": [[1, 0], [2, 0]]},
@@ -309,7 +310,7 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     ids=repr)
 def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, value):
     # a misspelt or unread key used to be ignored, so the run silently used
-    # the default; a generic run reads no params, only schema 3 exists,
+    # the default; a generic run reads no params, only schema 4 exists,
     # leaked deposits are always burned, so no disposition can be set, and
     # slashed deposits are burned whole, so no finder's fee can be set
     data = honest_data()
@@ -323,18 +324,38 @@ def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, val
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level, where, value", [
+    ("scenario", (), [1]), ("scenario", (), "x"), ("scenario", (), None),
+    ("protocol", ("protocol",), [1]), ("protocol", ("protocol",), None),
+    ("validator", ("validators", 0), [1]), ("validator", ("validators", 0), "x"),
+    ("behavior", ("validators", 0, "behavior"), None),
+    ("behavior", ("validators", 0, "behavior"), [1])], ids=repr)
+def test_check_rejects_a_level_that_is_not_an_object(tmp_path, capsys, level,
+                                                     where, value):
+    # a list or string used to be read as its items' keys, and null failed
+    # in iteration, so the error named something else or nothing
+    data = honest_data()
+    if where:
+        part = data
+        for step in where[:-1]:
+            part = part[step]
+        part[where[-1]] = value
+    else:
+        data = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert f"error: {level}: expected an object" in capsys.readouterr().err
+
+
 @settings(max_examples=40, deadline=None)
-@given(hash_name=st.sampled_from(["sha256", "sha512", "blake2s", "sha3_256",
-                                  "sha1", "md5", "shake_128", "nope"]),
-       deposits=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9),
+@given(deposits=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9),
                                    st.integers(-1, 200)), max_size=3),
        withdraws=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9)),
                           max_size=3),
        observers=st.integers(-2, 3), duration=st.integers(1, 2))
-def test_a_config_that_loads_runs(hash_name, deposits, withdraws, observers,
-                                  duration):
-    data = honest_data(hash_name=hash_name, observers=observers,
-                       duration_epochs=duration,
+def test_a_config_that_loads_runs(deposits, withdraws, observers, duration):
+    data = honest_data(observers=observers, duration_epochs=duration,
                        deposits=[list(d) for d in deposits],
                        withdraws=[list(w) for w in withdraws])
     try:
@@ -374,6 +395,16 @@ def test_corpus_fails_a_scenario_file_with_no_pinned_digest(tmp_path, capsys):
         "is not pinned" in out
 
 
+@pytest.mark.parametrize("pins", ["[", "[1]", '{"all_honest.json": 5}'],
+                         ids=repr)
+def test_corpus_with_malformed_digests_exits_one(tmp_path, capsys, pins):
+    name = "all_honest.json"
+    (tmp_path / name).write_text((REPO_SCENARIOS / name).read_text())
+    (tmp_path / "digests.json").write_text(pins)
+    assert main(["corpus", "--dir", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_corpus_env_var(monkeypatch, capsys):
     monkeypatch.setenv("FFG_CORPUS_DIR", str(REPO_SCENARIOS))
     assert main(["corpus"]) == 0
@@ -385,15 +416,8 @@ def test_corpus_missing_dir(tmp_path):
 
 # -- audit ----------------------------------------------------------------------
 
-def dual_finalized_report():
-    """Equal-height conflicting finalizations with full equivocation."""
-    from test_slashing import dual_finalize_equal_height, make_world
-    from ffg.sim import ScenarioConfig, ValidatorSpec, sweep_invariants
-    from ffg.config import ProtocolConfig
-    from ffg.leak import LeakConfig
-    from fractions import Fraction
-    w = make_world([100, 100, 100])
-    l1, r1 = dual_finalize_equal_height(w)
+def world_report(w):
+    """The report of a run whose tree, cache and pool are `w`'s."""
     cfg = ScenarioConfig(
         name="forced_equivocation", seed=42,
         protocol=w.proto,
@@ -401,8 +425,14 @@ def dual_finalized_report():
         duration_epochs=4, observers=0)
     net = Network(cfg, ())
     net.tree, net.cache, net.pool = w.tree, w.cache, w.pool
-    report = build_report(net, sweep_invariants(net))
-    return report, l1, r1
+    return build_report(net, sweep_invariants(net))
+
+
+def dual_finalized_report():
+    """Equal-height conflicting finalizations with full equivocation."""
+    w = make_world([100, 100, 100])
+    l1, r1 = dual_finalize_equal_height(w)
+    return world_report(w), l1, r1
 
 
 def test_audit_equivocation_bound_holds(tmp_path, capsys):
@@ -421,6 +451,17 @@ def test_audit_non_conflicting_exits_one(tmp_path, capsys):
     path.write_text(report.to_json())
     root = "00" * 32
     assert main(["audit", "--report", str(path), root, l1.hex()]) == 1
+
+
+def test_audit_of_a_checkpoint_never_finalized_exits_one(tmp_path, capsys):
+    w = make_world([100, 100, 100])
+    l1, _r1 = dual_finalize_equal_height(w)
+    # a conflicting checkpoint on a third branch, which no vote names
+    bare = w.grow(w.proto.spacing, proposer=1)[-1]
+    path = tmp_path / "report.json"
+    path.write_text(world_report(w).to_json())
+    assert main(["audit", "--report", str(path), l1.hex(), bare.id.hex()]) == 1
+    assert "error: NotFinalized" in capsys.readouterr().err
 
 
 def test_audit_dynamic_attack_empty_violators(tmp_path, capsys):

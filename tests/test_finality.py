@@ -275,15 +275,13 @@ def test_dynasty_and_join_leave_through_chain():
     joiner_key = w.keyring.register(7)
     b = {0: w.tree.get(w.tree.root)}
     b[1] = w.include(b[0], [], timestamp=1)
-    dep = make_block(b[1], 2, None, (Deposit(7, joiner_key, 50),),
-                     w.tree.hash_name)
+    dep = make_block(b[1], 2, None, (Deposit(7, joiner_key, 50),))
     w.tree.insert_block(dep)
     state = w.cache.get(dep.id)
     assert state.dynasty == 0
     assert state.registry.get(7).start_dynasty == 2
 
-    wd = make_block(dep, 3, None, (Withdraw(0, w.keyring.pubkey(0)),),
-                    w.tree.hash_name)
+    wd = make_block(dep, 3, None, (Withdraw(0, w.keyring.pubkey(0)),))
     w.tree.insert_block(wd)
     state = w.cache.get(wd.id)
     assert state.registry.get(0).end_dynasty == 2

@@ -86,13 +86,12 @@ def test_missing_evidence_rejection_window():
     b = sign_vote(w.keyring, 0, blocks[3].id, c1, 1, 1)   # same target height
     view.receive_vote(a, 9)
     assert view.receive_vote(b, heard_at)                 # violation heard now
-    late = make_block(blocks[-1], heard_at + 2 * 4 + 1, None, (),
-                      w.tree.hash_name)
+    late = make_block(blocks[-1], heard_at + 2 * 4 + 1, None, ())
     w.tree.insert_block(late)
     view.receive_block(late, late.timestamp)
     assert view.admissible(late) is False
     # exactly at the boundary the block still passes
-    ontime = make_block(blocks[-1], heard_at + 2 * 4, 1, (), w.tree.hash_name)
+    ontime = make_block(blocks[-1], heard_at + 2 * 4, 1, ())
     w.tree.insert_block(ontime)
     view.receive_block(ontime, late.timestamp)
     assert view.admissible(ontime) is True
@@ -110,18 +109,17 @@ def test_evidence_rule_checks_ancestor_chain():
     view.receive_vote(b, 10)
     violation = check_pair(a, b)
     carrying = make_block(blocks[-1], 19, None,
-                          (SlashEvidence(violation.vote_a, violation.vote_b),),
-                          w.tree.hash_name)
+                          (SlashEvidence(violation.vote_a, violation.vote_b),))
     w.tree.insert_block(carrying)
     view.receive_block(carrying, 19)
     assert view.admissible(carrying) is True
-    follow = make_block(carrying, 25, None, (), w.tree.hash_name)
+    follow = make_block(carrying, 25, None, ())
     w.tree.insert_block(follow)
     view.receive_block(follow, 25)
     assert view.admissible(follow) is True
     # the old-stamp rule must not shadow the evidence rule: an evidence-free
     # sibling stamped late-but-old is rejected outright
-    stale = make_block(blocks[-1], 20, 1, (), w.tree.hash_name)
+    stale = make_block(blocks[-1], 20, 1, ())
     w.tree.insert_block(stale)
     view.receive_block(stale, 40)
     assert view.admissible(stale) is False
@@ -146,13 +144,12 @@ def heard_then_judged(make_proof):
     feed_chain(view, w, blocks)
     view.receive_vote(a, 8)
     assert view.receive_vote(b, 9)
-    carrier = make_block(blocks[-1], 10, None, (make_proof(w, a, b, c),),
-                         w.tree.hash_name)
+    carrier = make_block(blocks[-1], 10, None, (make_proof(w, a, b, c),))
     w.tree.insert_block(carrier)
     view.receive_block(carrier, 10)
     verdicts = []
     for stamp in (17, 18):
-        child = make_block(carrier, stamp, None, (), w.tree.hash_name)
+        child = make_block(carrier, stamp, None, ())
         w.tree.insert_block(child)
         view.receive_block(child, stamp)
         assert view.admissible(child) is rule_admissible(view, child)
@@ -715,8 +712,7 @@ def test_evidence_heard_after_clean_memo_rejects_chain():
     (a0, b0), (a1, b1) = two_violations(w, blocks)
     first = check_pair(a0, b0)
     carrier = make_block(blocks[-1], 5, None,
-                         (SlashEvidence(first.vote_a, first.vote_b),),
-                         w.tree.hash_name)
+                         (SlashEvidence(first.vote_a, first.vote_b),))
     w.tree.insert_block(carrier)
     blocks += [carrier] + w.grow(7, start=carrier.id)      # stamped 5..12
     view = client(w)
@@ -949,8 +945,8 @@ def test_tampered_block_with_known_id_is_rejected(monkeypatch):
 def test_shared_tree_blocks_skip_the_digest_others_are_hashed(monkeypatch):
     w = make_world()
     blocks = w.grow(2)
-    stray = make_block(blocks[-1], blocks[-1].timestamp + 1, 1, (),
-                       w.tree.hash_name)         # never inserted in w.tree
+    # never inserted in w.tree
+    stray = make_block(blocks[-1], blocks[-1].timestamp + 1, 1, ())
     view = client(w)
     calls = count_block_digests(monkeypatch)
     feed_chain(view, w, blocks)
@@ -981,7 +977,7 @@ def test_other_objects_are_checked_in_full(monkeypatch):
     def digested(height, timestamp, payload):
         """A block whose id is the digest of its own fields."""
         bid = ffg.chain.block_id(parent.id, height, timestamp, real.proposer,
-                                 payload, w.tree.hash_name)
+                                 payload)
         return Block(bid, parent.id, height, timestamp, real.proposer, payload)
 
     too_high = digested(real.height + 1, real.timestamp, ())

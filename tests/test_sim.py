@@ -110,6 +110,30 @@ def test_double_voter_is_slashed_and_honest_are_not():
     assert report.invariants["safety_no_conflicting_finalized"]
 
 
+def test_censored_evidence_leaves_the_violator_unslashed_and_its_chain_rejected():
+    # with censor_evidence no proposer offers the pending proof, so the
+    # double voter heard at 13 is never slashed and the evidence rule rejects
+    # every block stamped more than 2*delta after that; without it one proof
+    # lands in time and nothing is rejected
+    outcomes = {}
+    for censor in (True, False):
+        cfg = replace(base_config(n=7, seed=5,
+                                  behaviors={0: Behavior(DOUBLE_VOTER, 1)}),
+                      censor_evidence=censor)
+        sim = Simulation(cfg)
+        sim.run_loop()
+        view = sim.views["client0"]
+        blocks = list(sim.tree.iter_blocks())
+        outcomes[censor] = (
+            sum(isinstance(tx, SlashEvidence)
+                for block in blocks for tx in block.payload),
+            len(ffg.sim.build_report(sim, {}).slashings),
+            view._heard,
+            sum(not view.admissible(block) for block in blocks))
+    assert outcomes[True] == (0, 0, {0: 13}, 13)
+    assert outcomes[False] == (1, 1, {0: 13}, 0)
+
+
 def test_surround_voter_is_slashed():
     cfg = base_config(n=5, epochs=7, behaviors={4: Behavior(SURROUND_VOTER, 3)})
     report = run(cfg)

@@ -6,7 +6,7 @@ import pytest
 
 from ffg.chain import SlashEvidence, Withdraw, make_block
 from ffg.config import ProtocolConfig
-from ffg.errors import DifferentValidators, NotConflicting
+from ffg.errors import DifferentValidators, NotConflicting, NotFinalized
 from ffg.leak import LeakConfig
 from ffg.sim import Network, ScenarioConfig, ValidatorSpec, build_report
 from ffg.slashing import (ViolationKind, check_pair, safety_audit, scan,
@@ -145,7 +145,7 @@ def test_scan_sees_cross_branch_and_noncountable_votes():
 
 def evidence_block(w, parent, first, second):
     block = make_block(parent, parent.timestamp + 1, None,
-                       (SlashEvidence(first, second),), w.tree.hash_name)
+                       (SlashEvidence(first, second),))
     w.tree.insert_block(block)
     return block, w.cache.get(block.id).registry
 
@@ -236,7 +236,7 @@ def leaving_chain(w, leaver=3):
     E = w.proto.spacing
     cps = [w.tree.root]
     tip = make_block(w.tree.get(w.tree.root), 1, None,
-                     (Withdraw(leaver, w.keyring.pubkey(leaver)),), w.tree.hash_name)
+                     (Withdraw(leaver, w.keyring.pubkey(leaver)),))
     w.tree.insert_block(tip)
     for h in range(2, 4 * E + 1):
         votes = []
@@ -377,3 +377,15 @@ def test_audit_requires_conflict():
     blocks = w.grow(4)
     with pytest.raises(NotConflicting):
         safety_audit(w.cache, w.pool, w.tree.root, blocks[1].id)
+
+
+def test_audit_requires_both_finalizations():
+    w = make_world([100, 100, 100])
+    l1, r1 = dual_finalize_equal_height(w)
+    E = w.proto.spacing
+    # two more branches off the root, with checkpoints no vote names
+    bare = w.grow(E, proposer=1)[-1].id
+    other = w.grow(E, proposer=2)[-1].id
+    for a, b in ((l1, bare), (bare, r1), (bare, other)):
+        with pytest.raises(NotFinalized):
+            safety_audit(w.cache, w.pool, a, b)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ffg.errors import (AlreadyLeaving, NotActive, Rejoin, UnknownValidator,
-                        ZeroDeposit)
+from ffg.errors import (AlreadyLeaving, AlreadySlashed, NotActive, Rejoin,
+                        UnknownValidator, ZeroDeposit)
 from ffg.finality import snapshot_registry
 from ffg.validators import ValidatorRegistry
 
@@ -108,6 +108,14 @@ def test_total_weight_and_slash():
     assert reg.get(1).deposit == 0
     with pytest.raises(UnknownValidator):
         reg.get(9)
+
+
+def test_slashing_a_slashed_validator_raises():
+    reg = registry_with([0, 1])
+    assert reg.slash(1) == 100
+    with pytest.raises(AlreadySlashed):
+        reg.slash(1)
+    assert reg.get(1).deposit == 0 and reg.get(1).slashed
 
 
 def test_end_dynasty_anchor_covers_jumped_range():
