@@ -226,8 +226,8 @@ class ChainState:
     counted on it, so a vote included again, in a later payload or as
     another object, is not counted twice.  A child shares its parent's sets
     until it adds to one (`_StepContext.link_voters`).  `evidence_against`
-    holds the validators the chain has included valid evidence against, one
-    proof each (`_StepContext.include_evidence`).  `slashings` and `payouts`
+    holds the validators the chain has slashed by valid evidence, one proof
+    each (`_StepContext.include_evidence`).  `slashings` and `payouts`
     are this block's own: the violation each proof that newly covers a
     validator proves (`proven_violation`), in payload order, and the
     `(index, height)` of each withdrawal it pays out.
@@ -361,21 +361,21 @@ class _StepContext:
 
     def include_evidence(self, tx: SlashEvidence, keyring: Keyring):
         """One valid proof covers its validator and burns its whole deposit;
-        a proof against a validator the chain already covers is skipped
-        unverified, and an invalid one covers no one.  Only this slashes,
-        so a covered validator's record is slashed already.  The block
-        keeps the violation a covering proof proves, for the report."""
+        a proof against a validator the chain covers or holds no record of
+        is skipped unverified, and an invalid one covers no one.  Only this
+        slashes, so a covered validator's record is slashed already.  The
+        block keeps the violation a covering proof proves, for the report."""
         st = self.st
         index = tx.first.validator_index
-        if index in st.evidence_against or index in self.new_evidence:
+        if index in st.evidence_against or index in self.new_evidence \
+                or index not in st.registry.records:
             return
         violation = proven_violation(keyring, tx)
         if violation is None:
             return
         self.new_evidence.add(index)
         st.slashings = st.slashings + (violation,)
-        if index in st.registry.records:
-            self.registry().slash(index)
+        self.registry().slash(index)
 
 
 def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:

@@ -19,8 +19,9 @@ Each kind's contract is stated once, by its reader (`read_dynamic_attack`,
 `read_long_range`, `read_split_finality`): exactly the params it reads, the
 values and protocol settings its script can use, and the values the script
 runs with.  `ScenarioConfig.validate` calls `check_scripted` (two observers,
-unread fields at their defaults, then the reader) and each script calls its
-reader, so `ffg check` accepts exactly what `ffg run` can run.
+unread fields at their defaults, every validator a genesis member that never
+leaves, then the reader) and each script calls its reader, so `ffg check`
+accepts exactly what `ffg run` can run.
 
 * dynamic_attack: two validator generations hand over; one branch includes
   the handover finalization votes in time, the sibling branch includes them
@@ -61,8 +62,7 @@ from .votes import sign_vote
 SCRIPTED_OBSERVERS = 2
 # config fields the scripts never read (each derives its horizon from its
 # params and the protocol), so they must keep their defaults
-SCRIPTED_UNREAD = ("duration_epochs", "proposer_fork_rate", "deposits", "withdraws",
-                   "censor_evidence")
+SCRIPTED_UNREAD = ("duration_epochs", "proposer_fork_rate", "censor_evidence")
 
 
 def check_scripted(cfg: ScenarioConfig) -> None:
@@ -72,6 +72,9 @@ def check_scripted(cfg: ScenarioConfig) -> None:
                             f"{SCRIPTED_OBSERVERS}, got {cfg.observers}")
     unread = [name for name in SCRIPTED_UNREAD
               if getattr(cfg, name) != getattr(ScenarioConfig, name)]
+    # every validator is a genesis member that never leaves
+    if any(spec.join_epoch or spec.leave_epoch is not None for spec in cfg.validators):
+        unread.append("join_epoch or leave_epoch")
     if unread:
         raise ConfigInvalid(f"scenario {cfg.scenario!r} does not read "
                             f"{', '.join(unread)}: only the default is allowed")

@@ -65,7 +65,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 
 from .chain import (Block, BlockTree, Deposit, SlashEvidence, VoteData,
@@ -94,7 +94,7 @@ DYNAMIC_ATTACK = "dynamic_attack"
 # every kind but generic is scripted, with its contract in `ffg.scenarios`
 SCENARIO_KINDS = (GENERIC, LONG_RANGE, SPLIT_FINALITY, DYNAMIC_ATTACK)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,14 @@ class Behavior:
     from_epoch: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidatorSpec:
+    """One validator and its agent; it joins and leaves by `_scheduled_txs`."""
     index: int
     deposit: int
     behavior: Behavior = Behavior()
+    join_epoch: int = 0                 # 0: a genesis member
+    leave_epoch: int | None = None      # None: never leaves
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,6 @@ class ScenarioConfig:
     proposer_fork_rate: Fraction = Fraction(0)
     scenario: str = GENERIC
     params: dict = field(default_factory=dict)
-    deposits: tuple[tuple[int, int, int], ...] = ()    # (epoch, index, amount)
-    withdraws: tuple[tuple[int, int], ...] = ()        # (epoch, index)
     censor_evidence: bool = False
 
     def validate(self) -> None:
@@ -139,15 +140,14 @@ class ScenarioConfig:
             raise ConfigInvalid("observers must be an integer >= 0")
         if type(self.censor_evidence) is not bool:
             raise ConfigInvalid("censor_evidence must be true or false")
-        if not self.validators:
-            raise ConfigInvalid("at least one validator required")
-        joined: dict[int, int] = {}         # index -> epoch of its deposit
+        seen = set()
         for spec in self.validators:
             if not u64s((spec.index, spec.deposit), 2) or spec.deposit == 0:
                 raise ConfigInvalid(f"validator {spec.index}: need a u64 index "
                                     "and a u64 deposit > 0")
-            if spec.index in joined:
+            if spec.index in seen:
                 raise ConfigInvalid(f"duplicate validator index {spec.index}")
+            seen.add(spec.index)
             if spec.behavior.kind not in BEHAVIOR_KINDS:
                 raise ConfigInvalid(f"unknown behavior {spec.behavior.kind!r}")
             if type(spec.behavior.from_epoch) is not int:
@@ -155,23 +155,15 @@ class ScenarioConfig:
                                     "be an integer")
             if spec.behavior.kind == SURROUND_VOTER and spec.behavior.from_epoch < 3:
                 raise ConfigInvalid("surround voter needs from_epoch >= 3")
-            joined[spec.index] = 0
+            leave = spec.leave_epoch
+            if not u64s((spec.join_epoch,), 1) or leave is not None and not (
+                    u64s((leave,), 1) and leave >= spec.join_epoch):
+                raise ConfigInvalid(f"validator {spec.index}: need a u64 join_epoch "
+                                    "and a null or u64 leave_epoch >= join_epoch")
+        if all(spec.join_epoch for spec in self.validators):
+            raise ConfigInvalid("at least one validator of join_epoch 0 required")
         if not (0 <= self.proposer_fork_rate < 1):
             raise ConfigInvalid("fork rate must be in [0, 1)")
-        # each deposit adds a new validator and each withdraw removes one
-        # once, not before its deposit; like indexes, amounts are u64
-        for entry in self.deposits:
-            if not u64s(entry, 3) or entry[2] == 0 or entry[1] in joined:
-                raise ConfigInvalid(f"deposit {list(entry)}: need [epoch, "
-                                    "index, amount > 0] with a new index")
-            joined[entry[1]] = entry[0]
-        left = set()
-        for entry in self.withdraws:
-            if not u64s(entry, 2) or entry[1] in left \
-                    or entry[0] < joined.get(entry[1], math.inf):
-                raise ConfigInvalid(f"withdraw {list(entry)}: need [epoch, index] "
-                                    "once per index, not before its deposit")
-            left.add(entry[1])
         if self.scenario != GENERIC:
             from .scenarios import check_scripted
             check_scripted(self)
@@ -203,7 +195,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         },
         "validators": [
             {"index": s.index, "deposit": s.deposit,
-             "behavior": {"kind": s.behavior.kind, "from_epoch": s.behavior.from_epoch}}
+             "behavior": {"kind": s.behavior.kind, "from_epoch": s.behavior.from_epoch},
+             "join_epoch": s.join_epoch, "leave_epoch": s.leave_epoch}
             for s in cfg.validators
         ],
         "duration_epochs": cfg.duration_epochs,
@@ -211,8 +204,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "proposer_fork_rate": _frac_str(cfg.proposer_fork_rate),
         "scenario": cfg.scenario,
         "params": cfg.params,
-        "deposits": [list(d) for d in cfg.deposits],
-        "withdraws": [list(w) for w in cfg.withdraws],
         "censor_evidence": cfg.censor_evidence,
     }
 
@@ -223,32 +214,37 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 _WRITTEN = config_to_dict(ScenarioConfig(validators=(ValidatorSpec(0, 1),)))
 
 
-def _over_written(data: dict, written: dict, where: str) -> dict:
+def _over_written(data: dict, written: dict, where: str, required=()) -> dict:
     """`data` laid over `written`, one level of `_WRITTEN`, so a key it
-    leaves out reads the dataclass default; rejects anything but an object
-    and a key `written` lacks."""
+    leaves out reads the dataclass default; rejects anything but an object,
+    a key `written` lacks, and a missing key of `required`."""
     if type(data) is not dict:
         raise ConfigInvalid(f"{where}: expected an object")
     unknown = sorted(set(data).difference(written))
     if unknown:
         raise ConfigInvalid(f"{where}: unknown keys {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigInvalid(f"{where}: missing required keys {', '.join(missing)}")
     return {**written, **data}
 
 
 def _spec_from_dict(data: dict) -> ValidatorSpec:
     written = _WRITTEN["validators"][0]
-    _over_written(data, written, "validator")   # index and deposit: required
-    behavior = _over_written(data.get("behavior", {}), written["behavior"],
-                             "behavior")
-    return ValidatorSpec(data["index"], data["deposit"],
-                         Behavior(behavior["kind"], behavior["from_epoch"]))
+    spec = _over_written(data, written, "validator", ("index", "deposit"))
+    behavior = _over_written(spec["behavior"], written["behavior"], "behavior")
+    return ValidatorSpec(spec["index"], spec["deposit"],
+                         Behavior(behavior["kind"], behavior["from_epoch"]),
+                         spec["join_epoch"], spec["leave_epoch"])
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     try:
-        top = _over_written(data, _WRITTEN, "scenario")
+        top = _over_written(data, _WRITTEN, "scenario", ("validators",))
         if top["schema_version"] != SCHEMA_VERSION:
             raise ConfigInvalid(f"schema_version must be {SCHEMA_VERSION}")
+        if type(top["params"]) is not dict:
+            raise ConfigInvalid("params: expected an object")
         proto = _over_written(top["protocol"], _WRITTEN["protocol"], "protocol")
         pcfg = ProtocolConfig(
             spacing=proto["spacing"],
@@ -257,22 +253,19 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             leak=LeakConfig(rate=Fraction(proto["leak_rate"])),
             stitching=proto["stitching"],
         )
-        validators = tuple(map(_spec_from_dict, data["validators"]))
         cfg = ScenarioConfig(
             name=top["name"],
             seed=top["seed"],
             protocol=pcfg,
-            validators=validators,
+            validators=tuple(map(_spec_from_dict, top["validators"])),
             duration_epochs=top["duration_epochs"],
             observers=top["observers"],
             proposer_fork_rate=Fraction(top["proposer_fork_rate"]),
             scenario=top["scenario"],
             params=dict(top["params"]),
-            deposits=tuple(tuple(d) for d in top["deposits"]),
-            withdraws=tuple(tuple(w) for w in top["withdraws"]),
             censor_evidence=top["censor_evidence"],
         )
-    except (KeyError, TypeError, ValueError,
+    except (TypeError, ValueError,
             ZeroDivisionError, OverflowError) as exc:   # "n/0", an infinite float
         raise ConfigInvalid(str(exc)) from exc
     cfg.validate()
@@ -309,13 +302,14 @@ class Agent:
         return source, self.view.tree.require_checkpoint(source)
 
     def maybe_vote(self) -> list[VoteData]:
-        """Vote for the head chain's checkpoint of the newest epoch, skipping
-        anything that would violate a commandment against our own history."""
+        """Vote for the head chain's checkpoint of the newest epoch from our
+        `join_epoch` on, skipping anything that would violate a commandment
+        against our own history."""
         view = self.view
         head = view.head()
         target = view.tree.latest_checkpoint(head)
         h_t = view.tree.require_checkpoint(target)
-        if h_t <= self.last_voted_height:
+        if h_t <= self.last_voted_height or h_t < self.spec.join_epoch:
             return []
         self.last_voted_height = h_t
         behavior = self.spec.behavior
@@ -389,9 +383,11 @@ class Network:
         registry = ValidatorRegistry()
         for spec in cfg.validators:
             self.keyring.register(spec.index)
-            registry.add_genesis_validator(spec.index, spec.deposit)
-        for _epoch, index, _amount in cfg.deposits:
-            self.keyring.register(index)
+            if spec.join_epoch == 0:
+                registry.add_genesis_validator(spec.index, spec.deposit)
+        # the specs that join late or leave; empty for a static set
+        self.scheduled = [spec for spec in cfg.validators
+                          if spec.join_epoch or spec.leave_epoch is not None]
         self.tree = BlockTree(self.proto.spacing)
         self.cache = ChainStateCache(self.tree, self.proto, self.keyring, registry)
         self.pool = VotePool(self.keyring)        # omniscient pool for audits
@@ -515,12 +511,11 @@ class Simulation(Network):
         self._reporters = frozenset(
             name for name, agent in self.agents.items()
             if agent.spec.behavior.kind != OFFLINE)
-        # validator index -> the first evidence submitted against it, in the
-        # order submitted
+        # validator index -> the first evidence submitted against it
         self.pending_evidence: dict[int, SlashEvidence] = {}
-        # block id -> (proposer's received vote count, pending evidence
-        # count) when it was proposed; see `propose`
-        self._offered: dict[bytes, tuple[int, int]] = {self.tree.root: (0, 0)}
+        # block id -> the proposer's received vote count when it was
+        # proposed; see `propose`
+        self._offered: dict[bytes, int] = {self.tree.root: 0}
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -570,34 +565,35 @@ class Simulation(Network):
     # -- proposer ----------------------------------------------------------------
 
     def _scheduled_txs(self, epoch: int, parent_state) -> list:
-        """The scheduled deposits and withdraws that a block of `epoch` on
-        the parent's chain carries: each from its own epoch on, until the
-        chain has applied it; a withdraw also waits until its validator is
-        active in the block's dynasty."""
+        """The scheduled specs' deposits and withdraws that a block of `epoch`
+        on the parent's chain carries, each from its epoch on until the chain
+        applies it; a withdraw waits until its validator is in the dynasty."""
         txs = []
         records = parent_state.registry.records
-        for ep, index, amount in self.cfg.deposits:
-            if ep <= epoch and index not in records:
-                txs.append(Deposit(index, self.keyring.pubkey(index), amount))
-        for ep, index in self.cfg.withdraws:
-            rec = records.get(index)
-            if ep <= epoch and rec is not None and rec.end_dynasty is None \
+        for spec in self.scheduled:
+            rec = records.get(spec.index)
+            pubkey = self.keyring.pubkey(spec.index)
+            if rec is None:
+                if spec.join_epoch <= epoch:
+                    txs.append(Deposit(spec.index, pubkey, spec.deposit))
+            elif spec.leave_epoch is not None and spec.leave_epoch <= epoch \
+                    and rec.end_dynasty is None \
                     and rec.start_dynasty < len(parent_state.finalized_at):
-                txs.append(Withdraw(index, self.keyring.pubkey(index)))
+                txs.append(Withdraw(spec.index, pubkey))
         return txs
 
     def propose(self, now: int) -> None:
         """Extend the proposer's head (or, at the fork rate, its parent) with
         one block carrying what its chain has not yet included: the pending
-        evidence, in validator order, and the votes the proposer's view has
-        received, in receipt order.
+        evidence against validators its chain has not covered, in validator
+        order, and the votes the proposer's view has received since the
+        parent was proposed, in receipt order.
 
-        Both are what arrived after the parent was proposed.  Every block of
-        a generic run is proposed here, and each carries all it was offered:
-        the received votes are distinct, and pending evidence is never
-        removed.  So a chain's payloads hold exactly the receipt prefix and
-        the evidence its tip was offered (one proof per violator), and the
-        rest is new."""
+        Every block of a generic run is proposed here and carries all the
+        votes it was offered, which are distinct, so a chain's payloads hold
+        exactly the receipt prefix and the rest is new.  A proof covers its
+        validator only once the chain holds the validator's record
+        (`include_evidence`), so it is carried again until it does."""
         head = self.proposer.head()
         parent_id = head
         if self.cfg.proposer_fork_rate and head != self.tree.root:
@@ -608,15 +604,14 @@ class Simulation(Network):
         parent_state = self.cache.get(parent_id)
         epoch = self.proto.epoch_of_height(parent.height + 1)
         txs = self._scheduled_txs(epoch, parent_state)
-        n_votes, n_evidence = self._offered[parent_id]
-        pending = self.pending_evidence
         if not self.cfg.censor_evidence:
-            txs.extend(pending[key]
-                       for key in sorted(islice(pending, n_evidence, None)))
+            covered = parent_state.evidence_against
+            txs.extend(proof for index, proof in sorted(self.pending_evidence.items())
+                       if index not in covered)
         votes = self.proposer.votes
-        txs.extend(VoteInclusion(vote) for vote in votes[n_votes:])
+        txs.extend(VoteInclusion(vote) for vote in votes[self._offered[parent_id]:])
         block = self.tree.extend(parent_id, now, None, tuple(txs))
-        self._offered[block.id] = (len(votes), len(pending))
+        self._offered[block.id] = len(votes)
         self.broadcast_block(block, now)
 
     # `bench/tracing.py` counts `sim.deliver` by wrapping this class's own
@@ -726,14 +721,16 @@ def sweep_invariants(net: Network) -> dict:
       one chain, each block at most once in all), then at most F^2/2 pair
       tests of two set lookups each;
     * slashable weight: `scan` checks every pair of one validator's votes,
-      sum of v_i^2 / 2 pair checks;
+      sum of v_i^2 / 2 pair checks; violators weigh their deposits against
+      the genesis total, since every spec's would add up a handover's sets;
     * link properties: one `tally` per voted link, one record lookup per
       vote on it, and an L log L nesting check;
     * one justified checkpoint per height: one `compute_justified` pass,
       one record lookup per pool vote;
     * honest never slashed: every validator record at every leaf;
     * accountability: one `safety_audit` of the first conflicting pair, only
-      when there is one and the validator set is static.
+      when there is one and the validator set is static: no spec joins late
+      or leaves (`Network.scheduled` is empty).
     """
     cfg = net.cfg
     tree, pool, cache = net.tree, net.pool, net.cache
@@ -747,9 +744,9 @@ def sweep_invariants(net: Network) -> dict:
 
     violations = scan(pool)
     violator_indexes = sorted({v.validator_index for v in violations})
-    genesis_weights = {s.index: s.deposit for s in cfg.validators}
-    total = sum(genesis_weights.values())
-    violator_weight = sum(genesis_weights.get(i, 0) for i in violator_indexes)
+    deposits = {s.index: s.deposit for s in cfg.validators}
+    total = sum(s.deposit for s in cfg.validators if s.join_epoch == 0)
+    violator_weight = sum(deposits.get(i, 0) for i in violator_indexes)
     under_third = 3 * violator_weight < total
 
     links = established_links(cache, pool)
@@ -771,8 +768,7 @@ def sweep_invariants(net: Network) -> dict:
                 honest_unslashed = False
 
     accountability = None
-    static_set = not cfg.deposits and not cfg.withdraws
-    if conflict_pair is not None and static_set:
+    if conflict_pair is not None and not net.scheduled:
         from .slashing import safety_audit
         result = safety_audit(cache, pool, conflict_pair[0], conflict_pair[1])
         accountability = {

@@ -15,6 +15,7 @@ from ffg.sim import (Network, ScenarioConfig, ValidatorSpec, build_report,
                      config_from_dict, config_to_dict, run, sweep_invariants)
 from ffg.scenarios import (dynamic_attack_config, long_range_config,
                            split_finality_config)
+from test_scenarios import with_field
 from test_slashing import dual_finalize_equal_height, make_world
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -33,7 +34,7 @@ def test_run_honest_exits_zero(tmp_path, capsys):
                  "--format", "json"])
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["schema_version"] == 4
+    assert data["schema_version"] == 5
     assert data["clients"]
 
 
@@ -127,13 +128,12 @@ def test_run_scripted_scenario_with_other_observer_count_exits_one(
 
 @pytest.mark.parametrize("field, value", [
     ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
-    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),)),
-    ("duration_epochs", 9)])
+    ("join_epoch", 2), ("leave_epoch", 2), ("duration_epochs", 9)])
 def test_run_scripted_scenario_with_a_field_it_never_reads_exits_one(
         tmp_path, capsys, field, value):
     for cfg in (dynamic_attack_config(stitching=True), long_range_config(5),
                 split_finality_config()):
-        path = write_scenario(tmp_path, replace(cfg, **{field: value}))
+        path = write_scenario(tmp_path, with_field(cfg, field, value))
         assert main(["run", "--scenario", str(path)]) == 1
         assert field in capsys.readouterr().err
 
@@ -261,23 +261,28 @@ def test_a_long_range_config_that_loads_runs(delta, withdrawal_delay, reveal):
     run(config_from_dict(data))
 
 
-def honest_data(behavior=(), **changes):
+def honest_data(behavior=(), spec=(), **changes):
     """`scenarios/all_honest.json` with fields changed: a protocol field in
-    the protocol, any other at the top level; `behavior` updates the first
-    validator's behavior."""
+    the protocol, any other at the top level; `spec` updates the first
+    validator and `behavior` its behavior."""
     data = json.loads((REPO_SCENARIOS / "all_honest.json").read_text())
     for key in data["protocol"].keys() & changes.keys():
         data["protocol"][key] = changes.pop(key)
+    data["validators"][0].update(spec)
     data["validators"][0]["behavior"].update(behavior)
     data.update(changes)
     return data
 
 
 @pytest.mark.parametrize("changes", [
-    {"deposits": [[1, 9, -5]]}, {"deposits": [[1, 9, 0]]},
-    {"deposits": [[1, 9, 50], [1, 9, 60]]}, {"deposits": [[1, 0, 50]]},
-    {"withdraws": [[1, 99]]}, {"withdraws": [[1, 0], [2, 0]]},
-    {"deposits": [[2, 9, 50]], "withdraws": [[1, 9]]},
+    {"spec": {"deposit": -5, "join_epoch": 1}},
+    {"spec": {"deposit": 0, "join_epoch": 1}},
+    {"spec": {"join_epoch": 2, "leave_epoch": 1}},
+    {"spec": {"join_epoch": -1}}, {"spec": {"join_epoch": 1.5}},
+    {"spec": {"join_epoch": None}}, {"spec": {"leave_epoch": True}},
+    {"spec": {"leave_epoch": 2**64}},
+    # no genesis validator: nothing could ever justify
+    {"validators": [{"index": 0, "deposit": 100, "join_epoch": 1}]},
     {"observers": -1}, {"validators": [{"index": -1, "deposit": 100}]},
     {"validators": [{"index": 0, "deposit": "100"}]},
     # each of these raised a traceback in `run`, or ran meaning something
@@ -302,7 +307,7 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
 
 @pytest.mark.parametrize("where, key, value", [
     ((), "duration_epoch", 40), (("protocol",), "leak-rate", "1/5"),
-    (("validators", 0), "deposits", 100),
+    (("validators", 0), "join", 1),
     (("validators", 0, "behavior"), "from", 2),
     ((), "schema_version", 7), ((), "params", {"partition": [[0], [1]]}),
     (("protocol",), "leak_disposition", "burn"),
@@ -310,7 +315,7 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     ids=repr)
 def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, value):
     # a misspelt or unread key used to be ignored, so the run silently used
-    # the default; a generic run reads no params, only schema 4 exists,
+    # the default; a generic run reads no params, only schema 5 exists,
     # leaked deposits are always burned, so no disposition can be set, and
     # slashed deposits are burned whole, so no finder's fee can be set
     data = honest_data()
@@ -324,17 +329,25 @@ def test_check_rejects_keys_that_nothing_reads(tmp_path, capsys, where, key, val
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("level, where, value", [
-    ("scenario", (), [1]), ("scenario", (), "x"), ("scenario", (), None),
-    ("protocol", ("protocol",), [1]), ("protocol", ("protocol",), None),
-    ("validator", ("validators", 0), [1]), ("validator", ("validators", 0), "x"),
-    ("behavior", ("validators", 0, "behavior"), None),
-    ("behavior", ("validators", 0, "behavior"), [1])], ids=repr)
+@pytest.mark.parametrize("level, where, value, name", [
+    ("scenario", (), [1], "all_honest.json"),
+    ("scenario", (), "x", "all_honest.json"),
+    ("scenario", (), None, "all_honest.json"),
+    ("protocol", ("protocol",), [1], "all_honest.json"),
+    ("protocol", ("protocol",), None, "all_honest.json"),
+    ("validator", ("validators", 0), [1], "all_honest.json"),
+    ("validator", ("validators", 0), "x", "all_honest.json"),
+    ("behavior", ("validators", 0, "behavior"), None, "all_honest.json"),
+    ("behavior", ("validators", 0, "behavior"), [1], "all_honest.json"),
+    ("params", ("params",), [1], "all_honest.json"),
+    ("params", ("params",), [["partition", [[0], [1]]]], "split_finality.json")],
+    ids=repr)
 def test_check_rejects_a_level_that_is_not_an_object(tmp_path, capsys, level,
-                                                     where, value):
+                                                     where, value, name):
     # a list or string used to be read as its items' keys, and null failed
-    # in iteration, so the error named something else or nothing
-    data = honest_data()
+    # in iteration, so the error named something else or nothing; params
+    # were read with dict(), so a list of pairs loaded
+    data = json.loads((REPO_SCENARIOS / name).read_text())
     if where:
         part = data
         for step in where[:-1]:
@@ -348,16 +361,31 @@ def test_check_rejects_a_level_that_is_not_an_object(tmp_path, capsys, level,
     assert f"error: {level}: expected an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level, where, key", [
+    ("scenario", (), "validators"), ("validator", ("validators", 0), "index"),
+    ("validator", ("validators", 0), "deposit")], ids=repr)
+def test_check_names_a_missing_required_key(tmp_path, capsys, level, where, key):
+    # the error used to be the bare key name, from a KeyError
+    data = honest_data()
+    part = data
+    for step in where:
+        part = part[step]
+    del part[key]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--scenario", str(path)]) == 1
+    assert f"error: {level}: missing required keys {key}" in capsys.readouterr().err
+
+
 @settings(max_examples=40, deadline=None)
-@given(deposits=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9),
-                                   st.integers(-1, 200)), max_size=3),
-       withdraws=st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 9)),
-                          max_size=3),
+@given(epochs=st.lists(st.tuples(st.integers(-1, 2),
+                                 st.none() | st.integers(-1, 2)), max_size=5),
        observers=st.integers(-2, 3), duration=st.integers(1, 2))
-def test_a_config_that_loads_runs(deposits, withdraws, observers, duration):
-    data = honest_data(observers=observers, duration_epochs=duration,
-                       deposits=[list(d) for d in deposits],
-                       withdraws=[list(w) for w in withdraws])
+def test_a_config_that_loads_runs(epochs, observers, duration):
+    # join and leave epochs of the first validators, valid and invalid
+    data = honest_data(observers=observers, duration_epochs=duration)
+    for spec, (join, leave) in zip(data["validators"], epochs):
+        spec.update(join_epoch=join, leave_epoch=leave)
     try:
         cfg = config_from_dict(data)
     except ConfigInvalid:

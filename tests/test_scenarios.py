@@ -207,13 +207,21 @@ def test_scripted_scenarios_reject_observer_counts_they_cannot_serve(observers):
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def with_field(cfg, field, value):
+    """`cfg` with `field` set to `value`: on its last validator for a spec's
+    join or leave epoch, else on the config itself."""
+    if field in ("join_epoch", "leave_epoch"):
+        *kept, last = cfg.validators
+        return replace(cfg, validators=(*kept, replace(last, **{field: value})))
+    return replace(cfg, **{field: value})
+
+
 @pytest.mark.parametrize("field, value", [
     ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
-    ("deposits", ((2, 5, 100),)), ("withdraws", ((2, 0),)),
-    ("duration_epochs", 9)])
+    ("join_epoch", 2), ("leave_epoch", 2), ("duration_epochs", 9)])
 def test_scripted_scenarios_reject_config_fields_they_never_read(field, value):
     for cfg in SCRIPTED_CONFIGS:
-        data = config_to_dict(replace(cfg, **{field: value}))
+        data = config_to_dict(with_field(cfg, field, value))
         with pytest.raises(ConfigInvalid, match=field):
             config_from_dict(data)
 

@@ -255,14 +255,44 @@ def test_config_round_trips_on_corpus_and_fuzz_configs():
         assert config_from_dict(config_to_dict(cfg)) == cfg, cfg.name
 
 
-def test_a_scheduled_withdraw_waits_for_its_validator_to_be_active():
-    # validator 9's deposit lands in epoch 1, so it is active from dynasty
-    # 2, which begins after epoch 2: its withdraw is carried from epoch 2
-    # until a block in dynasty 2 applies it, not dropped with epoch 2
+def test_corpus_files_are_in_canonical_form():
+    # a file left without a key still loads, with the default, so only this
+    # notices a corpus file written at an older schema
+    names = sorted(json.loads((CORPUS / "digests.json").read_text()))
+    assert len(names) == 10
+    for name in names:
+        text = (CORPUS / name).read_text()
+        canonical = config_to_dict(config_from_dict(json.loads(text)))
+        assert text == json.dumps(canonical, indent=2, sort_keys=True) + "\n", name
+
+
+def honest_run(epochs, *validators, leave=None, double_voters=()):
+    """`scenarios/all_honest.json` run for `epochs` with `validators` (spec
+    dicts) added, with every genesis validator's `leave_epoch` set to
+    `leave`, and with the genesis validators of `double_voters` double
+    voting; the finished simulation and its report."""
     data = json.loads((CORPUS / "all_honest.json").read_text())
-    data.update(deposits=[[1, 9, 50]], withdraws=[[2, 9]])
+    for spec in data["validators"]:
+        spec["leave_epoch"] = leave
+        if spec["index"] in double_voters:
+            spec["behavior"]["kind"] = "double_voter"
+    data["validators"] += validators
+    data["duration_epochs"] = epochs
     sim = Simulation(config_from_dict(data))
     sim.run_loop()
+    return sim, ffg.sim.build_report(sim, ffg.sim.sweep_invariants(sim))
+
+
+def top_finalized_height(sim):
+    return max(sim.tree.get(cp).height for cp in sim.proposer.observed_finalized)
+
+
+def test_a_scheduled_withdraw_waits_for_its_validator_to_be_active():
+    # validator 9 joins in epoch 1, so it is active from dynasty 2, which
+    # begins after epoch 2: its withdraw is carried from epoch 2 until a
+    # block in dynasty 2 applies it, not dropped with epoch 2
+    sim, _report = honest_run(6, {"index": 9, "deposit": 50, "join_epoch": 1,
+                                  "leave_epoch": 2})
     head = sim.proposer.head()
     carried = [sim.tree.get(bid) for bid in sim.tree.path(head)
                if any(isinstance(tx, Withdraw) for tx in sim.tree.get(bid).payload)]
@@ -270,6 +300,66 @@ def test_a_scheduled_withdraw_waits_for_its_validator_to_be_active():
     assert sim.proto.epoch_of_height(carried[0].height) > 2
     rec = sim.cache.get(head).registry.get(9)
     assert (rec.start_dynasty, rec.end_dynasty) == (2, 4)
+
+
+def test_a_joiner_votes_and_finality_continues():
+    # a joiner of 400 holds 4/9 of the deposits once active; it used to get
+    # no agent, so finality stopped at height 10 and the report still passed
+    sim, report = honest_run(10, {"index": 9, "deposit": 400, "join_epoch": 1})
+    assert any(vote["validator"] == 9 for vote in report.votes)
+    assert top_finalized_height(sim) > 10
+    assert report.passed
+
+
+def test_a_violating_joiner_weighs_its_deposit():
+    # the sweep weighed violators by genesis deposits alone, so a joiner
+    # holding 4/9 of the deposits weighed 0
+    _sim, report = honest_run(4, {"index": 9, "deposit": 400, "join_epoch": 1,
+                                  "behavior": {"kind": "double_voter"}})
+    assert 9 in {s["validator"] for s in report.slashings}
+    assert not report.invariants["slashable_weight_under_third"]
+
+
+def test_a_violating_late_joiner_is_slashed_in_the_head_registry():
+    # joining at epoch 3, it used to vote before its deposit landed: its
+    # evidence covered it with no record to slash, and the deposit landed
+    # after, whole, so a staked violator stayed unslashed
+    sim, report = honest_run(10, {"index": 9, "deposit": 400, "join_epoch": 3,
+                                  "behavior": {"kind": "double_voter"}})
+    state = sim.cache.get(sim.proposer.head())
+    rec = state.registry.get(9)
+    assert rec.slashed and rec.deposit == 0
+    assert 9 in state.evidence_against
+    assert min(vote["target_height"] for vote in report.votes
+               if vote["validator"] == 9) == 3
+    assert report.passed
+
+
+def test_violators_of_a_handover_weigh_against_the_genesis_total():
+    # 0-2 hold 3/5 of the genesis set that 10-14 replace; the sum of every
+    # spec's deposit would weigh them as 3/10, under a third
+    _sim, report = honest_run(4, *({"index": i, "deposit": 100, "join_epoch": 1}
+                                   for i in range(10, 15)),
+                              leave=1, double_voters=range(3))
+    assert {0, 1, 2} <= {s["validator"] for s in report.slashings}
+    assert not report.invariants["slashable_weight_under_third"]
+
+
+def test_a_full_handover_finalizes_across_the_stitched_link():
+    # validators 0-4 leave and 10-14 join in epoch 1, with stitching on
+    sim, report = honest_run(10, *({"index": i, "deposit": 100, "join_epoch": 1}
+                                   for i in range(10, 15)), leave=1)
+    old, new = set(range(5)), set(range(10, 15))
+    sets = {}       # finalized height -> (forward set, rear set)
+    for cp in sim.proposer.observed_finalized:
+        snap = sim.cache.snapshot_for(cp)
+        sets[sim.tree.get(cp).height] = (set(snap.forward), set(snap.rear))
+    stitched = [height for height, pair in sets.items() if pair == (new, old)]
+    assert stitched
+    assert any(height > min(stitched) and pair == (new, new)
+               for height, pair in sets.items())
+    assert top_finalized_height(sim) > 10
+    assert report.passed
 
 
 def test_report_votes_and_blocks_reconstructable():
