@@ -43,8 +43,8 @@ heard, which is heard-at order, so a judgment reads the violators heard
 before the block's deadline, `block.timestamp - 2*delta`, and stops at the
 first heard after it.
 
-`admissible(block)`, a yes or no, reads the same verdicts, and judges the
-block alone only when its chain is rejected.  The justified checkpoint of a
+`admissible(block)`, a yes or no, judges the block alone: being final, its
+verdict is the one `chain_admissible` keeps.  The justified checkpoint of a
 chain is found by walking its checkpoints downward to the first justified
 one (`justified_tip`), which is the highest since a chain has one
 checkpoint per height.
@@ -56,16 +56,6 @@ from .chain import Block, BlockTree, VoteData
 from .errors import NonMonotonicTimestamp
 from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
 from .slashing import Violation
-
-
-def _better(a: tuple, b: tuple) -> bool:
-    """Rank (height, receipt order, id) of justified checkpoints: greater
-    height wins; then earlier receipt; then lower id."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
 
 
 class ClientView:
@@ -265,12 +255,7 @@ class ClientView:
 
     def admissible(self, block: Block) -> bool:
         """False iff the timestamp or the evidence filter rejects `block`."""
-        if block.timestamp > self.clock:
-            return False
-        # a chain that passes the evidence rule passes it at every block; a
-        # rejected chain may have been rejected below `block`
-        return (block.id in self.tree and self._chain_passes(block)) \
-            or not self._evidence_rejects(block)
+        return block.timestamp <= self.clock and not self._evidence_rejects(block)
 
     def chain_admissible(self, leaf: bytes) -> bool:
         """True iff `admissible` rejects no block between the root and `leaf`."""
@@ -342,26 +327,20 @@ class ClientView:
     # -- head selection ---------------------------------------------------------
 
     def head(self) -> bytes:
+        """The admissible leaf under the finalized anchor of least rank
+        (-tip height, tip receipt order, tip id, -leaf height, leaf id),
+        where the tip is the leaf's justified tip; the anchor when there is
+        none."""
         anchor = self.finalized_anchor
-        blocks, order = self.tree.blocks, self.fstate.order
-        best_cp: tuple[int, int, bytes] | None = None
-        best_leaves: list[bytes] = []
-        for leaf in self.tree.leaves():
-            if not self.tree.is_ancestor(anchor, leaf):
-                continue
-            if not self.chain_admissible(leaf):
-                continue
-            tip = self.justified_tip(leaf)
-            cp = (blocks[tip].height, order[tip], tip)
-            if best_cp is None or _better(cp, best_cp):
-                best_cp = cp
-                best_leaves = [leaf]
-            elif cp == best_cp:
-                best_leaves.append(leaf)
-        if not best_leaves:
-            return anchor
-        best_leaves.sort(key=lambda b: (-self.tree.get(b).height, b))
-        return best_leaves[0]
+        tree, order = self.tree, self.fstate.order
+        blocks = tree.blocks
+        ranks = []
+        for leaf in tree.leaves():
+            if tree.is_ancestor(anchor, leaf) and self.chain_admissible(leaf):
+                tip = self.justified_tip(leaf)
+                ranks.append((-blocks[tip].height, order[tip], tip,
+                              -blocks[leaf].height, leaf))
+        return min(ranks)[-1] if ranks else anchor
 
     def justified_tip(self, bid: bytes, below: int | None = None) -> bytes:
         """Highest justified checkpoint on the chain from the root to `bid`
@@ -384,8 +363,6 @@ class ClientView:
 
     def longest_chain_head(self) -> bytes:
         """Plain longest-chain selection over admissible leaves, for contrast."""
-        leaves = [leaf for leaf in self.tree.leaves() if self.chain_admissible(leaf)]
-        if not leaves:
-            return self.tree.root
-        leaves.sort(key=lambda b: (-self.tree.get(b).height, b))
-        return leaves[0]
+        return min(filter(self.chain_admissible, self.tree.leaves()),
+                   key=lambda b: (-self.tree.get(b).height, b),
+                   default=self.tree.root)

@@ -148,18 +148,28 @@ class ScenarioConfig:
             if spec.index in seen:
                 raise ConfigInvalid(f"duplicate validator index {spec.index}")
             seen.add(spec.index)
-            if spec.behavior.kind not in BEHAVIOR_KINDS:
-                raise ConfigInvalid(f"unknown behavior {spec.behavior.kind!r}")
-            if type(spec.behavior.from_epoch) is not int:
+            kind, from_epoch = spec.behavior.kind, spec.behavior.from_epoch
+            if kind not in BEHAVIOR_KINDS:
+                raise ConfigInvalid(f"unknown behavior {kind!r}")
+            if not u64s((from_epoch,), 1):
                 raise ConfigInvalid(f"validator {spec.index}: from_epoch must "
-                                    "be an integer")
-            if spec.behavior.kind == SURROUND_VOTER and spec.behavior.from_epoch < 3:
+                                    "be a u64")
+            if kind == HONEST and from_epoch:
+                raise ConfigInvalid(f"validator {spec.index}: an honest "
+                                    "validator reads no from_epoch, so it must be 0")
+            if kind == SURROUND_VOTER and from_epoch < 3:
                 raise ConfigInvalid("surround voter needs from_epoch >= 3")
             leave = spec.leave_epoch
             if not u64s((spec.join_epoch,), 1) or leave is not None and not (
                     u64s((leave,), 1) and leave >= spec.join_epoch):
                 raise ConfigInvalid(f"validator {spec.index}: need a u64 join_epoch "
                                     "and a null or u64 leave_epoch >= join_epoch")
+            # a generic run's last block is of epoch `duration_epochs`, so a
+            # later join or leave is never offered
+            if self.scenario == GENERIC and max(spec.join_epoch, leave or 0) \
+                    > self.duration_epochs:
+                raise ConfigInvalid(f"validator {spec.index}: join_epoch and "
+                                    "leave_epoch must be at most duration_epochs")
         if all(spec.join_epoch for spec in self.validators):
             raise ConfigInvalid("at least one validator of join_epoch 0 required")
         if not (0 <= self.proposer_fork_rate < 1):
@@ -283,28 +293,32 @@ class Agent:
         self.spec = spec
         self.view = view
         self.keyring = view.cache.keyring
-        self.history: list[VoteData] = []
         self.last_voted_height = 0
+        # (source height, target height) of the signed vote with the
+        # greatest source height; (0, 0), which no vote with a target above
+        # 0 can violate, until the first is signed
+        self._top_source = (0, 0)
         self._surround_stage = 0
 
     def _would_violate(self, h_s: int, h_t: int) -> bool:
-        return any(slashable(h_s, h_t, old.source_height, old.target_height)
-                   is not None for old in self.history)
+        # asked only once `last_voted_height`, which only rises, has risen
+        # to h_t, so h_t lies above every target signed so far: condition I
+        # cannot hold, and condition II holds exactly when an earlier source
+        # is higher than h_s, so the vote with the highest source decides
+        return slashable(h_s, h_t, *self._top_source) is not None
 
     def _sign(self, source: bytes, target: bytes, h_s: int, h_t: int) -> VoteData:
-        vote = sign_vote(self.keyring, self.spec.index, source, target, h_s, h_t)
-        self.history.append(vote)
-        return vote
-
-    def _source_for(self, target: bytes, h_t: int) -> tuple[bytes, int]:
-        """Highest justified checkpoint below the target on its chain."""
-        source = self.view.justified_tip(target, below=h_t)
-        return source, self.view.tree.require_checkpoint(source)
+        if h_s > self._top_source[0]:
+            self._top_source = (h_s, h_t)
+        return sign_vote(self.keyring, self.spec.index, source, target, h_s, h_t)
 
     def maybe_vote(self) -> list[VoteData]:
         """Vote for the head chain's checkpoint of the newest epoch from our
-        `join_epoch` on, skipping anything that would violate a commandment
-        against our own history."""
+        `join_epoch` on, from the highest justified checkpoint below it on
+        its chain, skipping a vote that would violate a commandment against
+        our own earlier votes.  A surround voter is silent before its
+        `from_epoch`; its first two votes from there are the wide one and
+        the one nested inside it, and the rest are cast as above."""
         view = self.view
         head = view.head()
         target = view.tree.latest_checkpoint(head)
@@ -318,9 +332,13 @@ class Agent:
             return []
 
         if behavior.kind == SURROUND_VOTER:
-            return self._surround_votes(target, h_t)
+            if h_t < behavior.from_epoch:
+                return []
+            if self._surround_stage < 2:
+                return [self._surround_vote(target, h_t)]
 
-        source, h_s = self._source_for(target, h_t)
+        source = view.justified_tip(target, below=h_t)
+        h_s = view.tree.require_checkpoint(source)
         if self._would_violate(h_s, h_t):
             return []
         votes = [self._sign(source, target, h_s, h_t)]
@@ -333,35 +351,25 @@ class Agent:
     def _second_vote(self, source: bytes, target: bytes, h_s: int,
                      h_t: int) -> VoteData | None:
         """A second, distinct vote for the same target height."""
-        view = self.view
-        if source != view.tree.root:
-            return self._sign(view.tree.root, target, 0, h_t)
-        for cp in sorted(view.fstate.order):
-            if cp in (source, target):
-                continue
-            if view.tree.require_checkpoint(cp) == h_t:
-                return self._sign(source, cp, h_s, h_t)
-        return None
+        tree = self.view.tree
+        if source != tree.root:
+            return self._sign(tree.root, target, 0, h_t)
+        other = min((cp for cp in self.view.fstate.order
+                     if cp != target and tree.require_checkpoint(cp) == h_t),
+                    default=None)
+        return None if other is None else self._sign(source, other, h_s, h_t)
 
-    def _surround_votes(self, target: bytes, h_t: int) -> list[VoteData]:
+    def _surround_vote(self, target: bytes, h_t: int) -> VoteData:
         """First a wide vote from the root, then one nested strictly inside it."""
-        view = self.view
-        if h_t < self.spec.behavior.from_epoch:
-            return []
-        if self._surround_stage == 0:
-            self._surround_stage = 1
-            return [self._sign(view.tree.root, target, 0, h_t)]
+        tree = self.view.tree
+        self._surround_stage += 1
         if self._surround_stage == 1:
-            self._surround_stage = 2
-            # validate() keeps from_epoch >= 3, so the target sits at height
-            # >= 3 * spacing and both ancestors exist
-            inner_s = view.tree.ancestor_at(target, view.tree.spacing)
-            inner_t = view.tree.ancestor_at(target, 2 * view.tree.spacing)
-            return [self._sign(inner_s, inner_t, 1, 2)]
-        source, h_s = self._source_for(target, h_t)
-        if self._would_violate(h_s, h_t):
-            return []
-        return [self._sign(source, target, h_s, h_t)]
+            return self._sign(tree.root, target, 0, h_t)
+        # validate() keeps from_epoch >= 3, so the target sits at height
+        # >= 3 * spacing and both ancestors exist
+        inner_s = tree.ancestor_at(target, tree.spacing)
+        inner_t = tree.ancestor_at(target, 2 * tree.spacing)
+        return self._sign(inner_s, inner_t, 1, 2)
 
 
 # -----------------------------------------------------------------------------

@@ -294,6 +294,13 @@ def honest_data(behavior=(), spec=(), **changes):
     {"censor_evidence": "no"},
     {"behavior": {"kind": "double_voter", "from_epoch": 1.5}},
     {"behavior": {"from_epoch": False}},
+    # an honest validator reads no from_epoch, and a negative one ran as 0
+    {"behavior": {"from_epoch": 4}},
+    {"behavior": {"kind": "offline", "from_epoch": -3}},
+    {"behavior": {"kind": "offline", "from_epoch": 2**64}},
+    # the 6-epoch run ends before the join or leave is ever offered
+    {"spec": {"join_epoch": 7}}, {"spec": {"leave_epoch": 7}},
+    {"duration_epochs": 2, "spec": {"join_epoch": 1, "leave_epoch": 3}},
     # a zero denominator or an infinite float raised an arithmetic error
     {"proposer_fork_rate": "1/0"}, {"leak_rate": "1/0"},
     {"proposer_fork_rate": 1e400}], ids=repr)
@@ -303,6 +310,16 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     assert main(["check", "--scenario", str(path)]) == 1
     assert main(["run", "--scenario", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [
+    {"spec": {"join_epoch": 6}}, {"spec": {"join_epoch": 1, "leave_epoch": 6}},
+    {"behavior": {"kind": "offline", "from_epoch": 0}},
+    {"behavior": {"kind": "offline", "from_epoch": 2**64 - 1}}], ids=repr)
+def test_check_accepts_the_edge_values(tmp_path, changes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(honest_data(**changes)))
+    assert main(["check", "--scenario", str(path)]) == 0
 
 
 @pytest.mark.parametrize("where, key, value", [

@@ -426,7 +426,7 @@ def scan_head(view, verdicts=None):
 def watch_evidence_checks(view, note):
     """Call `note(block, on_chain)` at each evidence-rule check the view
     makes: `on_chain` is true when `_chain_passes` judges the block, and
-    false when `admissible` judges a block on a rejected chain alone."""
+    false when `admissible` judges a block alone."""
     chain_passes, evidence_rejects = view._chain_passes, view._evidence_rejects
     judging = []
 
@@ -446,11 +446,12 @@ def watch_evidence_checks(view, note):
 
 
 def count_shortcuts(view, shortcuts):
-    """Count, in `shortcuts`, each time the view's evidence-rule shortcut
-    decides: `admissible`'s check of a block on a rejected chain alone."""
+    """Count, in `shortcuts`, each time the view judges a block by the
+    evidence rule outside the chain memo: `admissible`'s check of a block
+    alone."""
     def note(_block, on_chain):
         if not on_chain:
-            shortcuts["rejected-chain scan"] += 1
+            shortcuts["block alone"] += 1
     watch_evidence_checks(view, note)
 
 
@@ -684,7 +685,7 @@ def test_evidence_shortcuts_match_the_rule_on_a_deep_long_horizon_world():
                                     kinds=("block",))
     sim.run_loop()
     assert min(sim.outcomes.values()) > 0, sim.outcomes
-    assert set(sim.shortcuts) == {"rejected-chain scan"}
+    assert set(sim.shortcuts) == {"block alone"}
     assert min(sim.shortcuts.values()) > 0, sim.shortcuts
 
 

@@ -16,17 +16,20 @@ from hypothesis import example, given, strategies as st
 
 import ffg.scenarios
 import ffg.sim
-from ffg.chain import BlockTree, SlashEvidence, VoteInclusion, Withdraw
+from ffg.chain import (BlockTree, SlashEvidence, VoteInclusion, Withdraw,
+                       make_block)
 from ffg.config import ProtocolConfig
 from ffg.errors import ConfigInvalid, NotACheckpoint
+from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig, epochs_to_supermajority
-from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, OFFLINE, SURROUND_VOTER,
-                     Network, ScenarioConfig, Simulation, ValidatorSpec,
-                     check_link_properties, config_from_dict, config_to_dict,
-                     first_conflict, run, tx_from_dict)
-from ffg.votes import Keyring
+from ffg.sim import (Agent, Behavior, DOUBLE_VOTER, GENERIC, HONEST, OFFLINE,
+                     SURROUND_VOTER, Network, ScenarioConfig, Simulation,
+                     ValidatorSpec, check_link_properties, config_from_dict,
+                     config_to_dict, first_conflict, run, tx_from_dict)
+from ffg.slashing import slashable
+from ffg.votes import Keyring, sign_vote
 
-from conftest import build_chain
+from conftest import World, build_chain
 from test_acceptance import fuzz_config
 from test_fork_choice import long_horizon_shaped, proven_violators
 
@@ -140,6 +143,83 @@ def test_surround_voter_is_slashed():
     slashed = {(s["validator"], s["kind"]) for s in report.slashings}
     assert (4, "II") in slashed
     assert report.invariants["honest_never_slashed"]
+
+
+def test_an_agent_skips_a_vote_that_would_surround_its_own():
+    # the agent votes (2, 3) on chain a; chain a is then rejected by the
+    # evidence rule, and the head moves to a fork b on which nothing is
+    # justified, so the next vote would be (0, 4), which surrounds (2, 3)
+    proto = ProtocolConfig(spacing=2, delta=4, withdrawal_delay=10,
+                           leak=LeakConfig(rate=Fraction(1, 10**9)))
+    w = World(proto, [10, 100, 100])
+    view = ClientView("v0", w.cache)
+    agent = Agent(ValidatorSpec(0, 10), view)
+    a = w.grow(6)                            # stamped 1..6, checkpoints at 2, 4, 6
+    for block in a:
+        view.receive_block(block, 6)
+    for i in (1, 2):                         # justify a[1] and a[3]
+        view.receive_vote(w.vote(i, w.tree.root, a[1].id), 6)
+        view.receive_vote(w.vote(i, a[1].id, a[3].id), 6)
+    [vote] = agent.maybe_vote()
+    assert (vote.source_height, vote.target_height) == (2, 3)
+
+    b = w.grow(8, proposer=1)                # a fork from the root, stamped 1..8
+    for block in b:
+        view.receive_block(block, 8)
+    # validator 1 double votes at height 1, heard at 8, so a block stamped
+    # after 16 on a chain without evidence against it is rejected
+    assert view.receive_vote(
+        sign_vote(w.keyring, 1, w.tree.root, b[1].id, 0, 1), 8)
+    late = make_block(a[-1], 17, None, ())
+    w.tree.insert_block(late)
+    view.receive_block(late, 17)
+    assert not view.chain_admissible(late.id)
+    assert view.head() == b[-1].id
+    assert view.justified_tip(b[-1].id, below=4) == w.tree.root
+    assert agent.maybe_vote() == []
+    assert agent.last_voted_height == 4
+
+
+def test_the_self_check_agrees_with_a_scan_of_every_signed_vote(monkeypatch):
+    # the old rule, kept here as the oracle: a vote is skipped when it
+    # breaks a condition against any vote the agent signed before
+    signed: dict[Agent, list] = {}
+    verdicts = Counter()
+    maybe_vote, would_violate = Agent.maybe_vote, Agent._would_violate
+
+    def recorded_maybe_vote(agent):
+        votes = maybe_vote(agent)
+        signed.setdefault(agent, []).extend(votes)
+        return votes
+
+    def checked_would_violate(agent, h_s, h_t):
+        verdict = would_violate(agent, h_s, h_t)
+        assert verdict == any(
+            slashable(h_s, h_t, old.source_height, old.target_height) is not None
+            for old in signed.get(agent, ()))
+        verdicts[verdict] += 1
+        return verdict
+    monkeypatch.setattr(Agent, "maybe_vote", recorded_maybe_vote)
+    monkeypatch.setattr(Agent, "_would_violate", checked_would_violate)
+
+    corpus = [config_from_dict(json.loads(path.read_text()))
+              for path in sorted(CORPUS.glob("*.json")) if path.name != "digests.json"]
+    configs = [cfg for cfg in corpus if cfg.scenario == GENERIC] \
+        + [fuzz_config(seed) for seed in range(300)] \
+        + [long_horizon_shaped(3, epochs=40)]
+    shapes = Counter()
+    for cfg in configs:
+        signed.clear()
+        run(cfg)
+        for votes in signed.values():
+            targets = [vote.target_height for vote in votes]
+            shapes["double"] += len(set(targets)) < len(targets)
+            shapes["nested"] += targets != sorted(targets)
+            shapes["longest"] = max(shapes["longest"], len(votes))
+    # the oracle saw double voters' and surround voters' histories, and
+    # long ones
+    assert sum(verdicts.values()) > 10_000, verdicts
+    assert shapes["double"] and shapes["nested"] and shapes["longest"] > 40, shapes
 
 
 def test_offline_minority_stalls_then_leak_resumes():

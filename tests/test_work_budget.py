@@ -12,7 +12,9 @@ over the golden corpus and fuzz configs 0-49.
   one evidence transaction per violator, and a view hears at most one
   violation per validator;
 * the end-of-run sweep of a generic run classifies and verifies nothing:
-  its pool queries read the verdicts the run stored on each vote's record.
+  its pool queries read the verdicts the run stored on each vote's record;
+* an agent asks `slashable` at most once per voting decision, however many
+  votes it has signed.
 
 It also guards that a run leaves no cyclic garbage, which is what lets
 `ffg.sim.run` pause the cyclic collector, and that `run` gives the caller
@@ -37,8 +39,9 @@ from ffg.chain import SlashEvidence
 from ffg.config import ProtocolConfig
 from ffg.finality import ChainStateCache
 from ffg.fork_choice import ClientView
-from ffg.sim import (Behavior, DOUBLE_VOTER, GENERIC, Network, ScenarioConfig,
-                     Simulation, ValidatorSpec, config_from_dict, run)
+from ffg.sim import (Agent, Behavior, DOUBLE_VOTER, GENERIC, Network,
+                     ScenarioConfig, Simulation, ValidatorSpec, config_from_dict,
+                     run)
 
 from test_acceptance import fuzz_config
 from test_fork_choice import long_horizon_shaped
@@ -167,6 +170,34 @@ def test_the_sweep_of_a_generic_run_classifies_and_verifies_nothing(monkeypatch)
         run(cfg)
         assert counts["classified"] == counts["hmacs"] == 0, cfg.name
     assert counts["sweeps"] == len(configs) > 50
+
+
+def test_an_agent_asks_slashable_at_most_once_per_decision(monkeypatch):
+    # an agent checks a vote against the one signed vote with the greatest
+    # source height, so the check costs the same however many it signed
+    counts = Counter()
+    monkeypatch.setattr(ffg.sim, "slashable",
+                        counting(counts, "asked", ffg.sim.slashable))
+    maybe_vote = Agent.maybe_vote
+    signed = Counter()
+    longest = 0
+
+    def counted_maybe_vote(agent):
+        nonlocal longest
+        asked = counts["asked"]
+        votes = maybe_vote(agent)
+        assert counts["asked"] - asked <= 1
+        if counts["asked"] > asked:
+            longest = max(longest, signed[agent])
+        signed[agent] += len(votes)
+        return votes
+    monkeypatch.setattr(Agent, "maybe_vote", counted_maybe_vote)
+
+    for cfg in budget_configs():
+        signed.clear()
+        run(cfg)
+    assert counts["asked"] > 1000
+    assert longest >= 20
 
 
 def test_runs_leave_no_cyclic_garbage():
