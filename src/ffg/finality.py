@@ -43,7 +43,7 @@ from .chain import (BlockTree, Deposit, SlashEvidence, VoteData, VoteInclusion,
 from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
-from .slashing import Violation, find_new_violations, proven_violation, slashable
+from .slashing import find_new_violations, proven_violation, slashable
 from .validators import ValidatorRegistry
 from .votes import Keyring, VoteClass, VotePool, classify_vote
 
@@ -440,20 +440,19 @@ class VoteRecord:
     * `valid`: the signature verdict, read once when the record is made;
     * `link`: the vote's `(source, target)`, the key of its tally, made
       with the record;
-    * `partners`: the vote's slashing partners and their violations
-      (`ChainStateCache.conflict_partners`), filled on the vote's first
-      fresh arrival in any view; None before;
+    * `partners`: the run's votes that conflict with this one
+      (`ChainStateCache.conflict_partners`), filled on its first fresh
+      arrival in a view that has not heard its validator; None before;
     * `snap`: the target's snapshot when the vote counts, else None; filled
       (`ChainStateCache.classify`) the first time a view that has marked
-      both endpoints counts the vote, or a chain that holds the target
+      the target is handed the vote, or a chain that holds the target
       includes it, and `_UNCLASSIFIED` before.  It is never filled before
       the shared tree holds the target: from then on every input is fixed,
       since a source that is an ancestor of the target is in the tree
       already and one that is not never becomes one.  A view that has
-      marked both endpoints holds both blocks, so its own tree gives the
-      same class, because ids are digests and the two trees hold the same
-      blocks.  A chain that holds the target holds the source too whenever
-      the vote counts, and the target's snapshot is the one on that chain.
+      marked the target holds its whole chain, so its own tree gives the
+      same class, because ids are digests.  A chain that holds the target
+      holds the source too whenever the vote counts, and the target's snapshot is the one on that chain.
     * `forward`, `rear`: the voter's weights in `snap`, filled with it when
       the vote counts (0 before and otherwise) and fixed from then on, so a
       tally that counts the record reads no snapshot.
@@ -465,7 +464,7 @@ class VoteRecord:
         self.vote = vote
         self.valid = valid
         self.link = (vote.source, vote.target)
-        self.partners: dict[tuple, Violation] | None = None
+        self.partners: list[VoteData] | None = None
         self.snap = _UNCLASSIFIED
         self.forward = self.rear = 0
 
@@ -510,8 +509,8 @@ class ChainStateCache:
         # validator index -> (greatest source, greatest target height) of
         # the votes in its history
         self._reach: dict[int, tuple[int, int]] = {}
-        # vote key -> {partner's key: Violation(partner, vote)}
-        self._partners: dict[tuple, dict[tuple, Violation]] = {}
+        # vote key -> the votes that conflict with it
+        self._partners: dict[tuple, list[VoteData]] = {}
 
     def get(self, block_id: bytes) -> ChainState:
         states = self.states
@@ -564,17 +563,15 @@ class ChainStateCache:
         record.snap = snap
         return snap
 
-    def conflict_partners(self, vote: VoteData) -> dict[tuple, Violation]:
-        """The run's votes that form a slashing violation with `vote`: each
-        one's key, mapped to `check_pair(partner, vote)`.
+    def conflict_partners(self, vote: VoteData) -> list[VoteData]:
+        """The run's votes that form a slashing violation with `vote`.
 
         The first time a key is seen its vote is checked once against the
         validator's earlier votes, and each conflict is recorded on both
-        keys, oriented both ways; later arrivals add to the returned dict.
-        Both conditions read only fields the key holds, so votes sharing a
-        key share partners, and a signature-valid vote with a given key is
-        unique, so the recorded violation equals the one built from any
-        valid copy.
+        keys; later conflicting votes extend the returned list.  Both
+        conditions read only fields the key holds, so votes sharing a key
+        share partners.  Earlier votes are those this method was asked
+        about (see `ClientView.receive_vote` for why that suffices).
 
         The check is skipped when the vote's source height is at least, and
         its target height above, every earlier vote's of its validator: then
@@ -583,16 +580,15 @@ class ChainStateCache:
         so the check would find nothing."""
         partners = self._partners.get(vote.key)
         if partners is None:
-            partners = self._partners[vote.key] = {}
+            partners = self._partners[vote.key] = []
             index = vote.validator_index
             history = self._history.setdefault(index, [])
             top_source, top_target = self._reach.get(index, (-1, -1))
             if vote.source_height < top_source or vote.target_height <= top_target:
                 for violation in find_new_violations(history, vote):
                     old = violation.vote_a
-                    partners[old.key] = violation
-                    self._partners[old.key][vote.key] = Violation(
-                        violation.kind, vote, old, index)
+                    partners.append(old)
+                    self._partners[old.key].append(vote)
             history.append(vote)
             self._reach[index] = (max(top_source, vote.source_height),
                                   max(top_target, vote.target_height))
@@ -645,13 +641,12 @@ class FinalityState:
 
     def on_vote(self, record: VoteRecord) -> None:
         """Tally the run record of a signature-valid vote the view has not
-        handed over before; buffers it until both endpoints are known."""
-        vote = record.vote
-        if vote.target not in self.order:
-            self._buffer.setdefault(vote.target, []).append(record)
-            return
-        if vote.source not in self.order:
-            self._buffer.setdefault(vote.source, []).append(record)
+        handed over before; buffers it until its target is known.  A view
+        holding the target holds and has marked its whole chain, so a vote
+        whose source is not marked then can never count."""
+        target = record.vote.target
+        if target not in self.order:
+            self._buffer.setdefault(target, []).append(record)
             return
         snap = record.snap
         if snap is _UNCLASSIFIED:

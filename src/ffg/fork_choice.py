@@ -55,7 +55,7 @@ from __future__ import annotations
 from .chain import Block, BlockTree, VoteData
 from .errors import NonMonotonicTimestamp
 from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
-from .slashing import Violation
+from .slashing import Violation, check_pair
 
 
 class ClientView:
@@ -79,15 +79,16 @@ class ClientView:
       `receive_vote` for every view the entry names:
       - the signature verdict, so a view receives a vote without verifying
         it;
-      - the slashing partners and their violations, filled on the vote's
-        first fresh arrival in any view; the two conditions read only the
-        votes' fields.  A view hears one violation per validator, the first
-        in its receipt order: when the vote's validator has none heard yet,
-        the run's violation with the partner it received first, oriented
-        (earlier vote, incoming), so its heard-at time is that of a scan of
-        its own receipts;
+      - the slashing partners, the run's votes that conflict with the
+        vote; the two conditions read only the votes' fields.  A view
+        hears one violation per validator, the first in its receipt order:
+        when it has heard none by the vote's validator, `check_pair` of the
+        partner it received first and the vote, so its heard-at time is
+        that of a scan of its own receipts.  Only such a view reads or
+        fills partners, so the run stops checking a validator's votes once
+        every view has heard it;
       - the countability snapshot and the voter's weights in it, filled by
-        the first view that counts the vote once it holds both endpoints;
+        the first view handed the vote once it holds the target;
         its own tree would give the same class, since block ids are digests.
         With the record's link, they are all the view's tally needs.
 
@@ -232,22 +233,26 @@ class ClientView:
             return None
         received[key] = len(self.votes)
         self.votes.append(vote)
-        partners = record.partners
-        if partners is None:
-            partners = record.partners = self.cache.conflict_partners(vote)
         violation = None
         index = vote.validator_index
-        if partners and index not in self._heard:
-            earlier = [k for k in partners if k in received]
-            if earlier:
-                if now < self.clock:
-                    raise NonMonotonicTimestamp(
-                        f"{self.name} hears a violation at {now}, "
-                        f"before its clock {self.clock}")
-                # the pair with the first partner received, oriented
-                # (earlier vote, incoming)
-                violation = partners[min(earlier, key=received.__getitem__)]
-                self._heard[index] = now
+        if index not in self._heard:
+            # only a view that has not heard the validator reads partners,
+            # and it misses none: each vote it holds was filled on receipt,
+            # and of two conflicting votes the one filled later finds the
+            # other.  Votes left unfilled are held by no such view
+            partners = record.partners
+            if partners is None:
+                partners = record.partners = self.cache.conflict_partners(vote)
+            if partners:
+                earlier = [p for p in partners if p.key in received]
+                if earlier:
+                    if now < self.clock:
+                        raise NonMonotonicTimestamp(
+                            f"{self.name} hears a violation at {now}, "
+                            f"before its clock {self.clock}")
+                    first = min(earlier, key=lambda p: received[p.key])
+                    violation = check_pair(first, vote)
+                    self._heard[index] = now
         self.fstate.on_vote(record)
         return violation
 

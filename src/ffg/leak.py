@@ -38,7 +38,7 @@ def apply_epoch_leak(registry: ValidatorRegistry, voted: set[int],
     """
     drained = 0
     for rec in registry.records.values():
-        if rec.slashed or rec.withdrawn or rec.deposit <= 0:
+        if rec.withdrawn or rec.deposit <= 0:
             continue
         if not rec.in_forward(current_dynasty):
             continue

@@ -72,9 +72,12 @@ def check_scripted(cfg: ScenarioConfig) -> None:
                             f"{SCRIPTED_OBSERVERS}, got {cfg.observers}")
     unread = [name for name in SCRIPTED_UNREAD
               if getattr(cfg, name) != getattr(ScenarioConfig, name)]
-    # every validator is a genesis member that never leaves
+    # every validator is a genesis member that never leaves, and the
+    # scripts sign its votes, so none reads its behavior's start
     if any(spec.join_epoch or spec.leave_epoch is not None for spec in cfg.validators):
         unread.append("join_epoch or leave_epoch")
+    if any(spec.behavior.from_epoch for spec in cfg.validators):
+        unread.append("from_epoch")
     if unread:
         raise ConfigInvalid(f"scenario {cfg.scenario!r} does not read "
                             f"{', '.join(unread)}: only the default is allowed")

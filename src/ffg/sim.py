@@ -649,12 +649,9 @@ def established_links(cache: ChainStateCache, pool: VotePool) -> list:
     for (source, target) in sorted(pool.by_link):
         if source not in tree or target not in tree:
             continue
-        if tree.checkpoint_height(source) is None \
-                or tree.checkpoint_height(target) is None:
+        if tree.checkpoint_height(target) is None:
             continue
         if source == target or not tree.is_ancestor(source, target):
-            continue
-        if cache.snapshot_for(target) is None:
             continue
         status = tally(cache, pool, source, target)
         if status.established:

@@ -13,12 +13,12 @@ liveness planner ask it of the votes they would cast.  Both conditions are
 judged purely on the votes' own fields, so detection works across
 branches and regardless of which chain (if any) included the votes.  It also
 means a run needs to check each vote only once: `ChainStateCache` runs
-`find_new_violations` when a vote is first seen, against its validator's
-earlier votes in the run (unless the vote lies above all of them, when
-neither condition can hold), and records each conflict on both votes, with
-the violation in both orientations.  One valid proof takes a validator's whole
-deposit, so a client view hears one violation per validator: the recorded
-violation with the first partner it received (`ClientView.receive_vote`).
+`find_new_violations` when a vote first reaches a view that has not heard
+its validator, against the validator's votes checked before (unless the vote
+lies above all of them, when neither condition can hold), and records each
+conflict on both votes.  One valid proof takes a validator's whole deposit,
+so a client view hears one violation per validator: `check_pair` of the
+first partner it received and the incoming vote (`ClientView.receive_vote`).
 """
 
 from __future__ import annotations
@@ -104,14 +104,12 @@ def proven_violation(keyring: Keyring, tx: SlashEvidence) -> Violation | None:
 def scan(pool: VotePool) -> list[Violation]:
     """All violations among all signature-valid vote pairs in the pool."""
     found: list[Violation] = []
-    seen: set[tuple] = set()
     for index in sorted(pool.by_validator):
         votes = pool.validator_votes(index)
         for i in range(len(votes)):
             for j in range(i + 1, len(votes)):
                 v = check_pair(votes[i], votes[j])
-                if v is not None and v.key not in seen:
-                    seen.add(v.key)
+                if v is not None:
                     found.append(v)
     return found
 

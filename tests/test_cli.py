@@ -128,7 +128,8 @@ def test_run_scripted_scenario_with_other_observer_count_exits_one(
 
 @pytest.mark.parametrize("field, value", [
     ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
-    ("join_epoch", 2), ("leave_epoch", 2), ("duration_epochs", 9)])
+    ("join_epoch", 2), ("leave_epoch", 2), ("duration_epochs", 9),
+    ("from_epoch", 5)])
 def test_run_scripted_scenario_with_a_field_it_never_reads_exits_one(
         tmp_path, capsys, field, value):
     for cfg in (dynamic_attack_config(stitching=True), long_range_config(5),

@@ -910,6 +910,19 @@ def test_shared_verdicts_match_per_view_checks_on_fuzz_worlds():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_shared_verdicts_match_per_view_checks_when_delta_exceeds_the_spacing():
+    # delta 9 against a spacing of 5: views receive a validator's votes out
+    # of order, so views hear a validator after differing sets of its votes,
+    # and a vote received only by views that had heard it is never checked
+    outcomes = Counter()
+    for seed in range(12):
+        cfg = fuzz_config(seed)
+        outcomes += verdict_checked_run(replace(
+            cfg, protocol=replace(cfg.protocol, delta=9),
+            proposer_fork_rate=Fraction(1, 4)))
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_shared_verdicts_match_per_view_checks_on_wide_set_world():
     outcomes = verdict_checked_run(wide_set_shaped(5))
     assert min(outcomes.values()) > 0, outcomes
@@ -1155,12 +1168,26 @@ def test_each_vote_object_is_judged_a_constant_number_of_times(monkeypatch):
     count_calls_per_vote(monkeypatch, ChainStateCache, "conflict_partners",
                          calls["conflict_partners"], votes)
     count_calls_per_vote(monkeypatch, Keyring, "verify", calls["verify"], votes)
+    # the votes some view receives for the first time while it has not
+    # heard their validator: only those are checked for partners
+    unheard = set()
+    receive_vote = ClientView.receive_vote
+
+    def observed(view, vote, now, record=None):
+        if vote.key not in view._received \
+                and vote.validator_index not in view._heard:
+            unheard.add(id(vote))
+        return receive_vote(view, vote, now, record)
+    monkeypatch.setattr(ClientView, "receive_vote", observed)
     sim = Simulation(wide_set_shaped(5))
     sim.run_loop()
     assert len(sim.views) == 51
     distinct = len(sim.pool.votes)
     assert len(votes) == distinct > 200     # the run makes one object per vote
-    assert len(calls["classify"]) == len(calls["conflict_partners"]) == distinct
+    assert len(calls["classify"]) == distinct
+    assert set(calls["conflict_partners"]) == unheard
+    # once every view has heard a validator, its later votes are not checked
+    assert len(unheard) < distinct
     assert max(calls["classify"].values()) == 1
     assert max(calls["conflict_partners"].values()) == 1
     # the run's pool, the vote's record, the chain that includes it, the
@@ -1289,3 +1316,19 @@ def test_a_vote_ahead_of_its_target_is_buffered_with_its_record(monkeypatch):
     assert not late.fstate._buffer and not classified
     assert late.fstate.links.tallies == early.fstate.links.tallies
     assert c1 in late.fstate.justified
+
+
+def test_a_vote_whose_source_the_view_lacks_is_neither_buffered_nor_counted():
+    # the view holds the target, so every ancestor of it: a source it lacks
+    # is off the target's chain, and the vote can never count
+    w = make_world()
+    blocks = w.grow(4)                                   # checkpoints at 1 and 2
+    fork = w.grow(2, start=w.tree.root, proposer=1)      # a fork checkpoint at 1
+    view = client(w)
+    feed_chain(view, w, blocks)
+    vote = sign_vote(w.keyring, 0, fork[1].id, blocks[3].id, 1, 2)
+    view.receive_vote(vote, 4)
+    assert not view.fstate._buffer
+    assert w.cache.record(vote).snap is None
+    feed_chain(view, w, fork)
+    assert not view.fstate._buffer and not view.fstate.links.tallies

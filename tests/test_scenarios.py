@@ -8,7 +8,7 @@ import ffg.scenarios
 from ffg.errors import ConfigInvalid
 from ffg.scenarios import (Script, dynamic_attack_config, long_range_config,
                            split_finality_config)
-from ffg.sim import config_from_dict, config_to_dict, run
+from ffg.sim import Behavior, OFFLINE, config_from_dict, config_to_dict, run
 
 
 def test_dynamic_attack_unstitched_dual_finalizes_unpunished():
@@ -209,16 +209,22 @@ def test_scripted_scenarios_reject_observer_counts_they_cannot_serve(observers):
 
 def with_field(cfg, field, value):
     """`cfg` with `field` set to `value`: on its last validator for a spec's
-    join or leave epoch, else on the config itself."""
+    join or leave epoch, or for `from_epoch`, which it then reads as an
+    offline validator's (so the honest-validator rule does not fire first),
+    else on the config itself."""
+    *kept, last = cfg.validators
     if field in ("join_epoch", "leave_epoch"):
-        *kept, last = cfg.validators
         return replace(cfg, validators=(*kept, replace(last, **{field: value})))
+    if field == "from_epoch":
+        return replace(cfg, validators=(*kept, replace(
+            last, behavior=Behavior(OFFLINE, value))))
     return replace(cfg, **{field: value})
 
 
 @pytest.mark.parametrize("field, value", [
     ("censor_evidence", True), ("proposer_fork_rate", Fraction(1, 4)),
-    ("join_epoch", 2), ("leave_epoch", 2), ("duration_epochs", 9)])
+    ("join_epoch", 2), ("leave_epoch", 2), ("duration_epochs", 9),
+    ("from_epoch", 5)])
 def test_scripted_scenarios_reject_config_fields_they_never_read(field, value):
     for cfg in SCRIPTED_CONFIGS:
         data = config_to_dict(with_field(cfg, field, value))

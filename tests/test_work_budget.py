@@ -14,7 +14,10 @@ over the golden corpus and fuzz configs 0-49.
 * the end-of-run sweep of a generic run classifies and verifies nothing:
   its pool queries read the verdicts the run stored on each vote's record;
 * an agent asks `slashable` at most once per voting decision, however many
-  votes it has signed.
+  votes it has signed;
+* the run checks a validator's votes for slashing partners only while some
+  view has not heard it, so a deep run with three double voters checks a
+  few pairs, not each vote against the voter's whole history.
 
 It also guards that a run leaves no cyclic garbage, which is what lets
 `ffg.sim.run` pause the cyclic collector, and that `run` gives the caller
@@ -33,6 +36,7 @@ from types import SimpleNamespace
 import pytest
 
 import ffg.chain
+import ffg.finality
 import ffg.sim
 import ffg.votes
 from ffg.chain import SlashEvidence
@@ -198,6 +202,22 @@ def test_an_agent_asks_slashable_at_most_once_per_decision(monkeypatch):
         run(cfg)
     assert counts["asked"] > 1000
     assert longest >= 20
+
+
+def test_a_deep_run_checks_few_vote_pairs_for_violations(monkeypatch):
+    # once every view has heard a double voter, the run checks none of its
+    # later votes; checking each against the voter's history made 42 calls
+    # and 630 pair checks here
+    checked = Counter()
+    find = ffg.finality.find_new_violations
+
+    def counted(history, vote):
+        checked["calls"] += 1
+        checked["pairs"] += len(history)
+        return find(history, vote)
+    monkeypatch.setattr(ffg.finality, "find_new_violations", counted)
+    Simulation(deep_config()).run_loop()
+    assert 0 < checked["pairs"] <= 30, checked
 
 
 def test_runs_leave_no_cyclic_garbage():
