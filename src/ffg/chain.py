@@ -3,14 +3,15 @@
 Blocks form a tree rooted at a fixed genesis block whose id is 32 zero bytes.
 Every block whose height is a multiple of the configured spacing E is a
 checkpoint; the checkpoint height of the block at height k*E is k.  The tree
-answers ancestry, height, and conflict queries; everything here is pure and
-immutable after insertion.
+answers ancestry, height, and conflict queries, and folds per-block values
+down a chain into a caller's memo (`BlockTree.fold`); blocks are immutable
+after insertion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import codec
 from .errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
@@ -256,6 +257,21 @@ class BlockTree:
         self.require_checkpoint(a)
         self.require_checkpoint(b)
         return not (self.is_ancestor(a, b) or self.is_ancestor(b, a))
+
+    def fold(self, bid: bytes, memo: dict, step: Callable, *args):
+        """`memo[bid]`, after filling each ancestor of `bid` (itself
+        included) missing from `memo`, root side first, with
+        `step(parent's value, block, *args)`.  The root's value must be in
+        `memo`.  Raises UnknownBlock for an unknown `bid`."""
+        missing = []
+        cursor = bid
+        while cursor not in memo:
+            missing.append(self.get(cursor))
+            cursor = missing[-1].parent
+        value = memo[cursor]
+        for block in reversed(missing):
+            value = memo[block.id] = step(value, block, *args)
+        return value
 
     def path(self, bid: bytes) -> list[bytes]:
         """All blocks from the root to `bid` inclusive."""

@@ -417,7 +417,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
         # leak starts one spacing later.
         reg = ctx.registry()
         if block.height > cfg.spacing:
-            apply_epoch_leak(reg, set(st.voted_window), st.dynasty, cfg.leak)
+            apply_epoch_leak(reg, st.voted_window, st.dynasty, cfg.leak)
         st.voted_window = frozenset()
         for rec in reg.records.values():
             if (rec.unlock_epoch is not None and not rec.slashed
@@ -513,16 +513,9 @@ class ChainStateCache:
         self._partners: dict[tuple, list[VoteData]] = {}
 
     def get(self, block_id: bytes) -> ChainState:
-        states = self.states
-        missing = []
-        cursor = block_id
-        while cursor not in states:
-            missing.append(cursor)
-            cursor = self.tree.get(cursor).parent
-        state = states[cursor]
-        for bid in reversed(missing):
-            state = step_state(state, self.tree.get(bid), self)
-            states[bid] = state
+        state = self.states.get(block_id)
+        if state is None:
+            state = self.tree.fold(block_id, self.states, step_state, self)
         return state
 
     def snapshot_for(self, checkpoint: bytes) -> DynastySnapshot | None:
@@ -604,11 +597,12 @@ class FinalityState:
 
     Checkpoints must be registered (mark_checkpoint) before votes targeting
     them can be tallied; earlier votes are buffered, as their records.
-    `order` gives each registered checkpoint's receipt sequence number,
-    which fork choice uses, after the height the view's tree gives, to rank
-    the justified checkpoints of its chains.  Whether a vote counts is read
-    from its run record (`VoteRecord.snap`); only while the record is
-    unclassified does `on_vote` ask the run to classify it.
+    `order` gives each registered checkpoint its receipt rank, the number
+    registered before it, which fork choice uses, after the height the
+    view's tree gives, to rank the justified checkpoints of its chains.
+    Whether a vote counts is read from its run record (`VoteRecord.snap`);
+    only while the record is unclassified does `on_vote` ask the run to
+    classify it.
 
     The tally keeps no voters: the view hands each vote key over once (its
     receipt map drops repeats), and a countable vote's key is fixed by its
@@ -631,10 +625,10 @@ class FinalityState:
 
     # -- updates ----------------------------------------------------------------
 
-    def mark_checkpoint(self, cp: bytes, cp_height: int, order: int) -> None:
+    def mark_checkpoint(self, cp: bytes, cp_height: int) -> None:
         if cp in self.order:
             return
-        self.order[cp] = order
+        self.order[cp] = len(self.order)
         self.max_height = max(self.max_height, cp_height)
         for record in self._buffer.pop(cp, []):
             self.on_vote(record)

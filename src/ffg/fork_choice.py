@@ -36,8 +36,9 @@ reached the block's stamp:
   and delta is fixed.
 
 Only blocks stamped at or before the clock are judged (a later tip is
-rejected by its stamp), so `chain_admissible` judges each block once, top
-down from its nearest judged ancestor, and keeps the verdict.  A view maps
+rejected by its stamp), so `chain_admissible` folds one verdict per block
+down the chain (`BlockTree.fold`): a block is rejected when its parent is,
+else judged by the rule, once, root side first.  A view maps
 each violator it has heard to the time it heard it (`_heard`), in the order
 heard, which is heard-at order, so a judgment reads the violators heard
 before the block's deadline, `block.timestamp - 2*delta`, and stops at the
@@ -126,7 +127,6 @@ class ClientView:
         # vote key -> the vote's position in `votes`
         self._received: dict[tuple, int] = {}
         self.fstate = FinalityState(cache)
-        self._seq = 0
         self.first_seen_finalized: dict[int, bytes] = {0: self.tree.root}
         self.finalizable: dict[bytes, bool] = {self.tree.root: True}
         self.finalized_anchor: bytes = self.tree.root
@@ -140,7 +140,7 @@ class ClientView:
         self._heard: dict[int, int] = {}
         # block id -> whether the evidence rule rejects a block between the
         # root and it; final once judged (see the module docstring)
-        self._rejected: dict[bytes, bool] = {}
+        self._rejected: dict[bytes, bool] = {self.tree.root: False}
         self._pending_blocks: dict[bytes, list[Block]] = {}
         # (index, height) of each payout on a chain the view has received
         self.payout_seen: set[tuple[int, int]] = set()
@@ -176,13 +176,11 @@ class ClientView:
     def _insert(self, block: Block, now: int,
                 state: ChainState | None = None) -> None:
         self.tree.insert_block(block)
-        self._seq += 1
         if block.height % self.cfg.spacing == 0:
             # the too-old rule, judged once: a checkpoint tracked live stays
             # finalizable; one that shows up already stale never is
             self.finalizable[block.id] = block.timestamp >= now - self.cfg.delta
-            self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing,
-                                        self._seq)
+            self.fstate.mark_checkpoint(block.id, block.height // self.cfg.spacing)
         self._detect_finality(
             block, self.cache.get(block.id) if state is None else state)
 
@@ -275,28 +273,12 @@ class ClientView:
         once; see the module docstring for why the verdict is final."""
         if not self._heard:
             return True
-        rejected = self._rejected
-        unjudged: list[Block] = []
-        cursor = block
-        while cursor.height > 0:
-            verdict = rejected.get(cursor.id)
-            if verdict is not None:
-                if verdict:
-                    for b in unjudged:
-                        rejected[b.id] = True
-                    return False
-                break
-            unjudged.append(cursor)
-            cursor = self.tree.blocks[cursor.parent]
-        # top-down from the judged ancestor: the blocks before the first
-        # one rejected pass, and it and every block after it are rejected
-        for i in range(len(unjudged) - 1, -1, -1):
-            if self._evidence_rejects(unjudged[i]):
-                for b in unjudged[:i + 1]:
-                    rejected[b.id] = True
-                return False
-            rejected[unjudged[i].id] = False
-        return True
+        return not self.tree.fold(block.id, self._rejected, self._judge)
+
+    def _judge(self, parent_rejected: bool, block: Block) -> bool:
+        """Whether the evidence rule rejects a block between the root and
+        `block`: a block under a rejected one is rejected unjudged."""
+        return parent_rejected or self._evidence_rejects(block)
 
     def _evidence_rejects(self, block: Block) -> bool:
         """The evidence rule for `block` alone: it is stamped later than

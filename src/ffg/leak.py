@@ -8,6 +8,7 @@ per epoch, so every platform computes the same integers.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ def leak_amount(deposit: int, rate: Fraction) -> int:
     return (deposit * rate.numerator) // rate.denominator
 
 
-def apply_epoch_leak(registry: ValidatorRegistry, voted: set[int],
+def apply_epoch_leak(registry: ValidatorRegistry, voted: Set[int],
                      current_dynasty: int, cfg: LeakConfig) -> int:
     """Leak every active non-voter once; returns the total amount drained.
 

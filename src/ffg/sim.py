@@ -159,6 +159,11 @@ class ScenarioConfig:
                                     "validator reads no from_epoch, so it must be 0")
             if kind == SURROUND_VOTER and from_epoch < 3:
                 raise ConfigInvalid("surround voter needs from_epoch >= 3")
+            # a generic run's last checkpoint is of epoch `duration_epochs`,
+            # so an adversary starting later would run as an honest one
+            if self.scenario == GENERIC and from_epoch > self.duration_epochs:
+                raise ConfigInvalid(f"validator {spec.index}: from_epoch must "
+                                    "be at most duration_epochs")
             leave = spec.leave_epoch
             if not u64s((spec.join_epoch,), 1) or leave is not None and not (
                     u64s((leave,), 1) and leave >= spec.join_epoch):
@@ -682,27 +687,27 @@ def check_link_properties(tree: BlockTree, links) -> dict:
             "no_nested_links": nesting_ok}
 
 
+def _members_below(below: frozenset, block, members: set) -> frozenset:
+    return below | {block.id} if block.id in members else below
+
+
 def first_conflict(tree: BlockTree, checkpoints) -> tuple[bytes, bytes] | None:
     """The first pair (a, b) of conflicting checkpoints, in the order of
     `(i, j)`, i < j, over the id-sorted set; None when all lie on one chain.
 
-    Taken in height order, each checkpoint walks parent links down to the
-    nearest block already indexed (the root always is) and records the set's
-    members among its ancestors, itself included, as that block's plus
-    itself.  Every member below it was indexed first, and none lies strictly
-    between it and the block the walk stopped at, so two members conflict
-    exactly when neither is in the other's record.  Raises NotACheckpoint for
-    any member that is not a checkpoint.
+    Each member's record is the set's members among its ancestors, itself
+    included, folded down its chain (`BlockTree.fold`): a block's record is
+    its parent's, plus the block when it is a member.  The fold keeps every
+    block's record, so each block is walked at most once in all, and two
+    members conflict exactly when neither is in the other's record.  Raises
+    NotACheckpoint for any member that is not a checkpoint.
     """
     cps = sorted(checkpoints)
-    heights = {cp: tree.require_checkpoint(cp) for cp in cps}
-    blocks = tree.blocks
-    ancestors: dict[bytes, frozenset] = {tree.root: frozenset()}
-    for cp in sorted(cps, key=heights.__getitem__):
-        cursor = cp
-        while cursor not in ancestors:
-            cursor = blocks[cursor].parent
-        ancestors[cp] = ancestors[cursor] | {cp}
+    members = set(cps)
+    ancestors = {tree.root: frozenset({tree.root})}
+    for cp in cps:
+        tree.require_checkpoint(cp)
+        tree.fold(cp, ancestors, _members_below, members)
     for i, a in enumerate(cps):
         below_a = ancestors[a]
         for b in cps[i + 1:]:
@@ -721,10 +726,9 @@ def sweep_invariants(net: Network) -> dict:
     record up per pool vote per query and verifies and classifies nothing
     the run has not):
 
-    * no conflicting finalization: `first_conflict` makes one parent walk
-      per finalized checkpoint, down to its nearest finalized ancestor (on
-      one chain, each block at most once in all), then at most F^2/2 pair
-      tests of two set lookups each;
+    * no conflicting finalization: `first_conflict` walks each block below
+      a finalized checkpoint at most once in all, then makes at most F^2/2
+      pair tests of two set lookups each;
     * slashable weight: `scan` checks every pair of one validator's votes,
       sum of v_i^2 / 2 pair checks; violators weigh their deposits against
       the genesis total, since every spec's would add up a handover's sets;

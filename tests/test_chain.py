@@ -138,6 +138,45 @@ def test_ancestor_at_above_block_raises_not_ancestor():
         tree.ancestor_at(blocks[1].id, 5)
 
 
+def test_fold_fills_each_missing_ancestor_once_root_side_first():
+    tree, blocks = tree_with_chain(5)
+    fork = make_block(blocks[2], 10, None)
+    tree.insert_block(fork)
+    calls = []
+
+    def depth(parent_value, block, extra):
+        calls.append(block.id)
+        return parent_value + extra
+
+    memo = {GENESIS_ID: 0, blocks[1].id: 10}
+    assert tree.fold(blocks[4].id, memo, depth, 1) == 13
+    assert calls == [b.id for b in blocks[2:5]]
+    assert memo == {GENESIS_ID: 0} | {b.id: 9 + i for i, b in enumerate(blocks[1:5], 1)}
+    # the fork's missing block alone is stepped, from its memoized parent
+    assert tree.fold(fork.id, memo, depth, 1) == 12
+    assert calls[3:] == [fork.id]
+
+
+def test_fold_memo_hit_calls_no_step():
+    tree, blocks = tree_with_chain(3)
+    memo = {GENESIS_ID: 0, blocks[3].id: 7}
+
+    def step(parent_value, block):
+        raise AssertionError("stepped on a memo hit")
+
+    assert tree.fold(blocks[3].id, memo, step) == 7
+    assert tree.fold(GENESIS_ID, memo, step) == 0
+    assert memo == {GENESIS_ID: 0, blocks[3].id: 7}
+
+
+def test_fold_unknown_id_raises_unknown_block():
+    tree, _blocks = tree_with_chain(2)
+    memo = {GENESIS_ID: 0}
+    with pytest.raises(UnknownBlock):
+        tree.fold(b"\x07" * 32, memo, lambda value, block: value + 1)
+    assert memo == {GENESIS_ID: 0}
+
+
 def test_leaves_match_parent_scan_in_order():
     rng = random.Random(11)
     tree = BlockTree(E)

@@ -299,6 +299,11 @@ def honest_data(behavior=(), spec=(), **changes):
     {"behavior": {"from_epoch": 4}},
     {"behavior": {"kind": "offline", "from_epoch": -3}},
     {"behavior": {"kind": "offline", "from_epoch": 2**64}},
+    # the 6-epoch run ends before the adversary starts, so it ran as honest
+    {"behavior": {"kind": "offline", "from_epoch": 2**64 - 1}},
+    {"behavior": {"kind": "offline", "from_epoch": 7}},
+    {"behavior": {"kind": "double_voter", "from_epoch": 7}},
+    {"behavior": {"kind": "surround_voter", "from_epoch": 7}},
     # the 6-epoch run ends before the join or leave is ever offered
     {"spec": {"join_epoch": 7}}, {"spec": {"leave_epoch": 7}},
     {"duration_epochs": 2, "spec": {"join_epoch": 1, "leave_epoch": 3}},
@@ -316,7 +321,7 @@ def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
 @pytest.mark.parametrize("changes", [
     {"spec": {"join_epoch": 6}}, {"spec": {"join_epoch": 1, "leave_epoch": 6}},
     {"behavior": {"kind": "offline", "from_epoch": 0}},
-    {"behavior": {"kind": "offline", "from_epoch": 2**64 - 1}}], ids=repr)
+    {"behavior": {"kind": "offline", "from_epoch": 6}}], ids=repr)
 def test_check_accepts_the_edge_values(tmp_path, changes):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(honest_data(**changes)))

@@ -14,8 +14,8 @@ import ffg.slashing
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
-from ffg.finality import (ChainState, ChainStateCache, FinalityState,
-                          LinkStatus, LinkTally, _StepContext,
+from ffg.finality import (ChainState, ChainStateCache, DynastySnapshot,
+                          FinalityState, LinkStatus, LinkTally, _StepContext,
                           compute_justified, link_established, liveness_plan,
                           plan_safe_for, pool_links, snapshot_registry, tally)
 from ffg.fork_choice import ClientView
@@ -82,6 +82,15 @@ def test_dual_threshold_forward_passes_rear_fails():
     assert not link_established(300, 0, snap, stitching=True)
     assert link_established(300, 0, snap, stitching=False)
     assert link_established(300, 300, snap, stitching=True)
+
+
+def test_stitching_needs_two_thirds_of_the_rear_set():
+    # the rear bound is the forward bound's 2/3, not any lower share:
+    # lowering it to 1/3 passed every other test
+    snap = DynastySnapshot(2, {3: 300}, {0: 100, 1: 100, 2: 100})
+    assert not link_established(300, 100, snap, stitching=True)
+    assert not link_established(300, 199, snap, stitching=True)
+    assert link_established(300, 200, snap, stitching=True)
 
 
 @pytest.mark.parametrize("stitching", [True, False])
@@ -151,7 +160,7 @@ def test_incremental_matches_batch_justification():
         votes.extend(w.votes([0, 1, 2], s, t))
     fs = FinalityState(w.cache)
     for i, cp in enumerate(cps[1:], start=1):
-        fs.mark_checkpoint(cp, i, i)
+        fs.mark_checkpoint(cp, i)
     seen = set()
     # deliver in a scrambled but fixed order; justification only ever grows
     order = votes[::2] + votes[1::2]

@@ -723,7 +723,7 @@ def test_evidence_heard_after_clean_memo_rejects_chain():
     feed_chain(view, w, blocks[4:], t0=5)    # the rest arrive stamped ahead
     assert view.chain_admissible(carrier.id)
     # memoized clean against the first violation, whose evidence it includes
-    assert view._rejected == {b.id: False for b in blocks[:5]}
+    assert view._rejected == {w.tree.root: False} | {b.id: False for b in blocks[:5]}
     view.receive_vote(a1, 5)
     assert view.receive_vote(b1, 5)          # rejects blocks stamped after 9
     view.advance_clock(12)
