@@ -233,9 +233,9 @@ class ChainState:
     `(index, height)` of each withdrawal it pays out.
     """
 
-    __slots__ = ("height", "dynasty", "registry", "snapshots", "links",
-                 "link_voters", "finalized_at", "evidence_against",
-                 "voted_window", "slashings", "payouts")
+    __slots__ = ("dynasty", "registry", "snapshots", "links", "link_voters",
+                 "finalized_at", "evidence_against", "voted_window",
+                 "slashings", "payouts")
 
     @property
     def justified(self) -> set[bytes]:
@@ -245,7 +245,6 @@ class ChainState:
 def genesis_state(root_id: bytes, registry: ValidatorRegistry,
                   stitching: bool) -> ChainState:
     st = ChainState()
-    st.height = 0
     st.dynasty = 0
     st.registry = registry
     st.snapshots = {root_id: snapshot_registry(0, 0, registry)}
@@ -260,13 +259,15 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
 
 
 class _StepContext:
-    """Mutable working copy used while folding one block into a state."""
+    """Mutable working copy used while folding one block into a state.
+    `height` is the block's: it stamps the links the block establishes and
+    the checkpoints it finalizes."""
 
-    def __init__(self, parent: ChainState, cfg: ProtocolConfig):
+    def __init__(self, parent: ChainState, cfg: ProtocolConfig, height: int = 0):
         self.cfg = cfg
+        self.height = height
         # every slot of ChainState, carried over by direct assignment
         self.st = st = ChainState()
-        st.height = parent.height
         st.dynasty = parent.dynasty
         st.registry = parent.registry
         st.snapshots = parent.snapshots
@@ -330,7 +331,7 @@ class _StepContext:
         self.new_voters.add(idx)
         self.link_voters(link).add(idx)
         self.owned("links").count(link, record.forward, record.rear, snap,
-                                  st.height)
+                                  self.height)
 
     def close_payload(self):
         st = self.st
@@ -356,7 +357,7 @@ class _StepContext:
                     continue
                 if any(src in links.justified and jh <= deadline
                        for src, jh in links.by_target[source]):
-                    self.owned("finalized_at")[source] = st.height
+                    self.owned("finalized_at")[source] = self.height
                     break
 
     def include_evidence(self, tx: SlashEvidence, keyring: Keyring):
@@ -382,9 +383,8 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
     """Fold one block into its parent's chain state; `cache` builds the
     states of the block's ancestors first."""
     cfg = cache.cfg
-    ctx = _StepContext(parent, cfg)
+    ctx = _StepContext(parent, cfg, block.height)
     st = ctx.st
-    st.height = block.height
     epoch = cfg.epoch_of_height(block.height)
     # the root is finalized at genesis and starts dynasty 0
     st.dynasty = len(parent.finalized_at) - 1

@@ -142,8 +142,6 @@ class ClientView:
         # root and it; final once judged (see the module docstring)
         self._rejected: dict[bytes, bool] = {self.tree.root: False}
         self._pending_blocks: dict[bytes, list[Block]] = {}
-        # (index, height) of each payout on a chain the view has received
-        self.payout_seen: set[tuple[int, int]] = set()
 
     # -- receipt ---------------------------------------------------------------
 
@@ -187,8 +185,6 @@ class ClientView:
     def _detect_finality(self, block: Block, state: ChainState) -> None:
         """Accept as finalized each checkpoint the block's chain finalizes
         that is finalizable here and carried by an admissible block."""
-        if state.payouts:
-            self.payout_seen.update(state.payouts)
         finalized_at = state.finalized_at
         if self._settled.get(id(finalized_at)) is finalized_at:
             return
@@ -261,19 +257,14 @@ class ClientView:
         return block.timestamp <= self.clock and not self._evidence_rejects(block)
 
     def chain_admissible(self, leaf: bytes) -> bool:
-        """True iff `admissible` rejects no block between the root and `leaf`."""
-        block = self.tree.get(leaf)
-        if block.timestamp > self.clock:
+        """True iff `admissible` rejects no block between the root and `leaf`.
+        A leaf stamped at or before the clock is judged by the evidence rule,
+        each block on its chain once (`_judge`); see the module docstring for
+        why the verdict is final."""
+        if self.tree.get(leaf).timestamp > self.clock:
             return False
-        return self._chain_passes(block)
-
-    def _chain_passes(self, block: Block) -> bool:
-        """True iff the evidence rule rejects no block between the root and
-        `block`, which is stamped at or before the clock.  Judges each block
-        once; see the module docstring for why the verdict is final."""
-        if not self._heard:
-            return True
-        return not self.tree.fold(block.id, self._rejected, self._judge)
+        return not self._heard or not self.tree.fold(leaf, self._rejected,
+                                                     self._judge)
 
     def _judge(self, parent_rejected: bool, block: Block) -> bool:
         """Whether the evidence rule rejects a block between the root and

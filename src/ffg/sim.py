@@ -424,7 +424,9 @@ class Network:
         # their delivery delay is not measured
         self._max_jitter = 0
         self._monotonic_ok = True
-        self._mono_counts: dict[str, tuple[int, int]] = {}
+        # (justified, finalized) counts of each view at the last check, in
+        # view order
+        self._counts = [(0, 0)] * len(self.views)
 
     def _hash_lines(self) -> None:
         """Feed the buffered trace lines to the digest, each ending in a
@@ -502,12 +504,13 @@ class Network:
     def _check_monotonic(self) -> None:
         """Record whether any view's justified or finalized count fell since
         the last check."""
-        for view in self.views.values():
+        counts = self._counts
+        for i, view in enumerate(self.views.values()):
             j, f = len(view.fstate.justified), len(view.observed_finalized)
-            old = self._mono_counts.get(view.name, (0, 0))
-            if j < old[0] or f < old[1]:
+            old_j, old_f = counts[i]
+            if j < old_j or f < old_f:
                 self._monotonic_ok = False
-            self._mono_counts[view.name] = (j, f)
+            counts[i] = (j, f)
 
 
 class Simulation(Network):
@@ -920,7 +923,8 @@ def build_report(net: Network, invariants: dict,
             "leak_totals": {str(index): rec.leaked
                             for index, rec in sorted(head_state.registry.records.items())
                             if rec.leaked},
-            "payouts": sorted(view.payout_seen),
+            "payouts": sorted({payout for bid in view.tree.blocks
+                               for payout in cache.get(bid).payouts}),
         }
 
     return RunReport(
@@ -976,13 +980,14 @@ def run(cfg: ScenarioConfig) -> RunReport:
     collector's passes over the live chain states would free nothing
     (`tests/test_work_budget.py::test_runs_leave_no_cyclic_garbage` guards
     this).  Code that calls `Simulation.run_loop` or a scenario runner
-    directly keeps the collector as it is."""
-    cfg.validate()
+    directly keeps the collector as it is.  The config is validated once:
+    by `Simulation` for a generic run, here for a scripted one."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         if cfg.scenario != GENERIC:
             from .scenarios import run_scripted
+            cfg.validate()
             return run_scripted(cfg)
 
         sim = Simulation(cfg)

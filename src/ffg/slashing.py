@@ -220,12 +220,7 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
     just_a = chain_a[-1] if chain_a else None
 
     crossing: list[tuple[tuple[bytes, bytes], tuple[bytes, bytes]]] = []
-    b_links = list(chain_b) + [fin_b]
-    if tree.require_checkpoint(b_n) == h_a:
-        if just_a is not None and chain_b:
-            crossing.append((just_a, chain_b[-1]))
-        crossing.append((fin_a, fin_b))
-    for link in b_links:
+    for link in chain_b + [fin_b]:
         hs = tree.require_checkpoint(link[0])
         ht = tree.require_checkpoint(link[1])
         if link == fin_a or (hs, ht) == (h_a, h_a1):
@@ -236,11 +231,13 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
                 crossing.append((other, link))
         elif hs < h_a and ht > h_a1:
             crossing.append((fin_a, link))
+    if tree.require_checkpoint(b_n) == h_a:
+        # the loop has paired the two links into height h_a already
+        crossing.append((fin_a, fin_b))
 
-    violators: dict[int, Violation] = {}
-    weight = 0
-    ref_total = 0
-    best: tuple[int, int] | None = None
+    # the first crossing pair of greatest (bound holds, weight) key
+    best: tuple[bool, int] | None = None
+    result = AuditResult((), 0, 0)
     for link1, link2 in crossing:
         voters1 = _link_voters(cache, pool, link1)
         voters2 = _link_voters(cache, pool, link2)
@@ -259,12 +256,9 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
         totals = [t for t in (snap1.forward_total, snap1.rear_total,
                               snap2.forward_total, snap2.rear_total) if t > 0]
         pair_total = min(totals) if totals else 0
-        if best is None or (3 * pair_weight >= pair_total) > (3 * best[0] >= best[1]) \
-                or ((3 * pair_weight >= pair_total) == (3 * best[0] >= best[1])
-                    and pair_weight > best[0]):
-            best = (pair_weight, pair_total)
-            violators = pair_violators
-            weight = pair_weight
-            ref_total = pair_total
-
-    return AuditResult(tuple(sorted(violators.items())), weight, ref_total)
+        key = (3 * pair_weight >= pair_total, pair_weight)
+        if best is None or key > best:
+            best = key
+            result = AuditResult(tuple(sorted(pair_violators.items())),
+                                 pair_weight, pair_total)
+    return result

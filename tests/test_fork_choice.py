@@ -425,15 +425,16 @@ def scan_head(view, verdicts=None):
 
 def watch_evidence_checks(view, note):
     """Call `note(block, on_chain)` at each evidence-rule check the view
-    makes: `on_chain` is true when `_chain_passes` judges the block, and
-    false when `admissible` judges a block alone."""
-    chain_passes, evidence_rejects = view._chain_passes, view._evidence_rejects
+    makes: `on_chain` is true when `_judge` judges the block on its chain
+    for `chain_admissible`, and false when `admissible` judges a block
+    alone."""
+    judge, evidence_rejects = view._judge, view._evidence_rejects
     judging = []
 
-    def watched_chain_passes(block):
+    def watched_judge(parent_rejected, block):
         judging.append(block)
         try:
-            return chain_passes(block)
+            return judge(parent_rejected, block)
         finally:
             judging.pop()
 
@@ -441,7 +442,7 @@ def watch_evidence_checks(view, note):
         note(block, bool(judging))
         return evidence_rejects(block)
 
-    view._chain_passes = watched_chain_passes
+    view._judge = watched_judge
     view._evidence_rejects = watched_evidence_rejects
 
 
@@ -697,7 +698,7 @@ def two_violations(w, blocks):
 
 
 def count_judgments(view):
-    """Count the blocks `_chain_passes` judges by the evidence rule, by id."""
+    """Count the blocks `_judge` judges by the evidence rule, by id."""
     judged = Counter()
 
     def note(block, on_chain):

@@ -137,6 +137,30 @@ def test_censored_evidence_leaves_the_violator_unslashed_and_its_chain_rejected(
     assert outcomes[False] == (1, 1, {0: 13}, 0)
 
 
+def test_censoring_proposers_include_no_evidence_and_views_reject_their_chains():
+    # over the fuzz configs with a double voter: censored, no block carries
+    # evidence, no one is slashed and the run still passes, and in some run
+    # a view's evidence rule rejects a leaf the clock has reached; uncensored,
+    # some run slashes
+    cfgs = [cfg for cfg in map(fuzz_config, range(60))
+            if any(spec.behavior.kind == DOUBLE_VOTER for spec in cfg.validators)]
+    assert cfgs
+    rejecting = slashing = 0
+    for cfg in cfgs:
+        sim = Simulation(replace(cfg, censor_evidence=True))
+        sim.run_loop()
+        report = ffg.sim.build_report(sim, ffg.sim.sweep_invariants(sim))
+        assert not any(isinstance(tx, SlashEvidence)
+                       for block in sim.tree.iter_blocks() for tx in block.payload)
+        assert report.slashings == [] and report.passed, cfg.name
+        rejecting += any(view.tree.get(leaf).timestamp <= view.clock
+                         and not view.chain_admissible(leaf)
+                         for view in sim.views.values()
+                         for leaf in view.tree.leaves())
+        slashing += bool(run(cfg).slashings)
+    assert rejecting > 0 and slashing > 0, (rejecting, slashing)
+
+
 def test_surround_voter_is_slashed():
     cfg = base_config(n=5, epochs=7, behaviors={4: Behavior(SURROUND_VOTER, 3)})
     report = run(cfg)
@@ -327,6 +351,22 @@ def test_config_roundtrip_and_validation():
                             "behavior": {"kind": "surround_voter", "from_epoch": 2}}]
     with pytest.raises(ConfigInvalid):
         config_from_dict(early)
+
+
+def test_a_run_validates_its_config_once(monkeypatch):
+    # a generic config is validated by `Simulation`, a scripted one by `run`
+    cfgs = [base_config(epochs=2),
+            config_from_dict(json.loads((CORPUS / "split_finality.json").read_text()))]
+    validate, calls = ScenarioConfig.validate, []
+
+    def counted(cfg):
+        calls.append(cfg.scenario)
+        validate(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "validate", counted)
+    for cfg in cfgs:
+        run(cfg)
+    assert calls == [GENERIC, "split_finality"]
 
 
 def test_config_round_trips_on_corpus_and_fuzz_configs():

@@ -1,21 +1,27 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import ffg.slashing
 from ffg.chain import SlashEvidence, Withdraw, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import DifferentValidators, NotConflicting, NotFinalized
 from ffg.leak import LeakConfig
-from ffg.sim import Network, ScenarioConfig, ValidatorSpec, build_report
-from ffg.slashing import (ViolationKind, check_pair, safety_audit, scan,
-                          slashable, violates)
+from ffg.sim import (Network, ScenarioConfig, ValidatorSpec, build_report,
+                     config_from_dict, run)
+from ffg.slashing import (AuditResult, ViolationKind, check_pair, safety_audit,
+                          scan, slashable, violates)
 from ffg.votes import VotePool, sign_vote
 
 from conftest import World
+from test_acceptance import forced_dual_case
 
 NO_LEAK = LeakConfig(rate=Fraction(1, 10**9))
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_world(weights=(100, 100, 100), spacing=2):
@@ -389,3 +395,96 @@ def test_audit_requires_both_finalizations():
     for a, b in ((l1, bare), (bare, r1), (bare, other)):
         with pytest.raises(NotFinalized):
             safety_audit(w.cache, w.pool, a, b)
+
+
+def four_tracker_choice(cache, pool, crossing, link_voters):
+    """The reference choice among the audit's crossing pairs: the loop that
+    kept the best (weight, total) pair, its violators, weight and total in
+    four trackers, taking a pair only when it is strictly better."""
+    violators = {}
+    weight = 0
+    ref_total = 0
+    best = None
+    for link1, link2 in crossing:
+        voters1 = link_voters(cache, pool, link1)
+        voters2 = link_voters(cache, pool, link2)
+        snap1 = cache.snapshot_for(link1[1])
+        snap2 = cache.snapshot_for(link2[1])
+        pair_weight = 0
+        pair_violators = {}
+        for idx in sorted(set(voters1) & set(voters2)):
+            record1, record2 = voters1[idx], voters2[idx]
+            violation = check_pair(record1.vote, record2.vote)
+            if violation is None:
+                continue
+            pair_violators[idx] = violation
+            pair_weight += min(max(record1.forward, record1.rear),
+                               max(record2.forward, record2.rear))
+        totals = [t for t in (snap1.forward_total, snap1.rear_total,
+                              snap2.forward_total, snap2.rear_total) if t > 0]
+        pair_total = min(totals) if totals else 0
+        if best is None or (3 * pair_weight >= pair_total) > (3 * best[0] >= best[1]) \
+                or ((3 * pair_weight >= pair_total) == (3 * best[0] >= best[1])
+                    and pair_weight > best[0]):
+            best = (pair_weight, pair_total)
+            violators = pair_violators
+            weight = pair_weight
+            ref_total = pair_total
+    return AuditResult(tuple(sorted(violators.items())), weight, ref_total)
+
+
+def tied_crossing_pairs(w):
+    """Conflicting finalizations at height 1 whose two crossing pairs tie:
+    the links into height 1 share validators 1 and 2, the links into height
+    2 share 0 and 3, each pair weighing 200 of 400."""
+    E = w.proto.spacing
+    a = w.grow(2 * E, proposer=1)
+    b = w.grow(2 * E, proposer=2)
+    a1, a2 = a[E - 1].id, a[2 * E - 1].id
+    b1, b2 = b[E - 1].id, b[2 * E - 1].id
+    w.votes([0, 1, 2], w.tree.root, a1)
+    w.votes([0, 1, 3], a1, a2)
+    w.votes([1, 2, 3], w.tree.root, b1)
+    w.votes([0, 2, 3], b1, b2)
+    return a1, b1
+
+
+def test_the_audit_chooses_as_the_four_tracker_loop(monkeypatch):
+    # the crossing pairs an audit weighs are read off its `_link_voters`
+    # calls, two per pair in order, and each result is compared with the
+    # reference's choice among them
+    link_voters, audit = ffg.slashing._link_voters, ffg.slashing.safety_audit
+    links, checked = [], []
+
+    def recording_link_voters(cache, pool, link):
+        links.append(link)
+        return link_voters(cache, pool, link)
+
+    def checked_audit(cache, pool, a_m, b_n):
+        links.clear()
+        result = audit(cache, pool, a_m, b_n)
+        crossing = list(zip(links[::2], links[1::2]))
+        checked.append((result, four_tracker_choice(cache, pool, crossing,
+                                                    link_voters)))
+        return result
+
+    monkeypatch.setattr(ffg.slashing, "_link_voters", recording_link_voters)
+    monkeypatch.setattr(ffg.slashing, "safety_audit", checked_audit)
+    for seed in range(200):
+        w, x_a, x_b, *_ = forced_dual_case(seed)
+        ffg.slashing.safety_audit(w.cache, w.pool, x_a, x_b)
+    audited = []
+    for path in sorted(CORPUS.glob("*.json")):
+        if path.name != "digests.json":
+            before = len(checked)
+            run(config_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+            if len(checked) > before:
+                audited.append(path.name)
+    assert audited
+    w = make_world([100, 100, 100, 100])
+    ffg.slashing.safety_audit(w.cache, w.pool, *tied_crossing_pairs(w))
+    # of the two tied pairs the first is kept
+    assert [i for i, _v in checked[-1][0].violators] == [1, 2]
+    assert len(checked) == 200 + len(audited) + 1
+    for got, want in checked:
+        assert got == want
