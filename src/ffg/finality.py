@@ -225,17 +225,17 @@ class ChainState:
     `link_voters` maps each tallied link to the validators the chain has
     counted on it, so a vote included again, in a later payload or as
     another object, is not counted twice.  A child shares its parent's sets
-    until it adds to one (`_StepContext.link_voters`).  `evidence_against`
-    holds the validators the chain has slashed by valid evidence, one proof
-    each (`_StepContext.include_evidence`).  `slashings` and `payouts`
-    are this block's own: the violation each proof that newly covers a
-    validator proves (`proven_violation`), in payload order, and the
-    `(index, height)` of each withdrawal it pays out.
+    until it adds to one (`_StepContext.link_voters`).  The chain has
+    slashed, by one valid proof each, exactly the validators its `registry`
+    records as slashed (`_StepContext.include_evidence`).  `slashings` and
+    `payouts` are this block's own: the violation each proof that newly
+    covers a validator proves (`proven_violation`), in payload order, and
+    the `(index, height)` of each withdrawal it pays out.  Checkpoint
+    snapshots are kept once per run (`ChainStateCache.snapshots`).
     """
 
-    __slots__ = ("dynasty", "registry", "snapshots", "links", "link_voters",
-                 "finalized_at", "evidence_against", "voted_window",
-                 "slashings", "payouts")
+    __slots__ = ("dynasty", "registry", "links", "link_voters",
+                 "finalized_at", "voted_window", "slashings", "payouts")
 
     @property
     def justified(self) -> set[bytes]:
@@ -247,11 +247,9 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
     st = ChainState()
     st.dynasty = 0
     st.registry = registry
-    st.snapshots = {root_id: snapshot_registry(0, 0, registry)}
     st.links = LinkTally(root_id, stitching)
     st.link_voters = {}
     st.finalized_at = {root_id: 0}
-    st.evidence_against = frozenset()
     st.voted_window = frozenset()
     st.slashings = ()
     st.payouts = ()
@@ -259,22 +257,20 @@ def genesis_state(root_id: bytes, registry: ValidatorRegistry,
 
 
 class _StepContext:
-    """Mutable working copy used while folding one block into a state.
-    `height` is the block's: it stamps the links the block establishes and
-    the checkpoints it finalizes."""
+    """Mutable working copy used while folding `block` into a state.  The
+    block's height stamps the links it establishes and the checkpoints it
+    finalizes."""
 
-    def __init__(self, parent: ChainState, cfg: ProtocolConfig, height: int = 0):
+    def __init__(self, parent: ChainState, cfg: ProtocolConfig, block):
         self.cfg = cfg
-        self.height = height
+        self.block = block
         # every slot of ChainState, carried over by direct assignment
         self.st = st = ChainState()
         st.dynasty = parent.dynasty
         st.registry = parent.registry
-        st.snapshots = parent.snapshots
         st.links = parent.links
         st.link_voters = parent.link_voters
         st.finalized_at = parent.finalized_at
-        st.evidence_against = parent.evidence_against
         st.voted_window = parent.voted_window
         st.slashings = parent.slashings
         st.payouts = parent.payouts
@@ -282,9 +278,8 @@ class _StepContext:
         self._own = set()
         # links whose voter set this block has copied and may add to
         self._own_voters: set[tuple[bytes, bytes]] = set()
-        # the validators this block's evidence newly proves and its window
-        # voters, unioned into the frozensets once per block by `close_payload`
-        self.new_evidence: set[int] = set()
+        # the block's window voters, unioned into `voted_window` once per
+        # block by `close_payload`
         self.new_voters: set[int] = set()
 
     def owned(self, name: str):
@@ -311,36 +306,32 @@ class _StepContext:
     def include_vote(self, vote: VoteData, cache: ChainStateCache):
         """Count an included vote on this chain when the run's verdict
         (`ChainStateCache.classify`) finds it countable.  The chain adds
-        only that the target is on it, and so an ancestor of this block,
-        whose state `cache.get` has built already."""
-        st = self.st
-        if vote.target not in st.snapshots:
-            return
+        only that the target is on it, an ancestor of the block's parent.
+        That walk comes last: a countable verdict means the shared tree
+        holds the target, which `BlockTree.is_ancestor` needs."""
         # a countable vote's key is fixed by its validator and link, and
         # whether it counts by its target being an ancestor, so this counts
         # each key once per chain: a vote included again is not a new voter
         idx = vote.validator_index
         record = cache.record(vote)
         link = record.link
-        voters = st.link_voters.get(link)
+        voters = self.st.link_voters.get(link)
         if voters is not None and idx in voters:
             return
         snap = cache.classify(record)
-        if snap is None:
+        if snap is None or not cache.tree.is_ancestor(vote.target,
+                                                      self.block.parent):
             return
         self.new_voters.add(idx)
         self.link_voters(link).add(idx)
         self.owned("links").count(link, record.forward, record.rear, snap,
-                                  self.height)
+                                  self.block.height)
 
     def close_payload(self):
-        st = self.st
-        if self.new_evidence:
-            st.evidence_against = st.evidence_against | self.new_evidence
         if self.new_voters:
-            st.voted_window = st.voted_window | self.new_voters
+            self.st.voted_window = self.st.voted_window | self.new_voters
 
-    def finalize(self):
+    def finalize(self, snapshots: dict[bytes, DynastySnapshot]):
         """Finalize each justified checkpoint with a link to a direct
         checkpoint child and a link from a justified source, both established
         by the child's deadline.  Runs after the block's closure, so the order
@@ -349,32 +340,32 @@ class _StepContext:
         st = self.st
         links = st.links
         for source in sorted(links.justified - st.finalized_at.keys()):
-            h_s = st.snapshots[source].cp_height
+            h_s = snapshots[source].cp_height
             for target, est_h in links.by_source.get(source, ()):
-                h_t = st.snapshots[target].cp_height
+                h_t = snapshots[target].cp_height
                 deadline = self.cfg.deadline(h_t)
                 if h_t != h_s + 1 or est_h > deadline:
                     continue
                 if any(src in links.justified and jh <= deadline
                        for src, jh in links.by_target[source]):
-                    self.owned("finalized_at")[source] = self.height
+                    self.owned("finalized_at")[source] = self.block.height
                     break
 
     def include_evidence(self, tx: SlashEvidence, keyring: Keyring):
         """One valid proof covers its validator and burns its whole deposit;
         a proof against a validator the chain covers or holds no record of
         is skipped unverified, and an invalid one covers no one.  Only this
-        slashes, so a covered validator's record is slashed already.  The
-        block keeps the violation a covering proof proves, for the report."""
+        slashes, and a genesis registry slashes no one, so the chain covers
+        exactly the validators its registry records as slashed.  The block
+        keeps the violation a covering proof proves, for the report."""
         st = self.st
         index = tx.first.validator_index
-        if index in st.evidence_against or index in self.new_evidence \
-                or index not in st.registry.records:
+        rec = st.registry.records.get(index)
+        if rec is None or rec.slashed:
             return
         violation = proven_violation(keyring, tx)
         if violation is None:
             return
-        self.new_evidence.add(index)
         st.slashings = st.slashings + (violation,)
         self.registry().slash(index)
 
@@ -383,7 +374,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
     """Fold one block into its parent's chain state; `cache` builds the
     states of the block's ancestors first."""
     cfg = cache.cfg
-    ctx = _StepContext(parent, cfg, block.height)
+    ctx = _StepContext(parent, cfg, block)
     st = ctx.st
     epoch = cfg.epoch_of_height(block.height)
     # the root is finalized at genesis and starts dynasty 0
@@ -408,7 +399,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
             ctx.registry().process_withdraw(tx.validator_index, st.dynasty)
     ctx.close_payload()
     if len(st.links.established) != established:
-        ctx.finalize()
+        ctx.finalize(cache.snapshots)
 
     if block.height % cfg.spacing == 0:
         # a checkpoint block closes the previous voting window: leak, then
@@ -424,9 +415,8 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
                     and not rec.withdrawn and epoch >= rec.unlock_epoch):
                 rec.withdrawn = True
                 st.payouts = st.payouts + ((rec.index, block.height),)
-        snaps = ctx.owned("snapshots")
-        cp_height = block.height // cfg.spacing
-        snaps[block.id] = snapshot_registry(cp_height, st.dynasty, reg)
+        cache.snapshots[block.id] = snapshot_registry(
+            block.height // cfg.spacing, st.dynasty, reg)
     return st
 
 
@@ -445,14 +435,15 @@ class VoteRecord:
       arrival in a view that has not heard its validator; None before;
     * `snap`: the target's snapshot when the vote counts, else None; filled
       (`ChainStateCache.classify`) the first time a view that has marked
-      the target is handed the vote, or a chain that holds the target
-      includes it, and `_UNCLASSIFIED` before.  It is never filled before
-      the shared tree holds the target: from then on every input is fixed,
+      the target is handed the vote, or a chain includes it, and
+      `_UNCLASSIFIED` before.  It is never filled before the shared tree
+      holds the target: from then on every input is fixed,
       since a source that is an ancestor of the target is in the tree
       already and one that is not never becomes one.  A view that has
       marked the target holds its whole chain, so its own tree gives the
       same class, because ids are digests.  A chain that holds the target
-      holds the source too whenever the vote counts, and the target's snapshot is the one on that chain.
+      holds the source too whenever the vote counts, and every chain reads
+      the one snapshot the run keeps for the target.
     * `forward`, `rear`: the voter's weights in `snap`, filled with it when
       the vote counts (0 before and otherwise) and fixed from then on, so a
       tally that counts the record reads no snapshot.
@@ -477,13 +468,15 @@ class ChainStateCache:
 
     * the chain state after each block, keyed by block id: a pure function
       of the block and its ancestors;
+    * each checkpoint's `DynastySnapshot` (`snapshots`): the registry on
+      its own chain, stored once by `step_state` (the root's with the
+      cache), so every chain holding the checkpoint weighs links to it alike;
     * one `VoteRecord` per vote object (`record`): its signature verdict,
       its link, its slashing partners, whether it counts and, if it does,
       the voter's weights.  The network looks the record up once per heap
       entry and hands it to every view the entry names, which then does
       only view-local work: pool membership, the violations it hears and
-      its own tally.  A chain finds it per inclusion of a vote whose target
-      is on the chain.
+      its own tally.  A chain finds it per inclusion of a vote.
 
     Records are keyed by object identity, as `Keyring.verify` is: a run
     sends one vote object to every view.  Each record holds its vote, so the
@@ -499,9 +492,12 @@ class ChainStateCache:
         self.tree = tree
         self.cfg = cfg
         self.keyring = keyring
+        registry = genesis_registry.clone()
         self.states: dict[bytes, ChainState] = {
-            tree.root: genesis_state(tree.root, genesis_registry.clone(),
-                                     cfg.stitching)}
+            tree.root: genesis_state(tree.root, registry, cfg.stitching)}
+        # checkpoint id -> its dynasty snapshot, stored by `step_state`
+        self.snapshots: dict[bytes, DynastySnapshot] = {
+            tree.root: snapshot_registry(0, 0, registry)}
         # id(vote) -> the vote's record
         self._records: dict[int, VoteRecord] = {}
         # validator index -> its distinct votes, in the order first seen
@@ -519,11 +515,11 @@ class ChainStateCache:
         return state
 
     def snapshot_for(self, checkpoint: bytes) -> DynastySnapshot | None:
-        if checkpoint not in self.tree:
-            return None
-        if self.tree.get(checkpoint).height % self.cfg.spacing:
-            return None
-        return self.get(checkpoint).snapshots[checkpoint]
+        """The checkpoint's snapshot, stored when its chain state is built;
+        None for a block that is not a checkpoint of the tree."""
+        if checkpoint not in self.snapshots and checkpoint in self.tree:
+            self.get(checkpoint)
+        return self.snapshots.get(checkpoint)
 
     def record(self, vote: VoteData) -> VoteRecord:
         """The run's record of this vote object, made (and its signature

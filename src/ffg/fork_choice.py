@@ -8,10 +8,11 @@ greatest height.  Three client-local filters compose around it, in order:
    validator whose first violation the view heard at t.  One proof takes a
    violator's whole deposit, so a view hears one violation per validator,
    the first, and any valid proof against that validator satisfies the
-   rule (`ChainState.evidence_against`).  The too-old rule is judged once,
-   when a checkpoint is first presented: one stamped more than delta
-   before it reaches the view is never treated as finalized
-   (`ClientView.finalizable`), though its chain stays eligible;
+   rule, after which the chain's registry records the validator as
+   slashed.  The too-old rule is judged once, when a checkpoint is first
+   presented: one stamped more than delta before it reaches the view is
+   never treated as finalized (`ClientView.finalizable`), though its chain
+   stays eligible;
 2. never revert: only chains containing every locally recorded finalized
    checkpoint are eligible (first-seen wins per height, write-once);
 3. the justified-height rule with deterministic tie-breaks (earliest-received
@@ -274,13 +275,15 @@ class ClientView:
     def _evidence_rejects(self, block: Block) -> bool:
         """The evidence rule for `block` alone: it is stamped later than
         2*delta after some violator was heard, and its chain has not
-        included valid evidence against that validator."""
+        included valid evidence against that validator, so its registry
+        holds no slashed record of it (`_StepContext.include_evidence`)."""
         deadline = block.timestamp - 2 * self.cfg.delta
-        covered = self.cache.get(block.id).evidence_against
+        records = self.cache.get(block.id).registry.records
         for index, heard_at in self._heard.items():
             if heard_at >= deadline:
                 return False
-            if index not in covered:
+            rec = records.get(index)
+            if rec is None or not rec.slashed:
                 return True
         return False
 

@@ -495,7 +495,7 @@ def scenario_split_finality(cfg: ScenarioConfig) -> RunReport:
     state_a, state_b = (s.cache.get(chain[epochs * E].id) for *_, chain in lanes)
 
     def first_new_finalized(state):
-        heights = [state.snapshots[cp].cp_height
+        heights = [s.tree.checkpoint_height(cp)
                    for cp in state.finalized_at if cp != s.tree.root]
         return min(heights) if heights else None
 

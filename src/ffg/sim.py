@@ -621,9 +621,9 @@ class Simulation(Network):
         epoch = self.proto.epoch_of_height(parent.height + 1)
         txs = self._scheduled_txs(epoch, parent_state)
         if not self.cfg.censor_evidence:
-            covered = parent_state.evidence_against
+            records = parent_state.registry.records
             txs.extend(proof for index, proof in sorted(self.pending_evidence.items())
-                       if index not in covered)
+                       if index not in records or not records[index].slashed)
         votes = self.proposer.votes
         txs.extend(VoteInclusion(vote) for vote in votes[self._offered[parent_id]:])
         block = self.tree.extend(parent_id, now, None, tuple(txs))

@@ -217,7 +217,7 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
 
     h_a = tree.require_checkpoint(a_m)
     h_a1 = h_a + 1
-    just_a = chain_a[-1] if chain_a else None
+    just_a = chain_a[-1]
 
     crossing: list[tuple[tuple[bytes, bytes], tuple[bytes, bytes]]] = []
     for link in chain_b + [fin_b]:
@@ -226,9 +226,7 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
         if link == fin_a or (hs, ht) == (h_a, h_a1):
             continue
         if ht == h_a1 or ht == h_a:
-            other = fin_a if ht == h_a1 else just_a
-            if other is not None:
-                crossing.append((other, link))
+            crossing.append((fin_a if ht == h_a1 else just_a, link))
         elif hs < h_a and ht > h_a1:
             crossing.append((fin_a, link))
     if tree.require_checkpoint(b_n) == h_a:

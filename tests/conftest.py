@@ -32,6 +32,13 @@ def keyring():
     return Keyring(seed=42)
 
 
+def slashed_validators(state):
+    """The validators the chain state's registry records as slashed: the
+    ones its chain has included valid evidence against."""
+    return {index for index, rec in state.registry.records.items()
+            if rec.slashed}
+
+
 def build_chain(tree, length, proposer=None, start=None, t0=None):
     """Extend with `length` empty blocks; returns the list of new blocks."""
     parent = tree.get(start or tree.root)

@@ -565,16 +565,19 @@ def test_a_vote_included_again_later_neither_counts_nor_saves_its_validator():
     assert deposits(tip) == [90, 90, 81, 81]
 
 
-def reference_counts(st, vote, keyring):
-    """Reference: whether an included vote counts on the chain whose state
-    is being built, judged from that chain alone: a valid signature, source
-    and target among the chain's checkpoints at the vote's heights, the
-    source below the target, and the validator in the target's dynasty
-    sets as the chain recorded them."""
-    if not keyring.verify(vote):
+def reference_counts(block, vote, cache):
+    """Reference: whether a vote included in `block` counts on the block's
+    chain, judged from that chain alone: a valid signature, source and
+    target among the checkpoints on the path from the root to the block's
+    parent at the vote's heights, the source below the target, and the
+    validator in the target's dynasty sets as the run recorded them."""
+    if not cache.keyring.verify(vote):
         return False
-    src_snap = st.snapshots.get(vote.source)
-    snap = st.snapshots.get(vote.target)
+    chain = set(cache.tree.path(block.parent))
+    if vote.source not in chain or vote.target not in chain:
+        return False
+    src_snap = cache.snapshots.get(vote.source)
+    snap = cache.snapshots.get(vote.target)
     if snap is None or src_snap is None:
         return False
     if (snap.cp_height != vote.target_height
@@ -593,7 +596,7 @@ def test_chain_inclusions_count_exactly_when_the_reference_says(monkeypatch):
         idx, link = vote.validator_index, (vote.source, vote.target)
         repeat = idx in ctx.st.link_voters.get(link, ())
         before = ctx.st.links.tallies.get(link)
-        counts = reference_counts(ctx.st, vote, cache.keyring)
+        counts = reference_counts(ctx.block, vote, cache)
         include_vote(ctx, vote, cache)
         counted = not repeat and idx in ctx.st.link_voters.get(link, ())
         if not counted:
@@ -605,6 +608,30 @@ def test_chain_inclusions_count_exactly_when_the_reference_says(monkeypatch):
     for cfg in [fuzz_config(seed) for seed in range(100)] + [long_horizon_shaped(3)]:
         run(cfg)
     assert outcomes["counted"] > 0 and outcomes["not counted"] > 0, outcomes
+
+
+def test_a_vote_counts_only_on_the_chain_that_holds_its_target():
+    w = make_world([100, 100, 100, 100])
+    c1 = first_checkpoint(w)                        # c1 at height 2
+    branch_a = w.include(w.include(c1, [], timestamp=3), [], timestamp=4)
+    branch_b = w.include(w.include(c1, [], timestamp=5), [], timestamp=6)
+    c2_b = branch_b.id                              # c2' at height 4, on B
+    vote = sign_vote(w.keyring, 0, c1.id, c2_b, 1, 2)
+    link = (c1.id, c2_b)
+
+    def chain_view(block):
+        state = w.cache.get(block.id)
+        return (dict(state.links.tallies), dict(state.link_voters),
+                state.voted_window)
+    before = chain_view(branch_a)
+    on_a = w.include(branch_a, [vote])
+    assert chain_view(on_a) == before
+    assert link not in w.cache.get(on_a.id).links.tallies
+    on_b = w.include(branch_b, [vote])
+    state = w.cache.get(on_b.id)
+    assert state.links.tallies[link] == (100, 0)
+    assert state.link_voters[link] == {0}
+    assert state.voted_window == {0}
 
 
 def test_child_blocks_leave_the_parent_tallies_unchanged():
@@ -799,7 +826,9 @@ def test_step_context_carries_every_chain_state_slot():
     parent = ChainState()
     for name in ChainState.__slots__:
         setattr(parent, name, object())
-    child = _StepContext(parent, quiet_proto()).st
+    w = make_world()
+    block = make_block(w.tree.get(w.tree.root), 1, None, ())
+    child = _StepContext(parent, quiet_proto(), block).st
     for name in ChainState.__slots__:
         assert getattr(child, name) is getattr(parent, name), name
 

@@ -24,7 +24,7 @@ from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER, Network,
 from ffg.slashing import check_pair, find_new_violations, proven_violation, violates
 from ffg.votes import Keyring, VoteClass, VotePool, classify_vote, sign_vote
 
-from conftest import World
+from conftest import World, slashed_validators
 from test_acceptance import fuzz_config
 
 NO_LEAK = LeakConfig(rate=Fraction(1, 10**9))
@@ -160,7 +160,7 @@ def heard_then_judged(make_proof):
 def test_evidence_for_another_pair_of_the_violator_covers_it():
     view, c, state, verdicts = heard_then_judged(
         lambda w, a, b, c: SlashEvidence(a, c))
-    assert state.evidence_against == {0}
+    assert slashed_validators(state) == {0}
     assert verdicts == [True, True]
     # the validator's later pairs are not heard, and the chain still passes
     assert view.receive_vote(c, 19) is None
@@ -173,14 +173,14 @@ def test_a_chain_without_evidence_against_the_violator_is_rejected_after_the_dea
         lambda w, a, b, c: SlashEvidence(
             sign_vote(w.keyring, 1, a.source, a.target, 0, 1),
             sign_vote(w.keyring, 1, b.source, b.target, 1, 1)))
-    assert state.evidence_against == {1}
+    assert slashed_validators(state) == {1}
     assert verdicts == [True, False]
 
 
 def test_a_forged_proof_against_the_violator_does_not_cover_it():
     _view, _c, state, verdicts = heard_then_judged(
         lambda w, a, b, c: SlashEvidence(a, replace(c, signature=bytes(32))))
-    assert state.evidence_against == frozenset()
+    assert slashed_validators(state) == set()
     assert not state.registry.get(0).slashed
     assert verdicts == [True, False]
 
@@ -461,7 +461,7 @@ def check_against_walks(view, outcomes):
     the reference walks, counting each leaf's verdict in `outcomes`."""
     verdicts = {}
     for leaf in view.tree.leaves():
-        assert view.cache.get(leaf).evidence_against \
+        assert slashed_validators(view.cache.get(leaf)) \
             == proven_violators(view.cache, leaf)
         ok = view.chain_admissible(leaf)
         assert ok == walk_chain_admissible(view, leaf, verdicts)

@@ -29,7 +29,7 @@ from ffg.sim import (Agent, Behavior, DOUBLE_VOTER, GENERIC, HONEST, OFFLINE,
 from ffg.slashing import slashable
 from ffg.votes import Keyring, sign_vote
 
-from conftest import World, build_chain
+from conftest import World, build_chain, slashed_validators
 from test_acceptance import fuzz_config
 from test_fork_choice import long_horizon_shaped, proven_violators
 
@@ -449,7 +449,7 @@ def test_a_violating_late_joiner_is_slashed_in_the_head_registry():
     state = sim.cache.get(sim.proposer.head())
     rec = state.registry.get(9)
     assert rec.slashed and rec.deposit == 0
-    assert 9 in state.evidence_against
+    assert 9 in slashed_validators(state)
     assert min(vote["target_height"] for vote in report.votes
                if vote["validator"] == 9) == 3
     assert report.passed

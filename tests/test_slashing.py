@@ -17,7 +17,7 @@ from ffg.slashing import (AuditResult, ViolationKind, check_pair, safety_audit,
                           scan, slashable, violates)
 from ffg.votes import VotePool, sign_vote
 
-from conftest import World
+from conftest import World, slashed_validators
 from test_acceptance import forced_dual_case
 
 NO_LEAK = LeakConfig(rate=Fraction(1, 10**9))
@@ -169,13 +169,13 @@ def test_evidence_burns_the_whole_deposit_once():
     assert reg.get(culprit).deposit == 0 and reg.get(culprit).slashed
     burned = 1200 - sum(rec.deposit for rec in reg.records.values())
     assert burned == 1000
-    assert w.cache.get(block.id).evidence_against == {culprit}
+    assert slashed_validators(w.cache.get(block.id)) == {culprit}
     # the same evidence again, and a second violation by the same validator,
     # slash no second time
     block, reg = evidence_block(w, block, first, second)
     block, reg = evidence_block(w, block, *double_vote(w, 0, tag=1))
     assert sum(rec.deposit for rec in reg.records.values()) == 200
-    assert w.cache.get(block.id).evidence_against == {culprit}
+    assert slashed_validators(w.cache.get(block.id)) == {culprit}
 
 
 def test_a_forged_proof_covers_no_one():
@@ -183,11 +183,11 @@ def test_a_forged_proof_covers_no_one():
     first, second = double_vote(w, 0)
     forged = replace(second, signature=bytes(32))
     block, reg = evidence_block(w, w.tree.get(w.tree.root), first, forged)
-    assert w.cache.get(block.id).evidence_against == frozenset()
+    assert slashed_validators(w.cache.get(block.id)) == set()
     assert not reg.get(0).slashed and reg.get(0).deposit == 1000
     # a valid proof after it still covers the validator and slashes it
     block, reg = evidence_block(w, block, first, second)
-    assert w.cache.get(block.id).evidence_against == {0}
+    assert slashed_validators(w.cache.get(block.id)) == {0}
     assert reg.get(0).slashed
 
 
@@ -227,8 +227,8 @@ def test_the_report_lists_the_proof_that_slashed_each_validator_on_its_chain():
     # evidence the chain covers already, and the same proof on another chain
     child = tree.extend(block.id, 2, None, (surround(0), surround(1)))
     sibling = tree.extend(root, 3, None, (surround(0),))
-    assert net.cache.get(block.id).evidence_against == {0, 1}
-    assert net.cache.get(child.id).evidence_against == {0, 1}
+    assert slashed_validators(net.cache.get(block.id)) == {0, 1}
+    assert slashed_validators(net.cache.get(child.id)) == {0, 1}
     listed = [(s["validator"], s["kind"], s["included_in"])
               for s in build_report(net, {}).slashings]
     assert listed == [(0, "I", block.id.hex()), (1, "I", block.id.hex()),
