@@ -3,9 +3,10 @@
 One core counts votes into justification, and two engines sit on top of it:
 
 * `LinkTally`: the core.  It sums the weights its callers count per link,
-  each validator once, records a link as established when
-  `link_established` says so, and keeps the justified closure: the root,
-  plus every target of an established link from a justified source.
+  each validator once, indexes a link by both ends once its sums meet the
+  target snapshot's needs (`link_established`), and keeps the justified
+  closure: the root, plus every target of an established link from a
+  justified source.
   `pool_links` feeds a whole vote pool through it once, for
   `compute_justified` and the accountable-safety audit.
 
@@ -31,7 +32,9 @@ A link s -> t, with t's block in dynasty d, is established when the tallied
 deposits reach 2/3 of the forward set of d and (when stitching is enabled)
 2/3 of the rear set of d.  Weights come from the registry as recorded at the
 start of t's voting window on t's own chain, so the tally for a given target
-is objective: every honest party computes the same snapshot.
+is objective: every honest party computes the same snapshot.  The snapshot
+fixes both 2/3 needs, and the run's stitching rule with them, when it is
+built (`snapshot_registry`); nothing downstream reads the rule again.
 """
 
 from __future__ import annotations
@@ -53,21 +56,31 @@ class DynastySnapshot:
 
     forward/rear map validator index -> deposit at the start of the target's
     voting window on the target's own chain; zero-weight members are omitted.
+    `forward_need` and `rear_need` are the least sums that reach 2/3 of
+    each set's total T, the least integer x with 3x >= 2T; `rear_need` is 0
+    without stitching.  When no set the rule reads has weight the link can
+    never be established, so `forward_need` is 1, above any sum of an empty
+    set.
     """
 
-    __slots__ = ("cp_height", "forward", "rear", "forward_total", "rear_total")
+    __slots__ = ("cp_height", "forward", "rear", "forward_total", "rear_total",
+                 "forward_need", "rear_need")
 
     def __init__(self, cp_height: int, forward: dict[int, int],
-                 rear: dict[int, int]):
+                 rear: dict[int, int], stitching: bool):
         self.cp_height = cp_height
         self.forward = forward
         self.rear = rear
         self.forward_total = sum(forward.values())
         self.rear_total = sum(rear.values())
+        self.forward_need = (2 * self.forward_total + 2) // 3
+        self.rear_need = (2 * self.rear_total + 2) // 3 if stitching else 0
+        if not (self.forward_need or self.rear_need):
+            self.forward_need = 1
 
 
-def snapshot_registry(cp_height: int, dynasty: int,
-                      registry: ValidatorRegistry) -> DynastySnapshot:
+def snapshot_registry(cp_height: int, dynasty: int, registry: ValidatorRegistry,
+                      stitching: bool) -> DynastySnapshot:
     forward: dict[int, int] = {}
     rear: dict[int, int] = {}
     for rec in registry.records.values():
@@ -78,21 +91,13 @@ def snapshot_registry(cp_height: int, dynasty: int,
             forward[rec.index] = w
         if rec.in_rear(dynasty):
             rear[rec.index] = w
-    return DynastySnapshot(cp_height, forward, rear)
+    return DynastySnapshot(cp_height, forward, rear, stitching)
 
 
-def link_established(fwd_sum: int, rear_sum: int, snap: DynastySnapshot,
-                     stitching: bool) -> bool:
-    """2/3 threshold via cross-multiplication; empty sides pass vacuously but a
-    link with no weighable set at all never establishes."""
-    if stitching:
-        if snap.forward_total == 0 and snap.rear_total == 0:
-            return False
-        return (3 * fwd_sum >= 2 * snap.forward_total
-                and 3 * rear_sum >= 2 * snap.rear_total)
-    if snap.forward_total == 0:
-        return False
-    return 3 * fwd_sum >= 2 * snap.forward_total
+def link_established(fwd: int, rear: int, snap: DynastySnapshot) -> bool:
+    """Whether a link's forward and rear sums meet its target snapshot's 2/3
+    needs."""
+    return fwd >= snap.forward_need and rear >= snap.rear_need
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,10 @@ class LinkStatus:
 class LinkTally:
     """Per-link tallies, established links, and the justified closure.
 
-    tallies maps (source, target) -> (forward, rear); established maps a
-    link to the caller's stamp; by_source and by_target index established
-    links as (other end, stamp) tuples.
+    tallies maps (source, target) -> (forward, rear); by_source and
+    by_target index each established link once, by its source and by its
+    target, as (other end, stamp) tuples, the stamp being the caller's at
+    the count that established it.
 
     `count` adds one vote's weights to its link and keeps no voters: the
     caller counts each validator at most once per link.  Views and the pool
@@ -119,61 +125,54 @@ class LinkTally:
     its validator and link; the chain engine, which can include one vote in
     two payloads, keeps its own voter sets (`ChainState.link_voters`).
     Views, chains and `pool_links` pass the link and weights their run
-    record carries (`VoteRecord`), so counting builds no link and reads no
-    snapshot.
+    record carries (`VoteRecord`), so counting builds no link.  Sums only
+    grow and every count of a link passes the same snapshot, its target's,
+    so a link is established by exactly the count whose new sums meet the
+    snapshot's needs and whose previous sums did not.
 
     Every value is immutable, so `copy` only copies the containers.
     """
 
-    __slots__ = ("stitching", "tallies", "established", "by_source",
-                 "by_target", "justified")
+    __slots__ = ("tallies", "by_source", "by_target", "justified")
 
-    def __init__(self, root: bytes, stitching: bool):
-        self.stitching = stitching
+    def __init__(self, root: bytes):
         self.tallies: dict[tuple[bytes, bytes], tuple[int, int]] = {}
-        self.established: dict[tuple[bytes, bytes], int] = {}
         self.by_source: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
         self.by_target: dict[bytes, tuple[tuple[bytes, int], ...]] = {}
         self.justified: set[bytes] = {root}
 
     def copy(self) -> LinkTally:
         other = LinkTally.__new__(LinkTally)
-        other.stitching = self.stitching
         other.tallies = self.tallies.copy()
-        other.established = self.established.copy()
         other.by_source = self.by_source.copy()
         other.by_target = self.by_target.copy()
         other.justified = self.justified.copy()
         return other
 
     def count(self, link: tuple[bytes, bytes], forward: int, rear: int,
-              snap: DynastySnapshot, stamp: int = 0) -> None:
+              snap: DynastySnapshot, stamp: int = 0) -> bool:
         """Add one voter's weights, `forward` and `rear` in `snap`, to
-        `link`; when that establishes the link, justify what it newly
-        justifies.  The caller vouches that the vote counts against `snap`
-        and that its validator has not been counted on `link` before."""
-        entry = self.tallies.get(link)
-        if entry is None:
-            fwd, rear_sum = forward, rear
-        else:
-            fwd, rear_sum = entry[0] + forward, entry[1] + rear
+        `link`; when that establishes the link, index it, justify what it
+        newly justifies and return True.  The caller vouches that the vote
+        counts against `snap`, its target's snapshot, and that its validator
+        has not been counted on `link` before."""
+        prev_fwd, prev_rear = self.tallies.get(link, (0, 0))
+        fwd, rear_sum = prev_fwd + forward, prev_rear + rear
         self.tallies[link] = (fwd, rear_sum)
-        if link in self.established or not link_established(
-                fwd, rear_sum, snap, self.stitching):
-            return
+        if (not link_established(fwd, rear_sum, snap)
+                or link_established(prev_fwd, prev_rear, snap)):
+            return False
         source, target = link
-        self.established[link] = stamp
         self.by_source[source] = self.by_source.get(source, ()) + ((target, stamp),)
         self.by_target[target] = self.by_target.get(target, ()) + ((source, stamp),)
-        if source not in self.justified:
-            return
-        queue = [target]
+        queue = [target] if source in self.justified else []
         while queue:
             cp = queue.pop()
             if cp in self.justified:
                 continue
             self.justified.add(cp)
             queue.extend(tgt for tgt, _stamp in self.by_source.get(cp, ()))
+        return True
 
 
 def pool_links(cache: ChainStateCache, pool: VotePool) -> LinkTally:
@@ -184,7 +183,7 @@ def pool_links(cache: ChainStateCache, pool: VotePool) -> LinkTally:
     with the run's keyring, on which every pool of a run is built.  Costs
     one record lookup per pool vote; the run has classified almost every
     record already, and one it has not is classified here, once per run."""
-    links = LinkTally(cache.tree.root, cache.cfg.stitching)
+    links = LinkTally(cache.tree.root)
     for vote in pool.votes:
         record = cache.record(vote)
         snap = cache.classify(record)
@@ -211,8 +210,7 @@ def tally(cache: ChainStateCache, pool: VotePool, source: bytes,
             fwd += record.forward
             rear += record.rear
     return LinkStatus(source, target, fwd, rear, snap.forward_total,
-                      snap.rear_total,
-                      link_established(fwd, rear, snap, cache.cfg.stitching))
+                      snap.rear_total, link_established(fwd, rear, snap))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +240,11 @@ class ChainState:
         return self.links.justified
 
 
-def genesis_state(root_id: bytes, registry: ValidatorRegistry,
-                  stitching: bool) -> ChainState:
+def genesis_state(root_id: bytes, registry: ValidatorRegistry) -> ChainState:
     st = ChainState()
     st.dynasty = 0
     st.registry = registry
-    st.links = LinkTally(root_id, stitching)
+    st.links = LinkTally(root_id)
     st.link_voters = {}
     st.finalized_at = {root_id: 0}
     st.voted_window = frozenset()
@@ -303,12 +300,13 @@ class _StepContext:
             self._own_voters.add(link)
         return voters[link]
 
-    def include_vote(self, vote: VoteData, cache: ChainStateCache):
+    def include_vote(self, vote: VoteData, cache: ChainStateCache) -> bool:
         """Count an included vote on this chain when the run's verdict
-        (`ChainStateCache.classify`) finds it countable.  The chain adds
-        only that the target is on it, an ancestor of the block's parent.
-        That walk comes last: a countable verdict means the shared tree
-        holds the target, which `BlockTree.is_ancestor` needs."""
+        (`ChainStateCache.classify`) finds it countable, and return whether
+        that establishes its link.  The chain adds only that the target is
+        on it, an ancestor of the block's parent.  That walk comes last: a
+        countable verdict means the shared tree holds the target, which
+        `BlockTree.is_ancestor` needs."""
         # a countable vote's key is fixed by its validator and link, and
         # whether it counts by its target being an ancestor, so this counts
         # each key once per chain: a vote included again is not a new voter
@@ -317,15 +315,15 @@ class _StepContext:
         link = record.link
         voters = self.st.link_voters.get(link)
         if voters is not None and idx in voters:
-            return
+            return False
         snap = cache.classify(record)
         if snap is None or not cache.tree.is_ancestor(vote.target,
                                                       self.block.parent):
-            return
+            return False
         self.new_voters.add(idx)
         self.link_voters(link).add(idx)
-        self.owned("links").count(link, record.forward, record.rear, snap,
-                                  self.block.height)
+        return self.owned("links").count(link, record.forward, record.rear,
+                                         snap, self.block.height)
 
     def close_payload(self):
         if self.new_voters:
@@ -386,10 +384,10 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
                                                 cfg.withdrawal_delay,
                                                 previous=parent.dynasty)
 
-    established = len(st.links.established)
+    established = False
     for tx in block.payload:
         if isinstance(tx, VoteInclusion):
-            ctx.include_vote(tx.vote, cache)
+            established |= ctx.include_vote(tx.vote, cache)
         elif isinstance(tx, SlashEvidence):
             ctx.include_evidence(tx, cache.keyring)
         elif isinstance(tx, Deposit):
@@ -398,7 +396,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
         elif isinstance(tx, Withdraw):
             ctx.registry().process_withdraw(tx.validator_index, st.dynasty)
     ctx.close_payload()
-    if len(st.links.established) != established:
+    if established:
         ctx.finalize(cache.snapshots)
 
     if block.height % cfg.spacing == 0:
@@ -416,7 +414,7 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
                 rec.withdrawn = True
                 st.payouts = st.payouts + ((rec.index, block.height),)
         cache.snapshots[block.id] = snapshot_registry(
-            block.height // cfg.spacing, st.dynasty, reg)
+            block.height // cfg.spacing, st.dynasty, reg, cfg.stitching)
     return st
 
 
@@ -494,10 +492,10 @@ class ChainStateCache:
         self.keyring = keyring
         registry = genesis_registry.clone()
         self.states: dict[bytes, ChainState] = {
-            tree.root: genesis_state(tree.root, registry, cfg.stitching)}
+            tree.root: genesis_state(tree.root, registry)}
         # checkpoint id -> its dynasty snapshot, stored by `step_state`
         self.snapshots: dict[bytes, DynastySnapshot] = {
-            tree.root: snapshot_registry(0, 0, registry)}
+            tree.root: snapshot_registry(0, 0, registry, cfg.stitching)}
         # id(vote) -> the vote's record
         self._records: dict[int, VoteRecord] = {}
         # validator index -> its distinct votes, in the order first seen
@@ -609,7 +607,7 @@ class FinalityState:
         root_id = cache.tree.root
         self.cache = cache
         self.order: dict[bytes, int] = {root_id: 0}
-        self.links = LinkTally(root_id, cache.cfg.stitching)
+        self.links = LinkTally(root_id)
         self._buffer: dict[bytes, list[VoteRecord]] = {}
         self.max_height = 0
 

@@ -389,12 +389,12 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
         payout_chains = []
         evidence_ok = True
         for leaf in view.tree.leaves():
-            # longest admissible prefix of this chain
-            chain = list(takewhile(view.admissible,
-                                   map(view.tree.get, view.tree.path(leaf)[1:])))
+            # longest admissible prefix: stamps rise along a chain
+            chain = list(takewhile(view.chain_admissible,
+                                   view.tree.path(leaf)[1:]))
             if not chain:
                 continue
-            tip = chain[-1]
+            tip = view.tree.get(chain[-1])
             state = s.cache.get(tip.id)
             paid = [idx for idx, rec in state.registry.records.items()
                     if rec.withdrawn and idx in attackers]

@@ -546,7 +546,7 @@ class Simulation(Network):
         delta = self.proto.delta
         bits = (delta + 1).bit_length()
         getrandbits = self.rng_net.getrandbits
-        by_time: dict[int, list[str]] = {}
+        groups: list[list[str]] = [[] for _ in range(delta + 1)]
         for name in self.views:
             if name == sender:
                 jitter = 0
@@ -554,10 +554,11 @@ class Simulation(Network):
                 jitter = getrandbits(bits)
                 while jitter > delta:
                     jitter = getrandbits(bits)
-            by_time.setdefault(now + jitter, []).append(name)
-        self._max_jitter = max(self._max_jitter, max(by_time) - now)
-        for time, names in by_time.items():
-            self.send(kind, payload, time, names)
+            groups[jitter].append(name)
+        for jitter, names in enumerate(groups):
+            if names:
+                self._max_jitter = max(self._max_jitter, jitter)
+                self.send(kind, payload, now + jitter, names)
 
     def broadcast_block(self, block: Block, now: int) -> None:
         self.announce_block(block, now)

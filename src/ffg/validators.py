@@ -8,9 +8,9 @@ sets are
     rear(d)    = { v : start <  d <= end }
 
 so forward(d) == rear(d+1).  `ValidatorRecord.in_forward` and `in_rear` test
-one record; `finality.snapshot_registry` builds the weighted sets.  All 2/3
-and 1/3 comparisons elsewhere use cross-multiplication on integer deposits;
-no floats ever enter the math.
+one record; `finality.snapshot_registry` builds the weighted sets and their
+2/3 needs, integer ceilings.  The other 2/3 and 1/3 comparisons use
+cross-multiplication on integer deposits; no floats ever enter the math.
 
 A validator is named by its index, as a vote names it: indexes are unique in
 a run (a repeated one is a Rejoin error), so records and the registry's

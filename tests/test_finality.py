@@ -77,20 +77,21 @@ def test_dual_threshold_forward_passes_rear_fails():
     reg = ValidatorRegistry()
     reg.records[0] = ValidatorRecord(0, 300, start_dynasty=0, end_dynasty=1)
     reg.records[1] = ValidatorRecord(1, 300, start_dynasty=1)
-    snap = snapshot_registry(2, 1, reg)
+    snap = snapshot_registry(2, 1, reg, stitching=True)
+    plain = snapshot_registry(2, 1, reg, stitching=False)
     assert snap.forward == {1: 300} and snap.rear == {0: 300}
-    assert not link_established(300, 0, snap, stitching=True)
-    assert link_established(300, 0, snap, stitching=False)
-    assert link_established(300, 300, snap, stitching=True)
+    assert not link_established(300, 0, snap)
+    assert link_established(300, 0, plain)
+    assert link_established(300, 300, snap)
 
 
 def test_stitching_needs_two_thirds_of_the_rear_set():
     # the rear bound is the forward bound's 2/3, not any lower share:
     # lowering it to 1/3 passed every other test
-    snap = DynastySnapshot(2, {3: 300}, {0: 100, 1: 100, 2: 100})
-    assert not link_established(300, 100, snap, stitching=True)
-    assert not link_established(300, 199, snap, stitching=True)
-    assert link_established(300, 200, snap, stitching=True)
+    snap = DynastySnapshot(2, {3: 300}, {0: 100, 1: 100, 2: 100}, stitching=True)
+    assert not link_established(300, 100, snap)
+    assert not link_established(300, 199, snap)
+    assert link_established(300, 200, snap)
 
 
 @pytest.mark.parametrize("stitching", [True, False])
@@ -113,12 +114,52 @@ def test_pool_queries_follow_the_runs_stitching_rule(stitching):
 def test_empty_side_semantics():
     reg = ValidatorRegistry()
     reg.add_genesis_validator(0, 100)
-    genesis_snap = snapshot_registry(1, 0, reg)
+    genesis_snap = snapshot_registry(1, 0, reg, stitching=True)
     assert genesis_snap.rear_total == 0           # strict lower bound at dynasty 0
-    assert link_established(100, 0, genesis_snap, stitching=True)
-    deserted = snapshot_registry(1, 5, ValidatorRegistry())
-    assert not link_established(0, 0, deserted, stitching=True)
-    assert not link_established(0, 0, deserted, stitching=False)
+    assert link_established(100, 0, genesis_snap)
+    deserted = snapshot_registry(1, 5, ValidatorRegistry(), stitching=True)
+    assert not link_established(0, 0, deserted)
+    deserted = snapshot_registry(1, 5, ValidatorRegistry(), stitching=False)
+    assert not link_established(0, 0, deserted)
+
+
+def cross_multiplied(fwd, rear, forward_total, rear_total, stitching):
+    """The 2/3 rule as cross-multiplication on the totals: the reference
+    the snapshot's needs must agree with."""
+    if stitching:
+        if forward_total == 0 and rear_total == 0:
+            return False
+        return 3 * fwd >= 2 * forward_total and 3 * rear >= 2 * rear_total
+    if forward_total == 0:
+        return False
+    return 3 * fwd >= 2 * forward_total
+
+
+@pytest.mark.parametrize("stitching", [True, False])
+def test_snapshot_needs_match_cross_multiplication(stitching):
+    # a tally counts each validator once, so its sums never pass the totals
+    for forward_total in range(13):
+        for rear_total in range(13):
+            snap = DynastySnapshot(1, {0: forward_total} if forward_total else {},
+                                   {1: rear_total} if rear_total else {},
+                                   stitching)
+            for fwd in range(forward_total + 1):
+                for rear in range(rear_total + 1):
+                    assert link_established(fwd, rear, snap) is cross_multiplied(
+                        fwd, rear, forward_total, rear_total, stitching), (
+                        forward_total, rear_total, fwd, rear)
+
+
+def test_votes_after_establishment_index_the_link_once():
+    snap = DynastySnapshot(1, {0: 100, 1: 100, 2: 100, 3: 100}, {}, stitching=True)
+    links = LinkTally(b"root")
+    link = (b"root", b"cp")
+    outcomes = [links.count(link, 100, 0, snap, stamp) for stamp in range(4)]
+    assert outcomes == [False, False, True, False]
+    assert links.tallies[link] == (400, 0)
+    assert links.by_source == {b"root": ((b"cp", 2),)}
+    assert links.by_target == {b"cp": ((b"root", 2),)}
+    assert links.justified == {b"root", b"cp"}
 
 
 # -- justification ---------------------------------------------------------------
@@ -597,13 +638,14 @@ def test_chain_inclusions_count_exactly_when_the_reference_says(monkeypatch):
         repeat = idx in ctx.st.link_voters.get(link, ())
         before = ctx.st.links.tallies.get(link)
         counts = reference_counts(ctx.block, vote, cache)
-        include_vote(ctx, vote, cache)
+        established = include_vote(ctx, vote, cache)
         counted = not repeat and idx in ctx.st.link_voters.get(link, ())
         if not counted:
             assert ctx.st.links.tallies.get(link) == before
         assert counted == (counts and not repeat)
         assert not counted or idx in ctx.new_voters
         outcomes["repeat" if repeat else "counted" if counted else "not counted"] += 1
+        return established
     monkeypatch.setattr(_StepContext, "include_vote", checked)
     for cfg in [fuzz_config(seed) for seed in range(100)] + [long_horizon_shaped(3)]:
         run(cfg)
@@ -851,7 +893,7 @@ def countable_weights(cache, pool, vote):
 
 
 def recount_links(cache, pool):
-    links = LinkTally(cache.tree.root, cache.cfg.stitching)
+    links = LinkTally(cache.tree.root)
     for vote in pool.votes:
         judged = countable_weights(cache, pool, vote)
         if judged is not None:
@@ -876,7 +918,8 @@ def assert_pool_queries_match_the_recount(cache, pool):
     tree = cache.tree
     got, expect = pool_links(cache, pool), recount_links(cache, pool)
     assert got.tallies == expect.tallies
-    assert got.established == expect.established
+    assert got.by_source == expect.by_source
+    assert got.by_target == expect.by_target
     assert got.justified == expect.justified
     voted = 0
     for source, target in sorted(pool.by_link):
@@ -889,7 +932,7 @@ def assert_pool_queries_match_the_recount(cache, pool):
         fwd, rear = expect.tallies.get((source, target), (0, 0))
         assert tally(cache, pool, source, target) == LinkStatus(
             source, target, fwd, rear, snap.forward_total, snap.rear_total,
-            (source, target) in expect.established)
+            target in dict(expect.by_source.get(source, ())))
         voted += 1
     return voted
 

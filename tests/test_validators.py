@@ -8,11 +8,11 @@ from ffg.validators import ValidatorRegistry
 
 
 def forward(reg, dynasty):
-    return set(snapshot_registry(1, dynasty, reg).forward)
+    return set(snapshot_registry(1, dynasty, reg, stitching=True).forward)
 
 
 def rear(reg, dynasty):
-    return set(snapshot_registry(1, dynasty, reg).rear)
+    return set(snapshot_registry(1, dynasty, reg, stitching=True).rear)
 
 
 def registry_with(indexes, deposit=100):
@@ -98,11 +98,11 @@ def test_membership_interval_bruteforce(spans):
 
 def test_total_weight_and_slash():
     reg = registry_with([0, 1, 2])
-    before = snapshot_registry(1, 0, reg)
+    before = snapshot_registry(1, 0, reg, stitching=True)
     assert before.forward == {0: 100, 1: 100, 2: 100}
     assert before.forward_total == 300
     reg.slash(1)
-    after = snapshot_registry(1, 0, reg)
+    after = snapshot_registry(1, 0, reg, stitching=True)
     assert after.forward == {0: 100, 2: 100}
     assert after.forward_total == 200
     assert reg.get(1).deposit == 0
