@@ -4,9 +4,9 @@ One core counts votes into justification, and two engines sit on top of it:
 
 * `LinkTally`: the core.  It sums the weights its callers count per link,
   each validator once, indexes a link by both ends once its sums meet the
-  target snapshot's needs (`link_established`), and keeps the justified
-  closure: the root, plus every target of an established link from a
-  justified source.
+  target snapshot's needs (the comparison `link_established` makes for
+  `tally`), and keeps the justified closure: the root, plus every target of
+  an established link from a justified source.
   `pool_links` feeds a whole vote pool through it once, for
   `compute_justified` and the accountable-safety audit.
 
@@ -159,8 +159,9 @@ class LinkTally:
         prev_fwd, prev_rear = self.tallies.get(link, (0, 0))
         fwd, rear_sum = prev_fwd + forward, prev_rear + rear
         self.tallies[link] = (fwd, rear_sum)
-        if (not link_established(fwd, rear_sum, snap)
-                or link_established(prev_fwd, prev_rear, snap)):
+        forward_need, rear_need = snap.forward_need, snap.rear_need
+        if (fwd < forward_need or rear_sum < rear_need
+                or (prev_fwd >= forward_need and prev_rear >= rear_need)):
             return False
         source, target = link
         self.by_source[source] = self.by_source.get(source, ()) + ((target, stamp),)
@@ -596,7 +597,10 @@ class FinalityState:
     view's tree gives, to rank the justified checkpoints of its chains.
     Whether a vote counts is read from its run record (`VoteRecord.snap`);
     only while the record is unclassified does `on_vote` ask the run to
-    classify it.
+    classify it.  A client view counts a ready record, classified and with
+    a marked target, into `links` itself (`ClientView.receive_vote`), so
+    `on_vote` sees only unclassified records and votes ahead of their
+    targets.
 
     The tally keeps no voters: the view hands each vote key over once (its
     receipt map drops repeats), and a countable vote's key is fixed by its
@@ -629,10 +633,10 @@ class FinalityState:
 
     def on_vote(self, record: VoteRecord) -> None:
         """Tally the run record of a signature-valid vote the view has not
-        handed over before; buffers it until its target is known.  A view
+        handed over before; buffers it until its target is marked.  A view
         holding the target holds and has marked its whole chain, so a vote
         whose source is not marked then can never count."""
-        target = record.vote.target
+        target = record.link[1]
         if target not in self.order:
             self._buffer.setdefault(target, []).append(record)
             return

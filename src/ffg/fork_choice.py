@@ -56,7 +56,8 @@ from __future__ import annotations
 
 from .chain import Block, BlockTree, VoteData
 from .errors import NonMonotonicTimestamp
-from .finality import ChainState, ChainStateCache, FinalityState, VoteRecord
+from .finality import (_UNCLASSIFIED, ChainState, ChainStateCache,
+                       FinalityState, VoteRecord)
 from .slashing import Violation, check_pair
 
 
@@ -92,7 +93,10 @@ class ClientView:
       - the countability snapshot and the voter's weights in it, filled by
         the first view handed the vote once it holds the target;
         its own tree would give the same class, since block ids are digests.
-        With the record's link, they are all the view's tally needs.
+        With the record's link, they are all the view's tally needs: a
+        ready record, classified and with a target the view has marked, is
+        counted with one `LinkTally.count` call, and every other record is
+        handed to `FinalityState.on_vote`, which buffers or classifies it.
 
     A view keeps only its vote receipts: `votes`, the distinct votes in the
     order received, which a proposer offers in that order, and `_received`,
@@ -220,36 +224,47 @@ class ClientView:
             self.clock = now
         if record is None:
             record = self.cache.record(vote)
-        if not record.valid:
-            return None
         received = self._received
         key = vote.key
-        if key in received:
+        if not record.valid or key in received:
             return None
         received[key] = len(self.votes)
         self.votes.append(vote)
         violation = None
-        index = vote.validator_index
-        if index not in self._heard:
-            # only a view that has not heard the validator reads partners,
-            # and it misses none: each vote it holds was filled on receipt,
-            # and of two conflicting votes the one filled later finds the
-            # other.  Votes left unfilled are held by no such view
-            partners = record.partners
-            if partners is None:
-                partners = record.partners = self.cache.conflict_partners(vote)
-            if partners:
-                earlier = [p for p in partners if p.key in received]
-                if earlier:
-                    if now < self.clock:
-                        raise NonMonotonicTimestamp(
-                            f"{self.name} hears a violation at {now}, "
-                            f"before its clock {self.clock}")
-                    first = min(earlier, key=lambda p: received[p.key])
-                    violation = check_pair(first, vote)
-                    self._heard[index] = now
-        self.fstate.on_vote(record)
+        partners = record.partners
+        if ((partners is None or partners)
+                and vote.validator_index not in self._heard):
+            violation = self._hear(vote, now, record)
+        fstate = self.fstate
+        snap = record.snap
+        if snap is _UNCLASSIFIED or vote.target not in fstate.order:
+            fstate.on_vote(record)
+        elif snap is not None:
+            fstate.links.count(record.link, record.forward, record.rear, snap)
         return violation
+
+    def _hear(self, vote: VoteData, now: int,
+              record: VoteRecord) -> Violation | None:
+        """The violation the vote exposes against the partner this view
+        received first, heard now; None when it received no partner.  Only
+        a view that has not heard the validator reads partners, and it misses
+        none: each vote it holds was filled on receipt, and of two
+        conflicting votes the one filled later finds the other.  Votes left
+        unfilled are held by no such view."""
+        partners = record.partners
+        if partners is None:
+            partners = record.partners = self.cache.conflict_partners(vote)
+        received = self._received
+        earlier = [p for p in partners if p.key in received]
+        if not earlier:
+            return None
+        if now < self.clock:
+            raise NonMonotonicTimestamp(
+                f"{self.name} hears a violation at {now}, "
+                f"before its clock {self.clock}")
+        first = min(earlier, key=lambda p: received[p.key])
+        self._heard[vote.validator_index] = now
+        return check_pair(first, vote)
 
     # -- admissibility -----------------------------------------------------------
 

@@ -891,6 +891,9 @@ def build_report(net: Network, invariants: dict,
         return data
 
     blocks, slashings = [], []
+    # block id -> the withdrawals its chain state pays out, for each block
+    # that pays any; a view's payouts are those of the blocks its tree holds
+    paying: dict[bytes, tuple] = {}
     for block in sorted(tree.iter_blocks(), key=lambda b: (b.height, b.id)):
         blocks.append({
             "id": block.id.hex(),
@@ -900,7 +903,10 @@ def build_report(net: Network, invariants: dict,
             "proposer": block.proposer,
             "txs": [_tx_to_dict(tx, vote_dict) for tx in block.payload],
         })
-        for violation in cache.get(block.id).slashings:
+        state = cache.get(block.id)
+        if state.payouts:
+            paying[block.id] = state.payouts
+        for violation in state.slashings:
             slashings.append({
                 "validator": violation.validator_index,
                 "kind": violation.kind.value,
@@ -924,8 +930,9 @@ def build_report(net: Network, invariants: dict,
             "leak_totals": {str(index): rec.leaked
                             for index, rec in sorted(head_state.registry.records.items())
                             if rec.leaked},
-            "payouts": sorted({payout for bid in view.tree.blocks
-                               for payout in cache.get(bid).payouts}),
+            "payouts": sorted({payout for bid, payouts in paying.items()
+                               if bid in view.tree.blocks
+                               for payout in payouts}),
         }
 
     return RunReport(

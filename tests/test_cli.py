@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ffg.cli import main
+from ffg.chain import SlashEvidence
+from ffg.cli import _rebuild_network, main
 from ffg.errors import ConfigInvalid
 from ffg.sim import (Network, ScenarioConfig, ValidatorSpec, build_report,
                      config_from_dict, config_to_dict, run, sweep_invariants)
 from ffg.scenarios import (dynamic_attack_config, long_range_config,
                            split_finality_config)
+from ffg.slashing import proven_violation
 from test_scenarios import with_field
 from test_slashing import dual_finalize_equal_height, make_world
 
@@ -78,6 +80,16 @@ def test_run_missing_file_exits_one(tmp_path):
 def test_strict_flag_passes_clean_runs(tmp_path):
     path = write_scenario(tmp_path, dynamic_attack_config(stitching=True))
     assert main(["run", "--scenario", str(path), "--strict"]) == 0
+
+
+def test_strict_flag_exits_two_on_heuristic_tie_breaks(capsys):
+    # split_finality's views keep their first-seen finalized checkpoints
+    code = main(["run", "--scenario", str(REPO_SCENARIOS / "split_finality.json"),
+                 "--strict"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "heuristics: first-seen-kept:" in captured.out
+    assert "strict: heuristic tie-breaks triggered" in captured.err
 
 
 def test_run_bad_json_exits_one(tmp_path):
@@ -446,6 +458,18 @@ def test_corpus_fails_a_scenario_file_with_no_pinned_digest(tmp_path, capsys):
         "is not pinned" in out
 
 
+def test_corpus_fails_a_scenario_file_that_does_not_load(tmp_path, capsys):
+    pins = json.loads((REPO_SCENARIOS / "digests.json").read_text())
+    name = "all_honest.json"
+    (tmp_path / name).write_text((REPO_SCENARIOS / name).read_text())
+    (tmp_path / "broken.json").write_text("{nope")
+    (tmp_path / "digests.json").write_text(json.dumps({name: pins[name]}))
+    assert main(["corpus", "--dir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert f"ok   {name}" in out
+    assert "FAIL broken.json: " in out
+
+
 @pytest.mark.parametrize("pins", ["[", "[1]", '{"all_honest.json": 5}'],
                          ids=repr)
 def test_corpus_with_malformed_digests_exits_one(tmp_path, capsys, pins):
@@ -484,6 +508,20 @@ def dual_finalized_report():
     w = make_world([100, 100, 100])
     l1, r1 = dual_finalize_equal_height(w)
     return world_report(w), l1, r1
+
+
+def test_a_report_whose_blocks_carry_evidence_is_rebuilt():
+    cfg = config_from_dict(json.loads((REPO_SCENARIOS / "equivocator.json").read_text()))
+    data = json.loads(run(cfg).to_json())
+    net = _rebuild_network(data)
+    assert {b.id.hex() for b in net.tree.iter_blocks()} \
+        == {b["id"] for b in data["blocks"]}
+    evidence = [tx for b in net.tree.iter_blocks() for tx in b.payload
+                if isinstance(tx, SlashEvidence)]
+    assert len(evidence) == sum(tx["kind"] == "evidence" for b in data["blocks"]
+                                for tx in b["txs"]) > 0
+    # the rebuilt votes keep their signatures, so each proof still proves
+    assert all(proven_violation(net.keyring, tx) for tx in evidence)
 
 
 def test_audit_equivocation_bound_holds(tmp_path, capsys):

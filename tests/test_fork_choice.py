@@ -1311,12 +1311,21 @@ def test_a_vote_ahead_of_its_target_is_buffered_with_its_record(monkeypatch):
         early.receive_vote(v, 3)
     assert c1 in early.fstate.justified
     assert all(r.snap is not _UNCLASSIFIED and r.snap is not None for r in records)
+    # a view handed the classified records before it marks c1 buffers
+    # them too: a view counts only votes whose target it has marked
+    last = client(w, "last")
+    feed_chain(last, w, blocks[:1])
+    for v in votes:
+        last.receive_vote(v, 3)
+    assert last.fstate._buffer[c1] == records
+    assert not last.fstate.links.tallies and c1 not in last.fstate.justified
     classified = Counter()
     count_classifications(monkeypatch, classified, {})
-    feed_chain(late, w, blocks[1:])
-    assert not late.fstate._buffer and not classified
-    assert late.fstate.links.tallies == early.fstate.links.tallies
-    assert c1 in late.fstate.justified
+    for view in (late, last):
+        feed_chain(view, w, blocks[1:])
+        assert not view.fstate._buffer and not classified
+        assert view.fstate.links.tallies == early.fstate.links.tallies
+        assert c1 in view.fstate.justified
 
 
 def test_a_vote_whose_source_the_view_lacks_is_neither_buffered_nor_counted():

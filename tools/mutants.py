@@ -42,7 +42,8 @@ CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_safety_fuzz"
 TABLE_CHECK = "tests/test_mutants.py"
 # seconds per row; a row that runs longer counts as killed
 TIMEOUT = 1800
-COPIED = ("src", "tests", "scenarios", "bench", "pyproject.toml", "BENCHMARK.json")
+COPIED = ("src", "tests", "scenarios", "bench", "tools", "pyproject.toml",
+          "BENCHMARK.json")
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
 # a verbose run prints each test id with its outcome, also when a plugin
 # error cuts the run short before its summary
