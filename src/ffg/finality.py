@@ -19,8 +19,9 @@ One core counts votes into justification, and two engines sit on top of it:
   memoized per block id and shared across forks.  The same per-run cache
   keeps one record per vote object (`VoteRecord`) with the verdicts every
   client view and chain shares: its signature, its slashing partners, and
-  whether it counts (`classify_vote`, judged once per run).  The pool
-  queries (`pool_links`, `tally`) and the audit read the same records.
+  whether it counts (`classify_vote`, judged once per run), each filled
+  only by the cache.  The pool queries (`pool_links`, `tally`) and the
+  audit read the same records.
 
 * `FinalityState`: the view engine.  It counts one client's gossiped votes,
   with no inclusion requirement, and records each known checkpoint's
@@ -48,7 +49,7 @@ from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
 from .slashing import find_new_violations, proven_violation, slashable
 from .validators import ValidatorRegistry
-from .votes import Keyring, VoteClass, VotePool, classify_vote
+from .votes import Keyring, VotePool, classify_vote
 
 
 class DynastySnapshot:
@@ -429,8 +430,8 @@ class VoteRecord:
     * `valid`: the signature verdict, read once when the record is made;
     * `link`: the vote's `(source, target)`, the key of its tally, made
       with the record;
-    * `partners`: the run's votes that conflict with this one
-      (`ChainStateCache.conflict_partners`), filled on its first fresh
+    * `partners`: the run's votes that conflict with this one, filled by
+      `ChainStateCache.conflict_partners(record)` on its first fresh
       arrival in a view that has not heard its validator; None before;
     * `snap`: the target's snapshot when the vote counts, else None; filled
       (`ChainStateCache.classify`) the first time a view that has marked
@@ -471,11 +472,13 @@ class ChainStateCache:
       its own chain, stored once by `step_state` (the root's with the
       cache), so every chain holding the checkpoint weighs links to it alike;
     * one `VoteRecord` per vote object (`record`): its signature verdict,
-      its link, its slashing partners, whether it counts and, if it does,
-      the voter's weights.  The network looks the record up once per heap
-      entry and hands it to every view the entry names, which then does
-      only view-local work: pool membership, the violations it hears and
-      its own tally.  A chain finds it per inclusion of a vote.
+      its link, its slashing partners (`conflict_partners`), whether it
+      counts (`classify`) and, if it does, the voter's weights; these two
+      methods are the only writers of a record.  The network looks the
+      record up once per heap entry and hands it to every view the entry
+      names, which then does only view-local work: pool membership, the
+      violations it hears and its own tally.  A chain finds it per
+      inclusion of a vote.
 
     Records are keyed by object identity, as `Keyring.verify` is: a run
     sends one vote object to every view.  Each record holds its vote, so the
@@ -530,29 +533,29 @@ class ChainStateCache:
         return record
 
     def classify(self, record: VoteRecord) -> DynastySnapshot | None:
-        """The target's snapshot when `classify_vote` finds the record's
-        vote COUNTABLE on the shared tree, else None: the one countability
-        verdict, read by client views and by every chain that includes the
-        vote.  Kept on the record once the shared tree holds the target
-        (see `VoteRecord`), and then returned without classifying again."""
+        """The target's snapshot when the record's signature is valid and
+        `classify_vote` finds its vote countable on the shared tree, else
+        None: the one countability verdict, read by client views and by
+        every chain that includes the vote.  Kept on the record once the
+        shared tree holds the target (see `VoteRecord`), and then returned
+        without classifying again."""
         snap = record.snap
         if snap is not _UNCLASSIFIED:
             return snap
         vote = record.vote
         if vote.target not in self.tree:
             return None
-        snap = None
-        if classify_vote(self.tree, self.snapshot_for, self.keyring,
-                         vote) is VoteClass.COUNTABLE:
-            snap = self.snapshot_for(vote.target)
+        snap = record.snap = (classify_vote(self.tree, self.snapshot_for, vote)
+                              if record.valid else None)
+        if snap is not None:
             idx = vote.validator_index
             record.forward = snap.forward.get(idx, 0)
             record.rear = snap.rear.get(idx, 0)
-        record.snap = snap
         return snap
 
-    def conflict_partners(self, vote: VoteData) -> list[VoteData]:
-        """The run's votes that form a slashing violation with `vote`.
+    def conflict_partners(self, record: VoteRecord) -> list[VoteData]:
+        """The run's votes that form a slashing violation with the record's
+        vote, stored on the record (`VoteRecord.partners`) and returned.
 
         The first time a key is seen its vote is checked once against the
         validator's earlier votes, and each conflict is recorded on both
@@ -566,6 +569,7 @@ class ChainStateCache:
         no earlier vote has its target height, none surrounds it (its target
         would be higher) and it surrounds none (its source would be lower),
         so the check would find nothing."""
+        vote = record.vote
         partners = self._partners.get(vote.key)
         if partners is None:
             partners = self._partners[vote.key] = []
@@ -580,6 +584,7 @@ class ChainStateCache:
             history.append(vote)
             self._reach[index] = (max(top_source, vote.source_height),
                                   max(top_target, vote.target_height))
+        record.partners = partners
         return partners
 
 

@@ -87,12 +87,14 @@ class ClientView:
         hears one violation per validator, the first in its receipt order:
         when it has heard none by the vote's validator, `check_pair` of the
         partner it received first and the vote, so its heard-at time is
-        that of a scan of its own receipts.  Only such a view reads or
-        fills partners, so the run stops checking a validator's votes once
-        every view has heard it;
+        that of a scan of its own receipts.  Only such a view reads
+        partners, and the first has the cache fill them
+        (`ChainStateCache.conflict_partners(record)`), so the run stops
+        checking a validator's votes once every view has heard it;
       - the countability snapshot and the voter's weights in it, filled by
-        the first view handed the vote once it holds the target;
-        its own tree would give the same class, since block ids are digests.
+        the cache (`ChainStateCache.classify`) for the first view handed
+        the vote once it holds the target; its own tree would give the same
+        class, since block ids are digests.
         With the record's link, they are all the view's tally needs: a
         ready record, classified and with a target the view has marked, is
         counted with one `LinkTally.count` call, and every other record is
@@ -250,10 +252,11 @@ class ClientView:
         a view that has not heard the validator reads partners, and it misses
         none: each vote it holds was filled on receipt, and of two
         conflicting votes the one filled later finds the other.  Votes left
-        unfilled are held by no such view."""
+        unfilled are held by no such view.  The view writes nothing on the
+        record: the cache fills its partners."""
         partners = record.partners
         if partners is None:
-            partners = record.partners = self.cache.conflict_partners(vote)
+            partners = self.cache.conflict_partners(record)
         received = self._received
         earlier = [p for p in partners if p.key in received]
         if not earlier:

@@ -168,8 +168,6 @@ def _link_voters(cache, pool, link) -> dict[int, VoteRecord]:
     the verdict and weights `pool_links` counted (`ChainStateCache.classify`)."""
     out: dict[int, VoteRecord] = {}
     for vote in pool.link_votes(*link):
-        if vote.validator_index in out:
-            continue
         record = cache.record(vote)
         if cache.classify(record) is not None:
             out[vote.validator_index] = record
@@ -200,10 +198,8 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
     def finalization_of(cp):
         if cp not in links.justified:
             return None, None
-        fin = _finalizing_link(tree, links, cp)
-        if fin is None:
-            return None, None
-        return _justification_chain(tree, links, cp), fin
+        return (_justification_chain(tree, links, cp),
+                _finalizing_link(tree, links, cp))
 
     chain_a, fin_a = finalization_of(a_m)
     chain_b, fin_b = finalization_of(b_n)
@@ -244,12 +240,11 @@ def safety_audit(cache: ChainStateCache, pool: VotePool, a_m: bytes,
         common = sorted(set(voters1) & set(voters2))
         pair_weight = 0
         pair_violators: dict[int, Violation] = {}
+        # the two links of a crossing pair are distinct and share a target
+        # height or strictly nest, so a voter on both broke condition I or II
         for idx in common:
             record1, record2 = voters1[idx], voters2[idx]
-            violation = check_pair(record1.vote, record2.vote)
-            if violation is None:
-                continue
-            pair_violators[idx] = violation
+            pair_violators[idx] = check_pair(record1.vote, record2.vote)
             pair_weight += min(_member_weight(record1), _member_weight(record2))
         totals = [t for t in (snap1.forward_total, snap1.rear_total,
                               snap2.forward_total, snap2.rear_total) if t > 0]

@@ -1,31 +1,30 @@
-"""Vote construction, keyed-digest signatures, validity classes, and the pool.
+"""Vote construction, keyed-digest signatures, the countability rule, and the pool.
 
 Signatures are HMAC-SHA256 digests over the canonical vote core under
 per-validator secrets derived from the run seed.  That keeps runs
 deterministic; nothing in the safety analysis depends on a particular
 signature scheme.
 
-A vote is classified one of three ways:
-
-    COUNTABLE       signature valid, source is an ancestor of the target,
-                    heights match the tree, and the validator belongs to the
-                    forward or rear set of the target's dynasty.  Only these
-                    votes feed supermajority tallies.
-    SIGNATURE_ONLY  signature valid but some chain-dependent check failed.
-                    Kept forever: slashing violations are judged on the vote's
-                    own fields, independent of any chain.
-    INVALID         signature failed; dropped.
+A vote with a valid signature counts toward supermajority links when its
+source is an ancestor of its target, its heights match the tree, and its
+validator belongs to the forward or rear set of the target's dynasty
+(`classify_vote`).  A signed vote that fails these chain-dependent checks
+is kept all the same: slashing violations are judged on the vote's own
+fields, independent of any chain.  A vote whose signature fails is dropped.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from enum import Enum
+from typing import TYPE_CHECKING
 
 from . import codec
 from .chain import BlockTree, VoteData
 from .errors import BadSignature
+
+if TYPE_CHECKING:
+    from .finality import DynastySnapshot
 
 
 class Keyring:
@@ -33,11 +32,12 @@ class Keyring:
 
     `verify` memoizes its verdicts by object identity, for the callers that
     meet one vote object several times: the run's pool, the run's record of
-    the vote (`ChainStateCache.record`, which client views and the chains
-    that include the vote read instead of verifying), `classify_vote` and
-    the end-of-run sweep.  A client view never verifies: it reads the
-    verdict from the vote's record, so a vote delivered to every view of a
-    run is verified a constant number of times, not once per view.
+    the vote (`ChainStateCache.record`, whose verdict client views, the
+    chains that include the vote and `ChainStateCache.classify` read instead
+    of verifying; `classify_vote` verifies nothing) and the end-of-run
+    sweep.  A client view never verifies: it reads the verdict from the
+    vote's record, so a vote delivered to every view of a run is verified a
+    constant number of times, not once per view.
 
     `sign_vote` enters each vote object it makes in the same memo, as valid:
     it signed the vote's own fields under the validator's key, so the HMAC
@@ -97,38 +97,30 @@ def sign_vote(keyring: Keyring, index: int, source: bytes, target: bytes,
     return vote
 
 
-class VoteClass(Enum):
-    COUNTABLE = "countable"
-    SIGNATURE_ONLY = "signature-only"
-    INVALID = "invalid"
+def classify_vote(tree: BlockTree, snapshot_for,
+                  vote: VoteData) -> DynastySnapshot | None:
+    """The target's dynasty snapshot when the vote counts on `tree`, else
+    None: see the module docstring.  The signature is not checked here; a
+    caller counts only votes whose signature it has verified.
 
-
-def classify_vote(tree: BlockTree, snapshot_for, keyring: Keyring,
-                  vote: VoteData) -> VoteClass:
-    """Classification, not failure: see module docstring for the three classes.
-
-    `snapshot_for(target_id)` returns the target checkpoint's dynasty snapshot
-    (or None when its chain is not yet known to the caller).
+    `snapshot_for(target_id)` returns the target checkpoint's dynasty
+    snapshot; it is asked only about a checkpoint of `tree`.
     """
-    if not keyring.verify(vote):
-        return VoteClass.INVALID
     if vote.source not in tree or vote.target not in tree:
-        return VoteClass.SIGNATURE_ONLY
+        return None
+    # a block that is no checkpoint has height None, which no stated height
+    # equals
     hs = tree.checkpoint_height(vote.source)
     ht = tree.checkpoint_height(vote.target)
-    if hs is None or ht is None:
-        return VoteClass.SIGNATURE_ONLY
     if hs != vote.source_height or ht != vote.target_height or hs >= ht:
-        return VoteClass.SIGNATURE_ONLY
+        return None
     if not tree.is_ancestor(vote.source, vote.target):
-        return VoteClass.SIGNATURE_ONLY
+        return None
     snap = snapshot_for(vote.target)
-    if snap is None:
-        return VoteClass.SIGNATURE_ONLY
     idx = vote.validator_index
     if idx not in snap.forward and idx not in snap.rear:
-        return VoteClass.SIGNATURE_ONLY
-    return VoteClass.COUNTABLE
+        return None
+    return snap
 
 
 class VotePool:

@@ -321,7 +321,11 @@ def honest_data(behavior=(), spec=(), **changes):
     {"duration_epochs": 2, "spec": {"join_epoch": 1, "leave_epoch": 3}},
     # a zero denominator or an infinite float raised an arithmetic error
     {"proposer_fork_rate": "1/0"}, {"leak_rate": "1/0"},
-    {"proposer_fork_rate": 1e400}], ids=repr)
+    {"proposer_fork_rate": 1e400},
+    # outside the ranges the rules are written for
+    {"behavior": {"kind": "lazy_voter"}},
+    {"proposer_fork_rate": "1/1"}, {"proposer_fork_rate": "-1/8"},
+    {"leak_rate": "0/1"}, {"leak_rate": "1/1"}], ids=repr)
 def test_check_rejects_values_that_run_cannot_use(tmp_path, capsys, changes):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(honest_data(**changes)))

@@ -14,8 +14,9 @@ import ffg.slashing
 from ffg.chain import make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
-from ffg.finality import (ChainState, ChainStateCache, DynastySnapshot,
-                          FinalityState, LinkStatus, LinkTally, _StepContext,
+from ffg.finality import (_UNCLASSIFIED, ChainState, ChainStateCache,
+                          DynastySnapshot, FinalityState, LinkStatus,
+                          LinkTally, _StepContext,
                           compute_justified, link_established, liveness_plan,
                           plan_safe_for, pool_links, snapshot_registry, tally)
 from ffg.fork_choice import ClientView
@@ -23,7 +24,7 @@ from ffg.leak import LeakConfig
 from ffg.sim import config_from_dict, run
 from ffg.slashing import check_pair, safety_audit
 from ffg.validators import ValidatorRecord, ValidatorRegistry
-from ffg.votes import VoteClass, classify_vote, sign_vote
+from ffg.votes import classify_vote, sign_vote
 
 from conftest import World
 from test_acceptance import forced_dual_case, fuzz_config
@@ -211,6 +212,22 @@ def test_incremental_matches_batch_justification():
         assert grown <= fs.justified
         grown = set(fs.justified)
     assert fs.justified == compute_justified(w.cache, w.pool)
+
+
+def test_marking_a_checkpoint_again_keeps_its_first_rank():
+    w = make_world()
+    blocks = w.grow(4)
+    c1, c2 = blocks[1].id, blocks[3].id
+    fs = FinalityState(w.cache)
+    # a vote ahead of its target waits in the buffer until the first mark
+    fs.on_vote(w.cache.record(w.vote(0, w.tree.root, c1)))
+    assert not fs.links.tallies
+    fs.mark_checkpoint(c1, 1)
+    fs.mark_checkpoint(c2, 2)
+    fs.mark_checkpoint(c1, 1)
+    assert fs.order == {w.tree.root: 0, c1: 1, c2: 2}
+    assert fs.max_height == 2
+    assert fs.links.tallies == {(w.tree.root, c1): (100, 0)}
 
 
 def test_highest_justified_tie_break_first_seen_then_id():
@@ -570,11 +587,10 @@ def test_one_block_counts_a_vote_once_and_skips_forged_copies():
     verify = w.keyring.verify
     w.keyring.verify = lambda vote: verified.append(vote) or verify(vote)
     state = w.cache.get(tip.id)
-    # each vote object is verified when its run record is made and again (a
-    # memo hit) when it is classified; the repeated vote is found in the
-    # link's voter set first, so it is neither
-    assert verified == [forged, forged, genuine[0], genuine[0],
-                        genuine[1], genuine[1]]
+    # each vote object is verified once, when its run record is made:
+    # classifying reads the record's verdict, and the repeated vote is found
+    # in the link's voter set first
+    assert verified == [forged, genuine[0], genuine[1]]
     assert state.voted_window == {0, 1}
     assert state.links.tallies[(w.tree.root, c1)] == (200, 0)
     assert state.link_voters[(w.tree.root, c1)] == {0, 1}
@@ -815,6 +831,24 @@ def test_countable_gives_copies_the_same_verdict():
     assert classify(genuine) is snap
 
 
+def test_a_target_outside_the_shared_tree_leaves_the_record_unclassified():
+    w = make_world()
+    c1_block = first_checkpoint(w)
+    # the next checkpoint's blocks are made but not yet in the shared tree
+    b3 = make_block(c1_block, c1_block.timestamp + 1, None, ())
+    b4 = make_block(b3, b3.timestamp + 1, None, ())
+    vote = sign_vote(w.keyring, 0, c1_block.id, b4.id, 1, 2)
+    record = w.cache.record(vote)
+    assert w.cache.classify(record) is None
+    assert record.snap is _UNCLASSIFIED and record.forward == record.rear == 0
+    # once the tree holds the target the vote counts, judged then
+    w.tree.insert_block(b3)
+    w.tree.insert_block(b4)
+    snap = w.cache.classify(record)
+    assert snap is not None and snap is w.cache.snapshot_for(b4.id)
+    assert record.snap is snap and record.forward == 100
+
+
 def test_vote_record_never_returns_a_stale_verdict_for_short_lived_votes():
     # valid and forged votes, each dropped after its check; validators 3 and
     # 4 sign validly but hold no deposit, so their votes never count
@@ -854,8 +888,11 @@ def test_conflict_partners_skip_only_votes_above_their_validators_history(monkey
     v34 = vote(3, 4)        # target not above: same target height as v14
     v05 = vote(0, 5)        # source below: surrounds v12, v14, v23 and v34
     votes = [v01, v12, v14, v23, v34, v05]
-    partners = [w.cache.conflict_partners(v) for v in votes]
+    records = [w.cache.record(v) for v in votes]
+    partners = [w.cache.conflict_partners(r) for r in records]
     assert scanned == [v23, v34, v05]
+    # the list is stored on the record, and later conflicts extend it there
+    assert all(r.partners is found for r, found in zip(records, partners))
     # each conflict is kept on both votes: later votes extend earlier lists
     for v, found in zip(votes, partners):
         expected = [old for old in votes
@@ -881,13 +918,14 @@ CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def countable_weights(cache, pool, vote):
-    """The reference verdict: `classify_vote` on the run's tree with the
-    pool's keyring, then the voter's weights in the target's snapshot; None
-    when the vote does not count."""
-    if classify_vote(cache.tree, cache.snapshot_for, pool.keyring,
-                     vote) is not VoteClass.COUNTABLE:
+    """The reference verdict: the pool's keyring verifies the vote, then
+    `classify_vote` on the run's tree, then the voter's weights in the
+    target's snapshot; None when the vote does not count."""
+    if not pool.keyring.verify(vote):
         return None
-    snap = cache.snapshot_for(vote.target)
+    snap = classify_vote(cache.tree, cache.snapshot_for, vote)
+    if snap is None:
+        return None
     i = vote.validator_index
     return snap, snap.forward.get(i, 0), snap.rear.get(i, 0)
 

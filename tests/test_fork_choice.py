@@ -3,10 +3,12 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import replace
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ffg.chain
 import ffg.finality
@@ -22,7 +24,7 @@ from ffg.sim import (Behavior, DOUBLE_VOTER, HONEST, SURROUND_VOTER, Network,
                      ScenarioConfig, Simulation, ValidatorSpec, config_from_dict,
                      run)
 from ffg.slashing import check_pair, find_new_violations, proven_violation, violates
-from ffg.votes import Keyring, VoteClass, VotePool, classify_vote, sign_vote
+from ffg.votes import Keyring, VotePool, classify_vote, sign_vote
 
 from conftest import World, slashed_validators
 from test_acceptance import fuzz_config
@@ -239,7 +241,7 @@ def test_never_revert_finalized():
 def test_first_seen_finalized_is_write_once():
     w = make_world(spacing=2)
     a_blocks = w.grow(2)
-    b_blocks = w.grow(2, start=w.tree.root, proposer=1)
+    b_blocks = w.grow(4, start=w.tree.root, proposer=1)
     view = client(w)
     feed_chain(view, w, a_blocks)
     feed_chain(view, w, b_blocks)
@@ -250,6 +252,11 @@ def test_first_seen_finalized_is_write_once():
     assert view.ignored_finalized == [(1, b_blocks[1].id)]
     view.on_finalized(a_blocks[1].id)          # re-announcement: no change
     assert view.first_seen_finalized[1] == a_blocks[1].id
+    # conflicting with the anchor at a height none holds yet: ignored too
+    view.on_finalized(b_blocks[3].id)
+    assert view.ignored_finalized == [(1, b_blocks[1].id), (2, b_blocks[3].id)]
+    assert view.first_seen_finalized == {0: w.tree.root, 1: a_blocks[1].id}
+    assert view.finalized_anchor == a_blocks[1].id
 
 
 def test_swapped_arrival_order_diverges_heads():
@@ -825,21 +832,21 @@ def scan_new_violations(view, vote):
 
 def recount_tallies(view, countable):
     """Reference: the (forward, rear) tally of every link, summed afresh
-    over the received votes that `classify_vote` finds countable on the
-    view's own tree, each validator once per link.  `countable` maps the votes found countable at earlier
+    over the received votes that the run's keyring verifies and
+    `classify_vote` finds countable on the view's own tree, each validator
+    once per link.  `countable` maps the votes found countable at earlier
     calls to their target's snapshot; a view's tree only grows, so they stay
     countable and are not classified again."""
-    def snapshot_for(cp):
-        return view.cache.snapshot_for(cp) if cp in view.tree else None
-
     members: dict[tuple, dict] = {}
     for vote in view.votes:
         snap = countable.get(vote)
         if snap is None:
-            if classify_vote(view.tree, snapshot_for, view.cache.keyring,
-                             vote) is not VoteClass.COUNTABLE:
+            if not view.cache.keyring.verify(vote):
                 continue
-            snap = countable[vote] = snapshot_for(vote.target)
+            snap = classify_vote(view.tree, view.cache.snapshot_for, vote)
+            if snap is None:
+                continue
+            countable[vote] = snap
         link = members.setdefault((vote.source, vote.target), {})
         link.setdefault(vote.validator_index, snap)
     return {link: (sum(snap.forward.get(i, 0) for i, snap in voters.items()),
@@ -1053,8 +1060,7 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
     first.receive_vote(honest, 5)
     first.receive_vote(a, 5)
     assert first.receive_vote(b, 5)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring,
-                         forged_honest) is VoteClass.INVALID
+    assert not w.keyring.verify(forged_honest)
     # the second view is handed the forgeries: nothing counts or is heard
     second.receive_vote(a, 6)
     judged = Counter()
@@ -1073,6 +1079,8 @@ def test_forged_copy_of_a_vote_is_neither_counted_nor_reported(monkeypatch):
         assert not record.valid and record.partners is None
         assert record.snap is _UNCLASSIFIED
         assert all(v is not forged for v in second.votes)
+        # the run's verdict on the record drops the forgery
+        assert w.cache.classify(record) is None
     assert second.votes == [a]
     assert list(second._received) == [a.key]
     assert second.fstate.links.tallies[(w.tree.root, c1)] == (100, 0)
@@ -1137,15 +1145,18 @@ def test_a_generic_run_builds_one_vote_pool(monkeypatch):
 
 # -- one run record per vote object ---------------------------------------------------
 
-def count_calls_per_vote(monkeypatch, cls, name, calls, votes):
-    """Wrap `cls.name(self, vote)` to count its calls per vote object;
-    `votes` keeps each counted vote alive, so ids stay distinct."""
+def count_calls_per_vote(monkeypatch, cls, name, calls, votes,
+                         vote_of=lambda arg: arg):
+    """Wrap `cls.name(self, arg)` to count its calls per vote object, the
+    vote being `vote_of(arg)`; `votes` keeps each counted vote alive, so ids
+    stay distinct."""
     original = getattr(cls, name)
 
-    def counted(self, vote):
+    def counted(self, arg):
+        vote = vote_of(arg)
         votes[id(vote)] = vote
         calls[id(vote)] += 1
-        return original(self, vote)
+        return original(self, arg)
     monkeypatch.setattr(cls, name, counted)
 
 
@@ -1167,7 +1178,8 @@ def test_each_vote_object_is_judged_a_constant_number_of_times(monkeypatch):
     votes = {}
     count_classifications(monkeypatch, calls["classify"], votes)
     count_calls_per_vote(monkeypatch, ChainStateCache, "conflict_partners",
-                         calls["conflict_partners"], votes)
+                         calls["conflict_partners"], votes,
+                         vote_of=lambda record: record.vote)
     count_calls_per_vote(monkeypatch, Keyring, "verify", calls["verify"], votes)
     # the votes some view receives for the first time while it has not
     # heard their validator: only those are checked for partners
@@ -1191,11 +1203,98 @@ def test_each_vote_object_is_judged_a_constant_number_of_times(monkeypatch):
     assert len(unheard) < distinct
     assert max(calls["classify"].values()) == 1
     assert max(calls["conflict_partners"].values()) == 1
-    # the run's pool, the vote's record, the chain that includes it, the
-    # end-of-run sweep and each evidence inclusion: nothing per view (the
-    # 51 views made 54 calls per vote when each verified for itself)
-    assert sum(calls["verify"].values()) <= 6 * distinct
+    # the run's pool, the vote's record and each evidence inclusion: nothing
+    # per view (the 51 views made 54 calls per vote when each verified for
+    # itself), and nothing when a chain or view classifies the record
+    assert sum(calls["verify"].values()) <= 3 * distinct
     assert max(calls["verify"].values()) < 10
+
+
+# -- run records do not depend on delivery order ----------------------------------
+
+def order_world():
+    """A small world's blocks and signed votes, as the messages two views
+    are handed: two branches off the root, honest links on the first, a
+    double vote across the branches, a surround vote, a sideways vote that
+    never counts, a forged copy, a value-equal copy and a repeated object."""
+    w = make_world()
+    a = w.grow(6)                                    # checkpoints 1, 2 and 3
+    b = w.grow(2, start=w.tree.root, proposer=1)     # a fork: checkpoint 1
+    root, a1, a2, a3, b1 = w.tree.root, a[1].id, a[3].id, a[5].id, b[1].id
+    votes = [sign_vote(w.keyring, i, root, a1, 0, 1) for i in range(3)]
+    votes += [sign_vote(w.keyring, i, a1, a2, 1, 2) for i in range(2)]
+    votes += [sign_vote(w.keyring, 2, root, b1, 0, 1),   # double vote
+              sign_vote(w.keyring, 0, root, a3, 0, 3),   # surrounds a1 -> a2
+              sign_vote(w.keyring, 2, b1, a2, 1, 2)]     # sideways
+    votes += [replace(votes[0], signature=bytes(32)), replace(votes[5]),
+              votes[1]]
+    return w, [("block", block) for block in a + b] + [("vote", v) for v in votes]
+
+
+ORDER_MESSAGES = len(order_world()[1])
+
+
+# each example delivers 19 messages to two views in a few milliseconds; the
+# deadline leaves room for a slow host or a line tracer
+@settings(max_examples=100, deadline=timedelta(seconds=1))
+@given(st.permutations(range(ORDER_MESSAGES)),
+       st.permutations(range(ORDER_MESSAGES)))
+def test_run_records_do_not_depend_on_delivery_order(order_a, order_b):
+    # two views handed every message in drawn orders, interleaved, so either
+    # may make and fill a record first; children may come before parents
+    # and votes before their targets, at times that never decrease
+    w, messages = order_world()
+    views = [client(w, "a"), client(w, "b")]
+    for now, pair in enumerate(zip(order_a, order_b), start=1):
+        for view, i in zip(views, pair):
+            kind, payload = messages[i]
+            if kind == "block":
+                view.receive_block(payload, now)
+            else:
+                view.receive_vote(payload, now)
+    # the reference judges each vote afresh: a new keyring verifies it, then
+    # `classify_vote` on the shared tree.  A record is classified when some
+    # view handed it over: a view drops a forgery, and a vote object whose
+    # key it received before as another object
+    fresh = Keyring(w.keyring.seed)
+    for i in range(len(w.weights)):
+        fresh.register(i)
+    records = [w.cache.record(v) for kind, v in messages if kind == "vote"]
+    for record in records:
+        vote = record.vote
+        valid = fresh.verify(vote)
+        assert record.valid is valid
+        assert record.link == (vote.source, vote.target)
+        if not valid:
+            assert record.snap is _UNCLASSIFIED and record.partners is None
+            assert record.forward == record.rear == 0
+            continue
+        if not any(view.votes[view._received[vote.key]] is vote
+                   for view in views):
+            assert record.snap is _UNCLASSIFIED
+            assert record.forward == record.rear == 0
+            continue
+        snap = classify_vote(w.tree, w.cache.snapshot_for, vote)
+        assert record.snap is snap
+        idx = vote.validator_index
+        weights = (0, 0) if snap is None else (snap.forward.get(idx, 0),
+                                               snap.rear.get(idx, 0))
+        assert (record.forward, record.rear) == weights
+    # a filled partners list holds the votes, among those of the validator
+    # whose partners were filled, that form a violation with the record's
+    filled = {r.vote.key: r.vote for r in records if r.partners is not None}
+    for record in records:
+        if record.partners is None:
+            continue
+        vote = record.vote
+        expect = {key for key, other in filled.items()
+                  if other.validator_index == vote.validator_index
+                  and check_pair(other, vote) is not None}
+        assert sorted(p.key for p in record.partners) == sorted(expect)
+    valid_keys = {r.vote.key for r in records if r.valid}
+    for view in views:
+        assert set(view._received) == valid_keys
+        assert view.fstate.links.tallies == recount_tallies(view, {})
 
 
 def test_a_value_equal_copy_gets_its_own_record_and_counts_once():

@@ -33,6 +33,16 @@ def test_unknown_disposition_rejected():
     assert config_from_dict(data).protocol.leak == LeakConfig()
 
 
+@pytest.mark.parametrize("rate", ["0/1", "1/1", "-1/10", "3/2"])
+def test_a_leak_rate_outside_zero_one_is_rejected(rate):
+    with pytest.raises(ValueError, match="leak rate"):
+        LeakConfig(rate=Fraction(rate))
+    data = {"validators": [{"index": 0, "deposit": 100}],
+            "protocol": {"leak_rate": rate}}
+    with pytest.raises(ConfigInvalid, match="leak rate"):
+        config_from_dict(data)
+
+
 def test_nonvoter_loses_tenth():
     reg = registry([1000])
     apply_epoch_leak(reg, voted=set(), current_dynasty=0, cfg=CFG)

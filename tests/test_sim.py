@@ -25,7 +25,8 @@ from ffg.leak import LeakConfig, epochs_to_supermajority
 from ffg.sim import (Agent, Behavior, DOUBLE_VOTER, GENERIC, HONEST, OFFLINE,
                      SURROUND_VOTER, Network, ScenarioConfig, Simulation,
                      ValidatorSpec, check_link_properties, config_from_dict,
-                     config_to_dict, first_conflict, run, tx_from_dict)
+                     config_to_dict, established_links, first_conflict, run,
+                     sweep_invariants, tx_from_dict)
 from ffg.slashing import slashable
 from ffg.votes import Keyring, sign_vote
 
@@ -314,6 +315,27 @@ def test_monotonicity_flag_fails_when_a_justified_checkpoint_is_removed(monkeypa
     assert run(cfg).invariants["justified_finalized_monotonic"]
     monkeypatch.setattr(ffg.sim, "Simulation", UnjustifyingSimulation)
     assert not run(cfg).invariants["justified_finalized_monotonic"]
+
+
+def test_the_sweep_ignores_pool_votes_on_links_that_cannot_count():
+    sim = Simulation(base_config(epochs=4))
+    sim.run_loop()
+    tree, spacing = sim.tree, sim.proto.spacing
+    before = sweep_invariants(sim)
+    links = established_links(sim.cache, sim.pool)
+    assert links and before["link_properties_ok"]
+    chain = tree.path(sim.views["client0"].head())
+    c1, c2 = chain[spacing], chain[2 * spacing]
+    # a fresh validator's votes, on three links no tally can count: a target
+    # the tree lacks, a target that is no checkpoint, and a source that is
+    # not an ancestor of the target; their heights form no violation
+    fresh = len(sim.cfg.validators)
+    for (source, target), (hs, ht) in zip(
+            [(c1, b"\x01" * 32), (c1, chain[spacing + 1]), (c2, c1)],
+            [(0, 1), (1, 2), (2, 3)]):
+        assert sim.pool.add(sign_vote(sim.keyring, fresh, source, target, hs, ht))
+    assert established_links(sim.cache, sim.pool) == links
+    assert sweep_invariants(sim) == before
 
 
 def test_fork_rate_produces_siblings_without_breaking_safety():

@@ -10,6 +10,7 @@ import ffg.slashing
 from ffg.chain import SlashEvidence, Withdraw, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import DifferentValidators, NotConflicting, NotFinalized
+from ffg.finality import compute_justified
 from ffg.leak import LeakConfig
 from ffg.sim import (Network, ScenarioConfig, ValidatorSpec, build_report,
                      config_from_dict, run)
@@ -393,6 +394,13 @@ def test_audit_requires_both_finalizations():
     bare = w.grow(E, proposer=1)[-1].id
     other = w.grow(E, proposer=2)[-1].id
     for a, b in ((l1, bare), (bare, r1), (bare, other)):
+        with pytest.raises(NotFinalized):
+            safety_audit(w.cache, w.pool, a, b)
+    # a justified checkpoint with no finalizing link from it
+    justified = w.grow(E, proposer=3)[-1].id
+    w.votes([0, 1, 2], w.tree.root, justified)
+    assert justified in compute_justified(w.cache, w.pool)
+    for a, b in ((justified, l1), (r1, justified)):
         with pytest.raises(NotFinalized):
             safety_audit(w.cache, w.pool, a, b)
 

@@ -40,6 +40,13 @@ def test_deposit_errors():
     reg.process_withdraw(1, 0)
     with pytest.raises(Rejoin):
         reg.process_deposit(1, 100, 5)
+    # a genesis member needs a deposit and an index not seen before
+    for deposit in (0, -5):
+        with pytest.raises(ZeroDeposit):
+            reg.add_genesis_validator(9, deposit)
+    with pytest.raises(Rejoin):
+        reg.add_genesis_validator(1, 100)
+    assert list(reg.records) == [1]
 
 
 def test_withdraw_leaves_two_dynasties_later():

@@ -4,7 +4,7 @@ import pytest
 
 from ffg.chain import VoteData
 from ffg.errors import BadSignature
-from ffg.votes import Keyring, VoteClass, VotePool, classify_vote, sign_vote
+from ffg.votes import Keyring, VotePool, classify_vote, sign_vote
 
 from conftest import World
 from ffg.config import ProtocolConfig
@@ -37,33 +37,37 @@ def test_classify_countable_and_demotions():
     c1, c2 = blocks[1].id, blocks[3].id
 
     good = sign_vote(w.keyring, 0, c1, c2, 1, 2)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring, good) \
-        is VoteClass.COUNTABLE
+    assert classify_vote(w.tree, w.cache.snapshot_for, good) \
+        is w.cache.snapshot_for(c2)
 
     # source not an ancestor of target
     side = w.grow(2, start=w.tree.root, proposer=1)
     sideways = sign_vote(w.keyring, 0, side[1].id, c2, 1, 2)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring, sideways) \
-        is VoteClass.SIGNATURE_ONLY
+    assert classify_vote(w.tree, w.cache.snapshot_for, sideways) is None
+
+    # an end that is no checkpoint: block heights 1 and 3, with spacing 2
+    mid_source = sign_vote(w.keyring, 0, blocks[0].id, c2, 0, 2)
+    mid_target = sign_vote(w.keyring, 0, c1, blocks[2].id, 1, 2)
+    for vote in (mid_source, mid_target):
+        assert classify_vote(w.tree, w.cache.snapshot_for, vote) is None
 
     # stated heights disagree with the tree
     wrong_h = sign_vote(w.keyring, 0, c1, c2, 1, 5)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring, wrong_h) \
-        is VoteClass.SIGNATURE_ONLY
+    assert classify_vote(w.tree, w.cache.snapshot_for, wrong_h) is None
 
     # source at or above target
     backwards = sign_vote(w.keyring, 0, c2, c1, 2, 1)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring, backwards) \
-        is VoteClass.SIGNATURE_ONLY
+    assert classify_vote(w.tree, w.cache.snapshot_for, backwards) is None
 
     # validator outside both membership sets
     stranger = sign_vote(w.keyring, 9, c1, c2, 1, 2)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring, stranger) \
-        is VoteClass.SIGNATURE_ONLY
+    assert classify_vote(w.tree, w.cache.snapshot_for, stranger) is None
 
+    # a forged signature: the rule itself reads no signature, and the run's
+    # verdict drops the vote on its record's signature verdict
     forged = VoteData(0, good.validator_pubkey, c1, c2, 1, 2, b"\x00" * 32)
-    assert classify_vote(w.tree, w.cache.snapshot_for, w.keyring, forged) \
-        is VoteClass.INVALID
+    assert not w.keyring.verify(forged)
+    assert w.cache.classify(w.cache.record(forged)) is None
 
 
 def test_pool_dedupe_and_indexes():
