@@ -1,10 +1,10 @@
 """List the library lines that no tier-1 test runs.
 
-Runs tier-1 in this process under a line tracer limited to `src/ffg`:
-`sys.monitoring` where present (Python 3.12+), else `sys.settrace`, which
-makes the run several times slower.  A line is executable when a function
-of a `src/ffg` module has an instruction on it; module and class bodies,
-which run on import, are not counted, nor is a `def` line itself.
+Runs tier-1 in this process under a `sys.settrace` line tracer limited to
+`src/ffg`, which makes the run several times slower.  A line is executable
+when a function of a `src/ffg` module has an instruction on it; module and
+class bodies, which run on import, are not counted, nor is a `def` line
+itself.
 
 Each executable line that never ran is printed as `file:line text`.  The
 lines allowed to stay unreached are listed in `tests/unreached.json`, each
@@ -21,6 +21,7 @@ runs tier-1.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import sys
@@ -31,7 +32,6 @@ from types import CodeType
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ffg"
 LISTED = ROOT / "tests" / "unreached.json"
-CO_OPTIMIZED = 0x0001   # set on function code objects, not on class bodies
 # the tier-1 items left out of the traced run, and why
 DESELECTED = {
     "tests/test_acceptance.py::test_criterion_1_safety_fuzz":
@@ -55,7 +55,7 @@ def executable_lines(path: Path) -> set[int]:
     while stack:
         co = stack.pop()
         stack.extend(c for c in co.co_consts if isinstance(c, CodeType))
-        if co.co_flags & CO_OPTIMIZED:
+        if co.co_flags & inspect.CO_OPTIMIZED:
             lines.update(line for _start, _end, line in co.co_lines()
                          if line is not None and line != co.co_firstlineno)
     return lines
@@ -78,27 +78,6 @@ def run_traced(args: list[str], hits: dict[str, set[int]]) -> int:
     """pytest.main(args) with every line run in a file of `hits` added to
     that file's set."""
     import pytest
-
-    monitoring = getattr(sys, "monitoring", None)
-    if monitoring is not None:
-        tool, line_event = monitoring.COVERAGE_ID, monitoring.events.LINE
-        disable = monitoring.DISABLE
-
-        def on_line(code, line):
-            lines = hits.get(code.co_filename)
-            if lines is not None:
-                lines.add(line)
-            # one event per location is all a line set needs
-            return disable
-        monitoring.use_tool_id(tool, "ffg-coverage")
-        monitoring.register_callback(tool, line_event, on_line)
-        monitoring.set_events(tool, line_event)
-        try:
-            return pytest.main(args)
-        finally:
-            monitoring.set_events(tool, 0)
-            monitoring.register_callback(tool, line_event, None)
-            monitoring.free_tool_id(tool)
 
     def line_tracer(lines):
         def local(frame, event, _arg):
