@@ -45,13 +45,14 @@ accepts exactly what `ffg run` can run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import takewhile
 
 from .chain import (Block, Deposit, SlashEvidence, VoteData, VoteInclusion,
                     Withdraw)
 from .config import ProtocolConfig
 from .errors import ConfigInvalid, Unreachable
+from .fork_choice import ClientView
 from .leak import LeakConfig, epochs_to_supermajority
 from .sim import (Behavior, DOUBLE_VOTER, DYNAMIC_ATTACK, HONEST, LONG_RANGE,
                   SPLIT_FINALITY, Network, RunReport, ScenarioConfig, ValidatorSpec,
@@ -149,10 +150,14 @@ class Script(Network):
         return [self.vote(i, source, target) for i in indexes]
 
     def send_block(self, block: Block, time: int, names=None) -> None:
-        self.send("block", block, time, list(names or self.views))
+        """Deliver `block` at `time` to the views `names`, in that order;
+        to every view when `names` is None."""
+        self.send("block", block, time,
+                  list(self.views if names is None else names))
 
     def send_vote(self, vote: VoteData, time: int, names=None) -> None:
-        self.send("vote", vote, time, list(names or self.views))
+        self.send("vote", vote, time,
+                  list(self.views if names is None else names))
 
     def finish(self, final_clock: int) -> None:
         """Deliver every send, then move every view's clock on."""
@@ -378,6 +383,18 @@ def scenario_longrange(cfg: ScenarioConfig) -> RunReport:
     return build_report(s, invariants, extra)
 
 
+def admissible_tip(view: ClientView, leaf: bytes) -> bytes:
+    """The last block of the longest admissible prefix of `leaf`'s chain,
+    or the root when `view` admits no block below it.  Stamps rise along a
+    chain and a rejected block rejects its descendants, so the blocks that
+    `chain_admissible` accepts form a prefix of the path, and bisection
+    finds its end."""
+    path = view.tree.path(leaf)
+    end = bisect_left(path, True, 1,
+                      key=lambda bid: not view.chain_admissible(bid))
+    return path[end - 1]
+
+
 def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
                       attackers: list[int]) -> dict:
     """Per client: does any admissible chain pay the coalition out, and do all
@@ -389,12 +406,9 @@ def analyze_longrange(s: Script, cfg: ScenarioConfig, unlock_epoch: int,
         payout_chains = []
         evidence_ok = True
         for leaf in view.tree.leaves():
-            # longest admissible prefix: stamps rise along a chain
-            chain = list(takewhile(view.chain_admissible,
-                                   view.tree.path(leaf)[1:]))
-            if not chain:
+            tip = view.tree.get(admissible_tip(view, leaf))
+            if tip.parent is None:
                 continue
-            tip = view.tree.get(chain[-1])
             state = s.cache.get(tip.id)
             paid = [idx for idx, rec in state.registry.records.items()
                     if rec.withdrawn and idx in attackers]

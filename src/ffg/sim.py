@@ -53,6 +53,18 @@ sequence, then view order):
 * a delivery at time t pushes only entries at time >= t with greater sequence
   numbers, so nothing pushed while an entry's names are being delivered could
   have come before the names that remain.
+
+A report is written as text.  `build_report` writes each block, transaction
+and distinct vote object once, straight to its canonical JSON: keys in
+sorted order and values that are only ints, lowercase hex strings and null,
+a vote's text shared by `votes` and every transaction that carries it.
+`RunReport.to_json` splices those texts into the top-level object in
+sorted-key order and encodes only the small sections (`clients`, `config`,
+`extra`, `heuristics`, `invariants`, `slashings`) as
+`json.dumps(..., sort_keys=True, separators=(",", ":"))` does; `digest`
+hashes that text, and `to_dict`, `blocks` and `votes` decode the block and
+vote texts only when read.  The tests hold the text to its oracle,
+`json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))`.
 """
 
 from __future__ import annotations
@@ -63,10 +75,10 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .chain import (Block, BlockTree, Deposit, SlashEvidence, VoteData,
                     VoteInclusion, Withdraw)
@@ -818,21 +830,36 @@ def invariants_pass(inv: dict) -> bool:
     return ok
 
 
-def _tx_to_dict(tx, vote_dict) -> dict:
-    """The transaction as report data, its votes written by `vote_dict`."""
-    if isinstance(tx, VoteInclusion):
-        return {"kind": "vote", "vote": vote_dict(tx.vote)}
-    if isinstance(tx, SlashEvidence):
-        return {"kind": "evidence", "first": vote_dict(tx.first),
-                "second": vote_dict(tx.second)}
-    if isinstance(tx, Deposit):
-        return {"kind": "deposit", "index": tx.validator_index, "amount": tx.amount}
-    return {"kind": "withdraw", "index": tx.validator_index}
+# -- report text -----------------------------------------------------------------
+# Blocks, transactions and votes are written straight to their canonical JSON
+# text: keys in sorted order, and values that are only ints, lowercase hex
+# strings and null, so no character needs escaping.  Each text is what
+# `json.dumps(..., sort_keys=True, separators=(",", ":"))` writes for the
+# object's dict, which `tx_from_dict` and `vote_from_dict` read back.
+
+def _vote_json(vote: VoteData) -> str:
+    return (f'{{"signature":"{vote.signature.hex()}","source":"{vote.source.hex()}",'
+            f'"source_height":{vote.source_height},"target":"{vote.target.hex()}",'
+            f'"target_height":{vote.target_height},"validator":{vote.validator_index}}}')
+
+
+def _tx_json(tx, vote_json) -> str:
+    """The transaction's text, its votes written by `vote_json`."""
+    kind = type(tx)
+    if kind is VoteInclusion:
+        return f'{{"kind":"vote","vote":{vote_json(tx.vote)}}}'
+    if kind is SlashEvidence:
+        return (f'{{"first":{vote_json(tx.first)},"kind":"evidence",'
+                f'"second":{vote_json(tx.second)}}}')
+    if kind is Deposit:
+        return (f'{{"amount":{tx.amount},"index":{tx.validator_index},'
+                f'"kind":"deposit"}}')
+    return f'{{"index":{tx.validator_index},"kind":"withdraw"}}'
 
 
 def tx_from_dict(data: dict, keyring: Keyring):
-    """The transaction `_tx_to_dict` wrote; registers the keys it names.
-    Raises ValueError for a kind it never writes."""
+    """The transaction `_tx_json` wrote, decoded; registers the keys it
+    names.  Raises ValueError for a kind it never writes."""
     kind = data["kind"]
     if kind == "vote":
         return VoteInclusion(vote_from_dict(data["vote"], keyring))
@@ -845,14 +872,6 @@ def tx_from_dict(data: dict, keyring: Keyring):
     if kind == "deposit":
         return Deposit(data["index"], pubkey, data["amount"])
     return Withdraw(data["index"], pubkey)
-
-
-def _vote_to_dict(vote: VoteData) -> dict:
-    return {"validator": vote.validator_index,
-            "source": vote.source.hex(), "target": vote.target.hex(),
-            "source_height": vote.source_height,
-            "target_height": vote.target_height,
-            "signature": vote.signature.hex()}
 
 
 def vote_from_dict(data: dict, keyring: Keyring) -> VoteData:
@@ -870,39 +889,41 @@ def build_report(net: Network, invariants: dict,
     tie-breaks as heuristics, the trace digest and the script's `extra`
     facts.
 
-    Each vote object is written as one dict, shared by `votes` and every
-    transaction that carries it.  A block lists the slashings its chain
-    state applied (`ChainState.slashings`): one per validator its own
-    evidence newly covers, from the proof that slashed it there, in payload
-    order."""
+    Each block and each vote object is written once, as its JSON text; a
+    vote's text is shared by `votes` and every transaction that carries
+    it.  A block lists the slashings its chain state applied
+    (`ChainState.slashings`): one per validator its own evidence newly
+    covers, from the proof that slashed it there, in payload order."""
     tree, cache = net.tree, net.cache
     heuristics = []
     for name in sorted(net.views):
         for height, cp in net.views[name].ignored_finalized:
             heuristics.append(f"first-seen-kept:{name}:{height}:{cp.hex()[:8]}")
-    # id(vote) -> its dict; the tree and the pool hold every vote, so no id
-    # is reused while this lives
-    vote_dicts: dict[int, dict] = {}
+    votes = sorted(net.pool.votes, key=attrgetter("key"))
+    # id(vote) -> its text, the pool's votes written first; the tree and the
+    # pool hold every vote, so no id is reused while this lives
+    vote_texts = {id(vote): _vote_json(vote) for vote in votes}
 
-    def vote_dict(vote: VoteData) -> dict:
-        data = vote_dicts.get(id(vote))
-        if data is None:
-            data = vote_dicts[id(vote)] = _vote_to_dict(vote)
-        return data
+    def vote_json(vote: VoteData) -> str:
+        text = vote_texts.get(id(vote))
+        if text is None:
+            text = vote_texts[id(vote)] = _vote_json(vote)
+        return text
 
-    blocks, slashings = [], []
+    block_texts, slashings = [], []
     # block id -> the withdrawals its chain state pays out, for each block
     # that pays any; a view's payouts are those of the blocks its tree holds
     paying: dict[bytes, tuple] = {}
-    for block in sorted(tree.iter_blocks(), key=lambda b: (b.height, b.id)):
-        blocks.append({
-            "id": block.id.hex(),
-            "parent": block.parent.hex() if block.parent else None,
-            "height": block.height,
-            "timestamp": block.timestamp,
-            "proposer": block.proposer,
-            "txs": [_tx_to_dict(tx, vote_dict) for tx in block.payload],
-        })
+    for block in sorted(tree.iter_blocks(), key=attrgetter("height", "id")):
+        bid = block.id.hex()
+        parent = f'"{block.parent.hex()}"' if block.parent else "null"
+        proposer = "null" if block.proposer is None else block.proposer
+        # most blocks carry nothing, and an empty payload skips the join
+        txs = ",".join([_tx_json(tx, vote_json) for tx in block.payload]) \
+            if block.payload else ""
+        block_texts.append(
+            f'{{"height":{block.height},"id":"{bid}","parent":{parent},'
+            f'"proposer":{proposer},"timestamp":{block.timestamp},"txs":[{txs}]}}')
         state = cache.get(block.id)
         if state.payouts:
             paying[block.id] = state.payouts
@@ -910,15 +931,22 @@ def build_report(net: Network, invariants: dict,
             slashings.append({
                 "validator": violation.validator_index,
                 "kind": violation.kind.value,
-                "included_in": block.id.hex(),
+                "included_in": bid,
                 "height": block.height,
             })
 
     clients = {}
+    # head id -> the leak totals of its chain state, shared by the views
+    # whose head it is
+    leak_totals: dict[bytes, dict] = {}
     for name in sorted(net.views):
         view = net.views[name]
         head = view.head()
-        head_state = cache.get(head)
+        if head not in leak_totals:
+            records = cache.get(head).registry.records
+            leak_totals[head] = {str(index): rec.leaked
+                                 for index, rec in sorted(records.items())
+                                 if rec.leaked}
         clients[name] = {
             "head": head.hex(),
             "head_height": tree.get(head).height,
@@ -927,9 +955,7 @@ def build_report(net: Network, invariants: dict,
             "first_seen_finalized": {str(h): cp.hex()
                                      for h, cp in sorted(view.first_seen_finalized.items())},
             "violators_heard": len(view._heard),
-            "leak_totals": {str(index): rec.leaked
-                            for index, rec in sorted(head_state.registry.records.items())
-                            if rec.leaked},
+            "leak_totals": leak_totals[head],
             "payouts": sorted({payout for bid, payouts in paying.items()
                                if bid in view.tree.blocks
                                for payout in payouts}),
@@ -940,8 +966,8 @@ def build_report(net: Network, invariants: dict,
         config=config_to_dict(net.cfg),
         clients=clients,
         slashings=slashings,
-        votes=[vote_dict(v) for v in sorted(net.pool.votes, key=lambda v: v.key)],
-        blocks=blocks,
+        vote_texts=[vote_texts[id(vote)] for vote in votes],
+        block_texts=block_texts,
         invariants=invariants,
         heuristics=sorted(heuristics),
         trace_digest=net.trace_digest(),
@@ -949,27 +975,59 @@ def build_report(net: Network, invariants: dict,
     )
 
 
+# the encoder of a report's other sections; `build_report` makes fresh plain
+# data that holds no cycle, so the encoder's cycle check would find nothing
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
+
+
 @dataclass
 class RunReport:
+    """A run's report.  `block_texts` and `vote_texts` hold the JSON text of
+    each block and each pool vote, written once by `build_report`;
+    `to_json` splices them into the report's text, and `blocks`, `votes`
+    and `to_dict` decode them only when read."""
     schema_version: int
     config: dict
     clients: dict
     slashings: list
-    votes: list
-    blocks: list
+    vote_texts: list[str]
+    block_texts: list[str]
     invariants: dict
     heuristics: list
     trace_digest: str
     extra: dict
 
+    @property
+    def blocks(self) -> list:
+        return json.loads(f"[{','.join(self.block_texts)}]")
+
+    @property
+    def votes(self) -> list:
+        return json.loads(f"[{','.join(self.vote_texts)}]")
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"schema_version": self.schema_version, "config": self.config,
+                "clients": self.clients, "slashings": self.slashings,
+                "votes": self.votes, "blocks": self.blocks,
+                "invariants": self.invariants, "heuristics": self.heuristics,
+                "trace_digest": self.trace_digest, "extra": self.extra}
 
     def to_json(self) -> str:
-        # `build_report` makes fresh plain data that shares vote dicts but
-        # holds no cycle, so the encoder's cycle check would find nothing
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
-                          check_circular=False)
+        """The report's canonical text: the top-level keys in sorted order,
+        no whitespace, equal to `json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))`."""
+        return "".join((
+            '{"blocks":[', ",".join(self.block_texts),
+            '],"clients":', _encode(self.clients),
+            ',"config":', _encode(self.config),
+            ',"extra":', _encode(self.extra),
+            ',"heuristics":', _encode(self.heuristics),
+            ',"invariants":', _encode(self.invariants),
+            f',"schema_version":{self.schema_version}',
+            ',"slashings":', _encode(self.slashings),
+            f',"trace_digest":"{self.trace_digest}"',
+            ',"votes":[', ",".join(self.vote_texts), "]}"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()

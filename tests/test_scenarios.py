@@ -1,14 +1,20 @@
 import hashlib
+import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
 import ffg.scenarios
 from ffg.errors import ConfigInvalid
-from ffg.scenarios import (Script, dynamic_attack_config, long_range_config,
-                           split_finality_config)
+from ffg.scenarios import (Script, admissible_tip, dynamic_attack_config,
+                           long_range_config, split_finality_config)
 from ffg.sim import Behavior, OFFLINE, config_from_dict, config_to_dict, run
+
+CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_dynamic_attack_unstitched_dual_finalizes_unpunished():
@@ -79,6 +85,36 @@ def test_long_range_boundary_sits_at_four_deltas(delta):
         assert report.config["protocol"]["withdrawal_delay"] == ratio * delta // 5
         assert report.extra["defended"] is (ratio >= 4), ratio
         assert report.extra["attacker_payout_accepted"] is (ratio <= 3), ratio
+
+
+def takewhile_tip(view, leaf):
+    """`admissible_tip` by testing the chain block by block from the root."""
+    path = view.tree.path(leaf)
+    return ([path[0]] + list(takewhile(view.chain_admissible, path[1:])))[-1]
+
+
+def test_admissible_tip_matches_the_block_by_block_walk(monkeypatch):
+    # the long-range corpus files and the reveal-15 sweep of
+    # test_long_range_boundary_sits_at_four_deltas
+    corpus = [config_from_dict(json.loads((CORPUS / name).read_text()))
+              for name in ("long_range_omega3.json", "long_range_omega5.json")]
+    sweep = [long_range_config(ratio, delta=delta)
+             for delta in (20, 30, 50) for ratio in range(1, 9)]
+    analyze = ffg.scenarios.analyze_longrange
+    tips = Counter()
+
+    def checked(s, *args):
+        for view in s.views.values():
+            for leaf in view.tree.leaves():
+                tip = admissible_tip(view, leaf)
+                assert tip == takewhile_tip(view, leaf), (s.cfg.name, view.name)
+                tips["cut" if tip != leaf else "whole"] += 1
+        return analyze(s, *args)
+    monkeypatch.setattr(ffg.scenarios, "analyze_longrange", checked)
+    for cfg in corpus + sweep:
+        run(cfg)
+    # both outcomes occur: chains cut short by the evidence rule, and whole
+    assert tips["cut"] and tips["whole"], tips
 
 
 def test_long_range_clients_keep_first_seen_finalized():
@@ -167,6 +203,18 @@ def test_script_delivers_in_time_then_send_then_listed_name_order():
               for t, name, p in s.delivered]
     expected = hashlib.sha256("".join(line + "\n" for line in lines).encode())
     assert s.trace_digest() == expected.hexdigest()
+
+
+def test_script_sends_to_no_view_when_names_is_empty():
+    s = RecordingScript(split_finality_config())
+    block = s.extend(s.tree.root, 1)
+    vote = s.vote(0, s.tree.root, s.tree.root)
+    s.send_block(block, 1, names=[])
+    s.send_vote(vote, 1, names=[])
+    s.finish(final_clock=2)
+    assert s.delivered == []
+    assert all(len(view.tree) == 1 and not view.votes
+               for view in s.views.values())
 
 
 class UnjustifyingScript(Script):

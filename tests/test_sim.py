@@ -16,17 +16,17 @@ from hypothesis import example, given, strategies as st
 
 import ffg.scenarios
 import ffg.sim
-from ffg.chain import (BlockTree, SlashEvidence, VoteInclusion, Withdraw,
-                       make_block)
+from ffg.chain import (BlockTree, Deposit, SlashEvidence, VoteInclusion,
+                       Withdraw, make_block)
 from ffg.config import ProtocolConfig
 from ffg.errors import ConfigInvalid, NotACheckpoint
 from ffg.fork_choice import ClientView
 from ffg.leak import LeakConfig, epochs_to_supermajority
 from ffg.sim import (Agent, Behavior, DOUBLE_VOTER, GENERIC, HONEST, OFFLINE,
                      SURROUND_VOTER, Network, ScenarioConfig, Simulation,
-                     ValidatorSpec, check_link_properties, config_from_dict,
-                     config_to_dict, established_links, first_conflict, run,
-                     sweep_invariants, tx_from_dict)
+                     ValidatorSpec, build_report, check_link_properties,
+                     config_from_dict, config_to_dict, established_links,
+                     first_conflict, run, sweep_invariants, tx_from_dict)
 from ffg.slashing import slashable
 from ffg.votes import Keyring, sign_vote
 
@@ -510,6 +510,80 @@ def test_report_votes_and_blocks_reconstructable():
     ids = {b["id"] for b in report.blocks}
     for b in report.blocks:
         assert b["parent"] is None or b["parent"] in ids
+
+
+def assert_canonical(report):
+    """The report's text is the canonical JSON of its data: the oracle
+    encodes the decoded data with sorted keys and no whitespace.  A
+    mismatch reports where the texts part, not a diff of two whole reports,
+    which would take minutes."""
+    text = report.to_json()
+    oracle = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"),
+                        check_circular=False)
+    if text != oracle:
+        at = next((i for i, (a, b) in enumerate(zip(text, oracle)) if a != b),
+                  min(len(text), len(oracle)))
+        start = max(0, at - 80)
+        pytest.fail(f"{report.config['name']}: the text parts from the oracle "
+                    f"at {at}:\n{text[start:at + 80]}\n{oracle[start:at + 80]}")
+
+
+def generated_configs(workload):
+    if workload == "corpus":
+        return [config_from_dict(json.loads((CORPUS / name).read_text()))
+                for name in sorted(json.loads((CORPUS / "digests.json").read_text()))]
+    if workload == "fuzz":
+        return [fuzz_config(seed) for seed in range(300)]
+    bench = str(CORPUS.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    make = {"long_horizon": workloads.long_horizon_config,
+            "wide_set": workloads.wide_set_config}[workload]
+    return [make(seed) for seed in range(5)]
+
+
+@pytest.mark.parametrize("workload", ["corpus", "fuzz", "long_horizon", "wide_set"])
+def test_report_text_is_canonical_json(workload):
+    for cfg in generated_configs(workload):
+        assert_canonical(run(cfg))
+
+
+def test_report_text_is_canonical_json_on_every_shape_the_templates_write():
+    # every transaction kind, the genesis block's null parent, an int and a
+    # None proposer, one vote object in the pool, a vote inclusion and a
+    # proof, and an included vote the pool lacks
+    cfg = replace(base_config(n=3), name="shapes",
+                  protocol=ProtocolConfig(spacing=2, delta=2, withdrawal_delay=50))
+    net = Network(cfg, ["client0"])
+    tree, keyring = net.tree, net.keyring
+    b1 = tree.extend(tree.root, 1, 0, ())
+    # two checkpoints of height 1, and a double vote for them
+    cp_a = tree.extend(b1.id, 2, None, ())
+    cp_b = tree.extend(b1.id, 3, 1, ())
+    first, second = (sign_vote(keyring, 2, tree.root, cp.id, 0, 1)
+                     for cp in (cp_a, cp_b))
+    for vote in (first, second):
+        net.announce_vote(vote, 3)
+    unannounced = sign_vote(keyring, 0, tree.root, cp_a.id, 0, 1)
+    payload = (VoteInclusion(first), SlashEvidence(first, second),
+               Deposit(7, keyring.register(7), 50), Withdraw(1, keyring.pubkey(1)),
+               VoteInclusion(unannounced))
+    tree.extend(cp_a.id, 4, None, payload)
+    report = build_report(net, sweep_invariants(net))
+    assert_canonical(report)
+
+    blocks = report.blocks
+    assert {tx["kind"] for b in blocks for tx in b["txs"]} == \
+        {"vote", "evidence", "deposit", "withdraw"}
+    assert blocks[0]["parent"] is None
+    assert {type(b["proposer"]) for b in blocks} == {int, type(None)}
+    # the text reads back to the objects it was written from
+    carrier = next(b for b in blocks if b["txs"])
+    assert tuple(tx_from_dict(tx, Keyring(cfg.seed)) for tx in carrier["txs"]) \
+        == payload
+    assert {json.dumps(v) for v in report.votes} == \
+        {json.dumps(carrier["txs"][1][key]) for key in ("first", "second")}
 
 
 def test_tx_from_dict_rejects_a_kind_it_never_writes():

@@ -20,7 +20,12 @@ over the golden corpus and fuzz configs 0-49.
   few pairs, not each vote against the voter's whole history;
 * a view counts a vote whose record is classified and whose target it has
   marked in one call to `LinkTally.count`, so `FinalityState.on_vote` sees
-  only the rest: unclassified records and votes ahead of their targets.
+  only the rest: unclassified records and votes ahead of their targets;
+* the `is_ancestor` calls made by `head()` and the `check_pair` calls of a
+  whole run are pinned on fixed configs, so a change that moves either
+  count re-pins it and says so;
+* a report writes each distinct vote object's text once, and `digest()`
+  decodes nothing, so neither builds a vote dict.
 
 It also guards that a run leaves no cyclic garbage, which is what lets
 `ffg.sim.run` pause the cyclic collector, and that `run` gives the caller
@@ -40,9 +45,11 @@ import pytest
 
 import ffg.chain
 import ffg.finality
+import ffg.scenarios
 import ffg.sim
+import ffg.slashing
 import ffg.votes
-from ffg.chain import SlashEvidence
+from ffg.chain import BlockTree, SlashEvidence, VoteInclusion
 from ffg.config import ProtocolConfig
 from ffg.finality import ChainStateCache, FinalityState, LinkTally
 from ffg.fork_choice import ClientView
@@ -246,6 +253,74 @@ def test_a_view_counts_a_ready_vote_without_on_vote(monkeypatch):
     # each receipt is counted at most once, however it reaches the tally
     assert 0 < counts["view counts"] <= counts["receipts"], counts
     assert 3 * counts["on_vote"] <= counts["receipts"], counts
+
+
+# config name -> (head() calls, is_ancestor calls within them, check_pair
+# calls in the whole run)
+SEARCH_PINS = {"fuzz0": (127, 365, 211), "fuzz7": (82, 82, 115),
+               "deep": (423, 4433, 3081), "long3": (843, 17205, 13418)}
+
+
+def test_head_ancestry_checks_and_vote_pair_checks_match_their_pins(monkeypatch):
+    counts = Counter()
+    in_head = []
+    head, is_ancestor = ClientView.head, BlockTree.is_ancestor
+
+    def counted_head(view):
+        counts["head"] += 1
+        in_head.append(True)
+        try:
+            return head(view)
+        finally:
+            in_head.pop()
+
+    def counted_is_ancestor(tree, a, b):
+        counts["is_ancestor"] += bool(in_head)
+        return is_ancestor(tree, a, b)
+    monkeypatch.setattr(ClientView, "head", counted_head)
+    monkeypatch.setattr(BlockTree, "is_ancestor", counted_is_ancestor)
+    check_pair = ffg.slashing.check_pair
+    for module in [m for name, m in sys.modules.items() if name.startswith("ffg")]:
+        if getattr(module, "check_pair", None) is check_pair:
+            monkeypatch.setattr(module, "check_pair",
+                                counting(counts, "check_pair", check_pair))
+    configs = [fuzz_config(0), fuzz_config(7), deep_config(),
+               long_horizon_shaped(3, epochs=40)]
+    seen = {}
+    for cfg in configs:
+        counts.clear()
+        run(cfg)
+        seen[cfg.name] = (counts["head"], counts["is_ancestor"], counts["check_pair"])
+    assert seen == SEARCH_PINS
+
+
+def test_a_report_writes_each_vote_object_once_and_its_digest_decodes_nothing(
+        monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(ffg.sim, "_vote_json",
+                        counting(counts, "written", ffg.sim._vote_json))
+    monkeypatch.setattr(ffg.sim, "json", SimpleNamespace(
+        loads=counting(counts, "decoded", json.loads)))
+    build_report = ffg.sim.build_report
+
+    def checked(net, *args):
+        votes = {id(vote): vote for vote in net.pool.votes}
+        for block in net.tree.iter_blocks():
+            for tx in block.payload:
+                if isinstance(tx, VoteInclusion):
+                    votes[id(tx.vote)] = tx.vote
+                elif isinstance(tx, SlashEvidence):
+                    votes.update({id(tx.first): tx.first, id(tx.second): tx.second})
+        counts.clear()
+        report = build_report(net, *args)
+        report.digest()
+        assert counts["written"] == len(votes) > 0, net.cfg.name
+        assert counts["decoded"] == 0, net.cfg.name
+        return report
+    monkeypatch.setattr(ffg.sim, "build_report", checked)
+    monkeypatch.setattr(ffg.scenarios, "build_report", checked)
+    for cfg in budget_configs():
+        run(cfg)
 
 
 def test_runs_leave_no_cyclic_garbage():
