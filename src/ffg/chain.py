@@ -107,10 +107,10 @@ class Block:
 def encode_block_body(parent: bytes, height: int, timestamp: int,
                       proposer: int | None, payload: tuple[Transaction, ...]) -> bytes:
     prop = codec.EXTERNAL_PROPOSER if proposer is None else proposer
-    parts = [parent, codec.u64(height), codec.u64(timestamp), codec.u64(prop),
-             codec.u32(len(payload))]
-    parts.extend(codec.blob(tx.encode()) for tx in payload)
-    return b"".join(parts)
+    header = parent + codec.BLOCK_HEADER.pack(height, timestamp, prop, len(payload))
+    if not payload:
+        return header
+    return header + b"".join([codec.blob(tx.encode()) for tx in payload])
 
 
 def block_id(parent: bytes, height: int, timestamp: int, proposer: int | None,
@@ -263,11 +263,15 @@ class BlockTree:
         included) missing from `memo`, root side first, with
         `step(parent's value, block, *args)`.  The root's value must be in
         `memo`.  Raises UnknownBlock for an unknown `bid`."""
+        blocks = self.blocks
         missing = []
         cursor = bid
         while cursor not in memo:
-            missing.append(self.get(cursor))
-            cursor = missing[-1].parent
+            block = blocks.get(cursor)
+            if block is None:
+                raise UnknownBlock(cursor.hex())
+            missing.append(block)
+            cursor = block.parent
         value = memo[cursor]
         for block in reversed(missing):
             value = memo[block.id] = step(value, block, *args)

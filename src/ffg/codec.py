@@ -19,8 +19,12 @@ fixtures pin these layouts; changing them invalidates every recorded digest.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 EXTERNAL_PROPOSER = 2**64 - 1
+# a block's fields after its parent: u64 height, u64 timestamp, u64 proposer
+# and u32 tx count, in one pack
+BLOCK_HEADER = struct.Struct(">QQQI")
 
 
 def u64(value: int) -> bytes:

@@ -20,7 +20,11 @@ greatest height.  Three client-local filters compose around it, in order:
    with the most blocks, then lowest id).
 
 `head()` runs these filters on every call, so it must not walk every leaf's
-chain each time.  Timestamps strictly increase along a chain
+chain each time.  The never-revert filter walks a leaf down to the finalized
+anchor; a leaf found off the anchor's branch is marked and never walked again,
+and its children inherit the mark when inserted.  The mark is final: the
+anchor only moves to its own descendants, and none of those is an ancestor of
+a block off the old anchor's branch.  Timestamps strictly increase along a chain
 (`BlockTree.insert_block`), so the future-timestamp rule is decided by the
 chain's tip alone, and a chain is rejected by the evidence rule when any
 block on it is.  That verdict is final per block once the view's clock has
@@ -149,6 +153,10 @@ class ClientView:
         # root and it; final once judged (see the module docstring)
         self._rejected: dict[bytes, bool] = {self.tree.root: False}
         self._pending_blocks: dict[bytes, list[Block]] = {}
+        # blocks `head()` found off the finalized anchor's branch, and their
+        # children inserted since; final, since the anchor only moves to its
+        # own descendants
+        self._off_anchor: set[bytes] = set()
 
     # -- receipt ---------------------------------------------------------------
 
@@ -181,6 +189,8 @@ class ClientView:
     def _insert(self, block: Block, now: int,
                 state: ChainState | None = None) -> None:
         self.tree.insert_block(block)
+        if block.parent in self._off_anchor:
+            self._off_anchor.add(block.id)
         if block.height % self.cfg.spacing == 0:
             # the too-old rule, judged once: a checkpoint tracked live stays
             # finalizable; one that shows up already stale never is
@@ -329,13 +339,18 @@ class ClientView:
         """The admissible leaf under the finalized anchor of least rank
         (-tip height, tip receipt order, tip id, -leaf height, leaf id),
         where the tip is the leaf's justified tip; the anchor when there is
-        none."""
+        none.  A leaf marked off the anchor's branch is skipped unwalked, and
+        one found off it is marked (see the module docstring)."""
         anchor = self.finalized_anchor
         tree, order = self.tree, self.fstate.order
-        blocks = tree.blocks
+        blocks, off_anchor = tree.blocks, self._off_anchor
         ranks = []
         for leaf in tree.leaves():
-            if tree.is_ancestor(anchor, leaf) and self.chain_admissible(leaf):
+            if leaf in off_anchor:
+                continue
+            if not tree.is_ancestor(anchor, leaf):
+                off_anchor.add(leaf)
+            elif self.chain_admissible(leaf):
                 tip = self.justified_tip(leaf)
                 ranks.append((-blocks[tip].height, order[tip], tip,
                               -blocks[leaf].height, leaf))

@@ -710,19 +710,26 @@ def _members_below(below: frozenset, block, members: set) -> frozenset:
 def first_conflict(tree: BlockTree, checkpoints) -> tuple[bytes, bytes] | None:
     """The first pair (a, b) of conflicting checkpoints, in the order of
     `(i, j)`, i < j, over the id-sorted set; None when all lie on one chain.
+    Raises NotACheckpoint for any member that is not a checkpoint.
 
-    Each member's record is the set's members among its ancestors, itself
+    A set on one chain, the usual case, is told by taking its members by
+    height: each must be a strict ancestor of the next, which two of one
+    height never are, and the ancestry tests together walk once down from
+    the highest member.  Only a set that is not has its pairs searched:
+    each member's record is the set's members among its ancestors, itself
     included, folded down its chain (`BlockTree.fold`): a block's record is
     its parent's, plus the block when it is a member.  The fold keeps every
     block's record, so each block is walked at most once in all, and two
-    members conflict exactly when neither is in the other's record.  Raises
-    NotACheckpoint for any member that is not a checkpoint.
+    members conflict exactly when neither is in the other's record.
     """
     cps = sorted(checkpoints)
+    # the sort key raises NotACheckpoint, for the first such member by id
+    by_height = sorted(cps, key=tree.require_checkpoint)
+    if all(tree.is_ancestor(a, b) for a, b in zip(by_height, by_height[1:])):
+        return None
     members = set(cps)
     ancestors = {tree.root: frozenset({tree.root})}
     for cp in cps:
-        tree.require_checkpoint(cp)
         tree.fold(cp, ancestors, _members_below, members)
     for i, a in enumerate(cps):
         below_a = ancestors[a]
@@ -742,12 +749,15 @@ def sweep_invariants(net: Network) -> dict:
     record up per pool vote per query and verifies and classifies nothing
     the run has not):
 
-    * no conflicting finalization: `first_conflict` walks each block below
-      a finalized checkpoint at most once in all, then makes at most F^2/2
-      pair tests of two set lookups each;
-    * slashable weight: `scan` checks every pair of one validator's votes,
-      sum of v_i^2 / 2 pair checks; violators weigh their deposits against
-      the genesis total, since every spec's would add up a handover's sets;
+    * no conflicting finalization: `first_conflict` walks once down the
+      chain from the highest finalized checkpoint when the F of them lie on
+      one chain; only otherwise does it walk each block below a finalized
+      checkpoint at most once in all, then make at most F^2/2 pair tests of
+      two set lookups each;
+    * slashable weight: `scan` sorts each validator's votes once, v_i log
+      v_i, and checks the v_i^2 / 2 pairs of a validator only when the sort
+      finds a violation; violators weigh their deposits against the genesis
+      total, since every spec's would add up a handover's sets;
     * link properties: one `tally` per voted link, one record lookup per
       vote on it, and an L log L nesting check;
     * one justified checkpoint per height: one `compute_justified` pass,

@@ -23,8 +23,10 @@ first partner it received and the incoming vote (`ClientView.receive_vote`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .chain import SlashEvidence, VoteData
@@ -101,11 +103,38 @@ def proven_violation(keyring: Keyring, tx: SlashEvidence) -> Violation | None:
     return check_pair(tx.first, tx.second)
 
 
+def breaks_a_condition(votes: list[VoteData]) -> bool:
+    """Whether two of one validator's distinct votes break condition I or
+    II, by one sort of the votes by target height.
+
+    Two votes break I when they share a target height.  When no two do,
+    every vote earlier in that order has a lower target, so a vote strictly
+    surrounds an earlier one exactly when its source is below the highest
+    earlier source that lies below its own target: only a vote whose source
+    is below its target can lie inside another.  Votes that share a key
+    are one vote, so repeated keys can give a True that the pairs do not
+    bear out, never a False that they would."""
+    top = last = -math.inf
+    for vote in sorted(votes, key=attrgetter("target_height")):
+        hs, ht = vote.source_height, vote.target_height
+        if ht == last or hs < top:
+            return True
+        if top < hs < ht:
+            top = hs
+        last = ht
+    return False
+
+
 def scan(pool: VotePool) -> list[Violation]:
-    """All violations among all signature-valid vote pairs in the pool."""
+    """All violations among all signature-valid vote pairs in the pool,
+    validator by validator in index order, each validator's pairs in pool
+    order.  Only a validator whose votes break a condition
+    (`breaks_a_condition`) has its pairs checked."""
     found: list[Violation] = []
     for index in sorted(pool.by_validator):
         votes = pool.validator_votes(index)
+        if not breaks_a_condition(votes):
+            continue
         for i in range(len(votes)):
             for j in range(i + 1, len(votes)):
                 v = check_pair(votes[i], votes[j])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ffg.chain import (GENESIS_ID, BlockTree, Deposit, SlashEvidence, VoteData,
-                       VoteInclusion, Withdraw, block_id, make_block)
+                       VoteInclusion, Withdraw, block_id, encode_block_body,
+                       make_block)
 from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
                         NotACheckpoint, NotAncestor, UnknownBlock, UnknownParent)
 
@@ -265,6 +266,9 @@ def test_golden_byte_layouts():
     bid = block_id(b"\x01" * 32, 7, 9, None, (Deposit(5, b"\xaa" * 32, 1000),))
     assert bid.hex() == \
         "ef54cef92a3e4164215d2dfc60c082a519fb345132a1650b162c796df1dc5851"
+    assert encode_block_body(b"\x01" * 32, 7, 9, 3, ()).hex() == (
+        "01" * 32 + "0000000000000007" + "0000000000000009"
+        + "0000000000000003" + "00000000")
 
 
 def test_block_id_changes_with_any_field():

@@ -11,7 +11,7 @@ import ffg.finality
 import ffg.scenarios
 import ffg.sim
 import ffg.slashing
-from ffg.chain import make_block
+from ffg.chain import SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
 from ffg.finality import (_UNCLASSIFIED, ChainState, ChainStateCache,
@@ -910,6 +910,51 @@ def test_step_context_carries_every_chain_state_slot():
     child = _StepContext(parent, quiet_proto(), block).st
     for name in ChainState.__slots__:
         assert getattr(child, name) is getattr(parent, name), name
+
+
+def state_like(state, **changes):
+    """A chain state with `state`'s slots, `changes` replacing some."""
+    other = ChainState()
+    for name in ChainState.__slots__:
+        setattr(other, name, changes.get(name, getattr(state, name)))
+    return other
+
+
+def test_a_block_that_changes_nothing_shares_its_parents_chain_state():
+    w = make_world(spacing=3)
+    genesis = w.cache.get(w.tree.root)
+    empty = w.include(w.tree.get(w.tree.root), [], timestamp=1)
+    again = w.include(empty, [], timestamp=2)
+    assert w.cache.get(empty.id) is w.cache.get(again.id) is genesis
+    # heights 3 and 6 are checkpoints
+    cp = w.include(again, [], timestamp=3)
+    cp_state = w.cache.get(cp.id)
+    assert cp_state is not genesis
+    after_cp = w.include(cp, [], timestamp=4)
+    assert w.cache.get(after_cp.id) is cp_state
+    # a vote or a proof makes a new state, and so does the next empty block
+    # after a proof, which carries no slashings of its own
+    voted = w.include(after_cp, [sign_vote(w.keyring, 0, w.tree.root, cp.id, 0, 1)])
+    assert w.cache.get(voted.id) is not cp_state
+    proof = SlashEvidence(sign_vote(w.keyring, 1, b"\x01" * 32, b"\x02" * 32, 0, 1),
+                          sign_vote(w.keyring, 1, b"\x03" * 32, b"\x04" * 32, 0, 1))
+    slashing = make_block(cp, 5, None, (proof,))
+    w.tree.insert_block(slashing)
+    slashing_state = w.cache.get(slashing.id)
+    assert slashing_state is not cp_state and slashing_state.slashings
+    after = w.include(slashing, [], timestamp=6)
+    after_state = w.cache.get(after.id)
+    assert after_state is not slashing_state
+    assert after_state.slashings == ()
+    assert after_state.registry is slashing_state.registry
+    # parents with payouts of their own or a dynasty to start
+    block = make_block(slashing, 9, None, ())
+    for parent in (state_like(cp_state, payouts=((0, 3),)),
+                   state_like(cp_state, finalized_at={w.tree.root: 0, cp.id: 4})):
+        state = ffg.finality.step_state(parent, block, w.cache)
+        assert state is not parent
+        assert state.payouts == ()
+    assert state.dynasty == 1
 
 
 # -- pool queries against a classify_vote recount -------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import ffg.chain
 import ffg.finality
 import ffg.scenarios
-from ffg.chain import Block, Deposit, SlashEvidence, make_block
+from ffg.chain import Block, BlockTree, Deposit, SlashEvidence, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import (DigestMismatch, DuplicateId, NonMonotonicTimestamp,
                         UnknownParent)
@@ -236,6 +236,53 @@ def test_never_revert_finalized():
     head = view.head()
     assert w.tree.is_ancestor(c1, head)
     assert head == carrier2.id
+
+
+def test_a_leaf_off_the_anchor_is_walked_once_and_its_descendants_never(
+        monkeypatch):
+    w = make_world(spacing=2)
+    a_blocks = w.grow(4)
+    view = client(w)
+    feed_chain(view, w, a_blocks)
+    c1 = a_blocks[1].id
+    just = w.votes([0, 1, 2], w.tree.root, c1)
+    fin = w.votes([0, 1, 2], c1, a_blocks[3].id)
+    carrier = w.include(a_blocks[3], just, timestamp=5)
+    carrier2 = w.include(carrier, fin, timestamp=6)
+    view.receive_block(carrier, 5)
+    view.receive_block(carrier2, 6)
+    assert view.finalized_anchor == c1
+    b_blocks = w.grow(6, start=w.tree.root, proposer=1)
+    walked = Counter()
+    in_head = []
+    head, is_ancestor = ClientView.head, BlockTree.is_ancestor
+
+    def counted_head(v):
+        in_head.append(True)
+        try:
+            return head(v)
+        finally:
+            in_head.pop()
+
+    def counted_is_ancestor(tree, a, b):
+        if in_head:
+            walked[b] += 1
+        return is_ancestor(tree, a, b)
+    monkeypatch.setattr(ClientView, "head", counted_head)
+    monkeypatch.setattr(BlockTree, "is_ancestor", counted_is_ancestor)
+    feed_chain(view, w, b_blocks[:2], t0=9)
+    for _ in range(2):
+        assert view.head() == carrier2.id
+    assert walked == {carrier2.id: 2, b_blocks[1].id: 1}
+    # the mark passes to each later block of the branch, which stays a leaf
+    # of the tree that head() never walks
+    feed_chain(view, w, b_blocks[2:], t0=9)
+    for _ in range(3):
+        assert view.head() == carrier2.id
+    assert walked == {carrier2.id: 5, b_blocks[1].id: 1}
+    assert b_blocks[-1].id in view.tree.leaves()
+    # the leaf scan without marks walks the branch's leaf and agrees
+    assert leaf_scan_head(view) == carrier2.id
 
 
 def test_first_seen_finalized_is_write_once():
@@ -567,6 +614,62 @@ def test_memoized_fork_choice_matches_walks_on_scripted_corpus(monkeypatch):
         assert outcomes[-1]["admissible"] > 0
     # leaves rejected by the evidence rule, summed over the deliveries
     assert [counts["rejected"] for counts in outcomes] == [0, 0, 794, 1234, 0]
+
+
+# -- head() with its off-anchor marks, against a scan of every leaf -------------------
+
+def leaf_scan_head(view):
+    """Reference: the head rule walking every leaf down to the finalized
+    anchor, none skipped: `head()` without its off-anchor marks."""
+    anchor, tree, order = view.finalized_anchor, view.tree, view.fstate.order
+    ranks = []
+    for leaf in tree.leaves():
+        if tree.is_ancestor(anchor, leaf) and view.chain_admissible(leaf):
+            tip = view.justified_tip(leaf)
+            ranks.append((-tree.get(tip).height, order[tip], tip,
+                          -tree.get(leaf).height, leaf))
+    return min(ranks)[-1] if ranks else anchor
+
+
+def check_marked_heads(monkeypatch, cfgs):
+    """Run each config, comparing the head() of every view a delivery names
+    with `leaf_scan_head` once the delivery is done; returns the reports and
+    counts of the comparisons and of the marked leaves they skipped."""
+    counts = Counter()
+    deliver = Network.deliver
+
+    def checked(net, kind, payload, names, now):
+        deliver(net, kind, payload, names, now)
+        for name in names:
+            view = net.views[name]
+            assert view.head() == leaf_scan_head(view), (net.cfg.name, name)
+            counts["heads"] += 1
+            counts["marked leaves"] += sum(leaf in view._off_anchor
+                                           for leaf in view.tree.leaves())
+    monkeypatch.setattr(Network, "deliver", checked)
+    monkeypatch.setattr(Simulation, "deliver", checked)
+    return [run(cfg) for cfg in cfgs], counts
+
+
+def test_marked_heads_match_the_leaf_scan_on_the_corpus(monkeypatch):
+    pins = json.loads((CORPUS / "digests.json").read_text())
+    cfgs = [config_from_dict(json.loads((CORPUS / name).read_text()))
+            for name in sorted(pins)]
+    reports, counts = check_marked_heads(monkeypatch, cfgs)
+    assert [r.digest() for r in reports] == [pins[name] for name in sorted(pins)]
+    assert counts["marked leaves"] > 0, counts
+
+
+def test_marked_heads_match_the_leaf_scan_on_fuzz_worlds(monkeypatch):
+    _reports, counts = check_marked_heads(
+        monkeypatch, [fuzz_config(seed) for seed in range(300)])
+    assert counts["marked leaves"] > 0, counts
+
+
+def test_marked_heads_match_the_leaf_scan_on_a_160_epoch_world(monkeypatch):
+    _reports, counts = check_marked_heads(
+        monkeypatch, [long_horizon_shaped(3, epochs=160)])
+    assert counts["marked leaves"] > counts["heads"], counts
 
 
 def check_finality_scan(view, block, outcomes):

@@ -12,7 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ffg.scenarios
 import ffg.sim
@@ -848,6 +848,30 @@ def test_first_conflict_rejects_a_non_checkpoint():
             search(tree, union)
     with pytest.raises(NotACheckpoint):
         first_conflict(tree, [blocks[12].id])
+
+
+@st.composite
+def trees_and_members(draw):
+    """A random tree of up to 14 blocks, spacing 1 or 2, each block a child
+    of an earlier one, and a set of its blocks; branches give members of
+    equal height, and at spacing 2 odd heights give non-checkpoints."""
+    tree = BlockTree(spacing=draw(st.integers(1, 2)))
+    ids = [tree.root]
+    for k in range(1, draw(st.integers(0, 14)) + 1):
+        ids.append(tree.extend(ids[draw(st.integers(0, k - 1))], k, None).id)
+    members = draw(st.lists(st.sampled_from(ids), max_size=8, unique=True))
+    return tree, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_and_members())
+def test_first_conflict_matches_the_ordered_search_on_random_trees(world):
+    tree, members = world
+    if any(tree.checkpoint_height(cp) is None for cp in members):
+        with pytest.raises(NotACheckpoint):
+            first_conflict(tree, members)
+        return
+    assert first_conflict(tree, members) == pairwise_first_conflict(tree, members)
 
 
 def test_sweep_tests_finalized_conflicts_without_pairwise_ancestry_walks(monkeypatch):

@@ -5,6 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ffg.slashing
 from ffg.chain import SlashEvidence, Withdraw, make_block
@@ -14,9 +15,9 @@ from ffg.finality import compute_justified
 from ffg.leak import LeakConfig
 from ffg.sim import (Network, ScenarioConfig, ValidatorSpec, build_report,
                      config_from_dict, run)
-from ffg.slashing import (AuditResult, ViolationKind, check_pair, safety_audit,
-                          scan, slashable, violates)
-from ffg.votes import VotePool, sign_vote
+from ffg.slashing import (AuditResult, ViolationKind, breaks_a_condition,
+                          check_pair, safety_audit, scan, slashable, violates)
+from ffg.votes import Keyring, VotePool, sign_vote
 
 from conftest import World, slashed_validators
 from test_acceptance import forced_dual_case
@@ -133,6 +134,44 @@ def test_scan_matches_bruteforce_pairs(keyring):
             if hit:
                 expect.add(check_pair(a, b).key)
     assert found == expect and found
+
+
+def pair_loop(votes):
+    """Reference: `check_pair` of every pair of the votes, in list order."""
+    return [v for i, a in enumerate(votes) for b in votes[i + 1:]
+            if (v := check_pair(a, b)) is not None]
+
+
+PROPERTY_KEYRING = Keyring(seed=42)
+# (source height, target height, tag): distinct triples are distinct votes,
+# sources may be at or above their targets, and tags give equal heights
+HEIGHTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                             st.integers(0, 1)), max_size=8, unique=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(HEIGHTS)
+@example([(1, 3, 0), (1, 3, 1)])              # I: one target height
+@example([(1, 4, 0), (2, 3, 0)])              # II: strictly nested
+@example([(2, 2, 0), (1, 3, 0)])              # a source at its target
+@example([(3, 2, 0), (1, 4, 0)])              # a source above its target
+@example([(1, 3, 0), (1, 4, 0), (2, 5, 0)])   # shared source ends: clean
+def test_breaks_a_condition_says_exactly_when_a_pair_violates(heights):
+    votes = [fake_vote(PROPERTY_KEYRING, 0, hs, ht, tag)
+             for hs, ht, tag in heights]
+    assert breaks_a_condition(votes) == bool(pair_loop(votes))
+    assert breaks_a_condition(votes[::-1]) == bool(pair_loop(votes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), HEIGHTS), max_size=3))
+def test_scan_lists_the_pair_loop_of_every_validator_in_order(validators):
+    pool = VotePool(PROPERTY_KEYRING)
+    for index, heights in validators:
+        for hs, ht, tag in heights:
+            pool.add(fake_vote(PROPERTY_KEYRING, index, hs, ht, tag))
+    assert scan(pool) == [v for index in sorted(pool.by_validator)
+                          for v in pair_loop(pool.validator_votes(index))]
 
 
 def test_scan_sees_cross_branch_and_noncountable_votes():

@@ -23,7 +23,9 @@ over the golden corpus and fuzz configs 0-49.
   only the rest: unclassified records and votes ahead of their targets;
 * the `is_ancestor` calls made by `head()` and the `check_pair` calls of a
   whole run are pinned on fixed configs, so a change that moves either
-  count re-pins it and says so;
+  count re-pins it and says so; pins on the `long_horizon` shape at 80 and
+  160 epochs keep `head()`'s walks linear in depth, since it walks a leaf
+  off the finalized anchor once, and `scan` to the pairs of violators;
 * a report writes each distinct vote object's text once, and `digest()`
   decodes nothing, so neither builds a vote dict.
 
@@ -255,10 +257,14 @@ def test_a_view_counts_a_ready_vote_without_on_vote(monkeypatch):
     assert 3 * counts["on_vote"] <= counts["receipts"], counts
 
 
-# config name -> (head() calls, is_ancestor calls within them, check_pair
-# calls in the whole run)
-SEARCH_PINS = {"fuzz0": (127, 365, 211), "fuzz7": (82, 82, 115),
-               "deep": (423, 4433, 3081), "long3": (843, 17205, 13418)}
+# config label -> (head() calls, is_ancestor calls within them, check_pair calls
+# in the whole run).  The `long_horizon` shape at 80 and 160 epochs pins the
+# depth terms: head() walks a leaf off the finalized anchor once, and `scan`
+# checks the pairs of violators only, whose votes grow with depth.
+SEARCH_PINS = {"fuzz0": (127, 365, 115), "fuzz7": (82, 82, 66),
+               "deep": (423, 1729, 1296), "long3": (843, 3244, 5513),
+               "long3@80": (1643, 7236, 21743),
+               "long3@160": (3323, 14442, 92463)}
 
 
 def test_head_ancestry_checks_and_vote_pair_checks_match_their_pins(monkeypatch):
@@ -284,14 +290,19 @@ def test_head_ancestry_checks_and_vote_pair_checks_match_their_pins(monkeypatch)
         if getattr(module, "check_pair", None) is check_pair:
             monkeypatch.setattr(module, "check_pair",
                                 counting(counts, "check_pair", check_pair))
-    configs = [fuzz_config(0), fuzz_config(7), deep_config(),
-               long_horizon_shaped(3, epochs=40)]
+    configs = {"fuzz0": fuzz_config(0), "fuzz7": fuzz_config(7),
+               "deep": deep_config(),
+               "long3": long_horizon_shaped(3, epochs=40),
+               "long3@80": long_horizon_shaped(3, epochs=80),
+               "long3@160": long_horizon_shaped(3, epochs=160)}
     seen = {}
-    for cfg in configs:
+    for name, cfg in configs.items():
         counts.clear()
         run(cfg)
-        seen[cfg.name] = (counts["head"], counts["is_ancestor"], counts["check_pair"])
+        seen[name] = (counts["head"], counts["is_ancestor"], counts["check_pair"])
     assert seen == SEARCH_PINS
+    # twice the depth, about twice the ancestry walks
+    assert seen["long3@160"][1] <= 2.2 * seen["long3@80"][1]
 
 
 def test_a_report_writes_each_vote_object_once_and_its_digest_decodes_nothing(
