@@ -48,7 +48,7 @@ from .config import ProtocolConfig
 from .errors import NoExtension, NotAncestor
 from .leak import apply_epoch_leak
 from .slashing import find_new_violations, proven_violation, slashable
-from .validators import ValidatorRegistry
+from .validators import ValidatorRecord, ValidatorRegistry
 from .votes import Keyring, VotePool, classify_vote
 
 
@@ -222,12 +222,14 @@ def tally(cache: ChainStateCache, pool: VotePool, source: bytes,
 class ChainState:
     """State after processing one block; immutable once built.
 
-    `link_voters` maps each tallied link to the validators the chain has
-    counted on it, so a vote included again, in a later payload or as
-    another object, is not counted twice.  A child shares its parent's sets
-    until it adds to one (`_StepContext.link_voters`).  The chain has
-    slashed, by one valid proof each, exactly the validators its `registry`
-    records as slashed (`_StepContext.include_evidence`).  `slashings` and
+    `link_voters` maps each tallied link to the frozenset of validators the
+    chain has counted on it, so a vote included again, in a later payload or
+    as another object, is not counted twice.  Every slot holds immutable
+    values (registry records included), so a child copies containers, never
+    values, and only those it writes (`_StepContext.owned` and
+    `_StepContext.registry`).  The chain has slashed, by one valid proof
+    each, exactly the validators its `registry` records as slashed
+    (`_StepContext.include_evidence`).  `slashings` and
     `payouts` are this block's own: the violation each proof that newly
     covers a validator proves (`proven_violation`), in payload order, and
     the `(index, height)` of each withdrawal it pays out.  Checkpoint
@@ -279,8 +281,6 @@ class _StepContext:
         st.payouts = parent.payouts
         self._own_registry = False
         self._own = set()
-        # links whose voter set this block has copied and may add to
-        self._own_voters: set[tuple[bytes, bytes]] = set()
         # the block's window voters, unioned into `voted_window` once per
         # block by `close_payload`
         self.new_voters: set[int] = set()
@@ -297,15 +297,6 @@ class _StepContext:
             self._own_registry = True
         return self.st.registry
 
-    def link_voters(self, link: tuple[bytes, bytes]) -> set[int]:
-        """The link's voter set, copied the first time this block adds to
-        it, so the parent's set is never written."""
-        voters = self.owned("link_voters")
-        if link not in self._own_voters:
-            voters[link] = set(voters.get(link, ()))
-            self._own_voters.add(link)
-        return voters[link]
-
     def include_vote(self, vote: VoteData, cache: ChainStateCache) -> bool:
         """Count an included vote on this chain when the run's verdict
         (`ChainStateCache.classify`) finds it countable, and return whether
@@ -319,15 +310,15 @@ class _StepContext:
         idx = vote.validator_index
         record = cache.record(vote)
         link = record.link
-        voters = self.st.link_voters.get(link)
-        if voters is not None and idx in voters:
+        voters = self.st.link_voters.get(link, frozenset())
+        if idx in voters:
             return False
         snap = cache.classify(record)
         if snap is None or not cache.tree.is_ancestor(vote.target,
                                                       self.block.parent):
             return False
         self.new_voters.add(idx)
-        self.link_voters(link).add(idx)
+        self.owned("link_voters")[link] = voters.union((idx,))
         return self.owned("links").count(link, record.forward, record.rear,
                                          snap, self.block.height)
 
@@ -421,11 +412,13 @@ def step_state(parent: ChainState, block, cache: ChainStateCache) -> ChainState:
         if block.height > cfg.spacing:
             apply_epoch_leak(reg, st.voted_window, st.dynasty, cfg.leak)
         st.voted_window = frozenset()
-        for rec in reg.records.values():
+        for index, rec in reg.records.items():
             if (rec.unlock_epoch is not None and not rec.slashed
                     and not rec.withdrawn and epoch >= rec.unlock_epoch):
-                rec.withdrawn = True
-                st.payouts = st.payouts + ((rec.index, block.height),)
+                reg.records[index] = ValidatorRecord(
+                    index, rec.deposit, rec.start_dynasty, rec.end_dynasty,
+                    rec.unlock_epoch, rec.slashed, True, rec.leaked)
+                st.payouts = st.payouts + ((index, block.height),)
         cache.snapshots[block.id] = snapshot_registry(
             block.height // cfg.spacing, st.dynasty, reg, cfg.stitching)
     return st

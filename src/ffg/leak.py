@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Unreachable
-from .validators import ValidatorRegistry
+from .validators import ValidatorRecord, ValidatorRegistry
 
 
 @dataclass(frozen=True)
@@ -38,35 +38,37 @@ def apply_epoch_leak(registry: ValidatorRegistry, voted: Set[int],
     deposits never increase here.
     """
     drained = 0
-    for rec in registry.records.values():
+    for index, rec in registry.records.items():
         if rec.withdrawn or rec.deposit <= 0:
             continue
         if not rec.in_forward(current_dynasty):
             continue
-        if rec.index in voted:
+        if index in voted:
             continue
         cut = leak_amount(rec.deposit, cfg.rate)
-        rec.deposit -= cut
-        rec.leaked += cut
+        registry.records[index] = ValidatorRecord(
+            index, rec.deposit - cut, rec.start_dynasty, rec.end_dynasty,
+            rec.unlock_epoch, rec.slashed, rec.withdrawn, rec.leaked + cut)
         drained += cut
     return drained
 
 
-def epochs_to_supermajority(online: int, offline: int, cfg: LeakConfig) -> int:
+def epochs_to_supermajority(online: int, offline: list[int], cfg: LeakConfig) -> int:
     """Smallest k such that after k leak epochs the online weight passes 2/3.
 
-    Exact integer recurrence on the aggregate offline weight: each epoch the
-    offline side loses floor(offline * p).  Raises Unreachable when there is no
-    online weight to converge to.
+    Exact integer recurrence on each offline deposit, as `apply_epoch_leak`
+    drains them: each epoch every offline deposit D loses floor(D * p).
+    Raises Unreachable when there is no online weight to converge to, or
+    when the drain stalls short of it.
     """
     if online <= 0:
         raise Unreachable("no online weight")
     k = 0
-    while 3 * online < 2 * (online + offline):
-        cut = leak_amount(offline, cfg.rate)
-        if cut <= 0:
-            # floor rounding leaks nothing once offline * p < 1
+    while 3 * online < 2 * (online + sum(offline)):
+        drained = [d - leak_amount(d, cfg.rate) for d in offline]
+        if drained == offline:
+            # floor rounding leaks nothing once every D * p < 1
             raise Unreachable("drain stalls below the rounding floor")
-        offline -= cut
+        offline = drained
         k += 1
     return k

@@ -451,7 +451,8 @@ def split_finality_config(seed: int = 13) -> ScenarioConfig:
 def read_split_finality(cfg: ScenarioConfig) -> tuple[list[int], list[int], int, int]:
     """The partition's two sides (disjoint groups that together hold every
     validator, so the oracle weighs all the deposits) and the leak epochs
-    each needs to regain a supermajority, which both must reach."""
+    each needs to regain a supermajority, which both must reach.  The oracle
+    drains each of the other side's deposits on its own, as the chain does."""
     (partition,) = _params(cfg, "partition")
     if not (isinstance(partition, list) and len(partition) == 2):
         raise ConfigInvalid("scenario 'split_finality': partition must "
@@ -463,11 +464,11 @@ def read_split_finality(cfg: ScenarioConfig) -> tuple[list[int], list[int], int,
     if outside:
         raise ConfigInvalid("scenario 'split_finality': the partition must "
                             f"hold every validator, and leaves out {outside}")
-    w_a, w_b = (sum(spec.deposit for spec in cfg.validators if spec.index in side)
+    d_a, d_b = ([spec.deposit for spec in cfg.validators if spec.index in side]
                 for side in (side_a, side_b))
     try:
-        k_a = epochs_to_supermajority(w_a, w_b, cfg.protocol.leak)
-        k_b = epochs_to_supermajority(w_b, w_a, cfg.protocol.leak)
+        k_a = epochs_to_supermajority(sum(d_a), d_b, cfg.protocol.leak)
+        k_b = epochs_to_supermajority(sum(d_b), d_a, cfg.protocol.leak)
     except Unreachable as exc:
         raise ConfigInvalid("scenario 'split_finality': the leak never gives "
                             f"both sides a supermajority: {exc}") from exc

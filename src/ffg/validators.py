@@ -25,7 +25,7 @@ from .errors import (AlreadyLeaving, AlreadySlashed, NotActive, Rejoin,
                      UnknownValidator, ZeroDeposit)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ValidatorRecord:
     index: int
     deposit: int
@@ -35,11 +35,6 @@ class ValidatorRecord:
     slashed: bool = False
     withdrawn: bool = False
     leaked: int = 0
-
-    def copy(self) -> "ValidatorRecord":
-        return ValidatorRecord(self.index, self.deposit, self.start_dynasty,
-                               self.end_dynasty, self.unlock_epoch,
-                               self.slashed, self.withdrawn, self.leaked)
 
     @property
     def weight(self) -> int:
@@ -59,14 +54,14 @@ class ValidatorRecord:
 
 @dataclass
 class ValidatorRegistry:
-    """Chain-local validator state, keyed by validator index; cloneable for
-    fork evaluation."""
+    """Chain-local validator state, keyed by validator index.  Records are
+    frozen: a write puts a new record in the map, so `clone` copies only the
+    map, and copies share every record neither has changed."""
 
     records: dict[int, ValidatorRecord] = field(default_factory=dict)
 
     def clone(self) -> "ValidatorRegistry":
-        return ValidatorRegistry({index: rec.copy()
-                                  for index, rec in self.records.items()})
+        return ValidatorRegistry(self.records.copy())
 
     def get(self, index: int) -> ValidatorRecord:
         try:
@@ -106,7 +101,9 @@ class ValidatorRegistry:
             raise AlreadyLeaving(index)
         if rec.start_dynasty > current_dynasty:
             raise NotActive(index)
-        rec.end_dynasty = current_dynasty + 2
+        self.records[index] = ValidatorRecord(
+            index, rec.deposit, rec.start_dynasty, current_dynasty + 2,
+            rec.unlock_epoch, rec.slashed, rec.withdrawn, rec.leaked)
 
     def mark_end_dynasty_started(self, dynasty: int, epoch: int,
                                  withdrawal_delay: int, previous: int) -> None:
@@ -116,11 +113,14 @@ class ValidatorRegistry:
         several finalizations, so every end dynasty in (previous, dynasty]
         starts here.
         """
-        for rec in self.records.values():
+        for index, rec in self.records.items():
             if rec.end_dynasty is None or rec.unlock_epoch is not None:
                 continue
             if previous < rec.end_dynasty <= dynasty:
-                rec.unlock_epoch = epoch + withdrawal_delay
+                self.records[index] = ValidatorRecord(
+                    index, rec.deposit, rec.start_dynasty, rec.end_dynasty,
+                    epoch + withdrawal_delay, rec.slashed, rec.withdrawn,
+                    rec.leaked)
 
     def slash(self, index: int) -> int:
         """Zero the deposit; returns the amount taken.  Idempotence is the caller's
@@ -128,7 +128,7 @@ class ValidatorRegistry:
         rec = self.get(index)
         if rec.slashed:
             raise AlreadySlashed(index)
-        taken = rec.deposit
-        rec.deposit = 0
-        rec.slashed = True
-        return taken
+        self.records[index] = ValidatorRecord(
+            index, 0, rec.start_dynasty, rec.end_dynasty, rec.unlock_epoch,
+            True, rec.withdrawn, rec.leaked)
+        return rec.deposit

@@ -351,7 +351,7 @@ def test_criterion_5_long_range_defense():
 
 def test_criterion_6_inactivity_leak():
     leak = LeakConfig(rate=Fraction(1, 10))
-    oracle_60_40 = epochs_to_supermajority(600, 400, leak)
+    oracle_60_40 = epochs_to_supermajority(600, [400], leak)
     crash = 3
     cfg = ScenarioConfig(
         name="crash", seed=5,

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +11,7 @@ import ffg.finality
 import ffg.scenarios
 import ffg.sim
 import ffg.slashing
-from ffg.chain import SlashEvidence, make_block
+from ffg.chain import SlashEvidence, Withdraw, make_block
 from ffg.config import ProtocolConfig
 from ffg.errors import NoExtension, NotAncestor
 from ffg.finality import (_UNCLASSIFIED, ChainState, ChainStateCache,
@@ -720,6 +720,40 @@ def test_child_blocks_leave_the_parent_tallies_unchanged():
     assert (before, voters_before) == ((100, 0), {0})
     assert c1 not in parent_state.justified
     assert c1 in w.cache.get(right.id).justified
+
+
+def test_a_child_registry_shares_every_record_it_does_not_change():
+    """One checkpoint block that starts a dynasty, slashes, withdraws,
+    leaks and pays out writes new records for those validators only: the
+    parent's records keep their values, and each record the child leaves
+    as it was is the parent's object itself."""
+    w = World(replace(quiet_proto(), leak=LeakConfig(rate=Fraction(1, 10))),
+              [100] * 7)
+    blocks = w.grow(3)
+    reg = ValidatorRegistry(dict(w.registry.records))
+    reg.records[3] = ValidatorRecord(3, 100, 0, end_dynasty=1)
+    reg.records[4] = ValidatorRecord(4, 100, 0, end_dynasty=0, unlock_epoch=1)
+    reg.records[6] = ValidatorRecord(6, 100, start_dynasty=3)
+    parent = state_like(w.cache.get(blocks[2].id), registry=reg,
+                        finalized_at={w.tree.root: 0, blocks[1].id: 3},
+                        voted_window=frozenset({0, 2}))
+    proof = SlashEvidence(sign_vote(w.keyring, 1, b"\x01" * 32, b"\x02" * 32, 0, 1),
+                          sign_vote(w.keyring, 1, b"\x03" * 32, b"\x04" * 32, 0, 1))
+    block = make_block(blocks[2], 4, None,
+                       (proof, Withdraw(2, w.keyring.pubkey(2))))
+    before = {index: astuple(rec) for index, rec in reg.records.items()}
+    state = ffg.finality.step_state(parent, block, w.cache)
+    assert state.dynasty == 1 and len(state.slashings) == 1
+    assert state.payouts == ((4, 4),)
+    child = state.registry.records
+    assert {index: astuple(rec) for index, rec in reg.records.items()} == before
+    # 1 slashed, 2 leaving, 3's end dynasty started, 4 paid out, 5 leaked
+    assert child[1].slashed and child[1].deposit == 0
+    assert child[2].end_dynasty == 3
+    assert child[3].unlock_epoch == 2 + w.proto.withdrawal_delay
+    assert child[4].withdrawn
+    assert child[5].deposit == 90 and child[5].leaked == 10
+    assert [index for index in child if child[index] is reg.records[index]] == [0, 6]
 
 
 # -- liveness oracle ---------------------------------------------------------------

@@ -83,40 +83,75 @@ def test_total_never_increases():
 
 
 def test_oracle_trivial_cases():
-    assert epochs_to_supermajority(100, 0, CFG) == 0
-    assert epochs_to_supermajority(800, 300, CFG) == 0      # already over 2/3
+    assert epochs_to_supermajority(100, [], CFG) == 0
+    assert epochs_to_supermajority(800, [300], CFG) == 0    # already over 2/3
 
 
 def test_oracle_sixty_forty():
     # 0.9^3 = 0.729 <= 0.75: three drains make 600 a supermajority over 400
-    assert epochs_to_supermajority(600, 400, CFG) == 3
+    assert epochs_to_supermajority(600, [400], CFG) == 3
 
 
 def test_oracle_fifty_fifty():
     # 0.9^7 ~= 0.478 <= 0.5
-    assert epochs_to_supermajority(500, 500, CFG) == 7
+    assert epochs_to_supermajority(500, [500], CFG) == 7
+
+
+def test_oracle_floors_each_offline_deposit():
+    # each floor drops its own fraction, so 120, 130 and 100 drain less
+    # than one sum of 350: after 7 epochs the sum is at 170, which 340
+    # holds 2/3 against, but the three deposits are at 60 + 65 + 49 = 174
+    assert epochs_to_supermajority(340, [120, 130, 100], CFG) == 8
+    # 15 and 15 drain to 9 each and stall, 18 short of 31's two thirds; one
+    # sum of 30 drains to 15
+    with pytest.raises(Unreachable):
+        epochs_to_supermajority(31, [15, 15], CFG)
+
+
+def iterated_registry_epochs(online, offline, cfg):
+    """Reference: the leak epochs until validator 0, always voting, holds
+    2/3 of the registry, iterating `apply_epoch_leak` over the offline
+    validators 1, 2, ...; None when an epoch drains nothing short of it."""
+    reg = registry([online, *offline])
+    k = 0
+    while 3 * online < 2 * sum(rec.deposit for rec in reg.records.values()):
+        if not apply_epoch_leak(reg, voted={0}, current_dynasty=0, cfg=cfg):
+            return None
+        k += 1
+    return k
 
 
 def test_oracle_matches_iterated_registry():
-    # the registry route and the aggregate recurrence agree for a single
-    # offline validator
-    reg = registry([600, 400])
-    k = 0
-    while True:
-        snapshot = [reg.get(0).deposit, reg.get(1).deposit]
-        if 3 * snapshot[0] >= 2 * sum(snapshot):
-            break
-        apply_epoch_leak(reg, voted={0}, current_dynasty=0, cfg=CFG)
-        k += 1
-    assert k == epochs_to_supermajority(600, 400, CFG)
+    # the registry route and the recurrence agree for a single offline
+    # validator
+    assert iterated_registry_epochs(600, [400], CFG) == 3
+    assert epochs_to_supermajority(600, [400], CFG) == 3
+
+
+@given(st.integers(1, 10**4), st.lists(st.integers(1, 10**4), max_size=5),
+       st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
+def test_oracle_matches_iterated_registry_for_several_offline_validators(
+        online, offline, rate):
+    cfg = LeakConfig(rate=rate)
+    try:
+        k = epochs_to_supermajority(online, offline, cfg)
+    except Unreachable:
+        k = None
+    assert k == iterated_registry_epochs(online, offline, cfg)
 
 
 def test_oracle_unreachable():
     with pytest.raises(Unreachable):
-        epochs_to_supermajority(0, 500, CFG)
+        epochs_to_supermajority(0, [500], CFG)
 
 
-@given(st.integers(1, 10**6), st.integers(0, 10**6),
+def drained(offline, rate, epochs):
+    for _ in range(epochs):
+        offline = [d - (d * rate.numerator) // rate.denominator for d in offline]
+    return offline
+
+
+@given(st.integers(1, 10**6), st.lists(st.integers(0, 10**6), max_size=4),
        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
 def test_oracle_terminates_and_is_minimal(online, offline, rate):
     cfg = LeakConfig(rate=rate)
@@ -125,20 +160,13 @@ def test_oracle_terminates_and_is_minimal(online, offline, rate):
     except Unreachable:
         # floor rounding stalled with the offline side still too heavy
         value = offline
-        while 3 * online < 2 * (online + value):
-            cut = (value * rate.numerator) // rate.denominator
-            if cut == 0:
+        while 3 * online < 2 * (online + sum(value)):
+            if drained(value, rate, 1) == value:
                 break
-            value -= cut
-        assert 3 * online < 2 * (online + value)
+            value = drained(value, rate, 1)
+        assert 3 * online < 2 * (online + sum(value))
         return
     # after k drains the check passes; after k-1 it does not
-    value = offline
-    for _ in range(k):
-        value -= (value * rate.numerator) // rate.denominator
-    assert 3 * online >= 2 * (online + value)
+    assert 3 * online >= 2 * (online + sum(drained(offline, rate, k)))
     if k > 0:
-        value = offline
-        for _ in range(k - 1):
-            value -= (value * rate.numerator) // rate.denominator
-        assert 3 * online < 2 * (online + value)
+        assert 3 * online < 2 * (online + sum(drained(offline, rate, k - 1)))

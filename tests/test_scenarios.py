@@ -12,7 +12,8 @@ import ffg.scenarios
 from ffg.errors import ConfigInvalid
 from ffg.scenarios import (Script, admissible_tip, dynamic_attack_config,
                            long_range_config, split_finality_config)
-from ffg.sim import Behavior, OFFLINE, config_from_dict, config_to_dict, run
+from ffg.sim import (Behavior, OFFLINE, ValidatorSpec, config_from_dict,
+                     config_to_dict, run)
 
 CORPUS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -134,6 +135,25 @@ def test_split_finality_leak_oracle_alignment():
     # the first window each side misses is window 1, so the first checkpoint
     # whose snapshot is drained k times sits at height 1 + k
     assert report.extra["first_finalized_height"] == {"a": 8, "b": 8}
+
+
+def split_with(deposits, partition):
+    return replace(split_finality_config(),
+                   validators=tuple(ValidatorSpec(i, d)
+                                    for i, d in sorted(deposits.items())),
+                   params={"partition": partition})
+
+
+def test_split_finality_schedules_links_by_each_drained_deposit():
+    # side a's three deposits drain as three floors, slower than one sum of
+    # 350 would: that sum said 7 epochs and side b never finalized
+    report = run(split_with({0: 120, 1: 340, 2: 130, 3: 100}, [[0, 2, 3], [1]]))
+    assert report.extra["oracle_epochs"] == {"a": 7, "b": 8}
+    assert report.extra["first_finalized_height"] == {"a": 8, "b": 9}
+    # 15 and 15 drain to 9 each and stall, where one sum of 30 reached 15:
+    # that config ran, and side b never finalized
+    with pytest.raises(ConfigInvalid, match="drain stalls"):
+        split_with({0: 15, 1: 31, 2: 15}, [[0, 2], [1]]).validate()
 
 
 def test_split_finality_no_violations_but_conflict():

@@ -249,7 +249,7 @@ def test_the_self_check_agrees_with_a_scan_of_every_signed_vote(monkeypatch):
 
 def test_offline_minority_stalls_then_leak_resumes():
     # 60/40 split, drain rate 1/10: the oracle says three drained epochs
-    oracle = epochs_to_supermajority(600, 400, LeakConfig(rate=Fraction(1, 10)))
+    oracle = epochs_to_supermajority(600, [400], LeakConfig(rate=Fraction(1, 10)))
     assert oracle == 3
     crash_epoch = 3
     cfg = base_config(n=4, epochs=9, leak=Fraction(1, 10), deposit=200,
@@ -279,7 +279,7 @@ def test_leak_resumes_finality_when_the_oracle_says(offline, crash):
     # criterion 6's construction at one crash point, swept over the offline
     # weight (of 1000) and the crash epoch
     leak = LeakConfig(rate=Fraction(1, 10))
-    oracle = epochs_to_supermajority(1000 - offline, offline, leak)
+    oracle = epochs_to_supermajority(1000 - offline, [offline], leak)
     share = (1000 - offline) // 3
     online = (share, share, 1000 - offline - 2 * share)
     cfg = ScenarioConfig(

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,10 +91,9 @@ def test_membership_interval_bruteforce(spans):
     from ffg.validators import ValidatorRecord
     reg = ValidatorRegistry()
     for i, (start, end) in enumerate(spans):
-        rec = ValidatorRecord(i, 100, start_dynasty=start)
-        if end is not None:
-            rec.end_dynasty = max(start + 1, end)
-        reg.records[i] = rec
+        reg.records[i] = ValidatorRecord(
+            i, 100, start_dynasty=start,
+            end_dynasty=None if end is None else max(start + 1, end))
     for d in range(0, 12):
         fwd = forward(reg, d)
         back = rear(reg, d)
@@ -115,6 +116,19 @@ def test_total_weight_and_slash():
     assert reg.get(1).deposit == 0
     with pytest.raises(UnknownValidator):
         reg.get(9)
+
+
+def test_writes_replace_records_and_clones_share_them():
+    reg = registry_with([0, 1, 2])
+    rec = reg.get(1)
+    with pytest.raises(FrozenInstanceError):
+        rec.deposit = 0
+    other = reg.clone()
+    other.slash(1)
+    other.process_withdraw(2, current_dynasty=0)
+    assert reg.get(1) is rec and not rec.slashed and rec.deposit == 100
+    assert reg.get(2).end_dynasty is None
+    assert other.get(0) is reg.get(0)
 
 
 def test_slashing_a_slashed_validator_raises():

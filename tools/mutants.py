@@ -15,11 +15,14 @@ the one replacement there, and runs tier-1 without criterion 1 (the 10,000
 fuzz runs) and without `tests/test_mutants.py` under `pytest -x`.  It never
 edits the tree it runs from.
 
-    python tools/mutants.py              # every row
-    python tools/mutants.py ID [ID ...]  # the named rows
+    python tools/mutants.py                        # every row
+    python tools/mutants.py ID [ID ...]            # the named rows
+    python tools/mutants.py --file src/ffg/leak.py # every row of a file
 
-It prints one line per row and exits 1 when any row's outcome differs from
-the one the table expects.  Standard library only.
+`--file` may be repeated, and with IDs runs the rows either names.  It
+prints one line per row and exits 1 when any row's outcome differs from
+the one the table expects, or when a named file has no row.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -90,18 +93,30 @@ def expected(row: dict) -> tuple[str, str | None]:
     return "survivor", None
 
 
+def select(rows: list[dict], ids: list[str], files: list[str]) -> list[dict]:
+    """The rows named by id or by file, in table order; every row when
+    neither is given.  SystemExit names the ids and files without a row."""
+    unknown = set(ids) - {row["id"] for row in rows}
+    if unknown:
+        raise SystemExit(f"no such rows: {sorted(unknown)}")
+    rowless = sorted(set(files) - {row["file"] for row in rows})
+    if rowless:
+        raise SystemExit(f"no rows for: {', '.join(rowless)}")
+    if not ids and not files:
+        return rows
+    return [row for row in rows if row["id"] in ids or row["file"] in files]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ids", nargs="*", help="rows to run (default: all)")
+    parser.add_argument("--file", action="append", default=[],
+                        help="also run every row of this file (repeatable)")
     args = parser.parse_args(argv)
-    rows = json.loads(TABLE.read_text(encoding="utf-8"))
-    unknown = set(args.ids) - {row["id"] for row in rows}
-    if unknown:
-        parser.error(f"no such rows: {sorted(unknown)}")
+    rows = select(json.loads(TABLE.read_text(encoding="utf-8")),
+                  args.ids, args.file)
     mismatches = 0
     for row in rows:
-        if args.ids and row["id"] not in args.ids:
-            continue
         start = time.perf_counter()
         outcome = run_row(row)
         ok = outcome == expected(row)
